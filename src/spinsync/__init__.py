@@ -7,8 +7,9 @@ Library layout:
 - :mod:`spinsync.lindblad` -- rotationally invariant limit-cycle generators,
   sector decomposition and steady states.
 - :mod:`spinsync.signals` -- three-tone signal Hamiltonians.
-- :mod:`spinsync.perturbation` -- perturbative orders, the threshold rule for
-  the permitted strength, the synchronization measure, exact driven steady
+- :mod:`spinsync.perturbation` -- the first-order kernel (rho0 and the
+  tone-to-coherence maps), perturbative orders, the threshold rule for the
+  permitted strength, the synchronization measure, exact driven steady
   states and deformation diagnostics.
 - :mod:`spinsync.catalog` -- named limit cycles, closed-form benchmarks,
   signal optimization, Arnold tongues and the fundamental bound.
@@ -56,6 +57,7 @@ from .perturbation import (
     SingularCoherenceBlockError,
     SyncResult,
     ZeroResponseError,
+    coherence_response,
     eigencoherences,
     epsilon_for_threshold,
     first_order,

@@ -30,15 +30,16 @@ from .lindblad import LimitCycleSpec, build_liouvillian, steady_state
 from .perturbation import (
     SyncResult,
     ZeroResponseError,
+    _apply_maps,
+    _driven_steady_state,
     coherence_response,
     epsilon_for_threshold,
-    first_order,
-    full_steady_state,
     hs_norm,
     p_max,
+    sync_from_coherences,
     sync_measure,
 )
-from .signals import SignalSpec, from_equatorial_angles
+from .signals import SignalSpec, build_hext, from_equatorial_angles
 from .spin import (
     COS1_WEIGHT,
     COS2_WEIGHT,
@@ -133,8 +134,8 @@ def cooperativity_limit_cycle(
 
 def _require_positive(**rates: float) -> None:
     for name, value in rates.items():
-        if not float(value) > 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not 0.0 < float(value) < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 SCENARIOS = {
@@ -339,25 +340,6 @@ def equatorial_first_order_closed(
     return (r_10, r_0m1, r_1m1), np.array([0.0, a0, am])
 
 
-def sync_from_coherences(
-    populations: np.ndarray,
-    coherences: tuple[complex, complex, complex],
-    eta: float = 0.1,
-) -> float:
-    """Measure assembled directly from first-order data, with the squeezing
-    phase taken as aligned (both harmonics peaking together)."""
-    r_10, r_0m1, r_1m1 = coherences
-    amp1 = COS1_WEIGHT * abs(r_10 + r_0m1)
-    amp2 = COS2_WEIGHT * abs(r_1m1)
-    norm1 = math.sqrt(
-        2.0 * (abs(r_10) ** 2 + abs(r_0m1) ** 2 + abs(r_1m1) ** 2)
-    )
-    if norm1 == 0.0:
-        return 0.0
-    norm0 = float(np.linalg.norm(populations))
-    return eta * norm0 * (amp1 + amp2) / norm1
-
-
 # ---------------------------------------------------------------------------
 # squeezing-phase alignment and the tightness construction
 
@@ -372,8 +354,14 @@ def align_squeeze_phase(lc: LimitCycleSpec, signal: SignalSpec) -> SignalSpec:
     """
     if signal.tm11 == 0:
         return signal
+    _, map1, map2 = coherence_response(lc)
+    return _align_on_maps(map1, map2, signal)
+
+
+def _align_on_maps(map1: np.ndarray, map2: complex, signal: SignalSpec) -> SignalSpec:
+    """:func:`align_squeeze_phase` from the response maps of the cycle."""
     base = replace(signal, tm11=abs(signal.tm11) + 0j)
-    rho1 = first_order(lc, base)
+    rho1 = _apply_maps(map1, map2, base)
     single = rho1[0, 1] + rho1[1, 2]
     double = rho1[0, 2]
     if double == 0 or single == 0:
@@ -465,12 +453,12 @@ def bound_terms(
     |adjacent|/|extremal| = 3 pi / (4 sqrt(2)).
     """
     rho0, rho1 = bound_state_pair(params)
-    norm_term = eta * hs_norm(rho0)
-    n1 = hs_norm(rho1)
-    if n1 == 0.0:
+    if not rho1.any():
         raise ValueError("bound parametrization needs a nonzero correction")
+    norm_term = eta * hs_norm(rho0)
     b, c = complex(params.adjacent), complex(params.extremal)
-    coherence_term = (COS1_WEIGHT * abs(2.0 * b) + COS2_WEIGHT * abs(c)) / n1
+    # a unit population vector leaves the coherence factor alone
+    coherence_term = sync_from_coherences(np.ones(1), (b, b, c), 1.0)
     return norm_term, coherence_term, norm_term * coherence_term
 
 
@@ -522,7 +510,7 @@ def optimize_signal(
     initial grid resolve toward smaller zeta, then smaller chi.
     """
     rho0, map1, map2 = coherence_response(lc)
-    norm0 = hs_norm(rho0)
+    pops = rho0.diagonal().real
 
     if family == "equatorial_angles":
         names = ("zeta", "chi")
@@ -549,14 +537,9 @@ def optimize_signal(
         t01, tm10, tau11_mag = tones(*coords)
         r_10 = map1[0, 0] * t01 + map1[0, 1] * tm10
         r_0m1 = map1[1, 0] * t01 + map1[1, 1] * tm10
-        cmag = np.abs(map2) * tau11_mag
-        amp = COS1_WEIGHT * np.abs(r_10 + r_0m1) + COS2_WEIGHT * cmag
-        norm1 = np.sqrt(
-            2.0 * (np.abs(r_10) ** 2 + np.abs(r_0m1) ** 2 + cmag**2)
+        return sync_from_coherences(
+            pops, (r_10, r_0m1, np.abs(map2) * tau11_mag), eta
         )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            val = np.where(norm1 > 0.0, eta * norm0 * amp / norm1, 0.0)
-        return val
 
     axes = [
         np.linspace(lo, hi, grid_size, endpoint=(i != 1))
@@ -597,8 +580,8 @@ def optimize_signal(
         signal = from_equatorial_angles(params["zeta"], params["chi"])
     else:
         t01, tm10, tau11_mag = tones(*coords)
-        signal = align_squeeze_phase(
-            lc, SignalSpec(complex(t01), complex(tm10), complex(tau11_mag))
+        signal = _align_on_maps(
+            map1, map2, SignalSpec(complex(t01), complex(tm10), complex(tau11_mag))
         )
     return OptimumReport(
         family=family, params=params, value=best, eta=eta, signal=signal
@@ -640,9 +623,8 @@ def arnold_tongue(
     eps_max = np.empty_like(detunings)
     peaks = np.empty_like(detunings)
     for j, delta in enumerate(detunings):
-        detuned = lc.with_detuning(delta)
-        rho0 = steady_state(build_liouvillian(detuned))
-        rho1 = first_order(detuned, signal)
+        rho0, map1, map2 = coherence_response(lc.with_detuning(delta))
+        rho1 = _apply_maps(map1, map2, signal)
         try:
             eps_max[j] = epsilon_for_threshold(rho0, rho1, eta)
         except ZeroResponseError:
@@ -671,8 +653,9 @@ def pmax_forcing_curve(
     """Largest population deformation of the exact state along a strength grid."""
     liou = build_liouvillian(lc)
     rho0 = steady_state(liou)
+    h = build_hext(signal)
     return np.array(
-        [p_max(full_steady_state(lc, signal, eps), rho0) for eps in strengths]
+        [p_max(_driven_steady_state(liou, h, eps), rho0) for eps in strengths]
     )
 
 

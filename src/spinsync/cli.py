@@ -24,6 +24,7 @@ import numpy as np
 from . import catalog
 from .catalog import (
     TongueGrid,
+    _align_on_maps,
     align_squeeze_phase,
     arnold_tongue,
     make_limit_cycle,
@@ -43,18 +44,22 @@ from .perturbation import (
     DegenerateSteadyStateError,
     SingularCoherenceBlockError,
     ZeroResponseError,
+    _apply_maps,
+    _driven_steady_state,
+    _response_maps,
+    _sync_result,
     epsilon_for_threshold,
-    first_order,
-    full_steady_state,
     hs_norm,
     p_avg,
     p_max,
     perturbation_result,
+    sync_from_coherences,
     sync_measure,
 )
 from .signals import (
     SignalSpec,
     VdpSignalParams,
+    build_hext,
     from_equatorial_angles,
     from_vdp_params,
     semiclassical,
@@ -72,6 +77,14 @@ _SCENARIO_KEYS = {
 }
 
 _RATE_KEYS = ("gamma_g", "gamma_d", "gamma_dp", "gamma_10", "gamma_0m1", "detuning")
+
+# signal parameters that each family reads, and so may sweep
+_SIGNAL_AXES = {
+    "semiclassical": ("phase",),
+    "equatorial_angles": ("zeta", "chi"),
+    "vdp_params": ("zeta", "chi", "tau_ratio"),
+    "tones": (),
+}
 
 
 class ConfigError(ValueError):
@@ -156,15 +169,15 @@ def _as_complex(value) -> complex:
     raise ConfigError(f"tone must be a number or [re, im] pair, got {value!r}")
 
 
-def build_signal(cfg: dict, lc: LimitCycleSpec) -> SignalSpec:
+def _signal_spec(cfg: dict) -> tuple[SignalSpec, bool]:
+    """The configured signal and whether its squeezing phase is "auto"."""
     sig = cfg.get("signal", {})
     family = sig.get("family", "semiclassical")
     if family == "semiclassical":
-        return semiclassical(float(sig.get("phase", 0.0)))
+        return semiclassical(float(sig.get("phase", 0.0))), False
     if family == "equatorial_angles":
-        return from_equatorial_angles(
-            float(sig.get("zeta", 0.25 * math.pi)), float(sig.get("chi", 0.0))
-        )
+        zeta, chi = float(sig.get("zeta", 0.25 * math.pi)), float(sig.get("chi", 0.0))
+        return from_equatorial_angles(zeta, chi), False
     if family == "vdp_params":
         params = VdpSignalParams(
             c=float(sig.get("c", 1.0)),
@@ -174,8 +187,8 @@ def build_signal(cfg: dict, lc: LimitCycleSpec) -> SignalSpec:
         )
         phase = sig.get("squeeze_phase", "auto")
         if phase == "auto":
-            return align_squeeze_phase(lc, from_vdp_params(params, 0.0))
-        return from_vdp_params(params, float(phase))
+            return from_vdp_params(params, 0.0), True
+        return from_vdp_params(params, float(phase)), False
     if family == "tones":
         spec = SignalSpec(
             _as_complex(sig.get("t01", 0.0)),
@@ -184,10 +197,13 @@ def build_signal(cfg: dict, lc: LimitCycleSpec) -> SignalSpec:
         )
         if spec.t01 == 0 and spec.tm10 == 0 and spec.tm11 == 0:
             raise ConfigError("signal tones are all zero")
-        if sig.get("squeeze_phase") == "auto":
-            return align_squeeze_phase(lc, spec)
-        return spec
+        return spec, sig.get("squeeze_phase") == "auto"
     raise ConfigError(f"unknown signal family {family!r}")
+
+
+def build_signal(cfg: dict, lc: LimitCycleSpec) -> SignalSpec:
+    spec, auto = _signal_spec(cfg)
+    return align_squeeze_phase(lc, spec) if auto else spec
 
 
 def _sweep_axes(cfg: dict, allowed: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
@@ -308,9 +324,12 @@ def cmd_steady(args) -> int:
 
 def _sync_point(cfg: dict) -> dict:
     lc = build_scenario(cfg)
-    sig = build_signal(cfg, lc)
-    res = sync_measure(lc, sig, float(cfg.get("eta", 0.1)))
-    rho1 = first_order(lc, sig)
+    sig, auto = _signal_spec(cfg)
+    rho0, map1, map2 = _response_maps(build_liouvillian(lc))
+    if auto:
+        sig = _align_on_maps(map1, map2, sig)
+    rho1 = _apply_maps(map1, map2, sig)
+    res = _sync_result(rho0, rho1, float(cfg.get("eta", 0.1)))
     if res.zero_response:
         flag = "zero_response"
     elif res.value < 1e-12 * res.eta:
@@ -369,12 +388,8 @@ def _sync_row(point: dict) -> list:
 def cmd_sync(args) -> int:
     cfg = load_config(args.config, args.set or [])
     scen_name = cfg.get("scenario", {}).get("name", "")
-    allowed = tuple(_SCENARIO_KEYS.get(scen_name, ())) + (
-        "phase",
-        "zeta",
-        "chi",
-        "tau_ratio",
-    )
+    family = cfg.get("signal", {}).get("family", "semiclassical")
+    allowed = _SCENARIO_KEYS.get(scen_name, ()) + _SIGNAL_AXES.get(family, ())
     axes = _sweep_axes(cfg, allowed)
     if len(axes) > 2:
         raise ConfigError("sync supports at most two sweep axes")
@@ -595,15 +610,15 @@ def _figure_forcing(cfg: dict, ratio: float):
     gg = float(cfg.get("gamma_g", 1.0))
     gd = gg * float(cfg.get("gamma_ratio", ratio))
     eta = float(cfg.get("eta", 0.1))
-    lc = catalog.equatorial_limit_cycle(gg, gd)
+    liou = build_liouvillian(catalog.equatorial_limit_cycle(gg, gd))
     sig = semiclassical(0.0)
-    rho0 = steady_state(build_liouvillian(lc))
-    rho1 = first_order(lc, sig)
-    eps_eta = epsilon_for_threshold(rho0, rho1, eta)
+    rho0, map1, map2 = _response_maps(liou)
+    eps_eta = epsilon_for_threshold(rho0, _apply_maps(map1, map2, sig), eta)
+    h = build_hext(sig)
     strengths = np.linspace(0.0, 1.5 * gg, 151)
     rows = []
     for eps in strengths:
-        rho = full_steady_state(lc, sig, eps) if eps > 0 else rho0
+        rho = _driven_steady_state(liou, h, eps) if eps > 0 else rho0
         rows.append(
             [
                 float(eps),
@@ -627,12 +642,13 @@ def _figure_fig4(cfg: dict):
     rows = []
     for delta in detunings:
         lc = catalog.vdp_limit_cycle(gg, gd, delta)
+        rho0, map1, map2 = _response_maps(build_liouvillian(lc))
         tau_opt = vdp_optimal_squeeze_ratio(gg, gd, delta)
         for tau in taus:
-            sig = align_squeeze_phase(
-                lc, SignalSpec(1.0, 1.0 / SQRT2, tau / SQRT2)
+            sig = _align_on_maps(
+                map1, map2, SignalSpec(1.0, 1.0 / SQRT2, tau / SQRT2)
             )
-            res = sync_measure(lc, sig, eta)
+            res = _sync_result(rho0, _apply_maps(map1, map2, sig), eta)
             rows.append(
                 [float(delta), float(tau), res.value / eta, float(tau_opt)]
             )
@@ -645,29 +661,22 @@ def _figure_fig5(cfg: dict):
     eta = float(cfg.get("eta", 0.1))
     lc = catalog.vdp_limit_cycle(gg, gd)
     rho0, map1, map2 = catalog.coherence_response(lc)
-    norm0 = hs_norm(rho0)
+    pops = rho0.diagonal().real
     zetas = np.linspace(0.0, 0.5 * math.pi, 65)
     taus = np.logspace(-2.0, 1.0, 61)
     header = ["zeta", "tau_ratio", "S_over_eta", "tau_opt_for_zeta"]
     rows = []
     for zeta in zetas:
-        t01 = math.cos(zeta)
-        tm10 = math.sin(zeta) / SQRT2
-        r10 = map1[0, 0] * t01 + map1[0, 1] * tm10
-        r0m1 = map1[1, 0] * t01 + map1[1, 1] * tm10
+        r10, r0m1 = map1 @ np.array([math.cos(zeta), math.sin(zeta) / SQRT2])
+        vals = sync_from_coherences(pops, (r10, r0m1, abs(map2) * taus / SQRT2), 1.0)
+        # squeezing ratio at which the aligned measure is stationary
         amp1 = catalog.COS1_WEIGHT * abs(r10 + r0m1)
         base = 2.0 * (abs(r10) ** 2 + abs(r0m1) ** 2)
-        v = catalog.COS2_WEIGHT * abs(map2) / SQRT2
-        w = 2.0 * (abs(map2) / SQRT2) ** 2
-        tau_best = v * base / (amp1 * w) if amp1 > 0 else float("inf")
-        for tau in taus:
-            cmag = abs(map2) * tau / SQRT2
-            val = (
-                norm0
-                * (amp1 + catalog.COS2_WEIGHT * cmag)
-                / math.sqrt(base + 2.0 * cmag**2)
-            )
-            rows.append([float(zeta), float(tau), val, tau_best])
+        tau_best = float("inf")
+        if amp1 > 0:
+            tau_best = catalog.COS2_WEIGHT * base / (SQRT2 * amp1 * abs(map2))
+        for tau, val in zip(taus, vals):
+            rows.append([float(zeta), float(tau), float(val), tau_best])
     inset_header = ["gamma_ratio", "S_over_eta", "zeta_opt", "tau_ratio_opt"]
     inset_rows = []
     for ratio in np.logspace(1, 4, 13):

@@ -17,6 +17,7 @@ position i + 3 j of the length-9 vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,17 +146,19 @@ def build_liouvillian(spec: LimitCycleSpec) -> Liouvillian:
     """Assemble the generator and extract its sector blocks.
 
     Validates the spec: every dissipator must have a single well-defined
-    sector (:class:`MixedSectorError` otherwise) and a nonnegative rate, with
-    at least one rate positive.
+    sector (:class:`MixedSectorError` otherwise) and a finite nonnegative
+    rate, with at least one rate positive, and the detuning must be finite.
     """
     if not spec.dissipators:
         raise ValueError("limit cycle needs at least one dissipator")
+    if not math.isfinite(spec.detuning):
+        raise ValueError(f"detuning must be finite, got {spec.detuning}")
     full = np.zeros((9, 9), dtype=complex)
     any_positive = False
     for op, rate in spec.dissipators:
         rate = float(rate)
-        if rate < 0.0:
-            raise ValueError(f"dissipator rate must be nonnegative, got {rate}")
+        if not (math.isfinite(rate) and rate >= 0.0):
+            raise ValueError(f"dissipator rate must be finite and >= 0, got {rate}")
         sector_of(op)
         if rate > 0.0:
             any_positive = True
@@ -182,38 +185,27 @@ def sector_block(liou: Liouvillian, k: int) -> np.ndarray:
     return liou.full[np.ix_(_SECTOR_IDX[k], _SECTOR_IDX[k])]
 
 
-def _refine_population_solve(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # one least-squares correction on the trace-augmented system; keeps the
-    # null-vector residual near rounding even for strongly imbalanced rates
-    aug = np.vstack([a, np.ones((1, 3))])
-    resid = np.concatenate([a @ p, [0.0]])
-    delta = np.linalg.lstsq(aug, resid, rcond=None)[0]
-    return p - delta
-
-
 def steady_state(liou: Liouvillian) -> np.ndarray:
     """Diagonal target state of the limit cycle.
 
-    Solves the one-dimensional null space of the population block, raising
-    :class:`DegenerateLimitCycleError` when the null space is not unique.
-    Entries that come out slightly negative (above -1e-12) are clipped to
-    zero before renormalizing.
+    The population block is a classical rate matrix.  By the Markov-chain
+    tree theorem (Schnakenberg, Rev. Mod. Phys. 48, 571 (1976)) each
+    population is proportional to the sum, over the spanning trees directed
+    into that state, of the products of their transfer rates.  All terms are
+    nonnegative, so the populations keep full relative accuracy at any ratio
+    of rates.  A zero total (no state reachable from all others) raises
+    :class:`DegenerateLimitCycleError`.
     """
     a = liou.diag_block
-    _, svals, vt = np.linalg.svd(a)
-    if svals[-2] <= 1e-10 * svals[0]:
+    trees = np.array(
+        [
+            a[i, j] * a[i, k] + a[i, j] * a[j, k] + a[i, k] * a[k, j]
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        ]
+    )
+    total = trees.sum()
+    if not total > 0.0:
         raise DegenerateLimitCycleError(
-            "population dynamics has a degenerate null space"
+            "population dynamics does not single out a unique target state"
         )
-    p = vt[-1]
-    if p.sum() < 0:
-        p = -p
-    p = p / p.sum()
-    p = _refine_population_solve(a, p)
-    if p.min() < -1e-12:
-        raise DegenerateLimitCycleError(
-            f"steady-state populations came out negative: {p}"
-        )
-    p = np.where(p < 0.0, 0.0, p) + 0.0  # adding 0.0 clears negative zeros
-    p = p / p.sum()
-    return np.diag(p).astype(complex)
+    return np.diag(trees / total).astype(complex)

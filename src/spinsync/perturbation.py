@@ -33,7 +33,15 @@ from .lindblad import (
     vec,
 )
 from .signals import SignalSpec, build_hext
-from .spin import SZ, PhaseDistributionTerms, max_shifted_phase, phase_distribution_terms
+from .spin import (
+    COS1_WEIGHT,
+    COS2_WEIGHT,
+    SQRT2,
+    SZ,
+    PhaseDistributionTerms,
+    max_shifted_phase,
+    phase_distribution_terms,
+)
 
 
 class SingularCoherenceBlockError(ValueError):
@@ -87,33 +95,36 @@ def _lext_apply(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _solve_sector(block: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     svals = np.linalg.svd(block, compute_uv=False)
-    if svals[-1] <= 1e-12 * svals[0]:
+    if svals[-1] <= len(svals) * np.finfo(float).eps * svals[0]:
         raise SingularCoherenceBlockError(
             "driven coherence sector has an (almost) undamped mode"
         )
     return np.linalg.solve(block, rhs)
 
 
-def _first_order_from(liou: Liouvillian, rho0: np.ndarray, h: np.ndarray) -> np.ndarray:
-    drive = _lext_apply(h, rho0)
-    rho1 = np.zeros((3, 3), dtype=complex)
-    for k in (1, 2):
-        slots = SECTOR_SLOTS[k]
-        rhs = np.array([drive[s] for s in slots])
-        if not rhs.any():
-            continue
-        sol = -_solve_sector(liou.sector_blocks[k], rhs)
-        for s, x in zip(slots, sol):
-            rho1[s] = x
-            rho1[s[1], s[0]] = np.conj(x)
-    return rho1
-
-
-def first_order(lc: LimitCycleSpec, signal: SignalSpec) -> np.ndarray:
-    """First-order correction rho1: strictly off-diagonal, Hermitian, traceless."""
-    liou = build_liouvillian(lc)
+def _response_maps(liou: Liouvillian) -> tuple[np.ndarray, np.ndarray, complex]:
+    """The first-order kernel: rho0 and the tone-to-coherence maps of a
+    built generator (see :func:`coherence_response`)."""
     rho0 = steady_state(liou)
-    return _first_order_from(liou, rho0, build_hext(signal))
+    pops = rho0.diagonal().real
+    drive1 = np.diag(
+        [-1j * SQRT2 * (pops[1] - pops[0]), -1j * SQRT2 * (pops[2] - pops[1])]
+    )
+    map1 = -_solve_sector(liou.sector_blocks[1], drive1)
+    map2 = 0j
+    # sector-2 response only exists when the extremal populations differ
+    if pops[2] != pops[0]:
+        inv = _solve_sector(liou.sector_blocks[2], np.array([1.0 + 0j]))[0]
+        map2 = 2j * (pops[2] - pops[0]) * inv
+    return rho0, map1, complex(map2)
+
+
+def _apply_maps(map1: np.ndarray, map2: complex, signal: SignalSpec) -> np.ndarray:
+    """First-order correction rho1 of the signal from the response maps."""
+    rho1 = np.zeros((3, 3), dtype=complex)
+    rho1[0, 1], rho1[1, 2] = map1 @ np.array([signal.t01, signal.tm10], dtype=complex)
+    rho1[0, 2] = map2 * signal.tm11
+    return rho1 + rho1.conj().T
 
 
 def coherence_response(lc: LimitCycleSpec):
@@ -121,24 +132,37 @@ def coherence_response(lc: LimitCycleSpec):
 
     Returns ``(rho0, map1, map2)`` where ``map1`` is the 2x2 complex matrix
     sending (t01, tm10) to (rho1_{1,0}, rho1_{0,-1}) and ``map2`` the scalar
-    sending tm11 to rho1_{1,-1}.  Useful for sweeps and optimizers, since the
-    response is linear in the tones sector by sector.
+    sending tm11 to rho1_{1,-1}.  The response is linear in the tones sector
+    by sector and rho0 does not depend on the signal, so every first-order
+    quantity of the package comes from these three objects, with one
+    generator build per limit cycle.
     """
-    liou = build_liouvillian(lc)
-    rho0 = steady_state(liou)
-    pops = rho0.diagonal().real
-    sq2 = math.sqrt(2.0)
-    drive1 = np.diag(
-        [-1j * sq2 * (pops[1] - pops[0]), -1j * sq2 * (pops[2] - pops[1])]
-    )
-    map1 = -_solve_sector(liou.sector_blocks[1], drive1)
-    # sector-2 response only exists when the extremal populations differ
-    if pops[2] != pops[0]:
-        inv = _solve_sector(liou.sector_blocks[2], np.array([1.0 + 0j]))[0]
-        map2 = 2j * (pops[2] - pops[0]) * inv
-    else:
-        map2 = 0j
-    return rho0, map1, complex(map2)
+    return _response_maps(build_liouvillian(lc))
+
+
+def _leading_orders(lc: LimitCycleSpec, signal: SignalSpec):
+    rho0, map1, map2 = coherence_response(lc)
+    return rho0, _apply_maps(map1, map2, signal)
+
+
+def first_order(lc: LimitCycleSpec, signal: SignalSpec) -> np.ndarray:
+    """First-order correction rho1: strictly off-diagonal, Hermitian, traceless."""
+    return _leading_orders(lc, signal)[1]
+
+
+def sync_from_coherences(populations, coherences, eta: float = 0.1):
+    """Measure assembled directly from first-order data, with the squeezing
+    phase taken as aligned (both harmonics peaking together): the only copy
+    of eta ||rho0|| (C1 |r10 + r0m1| + C2 |r1m1|) / ||rho1||, zero when rho1
+    vanishes.  The coherences (r10, r0m1, r1m1) broadcast against each other.
+    """
+    r_10, r_0m1, r_1m1 = coherences
+    amp = COS1_WEIGHT * abs(r_10 + r_0m1) + COS2_WEIGHT * abs(r_1m1)
+    norm1 = np.sqrt(2.0 * (abs(r_10) ** 2 + abs(r_0m1) ** 2 + abs(r_1m1) ** 2))
+    norm0 = math.sqrt(np.dot(populations, populations))
+    # a vanishing rho1 has amp = 0, which an infinite norm maps to 0
+    val = eta * norm0 * amp / np.where(norm1 > 0.0, norm1, np.inf)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def epsilon_for_threshold(rho0: np.ndarray, rho1: np.ndarray, eta: float) -> float:
@@ -159,18 +183,22 @@ def perturbation_result(
     lc: LimitCycleSpec, signal: SignalSpec, eta: float = 0.1
 ) -> PerturbationResult:
     """Orders zero and one together with the permitted strength."""
-    liou = build_liouvillian(lc)
-    rho0 = steady_state(liou)
-    rho1 = _first_order_from(liou, rho0, build_hext(signal))
+    rho0, rho1 = _leading_orders(lc, signal)
     eps = epsilon_for_threshold(rho0, rho1, eta)
-    return PerturbationResult(
-        rho0=rho0,
-        rho1=rho1,
-        epsilon=eps,
-        eta=float(eta),
-        norm0=hs_norm(rho0),
-        norm1=hs_norm(rho1),
-    )
+    return PerturbationResult(rho0, rho1, eps, float(eta), hs_norm(rho0), hs_norm(rho1))
+
+
+def _sync_result(rho0: np.ndarray, rho1: np.ndarray, eta: float) -> SyncResult:
+    """Measure of a first-order correction; see :func:`sync_measure`."""
+    terms = phase_distribution_terms(rho1)
+    try:
+        eps = epsilon_for_threshold(rho0, rho1, eta)
+    except ZeroResponseError:
+        return SyncResult(
+            0.0, float("nan"), terms, float("inf"), float(eta), zero_response=True
+        )
+    peak, phi_star = max_shifted_phase(terms)
+    return SyncResult(eps * peak, phi_star, terms, eps, float(eta))
 
 
 def sync_measure(
@@ -184,29 +212,7 @@ def sync_measure(
     reported with value 0 and the ``zero_response`` flag set (epsilon is then
     unbounded and returned as inf).
     """
-    liou = build_liouvillian(lc)
-    rho0 = steady_state(liou)
-    rho1 = _first_order_from(liou, rho0, build_hext(signal))
-    terms = phase_distribution_terms(rho1)
-    try:
-        eps = epsilon_for_threshold(rho0, rho1, eta)
-    except ZeroResponseError:
-        return SyncResult(
-            value=0.0,
-            locked_phase=float("nan"),
-            terms=terms,
-            epsilon=float("inf"),
-            eta=float(eta),
-            zero_response=True,
-        )
-    peak, phi_star = max_shifted_phase(terms)
-    return SyncResult(
-        value=eps * peak,
-        locked_phase=phi_star,
-        terms=terms,
-        epsilon=eps,
-        eta=float(eta),
-    )
+    return _sync_result(*_leading_orders(lc, signal), eta)
 
 
 def perturbative_orders(
@@ -222,12 +228,12 @@ def perturbative_orders(
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     liou = build_liouvillian(lc)
-    rho0 = steady_state(liou)
-    h = build_hext(signal)
+    rho0, map1, map2 = _response_maps(liou)
     orders = [rho0]
     if kmax == 0:
         return orders
-    orders.append(_first_order_from(liou, rho0, h))
+    orders.append(_apply_maps(map1, map2, signal))
+    h = build_hext(signal)
     aug = np.vstack([liou.diag_block, np.ones((1, 3))])
     for _ in range(2, kmax + 1):
         rhs_mat = 1j * (h @ orders[-1] - orders[-1] @ h)  # -L_ext rho^(k-1)
@@ -261,8 +267,14 @@ def full_steady_state(
     lc: LimitCycleSpec, signal: SignalSpec, epsilon: float
 ) -> np.ndarray:
     """Exact stationary state of the driven generator at finite epsilon."""
-    liou = build_liouvillian(lc)
-    gen = liou.full + float(epsilon) * hamiltonian_superop(build_hext(signal))
+    return _driven_steady_state(build_liouvillian(lc), build_hext(signal), epsilon)
+
+
+def _driven_steady_state(
+    liou: Liouvillian, h: np.ndarray, epsilon: float
+) -> np.ndarray:
+    """:func:`full_steady_state` on a built generator and signal Hamiltonian."""
+    gen = liou.full + float(epsilon) * hamiltonian_superop(h)
     _, svals, vt = np.linalg.svd(gen)
     if svals[-2] <= 1e-10 * svals[0]:
         raise DegenerateSteadyStateError("driven generator has a degenerate kernel")

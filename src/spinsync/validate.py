@@ -47,10 +47,10 @@ from .lindblad import (
 )
 from .perturbation import (
     SingularCoherenceBlockError,
-    epsilon_for_threshold,
     first_order,
     full_steady_state,
     hs_norm,
+    perturbation_result,
     perturbative_orders,
     sync_measure,
 )
@@ -348,10 +348,9 @@ def check_phase_oracle() -> list[CheckResult]:
 
 def check_epsilon_rule() -> list[CheckResult]:
     out = []
-    lc = equatorial_limit_cycle(1.0, 1.0)
-    rho0 = steady_state(build_liouvillian(lc))
-    rho1 = first_order(lc, semiclassical(0.0))
-    eps = epsilon_for_threshold(rho0, rho1, 0.1)
+    eps = perturbation_result(
+        equatorial_limit_cycle(1.0, 1.0), semiclassical(0.0), 0.1
+    ).epsilon
     reference = 0.1 * 1.0 * 1.0 / math.sqrt(2.0)
     out.append(
         CheckResult(
@@ -371,9 +370,7 @@ def check_epsilon_rule() -> list[CheckResult]:
     eps0 = None
     for delta in deltas:
         det = equatorial_limit_cycle(gg, gd, delta)
-        r0 = steady_state(build_liouvillian(det))
-        r1 = first_order(det, semiclassical(0.0))
-        val = epsilon_for_threshold(r0, r1, 0.1)
+        val = perturbation_result(det, semiclassical(0.0), 0.1).epsilon
         formula = 0.1 / math.sqrt(
             1.0 / (gd**2 + delta**2) + 1.0 / (gg**2 + delta**2)
         )

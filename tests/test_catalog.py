@@ -393,3 +393,42 @@ class TestClosedFormHelpers:
         assert rho1[0, 2] == pytest.approx(coh[2], abs=1e-13)
         rho0 = steady_state(build_liouvillian(lc))
         assert np.allclose(rho0.diagonal().real, pops, atol=1e-13)
+
+
+# rate ratios gamma_d / gamma_g from 1e-6 to 1e15 in half decades
+RATE_RATIOS = [10.0 ** (k / 2) for k in range(-12, 31)]
+RANGE_SIGNAL = SignalSpec(0.6 + 0.2j, 0.5 - 0.3j, 0.4j)
+
+
+def _cycle_and_closed(cycle, ratio, delta, spec):
+    if cycle == "equatorial":
+        lc = equatorial_limit_cycle(1.0, ratio, delta)
+        return lc, equatorial_first_order_closed(spec, 1.0, ratio, 0.0, delta)
+    if cycle == "vdp":
+        lc = vdp_limit_cycle(1.0, ratio, delta)
+        return lc, vdp_first_order_closed(spec, 1.0, ratio, delta)
+    lc = asymmetric_equatorial_limit_cycle(1.0, ratio, 0.5, delta)
+    return lc, equatorial_first_order_closed(spec, 1.0, ratio, 0.5, delta)
+
+
+class TestDynamicRange:
+    @pytest.mark.parametrize("ratio", RATE_RATIOS)
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 50.0, 1e6])
+    @pytest.mark.parametrize("cycle", ["equatorial", "vdp", "asymmetric"])
+    def test_pipeline_matches_closed_form(self, cycle, delta, ratio):
+        lc, (coh, pops) = _cycle_and_closed(cycle, ratio, delta, RANGE_SIGNAL)
+        rho0 = steady_state(build_liouvillian(lc))
+        assert np.abs(rho0.diagonal().real - pops).max() <= 1e-14
+        rho1 = first_order(lc, RANGE_SIGNAL)
+        got = np.array([rho1[0, 1], rho1[1, 2], rho1[0, 2]])
+        assert np.abs(got - np.array(coh)).max() <= 1e-12 * np.abs(coh).max()
+        aligned = align_squeeze_phase(lc, RANGE_SIGNAL)
+        coh, pops = _cycle_and_closed(cycle, ratio, delta, aligned)[1]
+        assert sync_measure(lc, aligned).value == pytest.approx(
+            sync_from_coherences(pops, coh), rel=1e-9
+        )
+
+    def test_equatorial_measure_at_rate_ratio_1e12(self):
+        res = sync_measure(equatorial_limit_cycle(1.0, 1e12, 0.3), semiclassical(0.0))
+        closed = equatorial_sync_closed(math.pi / 4.0, 0.0, 1.0, 1e12, 0.3)
+        assert res.value == pytest.approx(closed, rel=1e-9)

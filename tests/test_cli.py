@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from spinsync import lindblad
 from spinsync.cli import main
 
 
@@ -78,6 +79,15 @@ class TestSteady:
         )
         assert code == 2
         assert "ValueError" in err
+
+    @pytest.mark.parametrize("field", ["detuning", "gamma_d"])
+    def test_non_finite_input_exits_two(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path, EQUATORIAL)
+        code, _, err = run_cli(
+            capsys, "steady", "--config", cfg, "--set", f"scenario.{field}=Infinity"
+        )
+        assert code == 2
+        assert field in err
 
     def test_bad_eta_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**EQUATORIAL, "eta": 1.5})
@@ -155,6 +165,45 @@ class TestSync:
         code, _, err = run_cli(capsys, "sync", "--config", cfg)
         assert code == 2
         assert "ConfigError" in err
+
+    @pytest.mark.parametrize(
+        "family, axis",
+        [
+            ("semiclassical", "zeta"),
+            ("equatorial_angles", "phase"),
+            ("equatorial_angles", "tau_ratio"),
+            ("vdp_params", "phase"),
+            ("tones", "chi"),
+        ],
+    )
+    def test_axis_ignored_by_signal_family_rejected(
+        self, tmp_path, capsys, family, axis
+    ):
+        cfg = write_config(
+            tmp_path,
+            {
+                **EQUATORIAL,
+                "signal": {"family": family, "t01": 1.0, "tm10": 1.0},
+                "sweep": [{"name": axis, "min": 0.1, "max": 1.0, "points": 3}],
+            },
+        )
+        code, _, err = run_cli(capsys, "sync", "--config", cfg)
+        assert code == 2
+        assert "ConfigError" in err and repr(axis) in err
+
+    def test_signal_axis_of_the_family_sweeps(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "scenario": {"name": "equatorial", "gamma_g": 1.0, "gamma_d": 3.0},
+                "signal": {"family": "equatorial_angles", "chi": 0.5},
+                "eta": 0.1,
+                "sweep": [{"name": "zeta", "min": 0.2, "max": 1.2, "points": 3}],
+            },
+        )
+        code, out, _ = run_cli(capsys, "sync", "--config", cfg)
+        assert code == 0
+        assert len({row["S"] for row in read_csv(out)}) == 3
 
     def test_json_config_echo_round_trips(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**EQUATORIAL, "eta": 0.2})
@@ -317,3 +366,58 @@ class TestValidateCommand:
         assert "benchmark table" in out
         assert out.count("[PASS]") >= 20
         assert "[FAIL]" not in out
+
+
+class TestGeneratorBuilds:
+    """Every build assembles one superoperator per dissipator; the vdp and
+    equatorial cycles have two."""
+
+    @pytest.fixture
+    def superops(self, monkeypatch):
+        calls = []
+        original = lindblad.dissipator_superop
+
+        def counting(op):
+            calls.append(op)
+            return original(op)
+
+        monkeypatch.setattr(lindblad, "dissipator_superop", counting)
+        return calls
+
+    def test_sync_sweep_builds_once_per_row(self, tmp_path, capsys, superops):
+        cfg = write_config(
+            tmp_path,
+            {
+                "scenario": {"name": "vdp", "gamma_g": 1.0, "gamma_d": 10.0},
+                "signal": {
+                    "family": "vdp_params",
+                    "tau_ratio": 0.7,
+                    "squeeze_phase": "auto",
+                },
+                "eta": 0.1,
+                "sweep": [
+                    {"name": "gamma_d", "min": 5.0, "max": 50.0, "points": 2},
+                    {"name": "detuning", "min": -1.0, "max": 1.0, "points": 3},
+                ],
+            },
+        )
+        code, out, _ = run_cli(capsys, "sync", "--config", cfg)
+        assert code == 0
+        assert len(read_csv(out)) == 6
+        assert len(superops) == 2 * 6
+
+    def test_tongue_builds_once_per_detuning(self, tmp_path, capsys, superops):
+        cfg = write_config(
+            tmp_path,
+            {
+                **EQUATORIAL,
+                "sweep": [
+                    {"name": "detuning", "min": -2.0, "max": 2.0, "points": 5},
+                    {"name": "epsilon", "min": 0.0, "max": 0.1, "points": 4},
+                ],
+            },
+        )
+        code, out, _ = run_cli(capsys, "tongue", "--config", cfg)
+        assert code == 0
+        assert len(read_csv(out)) == 20
+        assert len(superops) == 2 * 5

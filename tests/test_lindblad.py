@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,17 @@ class TestBuildLiouvillian:
     def test_rejects_mixed_sector_dissipator(self):
         with pytest.raises(MixedSectorError):
             build_liouvillian(LimitCycleSpec(((SX, 1.0),), 0.0))
+
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_rate(self, rate):
+        spec = LimitCycleSpec(((SP @ SZ, 1.0), (SM @ SZ, rate)), 0.0)
+        with pytest.raises(ValueError, match="rate"):
+            build_liouvillian(spec)
+
+    @pytest.mark.parametrize("detuning", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_detuning(self, detuning):
+        with pytest.raises(ValueError, match="detuning"):
+            build_liouvillian(equatorial_limit_cycle(1.0, 2.0, detuning))
 
 
 class TestSteadyState:

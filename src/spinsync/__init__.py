@@ -68,6 +68,7 @@ from .perturbation import (
     p_max,
     perturbation_result,
     perturbative_orders,
+    sync_from_coherences,
     sync_measure,
 )
 from .signals import (

@@ -494,55 +494,63 @@ def _golden_max(fun, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
+def stationary_squeeze_ratio(r_10, r_0m1, map2):
+    """Squeezing ratio tau maximizing the aligned measure of the van der Pol
+    signal at fixed single-quantum coherences: the measure is (a + b tau) /
+    sqrt(c + d tau^2), peaked at tau = b c / (a d).  Broadcasts over numpy
+    coherences; inf where their sum vanishes, nan where both do."""
+    amp1 = COS1_WEIGHT * abs(r_10 + r_0m1)
+    base = 2.0 * (abs(r_10) ** 2 + abs(r_0m1) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return COS2_WEIGHT * base / (SQRT2 * amp1 * abs(map2))
+
+
+#: :func:`optimize_signal`: initial grid points per coordinate, stopping
+#: tolerance of a coordinate sweep on the measure, largest squeezing ratio
+OPT_GRID_SIZE = 64
+OPT_TOL = 1e-8
+OPT_TAU_MAX = 2.0
+
+
 def optimize_signal(
-    lc: LimitCycleSpec,
-    family: str,
-    eta: float = 0.1,
-    grid_size: int = 64,
-    tol: float = 1e-8,
-    tau_max: float = 2.0,
+    lc: LimitCycleSpec, family: str, eta: float = 0.1
 ) -> OptimumReport:
     """Deterministic grid search plus coordinate descent over a signal family.
 
     Families: ``"equatorial_angles"`` with parameters (zeta, chi) and
-    ``"vdp_general"`` with (zeta, chi, tau_ratio); the squeezing phase is
-    always auto-aligned (it enters the objective additively).  Ties on the
-    initial grid resolve toward smaller zeta, then smaller chi.
+    ``"vdp_general"`` with (zeta, chi, tau_ratio).  Only (zeta, chi) are
+    searched: the squeezing ratio is :func:`stationary_squeeze_ratio` clipped
+    to [0, OPT_TAU_MAX] (0 without a squeezing response), and the squeezing
+    phase is always auto-aligned (it enters the objective additively).  Ties
+    on the initial grid resolve toward smaller zeta, then smaller chi.
     """
+    if family not in ("equatorial_angles", "vdp_general"):
+        raise ValueError(f"unknown signal family {family!r}")
+    vdp = family == "vdp_general"
     rho0, map1, map2 = coherence_response(lc)
     pops = rho0.diagonal().real
+    # fmin also sends the inf or nan of a vanishing coherence sum to tau_max
+    tau_max = OPT_TAU_MAX if vdp and map2 != 0 else 0.0
 
-    if family == "equatorial_angles":
-        names = ("zeta", "chi")
-        bounds = ((0.0, 0.5 * math.pi), (0.0, 2.0 * math.pi))
-
-        def tones(zeta, chi):
-            return np.cos(zeta) * np.exp(1j * chi), np.sin(zeta) + 0j, 0.0
-
-    elif family == "vdp_general":
-        names = ("zeta", "chi", "tau_ratio")
-        bounds = ((0.0, 0.5 * math.pi), (0.0, 2.0 * math.pi), (0.0, tau_max))
-
-        def tones(zeta, chi, tau):
-            return (
-                np.cos(zeta) * np.exp(1j * chi),
-                np.sin(zeta) / SQRT2 + 0j,
-                tau / SQRT2,
-            )
-
-    else:
-        raise ValueError(f"unknown signal family {family!r}")
-
-    def objective(*coords):
-        t01, tm10, tau11_mag = tones(*coords)
+    def response(zeta, chi):
+        # the relative phase sits on tm10 so that the chi-independent row
+        # zeta = 0 ties exactly on the grid and resolves to chi = 0
+        t01 = np.cos(zeta) + 0j
+        tm10 = np.sin(zeta) / (SQRT2 if vdp else 1.0) * np.exp(-1j * chi)
         r_10 = map1[0, 0] * t01 + map1[0, 1] * tm10
         r_0m1 = map1[1, 0] * t01 + map1[1, 1] * tm10
+        tau = np.fmin(stationary_squeeze_ratio(r_10, r_0m1, map2), tau_max)
+        return r_10, r_0m1, tau
+
+    def objective(*coords):
+        r_10, r_0m1, tau = response(*coords)
         return sync_from_coherences(
-            pops, (r_10, r_0m1, np.abs(map2) * tau11_mag), eta
+            pops, (r_10, r_0m1, np.abs(map2) * (tau / SQRT2)), eta
         )
 
+    bounds = ((0.0, 0.5 * math.pi), (0.0, 2.0 * math.pi))
     axes = [
-        np.linspace(lo, hi, grid_size, endpoint=(i != 1))
+        np.linspace(lo, hi, OPT_GRID_SIZE, endpoint=(i != 1))
         for i, (lo, hi) in enumerate(bounds)
     ]
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
@@ -552,7 +560,7 @@ def optimize_signal(
         float(axes[i][k])
         for i, k in enumerate(np.unravel_index(flat_idx, grid_vals.shape))
     ]
-    step = [(hi - lo) / (grid_size - 1) for lo, hi in bounds]
+    step = [(hi - lo) / (OPT_GRID_SIZE - 1) for lo, hi in bounds]
 
     best = float(objective(*coords))
     for _ in range(200):
@@ -572,16 +580,16 @@ def optimize_signal(
                 tol=1e-12,
             )
             best = along(coords[i])
-        if best - previous < tol:
+        if best - previous < OPT_TOL:
             break
 
-    params = dict(zip(names, coords))
-    if family == "equatorial_angles":
-        signal = from_equatorial_angles(params["zeta"], params["chi"])
-    else:
-        t01, tm10, tau11_mag = tones(*coords)
+    zeta, chi = coords
+    params = {"zeta": zeta, "chi": chi}
+    signal = from_equatorial_angles(zeta, chi)
+    if vdp:
+        params["tau_ratio"] = tau = float(response(zeta, chi)[2])
         signal = _align_on_maps(
-            map1, map2, SignalSpec(complex(t01), complex(tm10), complex(tau11_mag))
+            map1, map2, SignalSpec(signal.t01, signal.tm10 / SQRT2, tau / SQRT2 + 0j)
         )
     return OptimumReport(
         family=family, params=params, value=best, eta=eta, signal=signal

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import json
 import math
 import sys
@@ -46,13 +47,13 @@ from .perturbation import (
     ZeroResponseError,
     _apply_maps,
     _driven_steady_state,
+    _perturbation_result,
     _response_maps,
     _sync_result,
     epsilon_for_threshold,
     hs_norm,
     p_avg,
     p_max,
-    perturbation_result,
     sync_from_coherences,
     sync_measure,
 )
@@ -69,12 +70,9 @@ from .validate import run_all
 
 FIGURE_IDS = ("fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7", "fig8app")
 
-_SCENARIO_KEYS = {
-    "equatorial": ("gamma_g", "gamma_d", "detuning"),
-    "vdp": ("gamma_g", "gamma_d", "detuning"),
-    "asymmetric_equatorial": ("gamma_g", "gamma_d", "gamma_dp", "detuning"),
-    "cooperativity": ("cooperativity", "gamma_10", "gamma_0m1", "detuning"),
-}
+# the keys of each scenario are the parameters of its builder
+_SCENARIO_SIGNATURES = {n: inspect.signature(b) for n, b in catalog.SCENARIOS.items()}
+_SCENARIO_KEYS = {n: tuple(sig.parameters) for n, sig in _SCENARIO_SIGNATURES.items()}
 
 _RATE_KEYS = ("gamma_g", "gamma_d", "gamma_dp", "gamma_10", "gamma_0m1", "detuning")
 
@@ -140,6 +138,12 @@ def load_config(path: str | None, sets: list[str]) -> dict:
     eta = cfg.get("eta", 0.1)
     if not (isinstance(eta, (int, float)) and 0.0 < eta < 1.0):
         raise ConfigError(f"eta must lie in (0, 1), got {eta}")
+    for key in ("scenario", "signal", "figure", "bound"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise ConfigError(f"{key} must be a JSON object, got {cfg[key]!r}")
+    sweep = cfg["sweep"]
+    if not (isinstance(sweep, list) and all(isinstance(a, dict) for a in sweep)):
+        raise ConfigError(f"sweep must be a JSON array of objects, got {sweep!r}")
     return cfg
 
 
@@ -158,6 +162,10 @@ def build_scenario(cfg: dict) -> LimitCycleSpec:
             if key in _RATE_KEYS:
                 value *= unit
             params[key] = value
+    try:
+        _SCENARIO_SIGNATURES[name].bind(**params)
+    except TypeError as err:
+        raise ConfigError(f"scenario {name!r}: {err}") from None
     return make_limit_cycle(name, **params)
 
 
@@ -217,7 +225,10 @@ def _sweep_axes(cfg: dict, allowed: tuple[str, ...]) -> list[tuple[str, np.ndarr
         points = int(axis.get("points", 0))
         if points < 2:
             raise ConfigError(f"sweep axis {name!r} needs points >= 2")
-        lo, hi = float(axis["min"]), float(axis["max"])
+        try:
+            lo, hi = float(axis["min"]), float(axis["max"])
+        except KeyError as err:
+            raise ConfigError(f"sweep axis {name!r} needs {err.args[0]!r}") from None
         if axis.get("scale", "linear") == "log":
             if lo <= 0 or hi <= 0:
                 raise ConfigError(f"log axis {name!r} needs positive bounds")
@@ -322,13 +333,17 @@ def cmd_steady(args) -> int:
     return 0
 
 
-def _sync_point(cfg: dict) -> dict:
-    lc = build_scenario(cfg)
+def _leading_orders(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    """rho0 and rho1 from one build, an "auto" squeezing phase aligned on it."""
     sig, auto = _signal_spec(cfg)
-    rho0, map1, map2 = _response_maps(build_liouvillian(lc))
+    rho0, map1, map2 = _response_maps(build_liouvillian(build_scenario(cfg)))
     if auto:
         sig = _align_on_maps(map1, map2, sig)
-    rho1 = _apply_maps(map1, map2, sig)
+    return rho0, _apply_maps(map1, map2, sig)
+
+
+def _sync_point(cfg: dict) -> dict:
+    rho0, rho1 = _leading_orders(cfg)
     res = _sync_result(rho0, rho1, float(cfg.get("eta", 0.1)))
     if res.zero_response:
         flag = "zero_response"
@@ -417,9 +432,7 @@ def cmd_sync(args) -> int:
 
 def cmd_perturb(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    lc = build_scenario(cfg)
-    sig = build_signal(cfg, lc)
-    res = perturbation_result(lc, sig, float(cfg.get("eta", 0.1)))
+    res = _perturbation_result(*_leading_orders(cfg), float(cfg.get("eta", 0.1)))
     payload = {
         "command": "perturb",
         "config": cfg,
@@ -669,12 +682,7 @@ def _figure_fig5(cfg: dict):
     for zeta in zetas:
         r10, r0m1 = map1 @ np.array([math.cos(zeta), math.sin(zeta) / SQRT2])
         vals = sync_from_coherences(pops, (r10, r0m1, abs(map2) * taus / SQRT2), 1.0)
-        # squeezing ratio at which the aligned measure is stationary
-        amp1 = catalog.COS1_WEIGHT * abs(r10 + r0m1)
-        base = 2.0 * (abs(r10) ** 2 + abs(r0m1) ** 2)
-        tau_best = float("inf")
-        if amp1 > 0:
-            tau_best = catalog.COS2_WEIGHT * base / (SQRT2 * amp1 * abs(map2))
+        tau_best = catalog.stationary_squeeze_ratio(r10, r0m1, map2)
         for tau, val in zip(taus, vals):
             rows.append([float(zeta), float(tau), float(val), tau_best])
     inset_header = ["gamma_ratio", "S_over_eta", "zeta_opt", "tau_ratio_opt"]

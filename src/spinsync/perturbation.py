@@ -183,7 +183,11 @@ def perturbation_result(
     lc: LimitCycleSpec, signal: SignalSpec, eta: float = 0.1
 ) -> PerturbationResult:
     """Orders zero and one together with the permitted strength."""
-    rho0, rho1 = _leading_orders(lc, signal)
+    return _perturbation_result(*_leading_orders(lc, signal), eta)
+
+
+def _perturbation_result(rho0, rho1, eta: float) -> PerturbationResult:
+    """:func:`perturbation_result` of given orders zero and one."""
     eps = epsilon_for_threshold(rho0, rho1, eta)
     return PerturbationResult(rho0, rho1, eps, float(eta), hs_norm(rho0), hs_norm(rho1))
 

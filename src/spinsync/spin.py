@@ -183,32 +183,16 @@ def oscillator_phase_terms(rho: np.ndarray) -> PhaseDistributionTerms:
     )
 
 
-def _bisect_stationary(terms: PhaseDistributionTerms, lo: float, hi: float) -> float:
-    """Bisect a sign change of dS/dphi down to machine-width brackets."""
-    dlo = terms.derivative(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-15:
-            return mid
-        dmid = terms.derivative(mid)
-        if dmid == 0.0:
-            return mid
-        if (dlo > 0) == (dmid > 0):
-            lo, dlo = mid, dmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def max_shifted_phase(
-    terms: PhaseDistributionTerms, grid_points: int = 1024
-) -> tuple[float, float]:
+def max_shifted_phase(terms: PhaseDistributionTerms) -> tuple[float, float]:
     """Global maximum of the two-harmonic distribution and its location.
 
     Returns ``(peak, phi_star)`` with phi_star in [0, 2 pi).  When the two
     harmonics peak at a common azimuth the maximum is amp1 + amp2 exactly;
-    otherwise stationary points are bracketed on a grid and refined by
-    bisection of the derivative.
+    otherwise the stationary points are the root angles of the quartic
+    -2 a2 e^{i p2} z^4 - a1 e^{i p1} z^3 + a1 e^{-i p1} z + 2 a2 e^{-i p2}
+    in z = e^{i phi}.  The angle with the largest S is chosen first and only
+    then polished by at most two Newton steps on dS/dphi, because roots are
+    off by up to ~1e-8 at extreme a1/a2.
     """
     a1, p1, a2, p2 = terms.amp1, terms.phase1, terms.amp2, terms.phase2
     if a1 == 0.0 and a2 == 0.0:
@@ -221,19 +205,12 @@ def max_shifted_phase(
     if abs(misalign) < 1e-12:
         return a1 + a2, float((-p1) % (2.0 * np.pi))
 
-    phis = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    deriv = terms.derivative(phis)
-    best_val, best_phi = -np.inf, 0.0
-    for i in range(grid_points):
-        j = (i + 1) % grid_points
-        lo, hi = phis[i], phis[i] + 2.0 * np.pi / grid_points
-        if deriv[i] == 0.0:
-            phi_c = lo
-        elif (deriv[i] > 0) != (deriv[j] > 0):
-            phi_c = _bisect_stationary(terms, lo, hi)
-        else:
-            continue
-        val = terms.evaluate(phi_c)
-        if val > best_val + 1e-15:
-            best_val, best_phi = val, phi_c % (2.0 * np.pi)
-    return float(best_val), float(best_phi)
+    w1, w2 = a1 * np.exp(1j * p1), 2.0 * a2 * np.exp(1j * p2)
+    phis = np.angle(np.roots([-w2, -w1, 0.0, w1.conjugate(), w2.conjugate()]))
+    phi = float(phis[np.argmax(terms.evaluate(phis))])
+    for _ in range(2):
+        curvature = -a1 * np.cos(phi + p1) - 4.0 * a2 * np.cos(2.0 * phi + p2)
+        if curvature >= 0.0:
+            break
+        phi -= terms.derivative(phi) / curvature
+    return terms.evaluate(phi), float(phi % (2.0 * np.pi))

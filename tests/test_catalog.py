@@ -40,9 +40,9 @@ from spinsync.catalog import (
     vdp_squeeze_sync_closed,
 )
 from spinsync.lindblad import build_liouvillian, steady_state
-from spinsync.perturbation import first_order, sync_measure
+from spinsync.perturbation import coherence_response, first_order, sync_measure
 from spinsync.signals import SignalSpec, from_equatorial_angles, semiclassical
-from spinsync.spin import SQRT2
+from spinsync.spin import COS1_WEIGHT, COS2_WEIGHT, SQRT2
 
 
 class TestScenarios:
@@ -315,6 +315,28 @@ class TestOptimizer:
             ),
         )
         assert report.value >= sync_measure(lc, bench, 0.1).value - 1e-10
+
+    @pytest.mark.parametrize(
+        "gamma_d, zeta_ref", [(10.0, 0.1965960711), (1000.0, 0.0021200740)]
+    )
+    def test_vdp_general_arg_max(self, gamma_d, zeta_ref):
+        # zeta_ref: the three-coordinate search (zeta, chi, tau) run to a
+        # sweep tolerance of 1e-15
+        lc = vdp_limit_cycle(1.0, gamma_d)
+        report = optimize_signal(lc, "vdp_general")
+        zeta, chi = report.params["zeta"], report.params["chi"]
+        assert zeta == pytest.approx(zeta_ref, rel=1e-6)
+        # the squeezing ratio is the stationary point of the measure in tau
+        _, map1, map2 = coherence_response(lc)
+        tones = [math.cos(zeta) * np.exp(1j * chi), math.sin(zeta) / SQRT2]
+        r_10, r_0m1 = map1 @ tones
+        tau_star = (
+            COS2_WEIGHT
+            * 2.0
+            * (abs(r_10) ** 2 + abs(r_0m1) ** 2)
+            / (SQRT2 * COS1_WEIGHT * abs(r_10 + r_0m1) * abs(map2))
+        )
+        assert report.params["tau_ratio"] == pytest.approx(tau_star, rel=1e-12)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

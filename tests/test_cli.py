@@ -220,6 +220,34 @@ class TestSync:
         assert json.loads(out2) == payload
 
 
+@pytest.mark.parametrize(
+    "sets, key",
+    [
+        (["scenario.name=vdp"], "gamma_g"),
+        (
+            [
+                "scenario.name=equatorial",
+                "scenario.gamma_g=1",
+                "scenario.gamma_d=1",
+                'sweep=[{"name": "gamma_d", "max": 2, "points": 3}]',
+            ],
+            "'min'",
+        ),
+        (["sweep=[3]"], "sweep"),
+        (["scenario=3"], "scenario"),
+        (["signal=3"], "signal"),
+        (["sweep=3"], "sweep"),
+    ],
+)
+def test_malformed_config_names_the_key(capsys, sets, key):
+    argv = ["sync"]
+    for item in sets:
+        argv += ["--set", item]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("ConfigError") and key in err
+
+
 class TestPerturb:
     def test_first_order_entries(self, tmp_path, capsys):
         cfg = write_config(
@@ -405,6 +433,24 @@ class TestGeneratorBuilds:
         assert code == 0
         assert len(read_csv(out)) == 6
         assert len(superops) == 2 * 6
+
+    def test_perturb_builds_once(self, tmp_path, capsys, superops):
+        cfg = write_config(
+            tmp_path,
+            {
+                "scenario": {"name": "vdp", "gamma_g": 1.0, "gamma_d": 10.0},
+                "signal": {
+                    "family": "vdp_params",
+                    "tau_ratio": 0.7,
+                    "squeeze_phase": "auto",
+                },
+                "eta": 0.1,
+            },
+        )
+        code, out, _ = run_cli(capsys, "perturb", "--config", cfg)
+        assert code == 0
+        assert len(read_csv(out)) == 1
+        assert len(superops) == 2
 
     def test_tongue_builds_once_per_detuning(self, tmp_path, capsys, superops):
         cfg = write_config(

@@ -214,8 +214,8 @@ class TestMaxShiftedPhase:
         )
 
     @given(
-        amp1=st.floats(min_value=1e-3, max_value=2.0),
-        amp2=st.floats(min_value=1e-3, max_value=2.0),
+        amp1=st.floats(min_value=1e-8, max_value=2.0),
+        amp2=st.floats(min_value=1e-8, max_value=2.0),
         phase1=ANGLES,
         phase2=ANGLES,
     )

@@ -26,12 +26,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lindblad import LimitCycleSpec, build_liouvillian, steady_state
+from .lindblad import LimitCycleSpec, Liouvillian, build_liouvillian, steady_state
 from .perturbation import (
     SyncResult,
     ZeroResponseError,
     _apply_maps,
     _driven_steady_state,
+    _response_maps,
     coherence_response,
     epsilon_for_threshold,
     hs_norm,
@@ -625,14 +626,27 @@ def arnold_tongue(
     eta: float = 0.1,
 ) -> TongueGrid:
     """Sweep the tongue: per-detuning boundary from the threshold rule and
-    the measure epsilon * peak below it."""
+    the measure epsilon * peak below it.  The detuning of ``lc`` is
+    replaced by each of ``detunings``."""
+    return _tongue_grid(build_liouvillian(lc), signal, detunings, strengths, eta)
+
+
+def _tongue_grid(
+    liou: Liouvillian,
+    signal: SignalSpec,
+    detunings: np.ndarray,
+    strengths: np.ndarray,
+    eta: float,
+) -> TongueGrid:
+    """:func:`arnold_tongue` on a built generator, with one batched kernel
+    call over the detunings."""
     detunings = np.asarray(detunings, dtype=float)
     strengths = np.asarray(strengths, dtype=float)
+    rho0, map1, map2 = _response_maps(liou, detunings)
     eps_max = np.empty_like(detunings)
     peaks = np.empty_like(detunings)
-    for j, delta in enumerate(detunings):
-        rho0, map1, map2 = coherence_response(lc.with_detuning(delta))
-        rho1 = _apply_maps(map1, map2, signal)
+    for j, m2 in enumerate(map2.tolist()):
+        rho1 = _apply_maps(map1[j], m2, signal)
         try:
             eps_max[j] = epsilon_for_threshold(rho0, rho1, eta)
         except ZeroResponseError:

@@ -26,7 +26,7 @@ from . import catalog
 from .catalog import (
     TongueGrid,
     _align_on_maps,
-    align_squeeze_phase,
+    _tongue_grid,
     arnold_tongue,
     make_limit_cycle,
     optimize_signal,
@@ -209,11 +209,6 @@ def _signal_spec(cfg: dict) -> tuple[SignalSpec, bool]:
     raise ConfigError(f"unknown signal family {family!r}")
 
 
-def build_signal(cfg: dict, lc: LimitCycleSpec) -> SignalSpec:
-    spec, auto = _signal_spec(cfg)
-    return align_squeeze_phase(lc, spec) if auto else spec
-
-
 def _sweep_axes(cfg: dict, allowed: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
     axes = []
     for axis in cfg.get("sweep", []):
@@ -333,18 +328,23 @@ def cmd_steady(args) -> int:
     return 0
 
 
-def _leading_orders(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
-    """rho0 and rho1 from one build, an "auto" squeezing phase aligned on it."""
+def _leading_orders(cfg: dict, detunings=None) -> tuple[np.ndarray, list]:
+    """rho0 and one rho1 per detuning (default: the scenario's own) from one
+    build, an "auto" squeezing phase aligned at each detuning."""
     sig, auto = _signal_spec(cfg)
-    rho0, map1, map2 = _response_maps(build_liouvillian(build_scenario(cfg)))
-    if auto:
-        sig = _align_on_maps(map1, map2, sig)
-    return rho0, _apply_maps(map1, map2, sig)
+    lc = build_scenario(cfg)
+    if detunings is None:
+        detunings = [lc.detuning]
+    rho0, map1, map2 = _response_maps(build_liouvillian(lc), detunings)
+    rho1s = []
+    for m1, m2 in zip(map1, map2.tolist()):
+        aligned = _align_on_maps(m1, m2, sig) if auto else sig
+        rho1s.append(_apply_maps(m1, m2, aligned))
+    return rho0, rho1s
 
 
-def _sync_point(cfg: dict) -> dict:
-    rho0, rho1 = _leading_orders(cfg)
-    res = _sync_result(rho0, rho1, float(cfg.get("eta", 0.1)))
+def _sync_point(rho0: np.ndarray, rho1: np.ndarray, eta: float) -> dict:
+    res = _sync_result(rho0, rho1, eta)
     if res.zero_response:
         flag = "zero_response"
     elif res.value < 1e-12 * res.eta:
@@ -408,31 +408,51 @@ def cmd_sync(args) -> int:
     axes = _sweep_axes(cfg, allowed)
     if len(axes) > 2:
         raise ConfigError("sync supports at most two sweep axes")
-    if not axes:
-        point = _sync_point(cfg)
-        payload = {"command": "sync", "config": cfg, **point}
-        _emit(args, payload, _SYNC_COLUMNS, [_sync_row(point)])
-        return 0
     names = [name for name, _ in axes]
-    header = names + _SYNC_COLUMNS
-    rows = []
-    records = []
     grids = [values for _, values in axes]
-    for idx in np.ndindex(*[len(g) for g in grids]):
-        assignment = {
-            name: float(grids[i][idx[i]]) for i, name in enumerate(names)
-        }
-        point = _sync_point(_point_config(cfg, assignment))
-        rows.append([assignment[n] for n in names] + _sync_row(point))
-        records.append({**assignment, **point})
-    payload = {"command": "sync", "config": cfg, "rows": records}
-    _emit(args, payload, header, rows)
+    eta = float(cfg.get("eta", 0.1))
+    # One build per cell of the other axes; the detuning axis is one batch,
+    # and without it the batch is the scenario's own detuning.
+    batch = names.index("detuning") if "detuning" in names else None
+    outer = [i for i in range(len(axes)) if i != batch]
+    points = {}
+    for cell in np.ndindex(*[len(grids[i]) for i in outer]):
+        point_cfg = _point_config(
+            cfg, {names[i]: float(grids[i][c]) for i, c in zip(outer, cell)}
+        )
+        detunings = None
+        if batch is not None:
+            detunings = grids[batch] * float(point_cfg.get("unit_rate", 1.0))
+        rho0, rho1s = _leading_orders(point_cfg, detunings)
+        for j, rho1 in enumerate(rho1s):
+            idx = list(cell)
+            if batch is not None:
+                idx.insert(batch, j)
+            points[tuple(idx)] = _sync_point(rho0, rho1, eta)
+    cells = list(np.ndindex(*[len(g) for g in grids]))
+    if args.format == "json":
+        if not axes:
+            payload = {"command": "sync", "config": cfg, **points[()]}
+        else:
+            records = [
+                {n: float(g[i]) for n, g, i in zip(names, grids, idx)} | points[idx]
+                for idx in cells
+            ]
+            payload = {"command": "sync", "config": cfg, "rows": records}
+        _write_json(args.out, payload)
+    else:
+        rows = [
+            [float(g[i]) for g, i in zip(grids, idx)] + _sync_row(points[idx])
+            for idx in cells
+        ]
+        _write_csv(args.out, names + _SYNC_COLUMNS, rows)
     return 0
 
 
 def cmd_perturb(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    res = _perturbation_result(*_leading_orders(cfg), float(cfg.get("eta", 0.1)))
+    rho0, (rho1,) = _leading_orders(cfg)
+    res = _perturbation_result(rho0, rho1, float(cfg.get("eta", 0.1)))
     payload = {
         "command": "perturb",
         "config": cfg,
@@ -502,24 +522,31 @@ def _tongue_rows(grid: TongueGrid) -> tuple[list[str], list[list]]:
 def cmd_tongue(args) -> int:
     cfg = load_config(args.config, args.set or [])
     lc = build_scenario(cfg)
-    sig = build_signal(cfg, lc)
+    sig, auto = _signal_spec(cfg)
     axes = dict(_sweep_axes(cfg, ("detuning", "epsilon")))
     if set(axes) != {"detuning", "epsilon"}:
         raise ConfigError("tongue needs sweep axes 'detuning' and 'epsilon'")
-    grid = arnold_tongue(
-        lc, sig, axes["detuning"], axes["epsilon"], float(cfg.get("eta", 0.1))
+    liou = build_liouvillian(lc)
+    if auto and sig.tm11 != 0:
+        # as align_squeeze_phase: aligned at the scenario's detuning
+        _, map1, map2 = _response_maps(liou)
+        sig = _align_on_maps(map1, map2, sig)
+    grid = _tongue_grid(
+        liou, sig, axes["detuning"], axes["epsilon"], float(cfg.get("eta", 0.1))
     )
-    header, rows = _tongue_rows(grid)
-    payload = {
-        "command": "tongue",
-        "config": cfg,
-        "detunings": grid.detunings,
-        "strengths": grid.strengths,
-        "eps_max": grid.eps_max,
-        "S": np.where(grid.masked, None, grid.value),
-        "masked": grid.masked,
-    }
-    _emit(args, payload, header, rows)
+    if args.format == "json":
+        payload = {
+            "command": "tongue",
+            "config": cfg,
+            "detunings": grid.detunings,
+            "strengths": grid.strengths,
+            "eps_max": grid.eps_max,
+            "S": np.where(grid.masked, None, grid.value),
+            "masked": grid.masked,
+        }
+        _write_json(args.out, payload)
+    else:
+        _write_csv(args.out, *_tongue_rows(grid))
     return 0
 
 

@@ -11,14 +11,20 @@ rejected.
 The generator then block-diagonalizes over sectors: a real block on the
 populations (k = 0) and square complex blocks on the coherence sectors
 k = +1, +2, with the k < 0 blocks the complex conjugates of their mirrors.
-Vectorization is column-stacking: entry (i, j) of a 3x3 matrix sits at
-position i + 3 j of the length-9 vector.
+:func:`build_liouvillian` assembles these blocks directly from each
+dissipator's diagonal, and the detuning only adds -i k delta to the diagonal
+of block k (:func:`detuned_blocks`).  The 9x9 generator on column-stacked
+matrices, where entry (i, j) of a 3x3 matrix sits at position i + 3 j of
+the length-9 vector, is built from Kronecker products only when
+``Liouvillian.full`` is first read: by the exact driven steady state and by
+:func:`apply_liouvillian`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +49,32 @@ SECTOR_SLOTS = {
 
 _EYE = np.eye(3, dtype=complex)
 
+# The populations and the k = 1, 2 slots side by side: the sector blocks are
+# the diagonal blocks [0:3], [3:5] and [5:6] of one 6x6 matrix on these slots.
+_UPPER_SLOTS = ((0, 0), (1, 1), (2, 2)) + SECTOR_SLOTS[1] + SECTOR_SLOTS[2]
+_SLOT_ROW = np.array([i for i, _ in _UPPER_SLOTS])
+_SLOT_COL = np.array([j for _, j in _UPPER_SLOTS])
+_SLOT_DIAG = np.arange(len(_UPPER_SLOTS))
+
+
+def _jump_table(s: int):
+    """Where the jump term O rho O^dag of an operator on diagonal s acts:
+    slot (i + s, j + s) feeds slot (i, j) with weight O[i, i+s] conj(O[j, j+s]).
+    Returns the target and source slot positions and the operator entries of
+    both factors."""
+    hits = [
+        (tgt, _UPPER_SLOTS.index((i + s, j + s)), i, j)
+        for tgt, (i, j) in enumerate(_UPPER_SLOTS)
+        if 0 <= i + s < 3 and 0 <= j + s < 3
+    ]
+    tgt, src, i, j = (np.array(col) for col in zip(*hits))
+    return tgt, src, (j, j + s), (i, i + s)
+
+
+_JUMPS = {s: _jump_table(s) for s in range(-2, 3)}
+#: sector j - i of each matrix entry (i, j)
+_SECTOR_OF_ENTRY = np.arange(3)[None, :] - np.arange(3)[:, None]
+
 
 def vec(mat: np.ndarray) -> np.ndarray:
     """Column-stack a 3x3 matrix into a length-9 vector."""
@@ -52,16 +84,6 @@ def vec(mat: np.ndarray) -> np.ndarray:
 def unvec(v: np.ndarray) -> np.ndarray:
     """Inverse of :func:`vec`."""
     return np.asarray(v, dtype=complex).reshape(3, 3, order="F")
-
-
-def _vec_index(i: int, j: int) -> int:
-    return i + 3 * j
-
-
-_POP_IDX = [_vec_index(i, i) for i in range(3)]
-_SECTOR_IDX = {
-    k: [_vec_index(i, j) for i, j in slots] for k, slots in SECTOR_SLOTS.items()
-}
 
 
 @dataclass(frozen=True)
@@ -79,16 +101,35 @@ class LimitCycleSpec:
 class Liouvillian:
     """Limit-cycle generator with its sector decomposition.
 
-    ``full`` acts on column-stacked 3x3 matrices.  ``diag_block`` is the real
-    3x3 block on the populations; ``sector_blocks`` maps k in {1, 2} to the
-    block acting on the coherence slots of that sector, ordered as in
-    ``SECTOR_SLOTS`` (k = 1 acts on (rho_{1,0}, rho_{0,-1}), k = 2 on
-    rho_{1,-1}).  Negative sectors are the complex conjugates.
+    ``diag_block`` is the real 3x3 block on the populations; ``sector_blocks``
+    maps k in {1, 2} to the block acting on the coherence slots of that
+    sector, ordered as in ``SECTOR_SLOTS`` (k = 1 acts on
+    (rho_{1,0}, rho_{0,-1}), k = 2 on rho_{1,-1}).  Negative sectors are the
+    complex conjugates.  ``relaxation_blocks`` are the same sector blocks at
+    zero detuning, from which :func:`detuned_blocks` gives them at any other.
+
+    The blocks are assembled directly from the dissipators (see
+    :func:`build_liouvillian`).  ``full``, the 9x9 generator acting on
+    column-stacked 3x3 matrices, is built from ``spec`` by Kronecker products
+    on first access; only the exact driven steady state and
+    :func:`apply_liouvillian` need it.
     """
 
-    full: np.ndarray
+    spec: LimitCycleSpec
     diag_block: np.ndarray
     sector_blocks: dict[int, np.ndarray]
+    relaxation_blocks: dict[int, np.ndarray]
+
+    @cached_property
+    def full(self) -> np.ndarray:
+        """The 9x9 generator, from Kronecker products on first access."""
+        full = np.zeros((9, 9), dtype=complex)
+        for op, rate in self.spec.dissipators:
+            if float(rate) > 0.0:
+                full += float(rate) * dissipator_superop(op)
+        if self.spec.detuning != 0.0:
+            full += self.spec.detuning * hamiltonian_superop(SZ)
+        return full
 
 
 def sector_of(op: np.ndarray, rel_tol: float = 1e-14) -> int:
@@ -96,25 +137,25 @@ def sector_of(op: np.ndarray, rel_tol: float = 1e-14) -> int:
 
     Raises :class:`MixedSectorError` if nonzero entries (relative to the
     largest) occupy two or more diagonals, and ``ValueError`` for the zero
-    matrix.
+    matrix or a non-finite entry.
     """
     op = np.asarray(op, dtype=complex)
     if op.shape != (3, 3):
         raise ValueError(f"expected a 3x3 operator, got shape {op.shape}")
-    scale = float(np.abs(op).max())
+    mag = np.abs(op)
+    scale = float(mag.max())
+    if not math.isfinite(scale):
+        raise ValueError("operator entries must be finite")
     if scale == 0.0:
         raise ValueError("zero operator has no sector")
-    sectors = set()
-    for i in range(3):
-        for j in range(3):
-            if abs(op[i, j]) > rel_tol * scale:
-                sectors.add(j - i)
-    if len(sectors) > 1:
+    sectors = _SECTOR_OF_ENTRY[mag > rel_tol * scale]
+    lo, hi = sectors.min(), sectors.max()
+    if lo != hi:
         raise MixedSectorError(
-            f"operator occupies sectors {sorted(sectors)}; a limit-cycle "
-            "dissipator must live on a single diagonal"
+            f"operator occupies sectors {np.unique(sectors).tolist()}; a "
+            "limit-cycle dissipator must live on a single diagonal"
         )
-    return sectors.pop()
+    return int(lo)
 
 
 def dissipator_apply(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -143,7 +184,14 @@ def dissipator_superop(op: np.ndarray) -> np.ndarray:
 
 
 def build_liouvillian(spec: LimitCycleSpec) -> Liouvillian:
-    """Assemble the generator and extract its sector blocks.
+    """Assemble the sector blocks of the generator.
+
+    A dissipator O on diagonal s feeds slot (i, j) from slot (i + s, j + s)
+    with weight rate O[i, i+s] conj(O[j, j+s]) and takes
+    rate (d_i + d_j) / 2 off every slot, d = diag(O^dag O); the detuning adds
+    -i k delta on the diagonal of sector block k.  Each entry is summed in
+    the same order as in the Kronecker build of ``full``, whose slices the
+    blocks reproduce.
 
     Validates the spec: every dissipator must have a single well-defined
     sector (:class:`MixedSectorError` otherwise) and a finite nonnegative
@@ -151,28 +199,56 @@ def build_liouvillian(spec: LimitCycleSpec) -> Liouvillian:
     """
     if not spec.dissipators:
         raise ValueError("limit cycle needs at least one dissipator")
-    if not math.isfinite(spec.detuning):
-        raise ValueError(f"detuning must be finite, got {spec.detuning}")
-    full = np.zeros((9, 9), dtype=complex)
+    gen = np.zeros((6, 6), dtype=complex)
     any_positive = False
     for op, rate in spec.dissipators:
         rate = float(rate)
         if not (math.isfinite(rate) and rate >= 0.0):
             raise ValueError(f"dissipator rate must be finite and >= 0, got {rate}")
-        sector_of(op)
+        tgt, src, a, b = _JUMPS[sector_of(op)]
         if rate > 0.0:
             any_positive = True
-            full += rate * dissipator_superop(op)
+            op = np.asarray(op, dtype=complex)
+            term = np.zeros((6, 6), dtype=complex)
+            term[tgt, src] = op[a].conj() * op[b]
+            half = 0.5 * (op.conj().T @ op).diagonal()
+            term[_SLOT_DIAG, _SLOT_DIAG] = (
+                term[_SLOT_DIAG, _SLOT_DIAG] - half[_SLOT_ROW]
+            ) - half[_SLOT_COL]
+            gen += rate * term
     if not any_positive:
         raise ValueError("limit cycle needs at least one positive rate")
-    if spec.detuning != 0.0:
-        full += spec.detuning * hamiltonian_superop(SZ)
+    relaxation = {1: gen[3:5, 3:5].copy(), 2: gen[5:, 5:].copy()}
+    detuned = detuned_blocks(relaxation, [spec.detuning])
+    return Liouvillian(
+        spec=spec,
+        diag_block=gen[:3, :3].real.copy(),
+        sector_blocks={k: block[0] for k, block in detuned.items()},
+        relaxation_blocks=relaxation,
+    )
 
-    diag = full[np.ix_(_POP_IDX, _POP_IDX)]
-    blocks = {
-        k: full[np.ix_(_SECTOR_IDX[k], _SECTOR_IDX[k])] for k in (1, 2)
-    }
-    return Liouvillian(full=full, diag_block=diag.real.copy(), sector_blocks=blocks)
+
+def detuned_blocks(
+    relaxation_blocks: dict[int, np.ndarray], detunings
+) -> dict[int, np.ndarray]:
+    """Sector blocks at each of n detunings, stacked to shape (n, m, m).
+
+    The detuning only shifts block k by -i k delta on its diagonal, so one
+    build serves a whole detuning scan.  A non-finite detuning raises
+    ``ValueError``.
+    """
+    detunings = np.asarray(detunings, dtype=float)
+    bad = ~np.isfinite(detunings)
+    if bad.any():
+        raise ValueError(f"detuning must be finite, got {detunings[bad].tolist()}")
+    out = {}
+    for k, block in relaxation_blocks.items():
+        m = len(block)
+        stack = np.repeat(block[None], len(detunings), axis=0)
+        # the diagonal of each m x m block is every (m + 1)-th entry
+        stack.reshape(-1, m * m).imag[:, :: m + 1] -= k * detunings[:, None]
+        out[k] = stack
+    return out
 
 
 def apply_liouvillian(liou: Liouvillian, rho: np.ndarray) -> np.ndarray:
@@ -181,8 +257,9 @@ def apply_liouvillian(liou: Liouvillian, rho: np.ndarray) -> np.ndarray:
 
 
 def sector_block(liou: Liouvillian, k: int) -> np.ndarray:
-    """Block of the full generator on the slots of sector k (k in +-1, +-2)."""
-    return liou.full[np.ix_(_SECTOR_IDX[k], _SECTOR_IDX[k])]
+    """Block of the generator on the slots of sector k (k in +-1, +-2)."""
+    block = liou.sector_blocks[abs(k)]
+    return block if k > 0 else block.conj()
 
 
 def steady_state(liou: Liouvillian) -> np.ndarray:

@@ -26,6 +26,7 @@ from .lindblad import (
     LimitCycleSpec,
     Liouvillian,
     build_liouvillian,
+    detuned_blocks,
     hamiltonian_superop,
     sector_block,
     steady_state,
@@ -93,30 +94,52 @@ def _lext_apply(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return -1j * (h @ rho - rho @ h)
 
 
-def _solve_sector(block: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    svals = np.linalg.svd(block, compute_uv=False)
-    if svals[-1] <= len(svals) * np.finfo(float).eps * svals[0]:
+def _solve_sectors(blocks: np.ndarray, rhs: np.ndarray, detunings) -> np.ndarray:
+    """Solve a stack of coherence blocks, shape (n, m, m), against ``rhs``
+    (broadcast to (n, m, K)), after a numerical-rank test of every block.
+    ``detunings`` label the blocks in the error raised for a singular one."""
+    svals = np.linalg.svd(blocks, compute_uv=False)
+    singular = svals[:, -1] <= svals.shape[-1] * np.finfo(float).eps * svals[:, 0]
+    if singular.any():
+        sector = 3 - blocks.shape[-1]  # sector k acts on 3 - k slots
         raise SingularCoherenceBlockError(
-            "driven coherence sector has an (almost) undamped mode"
+            f"driven coherence sector {sector} has an (almost) undamped mode "
+            f"at detuning {np.asarray(detunings)[singular].tolist()}"
         )
-    return np.linalg.solve(block, rhs)
+    rhs = np.broadcast_to(rhs, blocks.shape[:-1] + rhs.shape[-1:])
+    return np.linalg.solve(blocks, rhs)
 
 
-def _response_maps(liou: Liouvillian) -> tuple[np.ndarray, np.ndarray, complex]:
+def _response_maps(liou: Liouvillian, detunings=None):
     """The first-order kernel: rho0 and the tone-to-coherence maps of a
-    built generator (see :func:`coherence_response`)."""
+    built generator (see :func:`coherence_response`).
+
+    Without ``detunings`` the maps are those of the build itself: ``map1``
+    2x2 and ``map2`` a complex scalar.  With an array of n detunings they are
+    stacked, ``map1`` of shape (n, 2, 2) and ``map2`` of shape (n,), one per
+    detuning, all from the one build: rho0 does not depend on the detuning,
+    which only shifts the coherence blocks (:func:`detuned_blocks`).
+    """
     rho0 = steady_state(liou)
     pops = rho0.diagonal().real
+    if detunings is None:
+        at = [liou.spec.detuning]
+        blocks = {k: block[None] for k, block in liou.sector_blocks.items()}
+    else:
+        at = np.asarray(detunings, dtype=float)
+        blocks = detuned_blocks(liou.relaxation_blocks, at)
     drive1 = np.diag(
         [-1j * SQRT2 * (pops[1] - pops[0]), -1j * SQRT2 * (pops[2] - pops[1])]
     )
-    map1 = -_solve_sector(liou.sector_blocks[1], drive1)
-    map2 = 0j
+    map1 = -_solve_sectors(blocks[1], drive1, at)
+    map2 = np.zeros(len(at), dtype=complex)
     # sector-2 response only exists when the extremal populations differ
     if pops[2] != pops[0]:
-        inv = _solve_sector(liou.sector_blocks[2], np.array([1.0 + 0j]))[0]
-        map2 = 2j * (pops[2] - pops[0]) * inv
-    return rho0, map1, complex(map2)
+        inv = _solve_sectors(blocks[2], np.ones((1, 1), dtype=complex), at)
+        map2 = 2j * (pops[2] - pops[0]) * inv[:, 0, 0]
+    if detunings is None:
+        return rho0, map1[0], complex(map2[0])
+    return rho0, map1, map2
 
 
 def _apply_maps(map1: np.ndarray, map2: complex, signal: SignalSpec) -> np.ndarray:
@@ -250,7 +273,9 @@ def perturbative_orders(
             rhs = np.array([rhs_mat[s] for s in slots])
             if not rhs.any():
                 continue
-            sol = _solve_sector(liou.sector_blocks[k], rhs)
+            sol = _solve_sectors(
+                liou.sector_blocks[k][None], rhs[:, None], [lc.detuning]
+            )[0, :, 0]
             for s, x in zip(slots, sol):
                 rho_k[s] = x
                 rho_k[s[1], s[0]] = np.conj(x)

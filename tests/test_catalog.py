@@ -40,7 +40,12 @@ from spinsync.catalog import (
     vdp_squeeze_sync_closed,
 )
 from spinsync.lindblad import build_liouvillian, steady_state
-from spinsync.perturbation import coherence_response, first_order, sync_measure
+from spinsync.perturbation import (
+    _response_maps,
+    coherence_response,
+    first_order,
+    sync_measure,
+)
 from spinsync.signals import SignalSpec, from_equatorial_angles, semiclassical
 from spinsync.spin import COS1_WEIGHT, COS2_WEIGHT, SQRT2
 
@@ -433,9 +438,12 @@ def _cycle_and_closed(cycle, ratio, delta, spec):
     return lc, equatorial_first_order_closed(spec, 1.0, ratio, 0.5, delta)
 
 
+RANGE_DETUNINGS = [0.0, 0.3, 50.0, 1e6]
+
+
 class TestDynamicRange:
     @pytest.mark.parametrize("ratio", RATE_RATIOS)
-    @pytest.mark.parametrize("delta", [0.0, 0.3, 50.0, 1e6])
+    @pytest.mark.parametrize("delta", RANGE_DETUNINGS)
     @pytest.mark.parametrize("cycle", ["equatorial", "vdp", "asymmetric"])
     def test_pipeline_matches_closed_form(self, cycle, delta, ratio):
         lc, (coh, pops) = _cycle_and_closed(cycle, ratio, delta, RANGE_SIGNAL)
@@ -454,3 +462,29 @@ class TestDynamicRange:
         res = sync_measure(equatorial_limit_cycle(1.0, 1e12, 0.3), semiclassical(0.0))
         closed = equatorial_sync_closed(math.pi / 4.0, 0.0, 1.0, 1e12, 0.3)
         assert res.value == pytest.approx(closed, rel=1e-9)
+
+
+# every scenario with its characteristic rate ratio set to ``ratio``
+SCENARIOS_AT_RATIO = {
+    "equatorial": lambda ratio: equatorial_limit_cycle(1.0, ratio),
+    "vdp": lambda ratio: vdp_limit_cycle(1.0, ratio),
+    "asymmetric_equatorial": lambda ratio: asymmetric_equatorial_limit_cycle(
+        1.0, ratio, 0.5
+    ),
+    "cooperativity": lambda ratio: cooperativity_limit_cycle(1.0, 1.0, ratio),
+}
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("ratio", RATE_RATIOS)
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS_AT_RATIO))
+    def test_batch_equals_one_build_per_detuning(self, scenario, ratio):
+        lc = SCENARIOS_AT_RATIO[scenario](ratio)
+        rho0, map1, map2 = _response_maps(build_liouvillian(lc), RANGE_DETUNINGS)
+        assert map1.shape == (len(RANGE_DETUNINGS), 2, 2)
+        assert map2.shape == (len(RANGE_DETUNINGS),)
+        for j, delta in enumerate(RANGE_DETUNINGS):
+            one = _response_maps(build_liouvillian(lc.with_detuning(delta)))
+            assert one[0].tobytes() == rho0.tobytes()
+            assert one[1].tobytes() == map1[j].tobytes()
+            assert np.complex128(one[2]).tobytes() == map2[j].tobytes()

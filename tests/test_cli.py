@@ -3,10 +3,13 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from spinsync import lindblad
+from spinsync import catalog, cli, lindblad, perturbation
+from spinsync.catalog import align_squeeze_phase, arnold_tongue, vdp_limit_cycle
 from spinsync.cli import main
+from spinsync.signals import VdpSignalParams, from_vdp_params
 
 
 def run_cli(capsys, *argv):
@@ -396,33 +399,40 @@ class TestValidateCommand:
         assert "[FAIL]" not in out
 
 
+VDP_AUTO = {
+    "scenario": {"name": "vdp", "gamma_g": 1.0, "gamma_d": 10.0},
+    "signal": {"family": "vdp_params", "tau_ratio": 0.7, "squeeze_phase": "auto"},
+    "eta": 0.1,
+}
+TONGUE_AXES = [
+    {"name": "detuning", "min": -2.0, "max": 2.0, "points": 5},
+    {"name": "epsilon", "min": 0.0, "max": 0.1, "points": 4},
+]
+
+
 class TestGeneratorBuilds:
-    """Every build assembles one superoperator per dissipator; the vdp and
-    equatorial cycles have two."""
+    """Generator builds per command: a detuning scan shares one build."""
 
     @pytest.fixture
-    def superops(self, monkeypatch):
+    def builds(self, monkeypatch):
         calls = []
-        original = lindblad.dissipator_superop
+        original = lindblad.build_liouvillian
 
-        def counting(op):
-            calls.append(op)
-            return original(op)
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
 
-        monkeypatch.setattr(lindblad, "dissipator_superop", counting)
+        for module in (lindblad, perturbation, catalog, cli):
+            monkeypatch.setattr(module, "build_liouvillian", counting)
         return calls
 
-    def test_sync_sweep_builds_once_per_row(self, tmp_path, capsys, superops):
+    def test_sync_sweep_builds_once_per_detuning_scan(
+        self, tmp_path, capsys, builds
+    ):
         cfg = write_config(
             tmp_path,
             {
-                "scenario": {"name": "vdp", "gamma_g": 1.0, "gamma_d": 10.0},
-                "signal": {
-                    "family": "vdp_params",
-                    "tau_ratio": 0.7,
-                    "squeeze_phase": "auto",
-                },
-                "eta": 0.1,
+                **VDP_AUTO,
                 "sweep": [
                     {"name": "gamma_d", "min": 5.0, "max": 50.0, "points": 2},
                     {"name": "detuning", "min": -1.0, "max": 1.0, "points": 3},
@@ -432,38 +442,31 @@ class TestGeneratorBuilds:
         code, out, _ = run_cli(capsys, "sync", "--config", cfg)
         assert code == 0
         assert len(read_csv(out)) == 6
-        assert len(superops) == 2 * 6
+        assert len(builds) == 2
 
-    def test_perturb_builds_once(self, tmp_path, capsys, superops):
-        cfg = write_config(
-            tmp_path,
-            {
-                "scenario": {"name": "vdp", "gamma_g": 1.0, "gamma_d": 10.0},
-                "signal": {
-                    "family": "vdp_params",
-                    "tau_ratio": 0.7,
-                    "squeeze_phase": "auto",
-                },
-                "eta": 0.1,
-            },
-        )
+    def test_perturb_builds_once(self, tmp_path, capsys, builds):
+        cfg = write_config(tmp_path, VDP_AUTO)
         code, out, _ = run_cli(capsys, "perturb", "--config", cfg)
         assert code == 0
         assert len(read_csv(out)) == 1
-        assert len(superops) == 2
+        assert len(builds) == 1
 
-    def test_tongue_builds_once_per_detuning(self, tmp_path, capsys, superops):
-        cfg = write_config(
-            tmp_path,
-            {
-                **EQUATORIAL,
-                "sweep": [
-                    {"name": "detuning", "min": -2.0, "max": 2.0, "points": 5},
-                    {"name": "epsilon", "min": 0.0, "max": 0.1, "points": 4},
-                ],
-            },
-        )
+    def test_tongue_builds_once(self, tmp_path, capsys, builds):
+        cfg = write_config(tmp_path, {**EQUATORIAL, "sweep": TONGUE_AXES})
         code, out, _ = run_cli(capsys, "tongue", "--config", cfg)
         assert code == 0
         assert len(read_csv(out)) == 20
-        assert len(superops) == 2 * 5
+        assert len(builds) == 1
+
+    def test_tongue_with_auto_phase_builds_once(self, tmp_path, capsys, builds):
+        cfg = write_config(tmp_path, {**VDP_AUTO, "sweep": TONGUE_AXES})
+        code, out, _ = run_cli(capsys, "tongue", "--config", cfg)
+        assert code == 0
+        assert len(builds) == 1
+        # the squeezing tone is aligned at the scenario's detuning
+        lc = vdp_limit_cycle(1.0, 10.0)
+        params = VdpSignalParams(1.0, 0.25 * math.pi, 0.0, 0.7)
+        sig = align_squeeze_phase(lc, from_vdp_params(params, 0.0))
+        grid = arnold_tongue(lc, sig, np.linspace(-2, 2, 5), np.linspace(0, 0.1, 4))
+        got = [float(r["S"]) for r in read_csv(out)]
+        np.testing.assert_array_equal(got, grid.value.ravel())

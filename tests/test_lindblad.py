@@ -66,6 +66,10 @@ class TestSectorOf:
         with pytest.raises(ValueError):
             sector_of(np.zeros((3, 3)))
 
+    def test_non_finite_operator_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            sector_of(np.diag([1.0, math.nan, 0.0]))
+
 
 class TestDissipatorApply:
     def test_gain_on_ground_state(self):
@@ -159,6 +163,32 @@ class TestBuildLiouvillian:
             assert np.allclose(
                 sector_block(liou, -k), sector_block(liou, k).conj()
             )
+
+    @given(
+        seed=SEEDS,
+        detuning=st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_direct_blocks_match_kronecker_build(self, seed, detuning):
+        rng = np.random.default_rng(seed)
+        spec = random_sector_spec(rng, detuning)
+        spec = LimitCycleSpec(
+            tuple((op, 10.0 ** rng.uniform(-6.0, 15.0)) for op, _ in spec.dissipators),
+            detuning,
+        )
+        liou = build_liouvillian(spec)
+        full = liou.full
+
+        def sliced(k):
+            slots = SECTOR_SLOTS[k] if k else ((0, 0), (1, 1), (2, 2))
+            idx = [i + 3 * j for i, j in slots]
+            return full[np.ix_(idx, idx)]
+
+        pairs = [(liou.diag_block, sliced(0).real)]
+        pairs += [(sector_block(liou, k), sliced(k)) for k in (1, 2, -1, -2)]
+        for direct, kron in pairs:
+            ulp = np.spacing(np.abs(kron).max())
+            assert np.abs(direct - kron).max() <= 4 * ulp
 
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):

@@ -77,6 +77,22 @@ class TestFirstOrder:
         with pytest.raises(SingularCoherenceBlockError):
             _response_maps(broken)
 
+    def test_singular_detuning_named_in_batch(self):
+        liou = build_liouvillian(equatorial_limit_cycle(1.0, 1.0))
+        # an undamped mode rotating at frequency 1: the block at detuning 1
+        # is singular, every other one regular
+        broken = dataclasses.replace(
+            liou,
+            relaxation_blocks={
+                1: np.diag([1j, -1.0]),
+                2: liou.relaxation_blocks[2],
+            },
+        )
+        with pytest.raises(SingularCoherenceBlockError, match=r"detuning \[1\.0\]"):
+            _response_maps(broken, [0.0, 1.0, 2.0])
+        _, map1, _ = _response_maps(broken, [0.0, 2.0])
+        assert np.isfinite(map1).all()
+
     def test_matches_linear_response_maps(self):
         lc = vdp_limit_cycle(1.0, 7.0, 0.4)
         spec = SignalSpec(0.3 + 0.1j, 0.8, 0.2 - 0.5j)

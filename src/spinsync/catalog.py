@@ -29,12 +29,11 @@ import numpy as np
 from .lindblad import LimitCycleSpec, Liouvillian, build_liouvillian, steady_state
 from .perturbation import (
     SyncResult,
-    ZeroResponseError,
     _apply_maps,
     _driven_steady_state,
+    _measure,
     _response_maps,
     coherence_response,
-    epsilon_for_threshold,
     hs_norm,
     p_max,
     sync_from_coherences,
@@ -49,8 +48,6 @@ from .spin import (
     SP,
     SQRT2,
     SZ,
-    max_shifted_phase,
-    phase_distribution_terms,
 )
 
 # fundamental ceilings of the measure, per unit threshold eta
@@ -359,16 +356,20 @@ def align_squeeze_phase(lc: LimitCycleSpec, signal: SignalSpec) -> SignalSpec:
     return _align_on_maps(map1, map2, signal)
 
 
-def _align_on_maps(map1: np.ndarray, map2: complex, signal: SignalSpec) -> SignalSpec:
-    """:func:`align_squeeze_phase` from the response maps of the cycle."""
-    base = replace(signal, tm11=abs(signal.tm11) + 0j)
-    rho1 = _apply_maps(map1, map2, base)
-    single = rho1[0, 1] + rho1[1, 2]
-    double = rho1[0, 2]
-    if double == 0 or single == 0:
-        return base
-    beta = 2.0 * np.angle(single) - np.angle(double)
-    return replace(signal, tm11=abs(signal.tm11) * np.exp(1j * beta))
+def _align_on_maps(map1: np.ndarray, map2, signal: SignalSpec) -> SignalSpec:
+    """:func:`align_squeeze_phase` from the response maps of the cycle.
+
+    Broadcasts as :func:`~spinsync.perturbation._apply_maps`: with stacked
+    maps or array-valued tones the aligned squeezing tone is an array.
+    """
+    size = abs(signal.tm11)
+    r_10, r_0m1, r_1m1 = _apply_maps(map1, map2, replace(signal, tm11=size + 0j))
+    single = r_10 + r_0m1
+    beta = 2.0 * np.angle(single) - np.angle(r_1m1)
+    # rotate only where both harmonics are present
+    both = (single != 0) & (r_1m1 != 0)
+    tm11 = np.where(both, size * np.exp(1j * beta), size + 0j)
+    return replace(signal, tm11=tm11[()])
 
 
 def tightness_signal(
@@ -538,8 +539,7 @@ def optimize_signal(
         # zeta = 0 ties exactly on the grid and resolves to chi = 0
         t01 = np.cos(zeta) + 0j
         tm10 = np.sin(zeta) / (SQRT2 if vdp else 1.0) * np.exp(-1j * chi)
-        r_10 = map1[0, 0] * t01 + map1[0, 1] * tm10
-        r_0m1 = map1[1, 0] * t01 + map1[1, 1] * tm10
+        r_10, r_0m1, _ = _apply_maps(map1, map2, SignalSpec(t01, tm10))
         tau = np.fmin(stationary_squeeze_ratio(r_10, r_0m1, map2), tau_max)
         return r_10, r_0m1, tau
 
@@ -627,7 +627,8 @@ def arnold_tongue(
 ) -> TongueGrid:
     """Sweep the tongue: per-detuning boundary from the threshold rule and
     the measure epsilon * peak below it.  The detuning of ``lc`` is
-    replaced by each of ``detunings``."""
+    replaced by each of ``detunings``; one generator build and one measure
+    call on the stacked coherences serve the whole grid."""
     return _tongue_grid(build_liouvillian(lc), signal, detunings, strengths, eta)
 
 
@@ -638,21 +639,14 @@ def _tongue_grid(
     strengths: np.ndarray,
     eta: float,
 ) -> TongueGrid:
-    """:func:`arnold_tongue` on a built generator, with one batched kernel
-    call over the detunings."""
+    """:func:`arnold_tongue` on a built generator."""
     detunings = np.asarray(detunings, dtype=float)
     strengths = np.asarray(strengths, dtype=float)
     rho0, map1, map2 = _response_maps(liou, detunings)
-    eps_max = np.empty_like(detunings)
-    peaks = np.empty_like(detunings)
-    for j, m2 in enumerate(map2.tolist()):
-        rho1 = _apply_maps(map1[j], m2, signal)
-        try:
-            eps_max[j] = epsilon_for_threshold(rho0, rho1, eta)
-        except ZeroResponseError:
-            eps_max[j] = np.inf
-        peaks[j], _ = max_shifted_phase(phase_distribution_terms(rho1))
-    value = strengths[:, None] * peaks[None, :]
+    res = _measure(rho0.diagonal().real, _apply_maps(map1, map2, signal), eta)
+    eps_max = res.epsilon
+    # the measure is linear in the strength: its peak is S(eps_max) / eps_max
+    value = strengths[:, None] * (res.value / eps_max)[None, :]
     masked = strengths[:, None] > eps_max[None, :]
     value = np.where(masked, np.nan, value)
     return TongueGrid(

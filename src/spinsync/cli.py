@@ -47,15 +47,13 @@ from .perturbation import (
     ZeroResponseError,
     _apply_maps,
     _driven_steady_state,
+    _measure,
     _perturbation_result,
     _response_maps,
-    _sync_result,
-    epsilon_for_threshold,
     hs_norm,
     p_avg,
     p_max,
     sync_from_coherences,
-    sync_measure,
 )
 from .signals import (
     SignalSpec,
@@ -73,6 +71,8 @@ FIGURE_IDS = ("fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7", "fig8app
 # the keys of each scenario are the parameters of its builder
 _SCENARIO_SIGNATURES = {n: inspect.signature(b) for n, b in catalog.SCENARIOS.items()}
 _SCENARIO_KEYS = {n: tuple(sig.parameters) for n, sig in _SCENARIO_SIGNATURES.items()}
+
+_POPULATIONS = ("p_plus", "p_zero", "p_minus")
 
 _RATE_KEYS = ("gamma_g", "gamma_d", "gamma_dp", "gamma_10", "gamma_0m1", "detuning")
 
@@ -252,12 +252,25 @@ def _fmt_value(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf"
-        return repr(float(x))  # shortest representation that round-trips
+        # shortest representation that round-trips; spells nan, inf, -inf
+        return repr(float(x))
     return str(x)
+
+
+def _table(columns: dict) -> tuple[list[str], list[list]]:
+    """CSV header and rows of named columns of equal length, a scalar being
+    a column of one; a complex column is written as ``<name>_re``,
+    ``<name>_im``."""
+    header, values = [], []
+    for name, column in columns.items():
+        column = np.ravel(column)
+        if np.iscomplexobj(column):
+            header += [f"{name}_re", f"{name}_im"]
+            values += [column.real.tolist(), column.imag.tolist()]
+        else:
+            header.append(name)
+            values.append(column.tolist())
+    return header, [list(row) for row in zip(*values)]
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
@@ -296,11 +309,11 @@ def _write_json(path: str | None, payload: dict) -> None:
             fh.write(text)
 
 
-def _emit(args, payload: dict, header: list[str], rows: list[list]) -> None:
+def _emit(args, payload: dict, columns: dict) -> None:
     if args.format == "json":
         _write_json(args.out, payload)
     else:
-        _write_csv(args.out, header, rows)
+        _write_csv(args.out, *_table(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -311,93 +324,25 @@ def cmd_steady(args) -> int:
     cfg = load_config(args.config, args.set or [])
     lc = build_scenario(cfg)
     rho0 = steady_state(build_liouvillian(lc))
-    pops = rho0.diagonal().real
-    payload = {
-        "command": "steady",
-        "config": cfg,
-        "populations": {
-            "p_plus": pops[0],
-            "p_zero": pops[1],
-            "p_minus": pops[2],
-        },
-        "norm_rho0": hs_norm(rho0),
-    }
-    header = ["p_plus", "p_zero", "p_minus", "norm_rho0"]
-    rows = [[float(pops[0]), float(pops[1]), float(pops[2]), hs_norm(rho0)]]
-    _emit(args, payload, header, rows)
+    pops = dict(zip(_POPULATIONS, rho0.diagonal().real.tolist()))
+    norm = {"norm_rho0": hs_norm(rho0)}
+    payload = {"command": "steady", "config": cfg, "populations": pops, **norm}
+    _emit(args, payload, pops | norm)
     return 0
 
 
-def _leading_orders(cfg: dict, detunings=None) -> tuple[np.ndarray, list]:
-    """rho0 and one rho1 per detuning (default: the scenario's own) from one
-    build, an "auto" squeezing phase aligned at each detuning."""
+def _leading_orders(cfg: dict, detunings=None):
+    """rho0 and the first-order coherences (r10, r0m1, r1m1), one per
+    detuning (default: the scenario's own), from one build, an "auto"
+    squeezing phase aligned at each detuning."""
     sig, auto = _signal_spec(cfg)
     lc = build_scenario(cfg)
     if detunings is None:
         detunings = [lc.detuning]
     rho0, map1, map2 = _response_maps(build_liouvillian(lc), detunings)
-    rho1s = []
-    for m1, m2 in zip(map1, map2.tolist()):
-        aligned = _align_on_maps(m1, m2, sig) if auto else sig
-        rho1s.append(_apply_maps(m1, m2, aligned))
-    return rho0, rho1s
-
-
-def _sync_point(rho0: np.ndarray, rho1: np.ndarray, eta: float) -> dict:
-    res = _sync_result(rho0, rho1, eta)
-    if res.zero_response:
-        flag = "zero_response"
-    elif res.value < 1e-12 * res.eta:
-        flag = "destructive_interference"
-    else:
-        flag = ""
-    return {
-        "S": res.value,
-        "S_over_eta": res.value / res.eta,
-        "epsilon": res.epsilon,
-        "locked_phase": res.locked_phase,
-        "amp1": res.terms.amp1,
-        "amp2": res.terms.amp2,
-        "flag": flag,
-        "rho1_10": complex(rho1[0, 1]),
-        "rho1_0m1": complex(rho1[1, 2]),
-        "rho1_1m1": complex(rho1[0, 2]),
-    }
-
-
-_SYNC_COLUMNS = [
-    "S",
-    "S_over_eta",
-    "epsilon",
-    "locked_phase",
-    "amp1",
-    "amp2",
-    "flag",
-    "rho1_10_re",
-    "rho1_10_im",
-    "rho1_0m1_re",
-    "rho1_0m1_im",
-    "rho1_1m1_re",
-    "rho1_1m1_im",
-]
-
-
-def _sync_row(point: dict) -> list:
-    return [
-        point["S"],
-        point["S_over_eta"],
-        point["epsilon"],
-        point["locked_phase"],
-        point["amp1"],
-        point["amp2"],
-        point["flag"],
-        point["rho1_10"].real,
-        point["rho1_10"].imag,
-        point["rho1_0m1"].real,
-        point["rho1_0m1"].imag,
-        point["rho1_1m1"].real,
-        point["rho1_1m1"].imag,
-    ]
+    if auto:
+        sig = _align_on_maps(map1, map2, sig)
+    return rho0, _apply_maps(map1, map2, sig)
 
 
 def cmd_sync(args) -> int:
@@ -415,7 +360,7 @@ def cmd_sync(args) -> int:
     # and without it the batch is the scenario's own detuning.
     batch = names.index("detuning") if "detuning" in names else None
     outer = [i for i in range(len(axes)) if i != batch]
-    points = {}
+    groups = []
     for cell in np.ndindex(*[len(grids[i]) for i in outer]):
         point_cfg = _point_config(
             cfg, {names[i]: float(grids[i][c]) for i, c in zip(outer, cell)}
@@ -423,100 +368,77 @@ def cmd_sync(args) -> int:
         detunings = None
         if batch is not None:
             detunings = grids[batch] * float(point_cfg.get("unit_rate", 1.0))
-        rho0, rho1s = _leading_orders(point_cfg, detunings)
-        for j, rho1 in enumerate(rho1s):
-            idx = list(cell)
-            if batch is not None:
-                idx.insert(batch, j)
-            points[tuple(idx)] = _sync_point(rho0, rho1, eta)
-    cells = list(np.ndindex(*[len(g) for g in grids]))
-    if args.format == "json":
-        if not axes:
-            payload = {"command": "sync", "config": cfg, **points[()]}
-        else:
-            records = [
-                {n: float(g[i]) for n, g, i in zip(names, grids, idx)} | points[idx]
-                for idx in cells
-            ]
-            payload = {"command": "sync", "config": cfg, "rows": records}
-        _write_json(args.out, payload)
-    else:
-        rows = [
-            [float(g[i]) for g, i in zip(grids, idx)] + _sync_row(points[idx])
-            for idx in cells
-        ]
-        _write_csv(args.out, names + _SYNC_COLUMNS, rows)
+        rho0, (r10, r0m1, r1m1) = _leading_orders(point_cfg, detunings)
+        res = _measure(rho0.diagonal().real, (r10, r0m1, r1m1), eta)
+        flag = np.where(res.value < 1e-12 * eta, "destructive_interference", "")
+        groups.append(
+            {
+                "S": res.value,
+                "S_over_eta": res.value / eta,
+                "epsilon": res.epsilon,
+                "locked_phase": res.locked_phase,
+                "amp1": res.terms.amp1,
+                "amp2": res.terms.amp2,
+                "flag": np.where(res.zero_response, "zero_response", flag),
+                "rho1_10": r10,
+                "rho1_0m1": r0m1,
+                "rho1_1m1": r1m1,
+            }
+        )
+    mesh = np.meshgrid(*grids, indexing="ij")
+    columns = {name: values.ravel() for name, values in zip(names, mesh)}
+    # each group is one cell of the outer axes; the batch goes back in place
+    shape = [len(grids[i]) for i in outer] + [-1]
+    for key in groups[0]:
+        column = np.reshape([group[key] for group in groups], shape)
+        if batch is not None:
+            column = np.moveaxis(column, -1, batch)
+        columns[key] = column.ravel()
+    values = [column.tolist() for column in columns.values()]
+    records = [dict(zip(columns, row)) for row in zip(*values)]
+    payload = {"command": "sync", "config": cfg}
+    _emit(args, payload | ({"rows": records} if axes else records[0]), columns)
     return 0
 
 
 def cmd_perturb(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    rho0, (rho1,) = _leading_orders(cfg)
-    res = _perturbation_result(rho0, rho1, float(cfg.get("eta", 0.1)))
-    payload = {
-        "command": "perturb",
-        "config": cfg,
-        "populations": res.rho0.diagonal().real,
+    rho0, coherences = _leading_orders(cfg)
+    res = _perturbation_result(
+        rho0, [c.item() for c in coherences], float(cfg.get("eta", 0.1))
+    )
+    pops = res.rho0.diagonal().real
+    fields = {
         "rho1_10": complex(res.rho1[0, 1]),
         "rho1_0m1": complex(res.rho1[1, 2]),
         "rho1_1m1": complex(res.rho1[0, 2]),
         "epsilon": res.epsilon,
         "norm0": res.norm0,
         "norm1": res.norm1,
+    }
+    payload = {
+        "command": "perturb",
+        "config": cfg,
+        "populations": pops,
+        **fields,
         "eta": res.eta,
     }
-    header = [
-        "p_plus",
-        "p_zero",
-        "p_minus",
-        "rho1_10_re",
-        "rho1_10_im",
-        "rho1_0m1_re",
-        "rho1_0m1_im",
-        "rho1_1m1_re",
-        "rho1_1m1_im",
-        "epsilon",
-        "norm0",
-        "norm1",
-    ]
-    pops = res.rho0.diagonal().real
-    rows = [
-        [
-            float(pops[0]),
-            float(pops[1]),
-            float(pops[2]),
-            res.rho1[0, 1].real,
-            res.rho1[0, 1].imag,
-            res.rho1[1, 2].real,
-            res.rho1[1, 2].imag,
-            res.rho1[0, 2].real,
-            res.rho1[0, 2].imag,
-            res.epsilon,
-            res.norm0,
-            res.norm1,
-        ]
-    ]
-    _emit(args, payload, header, rows)
+    _emit(args, payload, dict(zip(_POPULATIONS, pops.tolist())) | fields)
     return 0
 
 
-def _tongue_rows(grid: TongueGrid) -> tuple[list[str], list[list]]:
-    header = ["detuning", "epsilon", "S", "S_over_eta", "epsilon_max", "masked"]
-    rows = []
-    for i, eps in enumerate(grid.strengths):
-        for j, delta in enumerate(grid.detunings):
-            val = grid.value[i, j]
-            rows.append(
-                [
-                    float(delta),
-                    float(eps),
-                    float(val),
-                    float(val) / grid.eta,
-                    float(grid.eps_max[j]),
-                    bool(grid.masked[i, j]),
-                ]
-            )
-    return header, rows
+def _tongue_columns(grid: TongueGrid, detunings, strengths) -> dict:
+    """One row per cell of the tongue, strengths outermost, with the axis
+    values as given."""
+    detuning, strength = np.meshgrid(detunings, strengths)
+    return {
+        "detuning": detuning,
+        "epsilon": strength,
+        "S": grid.value,
+        "S_over_eta": grid.value / grid.eta,
+        "epsilon_max": np.broadcast_to(grid.eps_max, grid.value.shape),
+        "masked": grid.masked,
+    }
 
 
 def cmd_tongue(args) -> int:
@@ -531,22 +453,29 @@ def cmd_tongue(args) -> int:
         # as align_squeeze_phase: aligned at the scenario's detuning
         _, map1, map2 = _response_maps(liou)
         sig = _align_on_maps(map1, map2, sig)
+    # both axes are in units of unit_rate, as the scenario rates
+    unit = float(cfg.get("unit_rate", 1.0))
     grid = _tongue_grid(
-        liou, sig, axes["detuning"], axes["epsilon"], float(cfg.get("eta", 0.1))
+        liou,
+        sig,
+        axes["detuning"] * unit,
+        axes["epsilon"] * unit,
+        float(cfg.get("eta", 0.1)),
     )
     if args.format == "json":
         payload = {
             "command": "tongue",
             "config": cfg,
-            "detunings": grid.detunings,
-            "strengths": grid.strengths,
+            "detunings": axes["detuning"],
+            "strengths": axes["epsilon"],
             "eps_max": grid.eps_max,
             "S": np.where(grid.masked, None, grid.value),
             "masked": grid.masked,
         }
         _write_json(args.out, payload)
     else:
-        _write_csv(args.out, *_tongue_rows(grid))
+        columns = _tongue_columns(grid, axes["detuning"], axes["epsilon"])
+        _write_csv(args.out, *_table(columns))
     return 0
 
 
@@ -559,40 +488,31 @@ def cmd_optimize(args) -> int:
             "optimize expects signal.family 'equatorial_angles' or 'vdp_general'"
         )
     report = optimize_signal(lc, family, eta=float(cfg.get("eta", 0.1)))
+    measure = {"S": report.value, "S_over_eta": report.value / report.eta}
     payload = {
         "command": "optimize",
         "config": cfg,
         "family": report.family,
         "params": report.params,
-        "S": report.value,
-        "S_over_eta": report.value / report.eta,
+        **measure,
         "signal": {
             "t01": report.signal.t01,
             "tm10": report.signal.tm10,
             "tm11": report.signal.tm11,
         },
     }
-    header = list(report.params) + ["S", "S_over_eta"]
-    rows = [
-        [report.params[k] for k in report.params]
-        + [report.value, report.value / report.eta]
-    ]
-    _emit(args, payload, header, rows)
+    _emit(args, payload, report.params | measure)
     return 0
 
 
 def cmd_bound(args) -> int:
     cfg = load_config(args.config, args.set or [])
     eta = float(cfg.get("eta", 0.1))
-    payload = {
-        "command": "bound",
-        "config": cfg,
+    columns = {
         "smax_spin": smax(eta, "spin"),
         "smax_oscillator": smax(eta, "oscillator"),
         "eta": eta,
     }
-    header = ["smax_spin", "smax_oscillator", "eta"]
-    rows = [[smax(eta, "spin"), smax(eta, "oscillator"), eta]]
     bound_cfg = cfg.get("bound")
     if bound_cfg:
         params = catalog.BoundParams(
@@ -602,12 +522,8 @@ def cmd_bound(args) -> int:
             extremal=_as_complex(bound_cfg.get("extremal", 0.0)),
         )
         norm_term, coh_term, product = catalog.bound_terms(params, eta)
-        payload.update(
-            {"norm_term": norm_term, "coherence_term": coh_term, "S": product}
-        )
-        header += ["norm_term", "coherence_term", "S"]
-        rows[0] += [norm_term, coh_term, product]
-    _emit(args, payload, header, rows)
+        columns |= {"norm_term": norm_term, "coherence_term": coh_term, "S": product}
+    _emit(args, {"command": "bound", "config": cfg, **columns}, columns)
     return 0
 
 
@@ -642,8 +558,7 @@ def _figure_fig2(cfg: dict):
     )
     strengths = np.linspace(0.0, 1.05 * eps_hi, 211)
     grid = arnold_tongue(lc, semiclassical(0.0), detunings, strengths, eta)
-    header, rows = _tongue_rows(grid)
-    return [("", header, rows)]
+    return [("", *_table(_tongue_columns(grid, detunings, strengths)))]
 
 
 def _figure_forcing(cfg: dict, ratio: float):
@@ -653,7 +568,8 @@ def _figure_forcing(cfg: dict, ratio: float):
     liou = build_liouvillian(catalog.equatorial_limit_cycle(gg, gd))
     sig = semiclassical(0.0)
     rho0, map1, map2 = _response_maps(liou)
-    eps_eta = epsilon_for_threshold(rho0, _apply_maps(map1, map2, sig), eta)
+    res = _measure(rho0.diagonal().real, _apply_maps(map1, map2, sig), eta)
+    eps_eta = float(res.epsilon)
     h = build_hext(sig)
     strengths = np.linspace(0.0, 1.5 * gg, 151)
     rows = []
@@ -678,21 +594,21 @@ def _figure_fig4(cfg: dict):
     eta = float(cfg.get("eta", 0.1))
     detunings = np.linspace(-10.0 * gg, 10.0 * gg, 41)
     taus = np.logspace(0.0, 3.0, 61)
-    header = ["detuning", "tau_ratio", "S_over_eta", "tau_opt"]
-    rows = []
-    for delta in detunings:
-        lc = catalog.vdp_limit_cycle(gg, gd, delta)
-        rho0, map1, map2 = _response_maps(build_liouvillian(lc))
-        tau_opt = vdp_optimal_squeeze_ratio(gg, gd, delta)
-        for tau in taus:
-            sig = _align_on_maps(
-                map1, map2, SignalSpec(1.0, 1.0 / SQRT2, tau / SQRT2)
-            )
-            res = _sync_result(rho0, _apply_maps(map1, map2, sig), eta)
-            rows.append(
-                [float(delta), float(tau), res.value / eta, float(tau_opt)]
-            )
-    return [("", header, rows)]
+    liou = build_liouvillian(catalog.vdp_limit_cycle(gg, gd))
+    rho0, map1, map2 = _response_maps(liou, detunings)
+    # squeezing ratios down the rows of the grid, detunings along them
+    sig = SignalSpec(1.0, 1.0 / SQRT2, taus[:, None] / SQRT2)
+    sig = _align_on_maps(map1, map2, sig)
+    res = _measure(rho0.diagonal().real, _apply_maps(map1, map2, sig), eta)
+    delta, tau = np.meshgrid(detunings, taus, indexing="ij")
+    tau_opt = [vdp_optimal_squeeze_ratio(gg, gd, d) for d in detunings]
+    columns = {
+        "detuning": delta,
+        "tau_ratio": tau,
+        "S_over_eta": res.value.T / eta,
+        "tau_opt": np.broadcast_to(np.array(tau_opt)[:, None], delta.shape),
+    }
+    return [("", *_table(columns))]
 
 
 def _figure_fig5(cfg: dict):
@@ -704,14 +620,20 @@ def _figure_fig5(cfg: dict):
     pops = rho0.diagonal().real
     zetas = np.linspace(0.0, 0.5 * math.pi, 65)
     taus = np.logspace(-2.0, 1.0, 61)
-    header = ["zeta", "tau_ratio", "S_over_eta", "tau_opt_for_zeta"]
-    rows = []
-    for zeta in zetas:
-        r10, r0m1 = map1 @ np.array([math.cos(zeta), math.sin(zeta) / SQRT2])
-        vals = sync_from_coherences(pops, (r10, r0m1, abs(map2) * taus / SQRT2), 1.0)
-        tau_best = catalog.stationary_squeeze_ratio(r10, r0m1, map2)
-        for tau, val in zip(taus, vals):
-            rows.append([float(zeta), float(tau), float(val), tau_best])
+    r10, r0m1, _ = _apply_maps(
+        map1, map2, SignalSpec(np.cos(zetas), np.sin(zetas) / SQRT2)
+    )
+    # zetas down the rows of the grid, squeezing ratios along them
+    r10, r0m1 = r10[:, None], r0m1[:, None]
+    zeta, tau = np.meshgrid(zetas, taus, indexing="ij")
+    vals = sync_from_coherences(pops, (r10, r0m1, abs(map2) * taus / SQRT2), 1.0)
+    tau_best = catalog.stationary_squeeze_ratio(r10, r0m1, map2)
+    columns = {
+        "zeta": zeta,
+        "tau_ratio": tau,
+        "S_over_eta": vals,
+        "tau_opt_for_zeta": np.broadcast_to(tau_best, zeta.shape),
+    }
     inset_header = ["gamma_ratio", "S_over_eta", "zeta_opt", "tau_ratio_opt"]
     inset_rows = []
     for ratio in np.logspace(1, 4, 13):
@@ -726,7 +648,7 @@ def _figure_fig5(cfg: dict):
                 rep.params["tau_ratio"],
             ]
         )
-    return [("", header, rows), ("_inset", inset_header, inset_rows)]
+    return [("", *_table(columns)), ("_inset", inset_header, inset_rows)]
 
 
 def _figure_fig6(cfg: dict):
@@ -749,21 +671,26 @@ def _figure_fig7(cfg: dict):
     eta = float(cfg.get("eta", 0.1))
     ratios = cfg.get("gamma_ratios", [1.0, 100.0, 10000.0])
     deltas = np.logspace(-2, 4, 181) * gg
-    header = ["gamma_ratio", "delta", "S_over_eta", "S_over_eta_closed"]
-    rows = []
+    names = ("gamma_ratio", "delta", "S_over_eta", "S_over_eta_closed")
+    columns = {name: [] for name in names}
     for ratio in ratios:
         gd = gg * float(ratio)
-        for delta in deltas:
-            zeta = math.atan(
-                catalog.equatorial_response_geometry(gg, gd, delta)[0]
-            )
-            lc = catalog.equatorial_limit_cycle(gg, gd, delta)
-            res = sync_measure(lc, from_equatorial_angles(zeta, 0.0), eta)
-            closed = catalog.blockade_sync_closed(gg, gd, delta, eta)
-            rows.append(
-                [float(ratio), float(delta), res.value / eta, closed / eta]
-            )
-    return [("", header, rows)]
+        # equal response amplitudes at every detuning, tone phase fixed at 0
+        zeta = [
+            math.atan(catalog.equatorial_response_geometry(gg, gd, d)[0])
+            for d in deltas
+        ]
+        liou = build_liouvillian(catalog.equatorial_limit_cycle(gg, gd))
+        rho0, map1, map2 = _response_maps(liou, deltas)
+        sig = from_equatorial_angles(np.array(zeta), 0.0)
+        res = _measure(rho0.diagonal().real, _apply_maps(map1, map2, sig), eta)
+        columns["gamma_ratio"] += [float(ratio)] * len(deltas)
+        columns["delta"] += deltas.tolist()
+        columns["S_over_eta"] += (res.value / eta).tolist()
+        columns["S_over_eta_closed"] += [
+            catalog.blockade_sync_closed(gg, gd, d, eta) / eta for d in deltas
+        ]
+    return [("", *_table(columns))]
 
 
 def _figure_fig8app(cfg: dict):

@@ -40,8 +40,7 @@ from .spin import (
     SQRT2,
     SZ,
     PhaseDistributionTerms,
-    max_shifted_phase,
-    phase_distribution_terms,
+    _max_shifted_phase,
 )
 
 
@@ -142,11 +141,29 @@ def _response_maps(liou: Liouvillian, detunings=None):
     return rho0, map1, map2
 
 
-def _apply_maps(map1: np.ndarray, map2: complex, signal: SignalSpec) -> np.ndarray:
-    """First-order correction rho1 of the signal from the response maps."""
+def _apply_maps(map1: np.ndarray, map2, signal: SignalSpec):
+    """First-order coherences ``(r10, r0m1, r1m1)`` of the signal from the
+    response maps.
+
+    ``map1`` is 2x2 or a stack of shape (n, 2, 2) with ``map2`` of shape
+    (n,), and the tones of ``signal`` may be arrays that broadcast against
+    that stack.  A 2x2 ``map1`` with scalar tones gives scalars.
+    """
+    m = map1.T  # m[j, i] is map1[..., i, j], stacked along the last axis
+    t01, tm10, tm11 = signal.t01, signal.tm10, signal.tm11
+    # map2 * tm11 rounded as a scalar complex product, whether or not it is
+    # stacked: numpy's array product fuses a multiply-add, which moves the
+    # last digits of a small imaginary part
+    r1m1 = (map2.real * tm11.real - map2.imag * tm11.imag) + 1j * (
+        map2.real * tm11.imag + map2.imag * tm11.real
+    )
+    return m[0, 0] * t01 + m[1, 0] * tm10, m[0, 1] * t01 + m[1, 1] * tm10, r1m1
+
+
+def _rho1(coherences) -> np.ndarray:
+    """The Hermitian, strictly off-diagonal rho1 with the given coherences."""
     rho1 = np.zeros((3, 3), dtype=complex)
-    rho1[0, 1], rho1[1, 2] = map1 @ np.array([signal.t01, signal.tm10], dtype=complex)
-    rho1[0, 2] = map2 * signal.tm11
+    rho1[0, 1], rho1[1, 2], rho1[0, 2] = coherences
     return rho1 + rho1.conj().T
 
 
@@ -164,13 +181,14 @@ def coherence_response(lc: LimitCycleSpec):
 
 
 def _leading_orders(lc: LimitCycleSpec, signal: SignalSpec):
+    """rho0 and the first-order coherences of the signal."""
     rho0, map1, map2 = coherence_response(lc)
     return rho0, _apply_maps(map1, map2, signal)
 
 
 def first_order(lc: LimitCycleSpec, signal: SignalSpec) -> np.ndarray:
     """First-order correction rho1: strictly off-diagonal, Hermitian, traceless."""
-    return _leading_orders(lc, signal)[1]
+    return _rho1(_leading_orders(lc, signal)[1])
 
 
 def sync_from_coherences(populations, coherences, eta: float = 0.1):
@@ -188,6 +206,14 @@ def sync_from_coherences(populations, coherences, eta: float = 0.1):
     return float(val) if np.ndim(val) == 0 else val
 
 
+def _strength(norm0: float, norm1, eta: float) -> np.ndarray:
+    """Permitted strength eta * norm0 / norm1, broadcast over ``norm1``; inf
+    where the first-order response vanishes relative to rho0."""
+    zero = np.asarray(norm1) <= 1e-12 * norm0
+    inf = np.full(zero.shape, np.inf)
+    return np.divide(eta * norm0, norm1, out=inf, where=~zero)
+
+
 def epsilon_for_threshold(rho0: np.ndarray, rho1: np.ndarray, eta: float) -> float:
     """Permitted signal strength eta * ||rho0|| / ||rho1||.
 
@@ -195,11 +221,10 @@ def epsilon_for_threshold(rho0: np.ndarray, rho1: np.ndarray, eta: float) -> flo
     (relative to rho0), in which case the strength is unbounded and the
     caller decides.
     """
-    n0 = hs_norm(rho0)
-    n1 = hs_norm(rho1)
-    if n1 <= 1e-12 * n0:
+    eps = float(_strength(hs_norm(rho0), hs_norm(rho1), float(eta)))
+    if eps == math.inf:
         raise ZeroResponseError("signal does not couple at first order")
-    return float(eta) * n0 / n1
+    return eps
 
 
 def perturbation_result(
@@ -209,23 +234,34 @@ def perturbation_result(
     return _perturbation_result(*_leading_orders(lc, signal), eta)
 
 
-def _perturbation_result(rho0, rho1, eta: float) -> PerturbationResult:
-    """:func:`perturbation_result` of given orders zero and one."""
+def _perturbation_result(rho0, coherences, eta: float) -> PerturbationResult:
+    """:func:`perturbation_result` of rho0 and the coherences of rho1."""
+    rho1 = _rho1(coherences)
     eps = epsilon_for_threshold(rho0, rho1, eta)
     return PerturbationResult(rho0, rho1, eps, float(eta), hs_norm(rho0), hs_norm(rho1))
 
 
-def _sync_result(rho0: np.ndarray, rho1: np.ndarray, eta: float) -> SyncResult:
-    """Measure of a first-order correction; see :func:`sync_measure`."""
-    terms = phase_distribution_terms(rho1)
-    try:
-        eps = epsilon_for_threshold(rho0, rho1, eta)
-    except ZeroResponseError:
-        return SyncResult(
-            0.0, float("nan"), terms, float("inf"), float(eta), zero_response=True
-        )
-    peak, phi_star = max_shifted_phase(terms)
-    return SyncResult(eps * peak, phi_star, terms, eps, float(eta))
+def _measure(populations, coherences, eta: float) -> SyncResult:
+    """The measure on stacked first-order coherences ``(r10, r0m1, r1m1)``,
+    which broadcast against each other, for the populations of rho0.
+
+    Returns a :class:`SyncResult` whose fields, terms included, are arrays of
+    the broadcast shape; see :func:`sync_measure`.
+    """
+    r10, r0m1, r1m1 = np.broadcast_arrays(*coherences)
+    single = r10 + r0m1
+    terms = PhaseDistributionTerms(
+        amp1=COS1_WEIGHT * np.abs(single),
+        phase1=np.where(single != 0, np.angle(single), 0.0),
+        amp2=COS2_WEIGHT * np.abs(r1m1),
+        phase2=np.where(r1m1 != 0, np.angle(r1m1), 0.0),
+    )
+    norm1 = np.sqrt(2.0 * (np.abs(r10) ** 2 + np.abs(r0m1) ** 2 + np.abs(r1m1) ** 2))
+    eps = _strength(math.sqrt(np.dot(populations, populations)), norm1, float(eta))
+    zero = np.isinf(eps)
+    peak, phi = _max_shifted_phase(terms.amp1, terms.phase1, terms.amp2, terms.phase2)
+    value = np.multiply(eps, peak, out=np.zeros(zero.shape), where=~zero)
+    return SyncResult(value, np.where(zero, np.nan, phi), terms, eps, float(eta), zero)
 
 
 def sync_measure(
@@ -239,7 +275,15 @@ def sync_measure(
     reported with value 0 and the ``zero_response`` flag set (epsilon is then
     unbounded and returned as inf).
     """
-    return _sync_result(*_leading_orders(lc, signal), eta)
+    # a batch of one detuning, so that the digits are those of a `sync` row
+    rho0, map1, map2 = _response_maps(build_liouvillian(lc), [lc.detuning])
+    res = _measure(rho0.diagonal().real, _apply_maps(map1, map2, signal), eta)
+    t = res.terms
+    fields = (res.value, res.locked_phase, t.amp1, t.phase1, t.amp2, t.phase2)
+    value, phase, a1, p1, a2, p2 = (x.item() for x in fields)
+    terms = PhaseDistributionTerms(a1, p1, a2, p2)
+    eps, zero = res.epsilon.item(), res.zero_response.item()
+    return SyncResult(value, phase, terms, eps, res.eta, zero)
 
 
 def perturbative_orders(
@@ -259,7 +303,7 @@ def perturbative_orders(
     orders = [rho0]
     if kmax == 0:
         return orders
-    orders.append(_apply_maps(map1, map2, signal))
+    orders.append(_rho1(_apply_maps(map1, map2, signal)))
     h = build_hext(signal)
     aug = np.vstack([liou.diag_block, np.ones((1, 3))])
     for _ in range(2, kmax + 1):

@@ -183,34 +183,62 @@ def oscillator_phase_terms(rho: np.ndarray) -> PhaseDistributionTerms:
     )
 
 
+def _max_shifted_phase(a1, p1, a2, p2):
+    """:func:`max_shifted_phase` over broadcast arrays of the four terms.
+
+    Returns arrays ``(peak, phi_star)``.  The exact branches (no harmonic,
+    one harmonic, a pure second harmonic, aligned harmonics) are chosen by
+    mask; the remaining rows take the root angles of their quartics from
+    stacked companion matrices, built as :func:`numpy.roots` builds them.
+    """
+    a1, p1, a2, p2 = np.array(np.broadcast_arrays(a1, p1, a2, p2), dtype=float)
+    tau = 2.0 * np.pi
+    misalign = (p2 - 2.0 * p1 + np.pi) % tau - np.pi
+    second = a1 == 0.0
+    # aligned: the slope at phi = -p1 is at rounding level (exactly 0 when
+    # a2 = 0, so a single first harmonic is aligned too)
+    slope = 2.0 * a2 * np.abs(np.sin(misalign))
+    aligned = ~second & (slope <= 1e-14 * (a1 + 2.0 * a2))
+    peak = np.where(second, a2, a1 + a2)
+    phi = np.where(
+        second, np.where(a2 == 0.0, 0.0, (-0.5 * p2) % np.pi), (-p1) % tau
+    )
+    general = ~(second | aligned)
+    if not general.any():
+        return peak, phi
+
+    a1, p1, a2, p2 = a1[general], p1[general], a2[general], p2[general]
+    terms = PhaseDistributionTerms(a1, p1, a2, p2)
+    w1, w2 = a1 * np.exp(1j * p1), 2.0 * a2 * np.exp(1j * p2)
+    coeffs = np.stack([-w2, -w1, np.zeros_like(w1), w1.conj(), w2.conj()], axis=-1)
+    companion = np.zeros((len(w1), 4, 4), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(3)
+    companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
+    roots = np.angle(np.linalg.eigvals(companion)).T
+    best = roots[np.argmax(terms.evaluate(roots), axis=0), np.arange(len(w1))]
+    newton = np.ones(len(best), dtype=bool)
+    for _ in range(2):
+        curvature = -a1 * np.cos(best + p1) - 4.0 * a2 * np.cos(2.0 * best + p2)
+        newton &= curvature < 0.0
+        slope = terms.derivative(best)
+        best -= np.divide(slope, curvature, out=np.zeros_like(best), where=newton)
+    peak[general] = terms.evaluate(best)
+    phi[general] = best % tau
+    return peak, phi
+
+
 def max_shifted_phase(terms: PhaseDistributionTerms) -> tuple[float, float]:
     """Global maximum of the two-harmonic distribution and its location.
 
     Returns ``(peak, phi_star)`` with phi_star in [0, 2 pi).  When the two
-    harmonics peak at a common azimuth the maximum is amp1 + amp2 exactly;
-    otherwise the stationary points are the root angles of the quartic
+    harmonics peak at a common azimuth (the slope of S there is at rounding
+    level) the maximum is amp1 + amp2 exactly; otherwise the stationary
+    points are the root angles of the quartic
     -2 a2 e^{i p2} z^4 - a1 e^{i p1} z^3 + a1 e^{-i p1} z + 2 a2 e^{-i p2}
     in z = e^{i phi}.  The angle with the largest S is chosen first and only
     then polished by at most two Newton steps on dS/dphi, because roots are
-    off by up to ~1e-8 at extreme a1/a2.
+    off by up to ~1e-8 at extreme a1/a2.  This is the scalar call of the
+    array search the measure runs on stacked coherences.
     """
-    a1, p1, a2, p2 = terms.amp1, terms.phase1, terms.amp2, terms.phase2
-    if a1 == 0.0 and a2 == 0.0:
-        return 0.0, 0.0
-    if a2 == 0.0:
-        return a1, float((-p1) % (2.0 * np.pi))
-    if a1 == 0.0:
-        return a2, float((-0.5 * p2) % np.pi)
-    misalign = (p2 - 2.0 * p1 + np.pi) % (2.0 * np.pi) - np.pi
-    if abs(misalign) < 1e-12:
-        return a1 + a2, float((-p1) % (2.0 * np.pi))
-
-    w1, w2 = a1 * np.exp(1j * p1), 2.0 * a2 * np.exp(1j * p2)
-    phis = np.angle(np.roots([-w2, -w1, 0.0, w1.conjugate(), w2.conjugate()]))
-    phi = float(phis[np.argmax(terms.evaluate(phis))])
-    for _ in range(2):
-        curvature = -a1 * np.cos(phi + p1) - 4.0 * a2 * np.cos(2.0 * phi + p2)
-        if curvature >= 0.0:
-            break
-        phi -= terms.derivative(phi) / curvature
-    return terms.evaluate(phi), float(phi % (2.0 * np.pi))
+    peak, phi = _max_shifted_phase(terms.amp1, terms.phase1, terms.amp2, terms.phase2)
+    return float(peak), float(phi)

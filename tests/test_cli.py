@@ -122,6 +122,31 @@ class TestSync:
         assert row["flag"] == "zero_response"
         assert row["epsilon"] == "inf"
 
+    def test_zero_response_rows_of_a_batched_sweep(self, tmp_path, capsys):
+        # on vdp(g, g) p0 = p+, so the t01 tone alone (zeta = 0) does not couple
+        cfg = write_config(
+            tmp_path,
+            {
+                "scenario": {"name": "vdp", "gamma_g": 1.0, "gamma_d": 1.0},
+                "signal": {"family": "equatorial_angles", "chi": 0.0},
+                "eta": 0.1,
+                "sweep": [
+                    {"name": "zeta", "min": 0.0, "max": 0.5, "points": 2},
+                    {"name": "detuning", "min": -1.0, "max": 1.0, "points": 3},
+                ],
+            },
+        )
+        code, out, _ = run_cli(capsys, "sync", "--config", cfg)
+        assert code == 0
+        rows = read_csv(out)
+        assert len(rows) == 6
+        for row in rows:
+            zero = float(row["zeta"]) == 0.0
+            assert (row["flag"] == "zero_response") == zero
+            assert (row["epsilon"] == "inf") == zero
+            assert (row["locked_phase"] == "nan") == zero
+            assert (float(row["S"]) == 0.0) == zero
+
     def test_optimal_equatorial_value(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -305,6 +330,53 @@ class TestTongue:
                 assert row["S"] == "nan"
 
 
+    UNIT_RATE = {
+        "unit_rate": 2.0,
+        "scenario": {"name": "equatorial", "gamma_g": 1.0, "gamma_d": 3.0},
+        "signal": {"family": "semiclassical"},
+        "eta": 0.1,
+        "sweep": [
+            {"name": "detuning", "min": -1.0, "max": 1.0, "points": 3},
+            {"name": "epsilon", "min": 0.0, "max": 0.3, "points": 4},
+        ],
+    }
+
+    def test_unit_rate_scales_both_axes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.UNIT_RATE)
+        code, out, _ = run_cli(capsys, "tongue", "--config", cfg)
+        assert code == 0
+        rows = read_csv(out)
+        # the axes are written as configured
+        assert sorted({float(r["detuning"]) for r in rows}) == [-1.0, 0.0, 1.0]
+        at_one = {r["epsilon_max"] for r in rows if float(r["detuning"]) == 1.0}
+        sets = ["--set", "sweep=[]", "--set", "scenario.detuning=1.0"]
+        code, out, _ = run_cli(capsys, "sync", "--config", cfg, *sets)
+        assert code == 0
+        epsilon = read_csv(out)[0]["epsilon"]
+        assert at_one == {epsilon}
+        assert float(epsilon) == pytest.approx(0.2582, abs=1e-4)
+
+    def test_unit_rate_matches_doubled_rates(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.UNIT_RATE)
+        doubled = {
+            **self.UNIT_RATE,
+            "unit_rate": 1.0,
+            "scenario": {"name": "equatorial", "gamma_g": 2.0, "gamma_d": 6.0},
+            "sweep": [
+                {"name": "detuning", "min": -2.0, "max": 2.0, "points": 3},
+                {"name": "epsilon", "min": 0.0, "max": 0.6, "points": 4},
+            ],
+        }
+        ref = write_config(tmp_path, doubled, "doubled.json")
+        code, out, _ = run_cli(capsys, "tongue", "--config", cfg)
+        code_ref, out_ref, _ = run_cli(capsys, "tongue", "--config", ref)
+        assert code == code_ref == 0
+        columns = ("S", "epsilon_max", "masked")
+        got = [[r[k] for k in columns] for r in read_csv(out)]
+        assert got == [[r[k] for k in columns] for r in read_csv(out_ref)]
+        assert {r[2] for r in got} == {"true", "false"}
+
+
 class TestOptimizeAndBound:
     def test_optimize_cli(self, tmp_path, capsys):
         cfg = write_config(
@@ -378,6 +450,10 @@ class TestFigures:
         assert run_cli(capsys, "figure", "fig3a", "--out", str(a))[0] == 0
         assert run_cli(capsys, "figure", "fig3a", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_spells_negative_infinity(self):
+        assert cli._fmt_value(-math.inf) == "-inf"
+        assert [cli._fmt_value(x) for x in (math.inf, math.nan)] == ["inf", "nan"]
 
     def test_fig5_emits_inset_series(self, tmp_path, capsys):
         out_path = tmp_path / "fig5.csv"
@@ -457,6 +533,12 @@ class TestGeneratorBuilds:
         assert code == 0
         assert len(read_csv(out)) == 20
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("fig_id, expected", [("fig4", 1), ("fig7", 3)])
+    def test_figure_builds_once_per_curve(self, capsys, builds, fig_id, expected):
+        code, out, _ = run_cli(capsys, "figure", fig_id)
+        assert code == 0
+        assert len(builds) == expected
 
     def test_tongue_with_auto_phase_builds_once(self, tmp_path, capsys, builds):
         cfg = write_config(tmp_path, {**VDP_AUTO, "sweep": TONGUE_AXES})

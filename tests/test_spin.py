@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinsync.spin import (
@@ -17,6 +17,7 @@ from spinsync.spin import (
     PhaseDistributionTerms,
     coherent_state,
     husimi_q,
+    _max_shifted_phase,
     max_shifted_phase,
     oscillator_phase_terms,
     phase_distribution_terms,
@@ -220,6 +221,8 @@ class TestMaxShiftedPhase:
         phase2=ANGLES,
     )
     @settings(max_examples=100, deadline=None)
+    # misaligned by 3.2e-13: phi = -phase1 is not stationary to 1e-12
+    @example(amp1=1.0, amp2=2.0, phase1=1.6e-13, phase2=0.0)
     def test_against_dense_grid(self, amp1, amp2, phase1, phase2):
         terms = PhaseDistributionTerms(amp1, phase1, amp2, phase2)
         peak, phi_star = max_shifted_phase(terms)
@@ -228,6 +231,25 @@ class TestMaxShiftedPhase:
         assert peak == pytest.approx(dense, abs=1e-7)
         assert peak >= terms.evaluate(phi_star) - 1e-12
         assert abs(terms.derivative(phi_star)) < 1e-12
+
+
+    def test_stack_equals_scalar_calls_bitwise(self, rng):
+        terms = [
+            (0.0, 1.0, 0.0, 2.0),  # no harmonic
+            (0.7, 2.5, 0.0, 1.0),  # one harmonic
+            (0.0, 0.3, 0.4, 2.5),  # pure second harmonic
+            (1.0, 0.4, 0.5, 0.8),  # aligned
+            (1.0, 1.6e-13, 2.0, 0.0),  # aligned to 3.2e-13 only
+        ]
+        for _ in range(20):  # misaligned
+            a1, a2 = rng.uniform(0.01, 2.0, 2)
+            p1, p2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+            terms.append((a1, p1, a2, p2))
+        peaks, phis = _max_shifted_phase(*np.array(terms).T)
+        for t, peak, phi in zip(terms, peaks, phis):
+            one = max_shifted_phase(PhaseDistributionTerms(*t))
+            assert (peak, phi) == one
+            assert np.array([peak, phi]).tobytes() == np.array(one).tobytes()
 
 
 class TestOscillatorTerms:

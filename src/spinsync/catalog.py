@@ -31,7 +31,7 @@ from .perturbation import (
     SyncResult,
     _apply_maps,
     _driven_steady_state,
-    _measure,
+    _peak_and_strength,
     _response_maps,
     coherence_response,
     hs_norm,
@@ -643,10 +643,11 @@ def _tongue_grid(
     detunings = np.asarray(detunings, dtype=float)
     strengths = np.asarray(strengths, dtype=float)
     rho0, map1, map2 = _response_maps(liou, detunings)
-    res = _measure(rho0.diagonal().real, _apply_maps(map1, map2, signal), eta)
-    eps_max = res.epsilon
-    # the measure is linear in the strength: its peak is S(eps_max) / eps_max
-    value = strengths[:, None] * (res.value / eps_max)[None, :]
+    coherences = _apply_maps(map1, map2, signal)
+    _, (peak, _), eps_max = _peak_and_strength(rho0.diagonal().real, coherences, eta)
+    # the measure is linear in the strength, and 0 where the response vanishes
+    peak = np.where(np.isinf(eps_max), 0.0, peak)
+    value = strengths[:, None] * peak[None, :]
     masked = strengths[:, None] > eps_max[None, :]
     value = np.where(masked, np.nan, value)
     return TongueGrid(

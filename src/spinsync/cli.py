@@ -394,10 +394,13 @@ def cmd_sync(args) -> int:
         if batch is not None:
             column = np.moveaxis(column, -1, batch)
         columns[key] = column.ravel()
-    values = [column.tolist() for column in columns.values()]
-    records = [dict(zip(columns, row)) for row in zip(*values)]
-    payload = {"command": "sync", "config": cfg}
-    _emit(args, payload | ({"rows": records} if axes else records[0]), columns)
+    if args.format == "json":
+        values = [column.tolist() for column in columns.values()]
+        records = [dict(zip(columns, row)) for row in zip(*values)]
+        payload = {"command": "sync", "config": cfg}
+        _write_json(args.out, payload | ({"rows": records} if axes else records[0]))
+    else:
+        _write_csv(args.out, *_table(columns))
     return 0
 
 
@@ -416,14 +419,8 @@ def cmd_perturb(args) -> int:
         "norm0": res.norm0,
         "norm1": res.norm1,
     }
-    payload = {
-        "command": "perturb",
-        "config": cfg,
-        "populations": pops,
-        **fields,
-        "eta": res.eta,
-    }
-    _emit(args, payload, dict(zip(_POPULATIONS, pops.tolist())) | fields)
+    payload = {"command": "perturb", "config": cfg, "populations": pops, "eta": res.eta}
+    _emit(args, payload | fields, dict(zip(_POPULATIONS, pops.tolist())) | fields)
     return 0
 
 
@@ -454,14 +451,8 @@ def cmd_tongue(args) -> int:
         _, map1, map2 = _response_maps(liou)
         sig = _align_on_maps(map1, map2, sig)
     # both axes are in units of unit_rate, as the scenario rates
-    unit = float(cfg.get("unit_rate", 1.0))
-    grid = _tongue_grid(
-        liou,
-        sig,
-        axes["detuning"] * unit,
-        axes["epsilon"] * unit,
-        float(cfg.get("eta", 0.1)),
-    )
+    unit, eta = float(cfg.get("unit_rate", 1.0)), float(cfg.get("eta", 0.1))
+    grid = _tongue_grid(liou, sig, axes["detuning"] * unit, axes["epsilon"] * unit, eta)
     if args.format == "json":
         payload = {
             "command": "tongue",
@@ -572,20 +563,15 @@ def _figure_forcing(cfg: dict, ratio: float):
     eps_eta = float(res.epsilon)
     h = build_hext(sig)
     strengths = np.linspace(0.0, 1.5 * gg, 151)
-    rows = []
-    for eps in strengths:
-        rho = _driven_steady_state(liou, h, eps) if eps > 0 else rho0
-        rows.append(
-            [
-                float(eps),
-                p_avg(rho, rho0),
-                p_max(rho, rho0),
-                eps_eta,
-                bool(eps > eps_eta),
-            ]
-        )
-    header = ["epsilon", "p_avg", "p_max", "epsilon_max", "forcing"]
-    return [("", header, rows)]
+    states = [_driven_steady_state(liou, h, e) if e > 0 else rho0 for e in strengths]
+    columns = {
+        "epsilon": strengths,
+        "p_avg": [p_avg(rho, rho0) for rho in states],
+        "p_max": [p_max(rho, rho0) for rho in states],
+        "epsilon_max": np.full(len(strengths), eps_eta),
+        "forcing": strengths > eps_eta,
+    }
+    return [("", *_table(columns))]
 
 
 def _figure_fig4(cfg: dict):
@@ -634,21 +620,18 @@ def _figure_fig5(cfg: dict):
         "S_over_eta": vals,
         "tau_opt_for_zeta": np.broadcast_to(tau_best, zeta.shape),
     }
-    inset_header = ["gamma_ratio", "S_over_eta", "zeta_opt", "tau_ratio_opt"]
-    inset_rows = []
-    for ratio in np.logspace(1, 4, 13):
-        rep = optimize_signal(
-            catalog.vdp_limit_cycle(gg, gg * float(ratio)), "vdp_general", eta=eta
-        )
-        inset_rows.append(
-            [
-                float(ratio),
-                rep.value / eta,
-                rep.params["zeta"],
-                rep.params["tau_ratio"],
-            ]
-        )
-    return [("", *_table(columns)), ("_inset", inset_header, inset_rows)]
+    ratios = np.logspace(1, 4, 13)
+    reports = [
+        optimize_signal(catalog.vdp_limit_cycle(gg, gg * r), "vdp_general", eta=eta)
+        for r in ratios
+    ]
+    inset = {
+        "gamma_ratio": ratios,
+        "S_over_eta": [rep.value / eta for rep in reports],
+        "zeta_opt": [rep.params["zeta"] for rep in reports],
+        "tau_ratio_opt": [rep.params["tau_ratio"] for rep in reports],
+    }
+    return [("", *_table(columns)), ("_inset", *_table(inset))]
 
 
 def _figure_fig6(cfg: dict):
@@ -657,13 +640,13 @@ def _figure_fig6(cfg: dict):
     eta = float(cfg.get("eta", 0.1))
     zetas = np.linspace(0.0, 0.5 * math.pi, 91)
     chis = np.linspace(0.0, 2.0 * math.pi, 181)
-    header = ["zeta", "chi", "S_over_eta"]
-    rows = []
-    for zeta in zetas:
-        for chi in chis:
-            val = catalog.equatorial_sync_closed(zeta, chi, gg, gd, 0.0, 1.0)
-            rows.append([float(zeta), float(chi), val])
-    return [("", header, rows)]
+    zeta, chi = np.meshgrid(zetas, chis, indexing="ij")
+    vals = [
+        catalog.equatorial_sync_closed(z, c, gg, gd, 0.0, 1.0)
+        for z in zetas
+        for c in chis
+    ]
+    return [("", *_table({"zeta": zeta, "chi": chi, "S_over_eta": vals}))]
 
 
 def _figure_fig7(cfg: dict):
@@ -698,15 +681,13 @@ def _figure_fig8app(cfg: dict):
     gd = gg * float(cfg.get("gamma_ratio", 100.0))
     r_values = cfg.get("r_values", [0.5, 2.5, 4.0, 9.0])
     strengths = np.logspace(-2, 3, 121)
-    header = ["r", "epsilon", "p_max"]
-    rows = []
-    for r in r_values:
-        lc = catalog.vdp_limit_cycle(gg, gd)
-        sig = SignalSpec(float(r), 1.0 / SQRT2, 0j)
-        curve = pmax_forcing_curve(lc, sig, strengths)
-        for eps, val in zip(strengths, curve):
-            rows.append([float(r), float(eps), float(val)])
-    return [("", header, rows)]
+    lc = catalog.vdp_limit_cycle(gg, gd)
+    curves = [
+        pmax_forcing_curve(lc, SignalSpec(float(r), 1.0 / SQRT2, 0j), strengths)
+        for r in r_values
+    ]
+    r, eps = np.meshgrid(np.asarray(r_values, dtype=float), strengths, indexing="ij")
+    return [("", *_table({"r": r, "epsilon": eps, "p_max": curves}))]
 
 
 _FIGURES = {

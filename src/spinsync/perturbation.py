@@ -41,6 +41,8 @@ from .spin import (
     SZ,
     PhaseDistributionTerms,
     _max_shifted_phase,
+    _phase_terms,
+    _scalar_terms,
 )
 
 
@@ -191,16 +193,23 @@ def first_order(lc: LimitCycleSpec, signal: SignalSpec) -> np.ndarray:
     return _rho1(_leading_orders(lc, signal)[1])
 
 
+def _norms(populations, coherences):
+    """||rho0|| from its populations and ||rho1|| from its coherences
+    ``(r10, r0m1, r1m1)``, which broadcast against each other."""
+    r_10, r_0m1, r_1m1 = coherences
+    norm1 = np.sqrt(2.0 * (abs(r_10) ** 2 + abs(r_0m1) ** 2 + abs(r_1m1) ** 2))
+    return math.sqrt(np.dot(populations, populations)), norm1
+
+
 def sync_from_coherences(populations, coherences, eta: float = 0.1):
     """Measure assembled directly from first-order data, with the squeezing
-    phase taken as aligned (both harmonics peaking together): the only copy
-    of eta ||rho0|| (C1 |r10 + r0m1| + C2 |r1m1|) / ||rho1||, zero when rho1
+    phase taken as aligned (both harmonics peaking together):
+    eta ||rho0|| (C1 |r10 + r0m1| + C2 |r1m1|) / ||rho1||, zero when rho1
     vanishes.  The coherences (r10, r0m1, r1m1) broadcast against each other.
     """
     r_10, r_0m1, r_1m1 = coherences
     amp = COS1_WEIGHT * abs(r_10 + r_0m1) + COS2_WEIGHT * abs(r_1m1)
-    norm1 = np.sqrt(2.0 * (abs(r_10) ** 2 + abs(r_0m1) ** 2 + abs(r_1m1) ** 2))
-    norm0 = math.sqrt(np.dot(populations, populations))
+    norm0, norm1 = _norms(populations, coherences)
     # a vanishing rho1 has amp = 0, which an infinite norm maps to 0
     val = eta * norm0 * amp / np.where(norm1 > 0.0, norm1, np.inf)
     return float(val) if np.ndim(val) == 0 else val
@@ -241,6 +250,16 @@ def _perturbation_result(rho0, coherences, eta: float) -> PerturbationResult:
     return PerturbationResult(rho0, rho1, eps, float(eta), hs_norm(rho0), hs_norm(rho1))
 
 
+def _peak_and_strength(populations, coherences, eta: float):
+    """Terms, ``(peak, phi_star)`` and permitted strength (inf for a vanishing
+    response) of the measure; see :func:`_measure`."""
+    r10, r0m1, r1m1 = np.broadcast_arrays(*coherences)
+    terms = _phase_terms(r10 + r0m1, r1m1)
+    eps = _strength(*_norms(populations, (r10, r0m1, r1m1)), float(eta))
+    peak = _max_shifted_phase(terms.amp1, terms.phase1, terms.amp2, terms.phase2)
+    return terms, peak, eps
+
+
 def _measure(populations, coherences, eta: float) -> SyncResult:
     """The measure on stacked first-order coherences ``(r10, r0m1, r1m1)``,
     which broadcast against each other, for the populations of rho0.
@@ -248,18 +267,8 @@ def _measure(populations, coherences, eta: float) -> SyncResult:
     Returns a :class:`SyncResult` whose fields, terms included, are arrays of
     the broadcast shape; see :func:`sync_measure`.
     """
-    r10, r0m1, r1m1 = np.broadcast_arrays(*coherences)
-    single = r10 + r0m1
-    terms = PhaseDistributionTerms(
-        amp1=COS1_WEIGHT * np.abs(single),
-        phase1=np.where(single != 0, np.angle(single), 0.0),
-        amp2=COS2_WEIGHT * np.abs(r1m1),
-        phase2=np.where(r1m1 != 0, np.angle(r1m1), 0.0),
-    )
-    norm1 = np.sqrt(2.0 * (np.abs(r10) ** 2 + np.abs(r0m1) ** 2 + np.abs(r1m1) ** 2))
-    eps = _strength(math.sqrt(np.dot(populations, populations)), norm1, float(eta))
+    terms, (peak, phi), eps = _peak_and_strength(populations, coherences, eta)
     zero = np.isinf(eps)
-    peak, phi = _max_shifted_phase(terms.amp1, terms.phase1, terms.amp2, terms.phase2)
     value = np.multiply(eps, peak, out=np.zeros(zero.shape), where=~zero)
     return SyncResult(value, np.where(zero, np.nan, phi), terms, eps, float(eta), zero)
 
@@ -278,12 +287,10 @@ def sync_measure(
     # a batch of one detuning, so that the digits are those of a `sync` row
     rho0, map1, map2 = _response_maps(build_liouvillian(lc), [lc.detuning])
     res = _measure(rho0.diagonal().real, _apply_maps(map1, map2, signal), eta)
-    t = res.terms
-    fields = (res.value, res.locked_phase, t.amp1, t.phase1, t.amp2, t.phase2)
-    value, phase, a1, p1, a2, p2 = (x.item() for x in fields)
-    terms = PhaseDistributionTerms(a1, p1, a2, p2)
-    eps, zero = res.epsilon.item(), res.zero_response.item()
-    return SyncResult(value, phase, terms, eps, res.eta, zero)
+    value, phase, eps, zero = (
+        x.item() for x in (res.value, res.locked_phase, res.epsilon, res.zero_response)
+    )
+    return SyncResult(value, phase, _scalar_terms(res.terms), eps, res.eta, zero)
 
 
 def perturbative_orders(

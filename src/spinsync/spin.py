@@ -148,6 +148,25 @@ class PhaseDistributionTerms:
         return float(val) if val.ndim == 0 else val
 
 
+def _phase_terms(single, double, weight1: float = COS1_WEIGHT):
+    """:class:`PhaseDistributionTerms` of the sum of the single-quantum
+    coherences and of the double-quantum coherence, which broadcast against
+    each other; the fields are arrays of the broadcast shape.  A vanishing
+    coherence has phase 0."""
+    return PhaseDistributionTerms(
+        amp1=weight1 * abs(single),
+        phase1=np.where(single != 0, np.angle(single), 0.0),
+        amp2=COS2_WEIGHT * abs(double),
+        phase2=np.where(double != 0, np.angle(double), 0.0),
+    )
+
+
+def _scalar_terms(terms: PhaseDistributionTerms) -> PhaseDistributionTerms:
+    """The float terms of one-element array terms."""
+    fields = (terms.amp1, terms.phase1, terms.amp2, terms.phase2)
+    return PhaseDistributionTerms(*(x.item() for x in fields))
+
+
 def phase_distribution_terms(rho: np.ndarray) -> PhaseDistributionTerms:
     """Harmonics of the shifted phase distribution in the spin phase space.
 
@@ -156,14 +175,7 @@ def phase_distribution_terms(rho: np.ndarray) -> PhaseDistributionTerms:
     background.
     """
     rho = _require_hermitian(rho)
-    single = rho[0, 1] + rho[1, 2]
-    double = rho[0, 2]
-    return PhaseDistributionTerms(
-        amp1=COS1_WEIGHT * abs(single),
-        phase1=float(np.angle(single)) if single != 0 else 0.0,
-        amp2=COS2_WEIGHT * abs(double),
-        phase2=float(np.angle(double)) if double != 0 else 0.0,
-    )
+    return _scalar_terms(_phase_terms(rho[0, 1] + rho[1, 2], rho[0, 2]))
 
 
 def oscillator_phase_terms(rho: np.ndarray) -> PhaseDistributionTerms:
@@ -174,13 +186,7 @@ def oscillator_phase_terms(rho: np.ndarray) -> PhaseDistributionTerms:
     """
     rho = _require_hermitian(rho)
     single = rho[1, 2] + rho[0, 1]
-    double = rho[0, 2]
-    return PhaseDistributionTerms(
-        amp1=OSC_COS1_WEIGHT * abs(single),
-        phase1=float(np.angle(single)) if single != 0 else 0.0,
-        amp2=COS2_WEIGHT * abs(double),
-        phase2=float(np.angle(double)) if double != 0 else 0.0,
-    )
+    return _scalar_terms(_phase_terms(single, rho[0, 2], OSC_COS1_WEIGHT))
 
 
 def _max_shifted_phase(a1, p1, a2, p2):
@@ -196,8 +202,9 @@ def _max_shifted_phase(a1, p1, a2, p2):
     misalign = (p2 - 2.0 * p1 + np.pi) % tau - np.pi
     second = a1 == 0.0
     # aligned: the slope at phi = -p1 is at rounding level (exactly 0 when
-    # a2 = 0, so a single first harmonic is aligned too)
-    slope = 2.0 * a2 * np.abs(np.sin(misalign))
+    # a2 = 0); bounded through the angle, as its sine also vanishes when the
+    # harmonics are anti-aligned
+    slope = 2.0 * a2 * np.abs(misalign)
     aligned = ~second & (slope <= 1e-14 * (a1 + 2.0 * a2))
     peak = np.where(second, a2, a1 + a2)
     phi = np.where(

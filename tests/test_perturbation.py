@@ -161,6 +161,20 @@ class TestSyncMeasure:
         assert res.value == 0.0
         assert math.isinf(res.epsilon)
 
+    def test_anti_aligned_squeezing_on_resonance(self):
+        # on resonance the coherence blocks are real, so a squeezing tone
+        # 0.2j puts the two harmonics exactly half a turn out of step
+        lc = vdp_limit_cycle(1.0, 30.0)
+        spec = SignalSpec(0.6, 0.3, 0.2j)
+        res = sync_measure(lc, spec)
+        t = res.terms
+        assert abs((t.phase2 - 2 * t.phase1) % (2 * math.pi) - math.pi) < 1e-15
+        pert = perturbation_result(lc, spec)
+        grid = np.linspace(0.0, 2 * np.pi, 200001)
+        dense = phase_distribution_terms(pert.rho1).evaluate(grid).max()
+        assert res.value == pytest.approx(pert.epsilon * dense, rel=1e-9)
+        assert res.value < 0.99 * res.epsilon * (t.amp1 + t.amp2)
+
     def test_below_spin_ceiling(self):
         for lc in CATALOG:
             res = sync_measure(lc, semiclassical(0.0))

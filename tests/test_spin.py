@@ -223,6 +223,9 @@ class TestMaxShiftedPhase:
     @settings(max_examples=100, deadline=None)
     # misaligned by 3.2e-13: phi = -phase1 is not stationary to 1e-12
     @example(amp1=1.0, amp2=2.0, phase1=1.6e-13, phase2=0.0)
+    # anti-aligned: the slope at phi = -phase1 is zero, yet that is a minimum
+    # of the second harmonic
+    @example(amp1=1.0, amp2=0.5, phase1=0.0, phase2=math.pi)
     def test_against_dense_grid(self, amp1, amp2, phase1, phase2):
         terms = PhaseDistributionTerms(amp1, phase1, amp2, phase2)
         peak, phi_star = max_shifted_phase(terms)
@@ -240,6 +243,8 @@ class TestMaxShiftedPhase:
             (0.0, 0.3, 0.4, 2.5),  # pure second harmonic
             (1.0, 0.4, 0.5, 0.8),  # aligned
             (1.0, 1.6e-13, 2.0, 0.0),  # aligned to 3.2e-13 only
+            (1.0, 0.0, 0.5, math.pi),  # anti-aligned
+            (1.0, 0.5 * math.pi, 0.5, 0.0),  # anti-aligned, as on resonance
         ]
         for _ in range(20):  # misaligned
             a1, a2 = rng.uniform(0.01, 2.0, 2)

@@ -13,11 +13,12 @@ Library layout:
   states and deformation diagnostics.
 - :mod:`spinsync.catalog` -- named limit cycles, closed-form benchmarks,
   signal optimization, Arnold tongues and the fundamental bound.
+- :mod:`spinsync.errors` -- the base of the errors spinsync raises.
 - :mod:`spinsync.cli` -- the ``spinsync`` command-line front end.
 - :mod:`spinsync.validate` -- the acceptance checks behind ``spinsync validate``.
 """
 
-from . import catalog, lindblad, perturbation, signals, spin
+from . import catalog, errors, lindblad, perturbation, signals, spin
 from .catalog import (
     BoundParams,
     OptimumReport,
@@ -39,6 +40,7 @@ from .catalog import (
     vdp_oscillator_equivalence,
     vdp_squeeze_sync_closed,
 )
+from .errors import InvalidValueError, SpinsyncError
 from .lindblad import (
     DegenerateLimitCycleError,
     LimitCycleSpec,

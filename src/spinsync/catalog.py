@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import InvalidValueError
 from .lindblad import LimitCycleSpec, Liouvillian, build_liouvillian, steady_state
 from .perturbation import (
     SyncResult,
@@ -133,7 +134,7 @@ def cooperativity_limit_cycle(
 def _require_positive(**rates: float) -> None:
     for name, value in rates.items():
         if not 0.0 < float(value) < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+            raise InvalidValueError(f"{name} must be positive and finite, got {value}")
 
 
 SCENARIOS = {
@@ -149,7 +150,7 @@ def make_limit_cycle(name: str, **params: float) -> LimitCycleSpec:
     try:
         builder = SCENARIOS[name]
     except KeyError:
-        raise ValueError(
+        raise InvalidValueError(
             f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}"
         ) from None
     return builder(**params)
@@ -281,7 +282,7 @@ def smax(eta: float = 0.1, phase_space: str = "spin") -> float:
         return eta * SMAX_SPIN_COEFF
     if phase_space == "oscillator":
         return eta * SMAX_OSC_COEFF
-    raise ValueError(f"unknown phase space {phase_space!r}")
+    raise InvalidValueError(f"unknown phase space {phase_space!r}")
 
 
 def tightness_sync_closed(
@@ -432,7 +433,7 @@ def bound_state_pair(params: BoundParams) -> tuple[np.ndarray, np.ndarray]:
     a, d = float(params.pop0), float(params.asymmetry)
     pops = np.array([0.5 * (1.0 - a - d), a, 0.5 * (1.0 - a + d)])
     if pops.min() < -1e-14 or a > 1.0 + 1e-14:
-        raise ValueError(
+        raise InvalidValueError(
             f"populations fall outside the physical triangle: {pops}"
         )
     rho0 = np.diag(np.clip(pops, 0.0, None)).astype(complex)
@@ -456,7 +457,7 @@ def bound_terms(
     """
     rho0, rho1 = bound_state_pair(params)
     if not rho1.any():
-        raise ValueError("bound parametrization needs a nonzero correction")
+        raise InvalidValueError("bound parametrization needs a nonzero correction")
     norm_term = eta * hs_norm(rho0)
     b, c = complex(params.adjacent), complex(params.extremal)
     # a unit population vector leaves the coherence factor alone
@@ -527,7 +528,7 @@ def optimize_signal(
     on the initial grid resolve toward smaller zeta, then smaller chi.
     """
     if family not in ("equatorial_angles", "vdp_general"):
-        raise ValueError(f"unknown signal family {family!r}")
+        raise InvalidValueError(f"unknown signal family {family!r}")
     vdp = family == "vdp_general"
     rho0, map1, map2 = coherence_response(lc)
     pops = rho0.diagonal().real

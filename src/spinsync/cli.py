@@ -14,11 +14,12 @@ Identical configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import copy
+import functools
 import inspect
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,17 +35,9 @@ from .catalog import (
     smax,
     vdp_optimal_squeeze_ratio,
 )
-from .lindblad import (
-    DegenerateLimitCycleError,
-    LimitCycleSpec,
-    MixedSectorError,
-    build_liouvillian,
-    steady_state,
-)
+from .errors import SpinsyncError
+from .lindblad import LimitCycleSpec, build_liouvillian, steady_state
 from .perturbation import (
-    DegenerateSteadyStateError,
-    SingularCoherenceBlockError,
-    ZeroResponseError,
     _apply_maps,
     _driven_steady_state,
     _measure,
@@ -91,6 +84,14 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # configuration handling
+
+
+def _number(value, name: str, kind=float):
+    """A config value as a float (or ``kind``), or a ConfigError naming it."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
 def _parse_set(item: str) -> tuple[str, object]:
@@ -154,11 +155,11 @@ def build_scenario(cfg: dict) -> LimitCycleSpec:
         raise ConfigError(
             f"scenario.name must be one of {sorted(_SCENARIO_KEYS)}, got {name!r}"
         )
-    unit = float(cfg.get("unit_rate", 1.0))
+    unit = _number(cfg.get("unit_rate", 1.0), "unit_rate")
     params = {}
     for key in _SCENARIO_KEYS[name]:
         if key in scen:
-            value = float(scen[key])
+            value = _number(scen[key], f"scenario.{key}")
             if key in _RATE_KEYS:
                 value *= unit
             params[key] = value
@@ -173,30 +174,33 @@ def _as_complex(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_number(value[0], "tone"), _number(value[1], "tone"))
     raise ConfigError(f"tone must be a number or [re, im] pair, got {value!r}")
 
 
 def _signal_spec(cfg: dict) -> tuple[SignalSpec, bool]:
     """The configured signal and whether its squeezing phase is "auto"."""
     sig = cfg.get("signal", {})
+
+    def number(key: str, default: float) -> float:
+        return _number(sig.get(key, default), f"signal.{key}")
+
     family = sig.get("family", "semiclassical")
     if family == "semiclassical":
-        return semiclassical(float(sig.get("phase", 0.0))), False
+        return semiclassical(number("phase", 0.0)), False
     if family == "equatorial_angles":
-        zeta, chi = float(sig.get("zeta", 0.25 * math.pi)), float(sig.get("chi", 0.0))
+        zeta, chi = number("zeta", 0.25 * math.pi), number("chi", 0.0)
         return from_equatorial_angles(zeta, chi), False
     if family == "vdp_params":
         params = VdpSignalParams(
-            c=float(sig.get("c", 1.0)),
-            zeta=float(sig.get("zeta", 0.25 * math.pi)),
-            chi=float(sig.get("chi", 0.0)),
-            tau_ratio=float(sig.get("tau_ratio", 0.0)),
+            c=number("c", 1.0),
+            zeta=number("zeta", 0.25 * math.pi),
+            chi=number("chi", 0.0),
+            tau_ratio=number("tau_ratio", 0.0),
         )
-        phase = sig.get("squeeze_phase", "auto")
-        if phase == "auto":
+        if sig.get("squeeze_phase", "auto") == "auto":
             return from_vdp_params(params, 0.0), True
-        return from_vdp_params(params, float(phase)), False
+        return from_vdp_params(params, number("squeeze_phase", 0.0)), False
     if family == "tones":
         spec = SignalSpec(
             _as_complex(sig.get("t01", 0.0)),
@@ -217,13 +221,15 @@ def _sweep_axes(cfg: dict, allowed: tuple[str, ...]) -> list[tuple[str, np.ndarr
             raise ConfigError(
                 f"sweep axis {name!r} not recognized; allowed: {sorted(allowed)}"
             )
-        points = int(axis.get("points", 0))
+        points = _number(axis.get("points", 0), f"sweep axis {name!r} points", int)
         if points < 2:
             raise ConfigError(f"sweep axis {name!r} needs points >= 2")
         try:
-            lo, hi = float(axis["min"]), float(axis["max"])
+            lo, hi = axis["min"], axis["max"]
         except KeyError as err:
             raise ConfigError(f"sweep axis {name!r} needs {err.args[0]!r}") from None
+        lo = _number(lo, f"sweep axis {name!r} min")
+        hi = _number(hi, f"sweep axis {name!r} max")
         if axis.get("scale", "linear") == "log":
             if lo <= 0 or hi <= 0:
                 raise ConfigError(f"log axis {name!r} needs positive bounds")
@@ -235,7 +241,8 @@ def _sweep_axes(cfg: dict, allowed: tuple[str, ...]) -> list[tuple[str, np.ndarr
 
 
 def _point_config(cfg: dict, assignment: dict[str, float]) -> dict:
-    out = copy.deepcopy(cfg)
+    # only the scenario and signal sections are edited
+    out = cfg | {"scenario": dict(cfg["scenario"]), "signal": dict(cfg["signal"])}
     for name, value in assignment.items():
         if name in _SCENARIO_KEYS.get(out["scenario"].get("name", ""), ()):
             out["scenario"][name] = value
@@ -245,38 +252,74 @@ def _point_config(cfg: dict, assignment: dict[str, float]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# output writers: each column is spelled once, then joined into rows
+
+_BOOL_CELLS = np.array(["false", "true"], dtype=object)
 
 
-def _fmt_value(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        # shortest representation that round-trips; spells nan, inf, -inf
-        return repr(float(x))
-    return str(x)
+def _float_cells(values: np.ndarray) -> list[str]:
+    """repr of each float: the shortest spelling that round-trips, with nan,
+    inf and -inf bare.  A column that repeats its values (an axis or a
+    broadcast) is spelled once per distinct value."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    # distinct by bit pattern: -0.0 and 0.0 compare equal but spell apart
+    bits = values.view(np.uint64)
+    if len(bits) > 1:
+        ordered = np.sort(bits)
+        distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+        if 2 * len(distinct) <= len(bits):
+            spelled = list(map(repr, distinct.view(np.float64).tolist()))
+            inverse = np.searchsorted(distinct, bits)
+            return np.array(spelled, dtype=object)[inverse].tolist()
+    return list(map(repr, values.tolist()))
 
 
-def _table(columns: dict) -> tuple[list[str], list[list]]:
-    """CSV header and rows of named columns of equal length, a scalar being
-    a column of one; a complex column is written as ``<name>_re``,
-    ``<name>_im``."""
+def _cells(column: np.ndarray) -> list[str]:
+    """CSV spelling of each value of a 1-D column: floats by repr, bools as
+    true/false, anything else by str."""
+    kind = column.dtype.kind
+    if kind == "f":
+        return _float_cells(column)
+    if kind == "b":
+        return _BOOL_CELLS[column.view(np.uint8)].tolist()
+    return list(map(str, column.tolist()))
+
+
+def _json_cells(column: np.ndarray) -> list[str]:
+    """JSON spelling of each value of a 1-D real column: the CSV spelling,
+    with non-finite floats as the strings "nan", "inf" and "-inf", strings
+    quoted and masked cells null."""
+    if np.ma.isMaskedArray(column):
+        unmasked = ~np.ma.getmaskarray(column)
+        cells = np.full(len(column), "null", dtype=object)
+        cells[unmasked] = _json_cells(np.asarray(column)[unmasked])
+        return cells.tolist()
+    if column.dtype.kind == "U":
+        return list(map(json.dumps, column.tolist()))
+    cells = _cells(column)
+    if column.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            cells[i] = f'"{cells[i]}"'
+    return cells
+
+
+def _table(columns: dict) -> tuple[list[str], list[np.ndarray]]:
+    """Header and 1-D value columns of named columns of equal length, a
+    scalar being a column of one; a complex column is written as
+    ``<name>_re``, ``<name>_im``."""
     header, values = [], []
     for name, column in columns.items():
         column = np.ravel(column)
         if np.iscomplexobj(column):
             header += [f"{name}_re", f"{name}_im"]
-            values += [column.real.tolist(), column.imag.tolist()]
+            values += [column.real, column.imag]
         else:
             header.append(name)
-            values.append(column.tolist())
-    return header, [list(row) for row in zip(*values)]
+            values.append(column)
+    return header, values
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt_value(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -284,29 +327,90 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
             fh.write(text)
 
 
-def _jsonify(obj):
+def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -> None:
+    cells = [_cells(column) for column in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+class _Rows(NamedTuple):
+    """Table rows for the JSON writer, one per index of the 1-D columns:
+    each a list of cells, or with ``keys`` an object keyed by column name."""
+
+    columns: list
+    keys: list[str] | None = None
+
+
+def _json_list(opening: str, items: list[str], closing: str, level: int) -> str:
+    """A JSON array or object of already spelled items, laid out as
+    ``json.dumps(..., indent=2)`` lays it out at nesting depth ``level``."""
+    if not items:
+        return opening + closing
+    pad = "\n" + "  " * (level + 1)
+    # one join, so a long body is copied once
+    return "".join((opening, pad, ("," + pad).join(items), "\n", "  " * level, closing))
+
+
+def _json_elements(array: np.ndarray, level: int) -> list[str]:
+    """JSON text of each element along the first axis of an array of one or
+    more dimensions, at depth ``level``; a complex number is a [re, im] pair."""
+    if array.dtype.kind not in "biufcU":  # objects: one value at a time
+        return [_json(value, level) for value in array.tolist()]
+    if np.iscomplexobj(array):
+        array = np.stack((array.real, array.imag), axis=-1)
+    return _nest(_json_cells(array.ravel()), array.shape, level)
+
+
+def _nest(cells: list[str], shape: tuple[int, ...], level: int) -> list[str]:
+    if len(shape) == 1:
+        return cells
+    step = math.prod(shape[1:])
+    parts = (cells[i * step : (i + 1) * step] for i in range(shape[0]))
+    return [_json_list("[", _nest(p, shape[1:], level + 1), "]", level) for p in parts]
+
+
+def _json_rows(rows: _Rows, level: int) -> str:
+    cells = [_json_elements(column, level + 2) for column in rows.columns]
+    opening, closing = "[]"
+    if rows.keys is not None:
+        opening, closing = "{}"
+        keyed = sorted(zip(rows.keys, cells))
+        cells = [list(map(f"{json.dumps(k)}: ".__add__, c)) for k, c in keyed]
+    inner, tail = "\n" + "  " * (level + 2), "\n" + "  " * (level + 1) + closing
+    # the rows as one item: each row's cells, then all rows, in one join each
+    between = tail + ",\n" + "  " * (level + 1) + opening + inner
+    body = between.join(map(("," + inner).join, zip(*cells)))
+    return _json_list("[", [opening + inner + body + tail] if body else [], "]", level)
+
+
+def _json(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` of a payload with string
+    keys, numpy arrays and scalars and complex numbers (as [re, im]), with
+    arrays spelled a column at a time: non-finite floats are the strings
+    "nan", "inf" and "-inf" and masked cells are null."""
+    if isinstance(obj, _Rows):
+        return _json_rows(obj, level)
     if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+        pairs = sorted(obj.items())
+        items = [f"{json.dumps(k)}: {_json(v, level + 1)}" for k, v in pairs]
+        return _json_list("{", items, "}", level)
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return _json_list("[", [_json(v, level + 1) for v in obj], "]", level)
     if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        if obj.ndim == 0:
+            return _json(obj.tolist(), level)
+        return _json_list("[", _json_elements(obj, level + 1), "]", level)
+    if isinstance(obj, np.generic):
         obj = obj.item()
-    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
-        return str(obj)
-    return obj
+    if isinstance(obj, complex):
+        return _json([obj.real, obj.imag], level)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return f'"{obj!r}"'
+    return json.dumps(obj)
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_text(path, _json(payload) + "\n")
 
 
 def _emit(args, payload: dict, columns: dict) -> None:
@@ -356,6 +460,7 @@ def cmd_sync(args) -> int:
     names = [name for name, _ in axes]
     grids = [values for _, values in axes]
     eta = float(cfg.get("eta", 0.1))
+    unit = _number(cfg.get("unit_rate", 1.0), "unit_rate")
     # One build per cell of the other axes; the detuning axis is one batch,
     # and without it the batch is the scenario's own detuning.
     batch = names.index("detuning") if "detuning" in names else None
@@ -367,7 +472,7 @@ def cmd_sync(args) -> int:
         )
         detunings = None
         if batch is not None:
-            detunings = grids[batch] * float(point_cfg.get("unit_rate", 1.0))
+            detunings = grids[batch] * unit
         rho0, (r10, r0m1, r1m1) = _leading_orders(point_cfg, detunings)
         res = _measure(rho0.diagonal().real, (r10, r0m1, r1m1), eta)
         flag = np.where(res.value < 1e-12 * eta, "destructive_interference", "")
@@ -395,10 +500,11 @@ def cmd_sync(args) -> int:
             column = np.moveaxis(column, -1, batch)
         columns[key] = column.ravel()
     if args.format == "json":
-        values = [column.tolist() for column in columns.values()]
-        records = [dict(zip(columns, row)) for row in zip(*values)]
-        payload = {"command": "sync", "config": cfg}
-        _write_json(args.out, payload | ({"rows": records} if axes else records[0]))
+        if axes:
+            fields = {"rows": _Rows(list(columns.values()), list(columns))}
+        else:
+            fields = {name: column[0] for name, column in columns.items()}
+        _write_json(args.out, {"command": "sync", "config": cfg} | fields)
     else:
         _write_csv(args.out, *_table(columns))
     return 0
@@ -451,7 +557,8 @@ def cmd_tongue(args) -> int:
         _, map1, map2 = _response_maps(liou)
         sig = _align_on_maps(map1, map2, sig)
     # both axes are in units of unit_rate, as the scenario rates
-    unit, eta = float(cfg.get("unit_rate", 1.0)), float(cfg.get("eta", 0.1))
+    unit = _number(cfg.get("unit_rate", 1.0), "unit_rate")
+    eta = float(cfg.get("eta", 0.1))
     grid = _tongue_grid(liou, sig, axes["detuning"] * unit, axes["epsilon"] * unit, eta)
     if args.format == "json":
         payload = {
@@ -460,7 +567,7 @@ def cmd_tongue(args) -> int:
             "detunings": axes["detuning"],
             "strengths": axes["epsilon"],
             "eps_max": grid.eps_max,
-            "S": np.where(grid.masked, None, grid.value),
+            "S": np.ma.masked_array(grid.value, grid.masked),
             "masked": grid.masked,
         }
         _write_json(args.out, payload)
@@ -507,8 +614,8 @@ def cmd_bound(args) -> int:
     bound_cfg = cfg.get("bound")
     if bound_cfg:
         params = catalog.BoundParams(
-            pop0=float(bound_cfg.get("pop0", 1.0)),
-            asymmetry=float(bound_cfg.get("asymmetry", 0.0)),
+            pop0=_number(bound_cfg.get("pop0", 1.0), "bound.pop0"),
+            asymmetry=_number(bound_cfg.get("asymmetry", 0.0), "bound.asymmetry"),
             adjacent=_as_complex(bound_cfg.get("adjacent", 0.0)),
             extremal=_as_complex(bound_cfg.get("extremal", 0.0)),
         )
@@ -538,10 +645,14 @@ def cmd_validate(args) -> int:
 # figure datasets
 
 
+def _figure_number(cfg: dict, key: str, default: float) -> float:
+    return _number(cfg.get(key, default), f"figure.{key}")
+
+
 def _figure_fig2(cfg: dict):
-    gg = float(cfg.get("gamma_g", 1.0))
-    gd = float(cfg.get("gamma_d", 100.0))
-    eta = float(cfg.get("eta", 0.1))
+    gg = _figure_number(cfg, "gamma_g", 1.0)
+    gd = _figure_number(cfg, "gamma_d", 100.0)
+    eta = _figure_number(cfg, "eta", 0.1)
     lc = catalog.equatorial_limit_cycle(gg, gd)
     detunings = np.linspace(-20.0 * gg, 20.0 * gg, 161)
     eps_hi = eta / math.sqrt(
@@ -553,9 +664,9 @@ def _figure_fig2(cfg: dict):
 
 
 def _figure_forcing(cfg: dict, ratio: float):
-    gg = float(cfg.get("gamma_g", 1.0))
-    gd = gg * float(cfg.get("gamma_ratio", ratio))
-    eta = float(cfg.get("eta", 0.1))
+    gg = _figure_number(cfg, "gamma_g", 1.0)
+    gd = gg * _figure_number(cfg, "gamma_ratio", ratio)
+    eta = _figure_number(cfg, "eta", 0.1)
     liou = build_liouvillian(catalog.equatorial_limit_cycle(gg, gd))
     sig = semiclassical(0.0)
     rho0, map1, map2 = _response_maps(liou)
@@ -575,9 +686,9 @@ def _figure_forcing(cfg: dict, ratio: float):
 
 
 def _figure_fig4(cfg: dict):
-    gg = float(cfg.get("gamma_g", 1.0))
-    gd = gg * float(cfg.get("gamma_ratio", 1000.0))
-    eta = float(cfg.get("eta", 0.1))
+    gg = _figure_number(cfg, "gamma_g", 1.0)
+    gd = gg * _figure_number(cfg, "gamma_ratio", 1000.0)
+    eta = _figure_number(cfg, "eta", 0.1)
     detunings = np.linspace(-10.0 * gg, 10.0 * gg, 41)
     taus = np.logspace(0.0, 3.0, 61)
     liou = build_liouvillian(catalog.vdp_limit_cycle(gg, gd))
@@ -598,9 +709,9 @@ def _figure_fig4(cfg: dict):
 
 
 def _figure_fig5(cfg: dict):
-    gg = float(cfg.get("gamma_g", 1.0))
-    gd = gg * float(cfg.get("gamma_ratio", 100.0))
-    eta = float(cfg.get("eta", 0.1))
+    gg = _figure_number(cfg, "gamma_g", 1.0)
+    gd = gg * _figure_number(cfg, "gamma_ratio", 100.0)
+    eta = _figure_number(cfg, "eta", 0.1)
     lc = catalog.vdp_limit_cycle(gg, gd)
     rho0, map1, map2 = catalog.coherence_response(lc)
     pops = rho0.diagonal().real
@@ -635,9 +746,9 @@ def _figure_fig5(cfg: dict):
 
 
 def _figure_fig6(cfg: dict):
-    gg = float(cfg.get("gamma_g", 1.0))
-    gd = float(cfg.get("gamma_d", gg))
-    eta = float(cfg.get("eta", 0.1))
+    gg = _figure_number(cfg, "gamma_g", 1.0)
+    gd = _figure_number(cfg, "gamma_d", gg)
+    eta = _figure_number(cfg, "eta", 0.1)
     zetas = np.linspace(0.0, 0.5 * math.pi, 91)
     chis = np.linspace(0.0, 2.0 * math.pi, 181)
     zeta, chi = np.meshgrid(zetas, chis, indexing="ij")
@@ -650,14 +761,17 @@ def _figure_fig6(cfg: dict):
 
 
 def _figure_fig7(cfg: dict):
-    gg = float(cfg.get("gamma_g", 1.0))
-    eta = float(cfg.get("eta", 0.1))
-    ratios = cfg.get("gamma_ratios", [1.0, 100.0, 10000.0])
+    gg = _figure_number(cfg, "gamma_g", 1.0)
+    eta = _figure_number(cfg, "eta", 0.1)
+    ratios = [
+        _number(r, "figure.gamma_ratios")
+        for r in cfg.get("gamma_ratios", [1.0, 100.0, 10000.0])
+    ]
     deltas = np.logspace(-2, 4, 181) * gg
     names = ("gamma_ratio", "delta", "S_over_eta", "S_over_eta_closed")
     columns = {name: [] for name in names}
     for ratio in ratios:
-        gd = gg * float(ratio)
+        gd = gg * ratio
         # equal response amplitudes at every detuning, tone phase fixed at 0
         zeta = [
             math.atan(catalog.equatorial_response_geometry(gg, gd, d)[0])
@@ -667,7 +781,7 @@ def _figure_fig7(cfg: dict):
         rho0, map1, map2 = _response_maps(liou, deltas)
         sig = from_equatorial_angles(np.array(zeta), 0.0)
         res = _measure(rho0.diagonal().real, _apply_maps(map1, map2, sig), eta)
-        columns["gamma_ratio"] += [float(ratio)] * len(deltas)
+        columns["gamma_ratio"] += [ratio] * len(deltas)
         columns["delta"] += deltas.tolist()
         columns["S_over_eta"] += (res.value / eta).tolist()
         columns["S_over_eta_closed"] += [
@@ -677,16 +791,18 @@ def _figure_fig7(cfg: dict):
 
 
 def _figure_fig8app(cfg: dict):
-    gg = float(cfg.get("gamma_g", 1.0))
-    gd = gg * float(cfg.get("gamma_ratio", 100.0))
-    r_values = cfg.get("r_values", [0.5, 2.5, 4.0, 9.0])
+    gg = _figure_number(cfg, "gamma_g", 1.0)
+    gd = gg * _figure_number(cfg, "gamma_ratio", 100.0)
+    r_values = [
+        _number(r, "figure.r_values") for r in cfg.get("r_values", [0.5, 2.5, 4.0, 9.0])
+    ]
     strengths = np.logspace(-2, 3, 121)
     lc = catalog.vdp_limit_cycle(gg, gd)
     curves = [
-        pmax_forcing_curve(lc, SignalSpec(float(r), 1.0 / SQRT2, 0j), strengths)
+        pmax_forcing_curve(lc, SignalSpec(r, 1.0 / SQRT2, 0j), strengths)
         for r in r_values
     ]
-    r, eps = np.meshgrid(np.asarray(r_values, dtype=float), strengths, indexing="ij")
+    r, eps = np.meshgrid(r_values, strengths, indexing="ij")
     return [("", *_table({"r": r, "epsilon": eps, "p_max": curves}))]
 
 
@@ -702,8 +818,10 @@ _FIGURES = {
 }
 
 
-def figure_datasets(fig_id: str, cfg: dict) -> list[tuple[str, list[str], list[list]]]:
-    """Gridded dataset(s) for a named figure; suffix, header, rows."""
+def figure_datasets(
+    fig_id: str, cfg: dict
+) -> list[tuple[str, list[str], list[np.ndarray]]]:
+    """Gridded dataset(s) for a named figure; suffix, header, 1-D columns."""
     if fig_id not in _FIGURES:
         raise ConfigError(
             f"unknown figure id {fig_id!r}; expected one of {sorted(_FIGURES)}"
@@ -717,7 +835,7 @@ def cmd_figure(args) -> int:
     if "eta" in cfg:
         overrides.setdefault("eta", cfg["eta"])
     datasets = figure_datasets(args.id, overrides)
-    for suffix, header, rows in datasets:
+    for suffix, header, columns in datasets:
         if args.out is None:
             out = None
         elif suffix:
@@ -733,11 +851,11 @@ def cmd_figure(args) -> int:
                     "figure": args.id + suffix,
                     "config": cfg,
                     "columns": header,
-                    "rows": rows,
+                    "rows": _Rows(columns),
                 },
             )
         else:
-            _write_csv(out, header, rows)
+            _write_csv(out, header, columns)
     return 0
 
 
@@ -787,21 +905,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_USER_ERRORS = (
-    ConfigError,
-    MixedSectorError,
-    DegenerateLimitCycleError,
-    SingularCoherenceBlockError,
-    DegenerateSteadyStateError,
-    ZeroResponseError,
-    FileNotFoundError,
-    json.JSONDecodeError,
-    ValueError,
-)
+# any other error is a fault of the program, not of its input
+_USER_ERRORS = (ConfigError, SpinsyncError, FileNotFoundError, json.JSONDecodeError)
+
+
+# one parser per process; build_parser still returns a fresh one
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _USER_ERRORS as err:

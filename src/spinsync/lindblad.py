@@ -28,14 +28,15 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import InvalidValueError, SpinsyncError
 from .spin import SZ
 
 
-class MixedSectorError(ValueError):
+class MixedSectorError(SpinsyncError):
     """Coupling operator has entries on more than one diagonal."""
 
 
-class DegenerateLimitCycleError(ValueError):
+class DegenerateLimitCycleError(SpinsyncError):
     """Population dynamics does not single out a unique target state."""
 
 
@@ -141,13 +142,13 @@ def sector_of(op: np.ndarray, rel_tol: float = 1e-14) -> int:
     """
     op = np.asarray(op, dtype=complex)
     if op.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 operator, got shape {op.shape}")
+        raise InvalidValueError(f"expected a 3x3 operator, got shape {op.shape}")
     mag = np.abs(op)
     scale = float(mag.max())
     if not math.isfinite(scale):
-        raise ValueError("operator entries must be finite")
+        raise InvalidValueError("operator entries must be finite")
     if scale == 0.0:
-        raise ValueError("zero operator has no sector")
+        raise InvalidValueError("zero operator has no sector")
     sectors = _SECTOR_OF_ENTRY[mag > rel_tol * scale]
     lo, hi = sectors.min(), sectors.max()
     if lo != hi:
@@ -198,13 +199,15 @@ def build_liouvillian(spec: LimitCycleSpec) -> Liouvillian:
     rate, with at least one rate positive, and the detuning must be finite.
     """
     if not spec.dissipators:
-        raise ValueError("limit cycle needs at least one dissipator")
+        raise InvalidValueError("limit cycle needs at least one dissipator")
     gen = np.zeros((6, 6), dtype=complex)
     any_positive = False
     for op, rate in spec.dissipators:
         rate = float(rate)
         if not (math.isfinite(rate) and rate >= 0.0):
-            raise ValueError(f"dissipator rate must be finite and >= 0, got {rate}")
+            raise InvalidValueError(
+                f"dissipator rate must be finite and >= 0, got {rate}"
+            )
         tgt, src, a, b = _JUMPS[sector_of(op)]
         if rate > 0.0:
             any_positive = True
@@ -217,7 +220,7 @@ def build_liouvillian(spec: LimitCycleSpec) -> Liouvillian:
             ) - half[_SLOT_COL]
             gen += rate * term
     if not any_positive:
-        raise ValueError("limit cycle needs at least one positive rate")
+        raise InvalidValueError("limit cycle needs at least one positive rate")
     relaxation = {1: gen[3:5, 3:5].copy(), 2: gen[5:, 5:].copy()}
     detuned = detuned_blocks(relaxation, [spec.detuning])
     return Liouvillian(
@@ -240,7 +243,9 @@ def detuned_blocks(
     detunings = np.asarray(detunings, dtype=float)
     bad = ~np.isfinite(detunings)
     if bad.any():
-        raise ValueError(f"detuning must be finite, got {detunings[bad].tolist()}")
+        raise InvalidValueError(
+            f"detuning must be finite, got {detunings[bad].tolist()}"
+        )
     out = {}
     for k, block in relaxation_blocks.items():
         m = len(block)

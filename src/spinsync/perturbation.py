@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidValueError, SpinsyncError
 from .lindblad import (
     SECTOR_SLOTS,
     LimitCycleSpec,
@@ -46,19 +47,19 @@ from .spin import (
 )
 
 
-class SingularCoherenceBlockError(ValueError):
+class SingularCoherenceBlockError(SpinsyncError):
     """A driven coherence sector is undamped; no synchronization regime exists."""
 
 
-class ZeroResponseError(ValueError):
+class ZeroResponseError(SpinsyncError):
     """The signal does not couple to the limit cycle at first order."""
 
 
-class DegenerateSteadyStateError(ValueError):
+class DegenerateSteadyStateError(SpinsyncError):
     """The driven generator has no unique stationary state."""
 
 
-class NonDiagonalizableError(ValueError):
+class NonDiagonalizableError(SpinsyncError):
     """A coherence block cannot be reliably eigendecomposed."""
 
 
@@ -304,7 +305,7 @@ def perturbative_orders(
     fixes the free component).
     """
     if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
+        raise InvalidValueError("kmax must be nonnegative")
     liou = build_liouvillian(lc)
     rho0, map1, map2 = _response_maps(liou)
     orders = [rho0]

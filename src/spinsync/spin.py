@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidValueError
+
 SQRT2 = float(np.sqrt(2.0))
 
 #: matrix index of each S_z eigenvalue m
@@ -67,10 +69,10 @@ def rotation_z(alpha: float) -> np.ndarray:
 def _require_hermitian(rho: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {rho.shape}")
+        raise InvalidValueError(f"expected a 3x3 matrix, got shape {rho.shape}")
     scale = max(1.0, float(np.abs(rho).max()))
     if np.abs(rho - rho.conj().T).max() > tol * scale:
-        raise ValueError("matrix is not Hermitian")
+        raise InvalidValueError("matrix is not Hermitian")
     return rho
 
 
@@ -102,7 +104,7 @@ def coherent_state(theta: float, phi: float) -> CoherentState:
     """Unit-norm spin-coherent state at polar angle theta and azimuth phi."""
     theta = float(theta)
     if not 0.0 <= theta <= np.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+        raise InvalidValueError(f"theta must lie in [0, pi], got {theta}")
     phi = float(phi) % (2.0 * np.pi)
     return CoherentState(theta, phi, _coherent_amplitudes(theta, phi))
 

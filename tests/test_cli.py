@@ -1,15 +1,26 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spinsync
 from spinsync import catalog, cli, lindblad, perturbation
 from spinsync.catalog import align_squeeze_phase, arnold_tongue, vdp_limit_cycle
 from spinsync.cli import main
+from spinsync.errors import SpinsyncError
 from spinsync.signals import VdpSignalParams, from_vdp_params
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -452,8 +463,8 @@ class TestFigures:
         assert a.read_bytes() == b.read_bytes()
 
     def test_csv_spells_negative_infinity(self):
-        assert cli._fmt_value(-math.inf) == "-inf"
-        assert [cli._fmt_value(x) for x in (math.inf, math.nan)] == ["inf", "nan"]
+        assert cli._cells(np.array([-math.inf])) == ["-inf"]
+        assert cli._cells(np.array([math.inf, math.nan])) == ["inf", "nan"]
 
     def test_fig5_emits_inset_series(self, tmp_path, capsys):
         out_path = tmp_path / "fig5.csv"
@@ -552,3 +563,307 @@ class TestGeneratorBuilds:
         grid = arnold_tongue(lc, sig, np.linspace(-2, 2, 5), np.linspace(0, 0.1, 4))
         got = [float(r["S"]) for r in read_csv(out)]
         np.testing.assert_array_equal(got, grid.value.ravel())
+
+
+class TestJsonSpelling:
+    def test_zero_response_row(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                **EQUATORIAL,
+                "signal": {"family": "tones", "t01": 0, "tm10": 0, "tm11": 1.0},
+            },
+        )
+        code, out, _ = run_cli(capsys, "sync", "--config", cfg, "--format", "json")
+        assert code == 0
+        assert '\n  "epsilon": "inf",\n' in out
+        assert '\n  "locked_phase": "nan",\n' in out
+        payload = json.loads(out)
+        assert payload["flag"] == "zero_response"
+
+    def test_tongue_null_at_masked_cells(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "scenario": {"name": "equatorial", "gamma_g": 1.0, "gamma_d": 100.0},
+                "signal": {"family": "semiclassical"},
+                "eta": 0.1,
+                "sweep": [
+                    {"name": "detuning", "min": -5.0, "max": 5.0, "points": 5},
+                    {"name": "epsilon", "min": 0.0, "max": 0.5, "points": 6},
+                ],
+            },
+        )
+        code, out, _ = run_cli(capsys, "tongue", "--config", cfg, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        nulls = [[value is None for value in row] for row in payload["S"]]
+        assert nulls == payload["masked"]
+        assert {False, True} == {cell for row in nulls for cell in row}
+        assert all(isinstance(v, float) for row in payload["S"] for v in row if v)
+
+
+# The per-cell writers the column writers replaced, kept as their oracle.
+
+
+def old_fmt_value(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return repr(float(x))
+    return str(x)
+
+
+def old_table(columns: dict) -> tuple[list[str], list[list]]:
+    header, values = [], []
+    for name, column in columns.items():
+        column = np.ravel(column)
+        if np.iscomplexobj(column):
+            header += [f"{name}_re", f"{name}_im"]
+            values += [column.real.tolist(), column.imag.tolist()]
+        else:
+            header.append(name)
+            values.append(column.tolist())
+    return header, [list(row) for row in zip(*values)]
+
+
+def old_csv(header, rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(old_fmt_value(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def old_jsonify(obj):
+    if isinstance(obj, dict):
+        return {k: old_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [old_jsonify(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return old_jsonify(obj.tolist())
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        obj = obj.item()
+    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
+        return str(obj)
+    return obj
+
+
+def old_json(payload) -> str:
+    return json.dumps(old_jsonify(payload), indent=2, sort_keys=True) + "\n"
+
+
+def stdout_of(write, *args) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        write(None, *args)
+    return buffer.getvalue()
+
+
+EDGE_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324]
+EDGE_FLOATS += [1.7976931348623157e308, -1.7976931348623157e308]
+FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=True)
+# The per-cell JSON writer left the parts of a complex number unconverted,
+# so it wrote a non-finite part as NaN or Infinity; the oracle holds for
+# finite parts only.
+FINITE = st.sampled_from(EDGE_FLOATS[:2] + EDGE_FLOATS[5:]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+TEXT = st.text(max_size=6)
+
+
+def column_of(length: int, parts=FLOATS):
+    """A column of ``length`` values of one kind, drawn from a small pool so
+    that values repeat (as on an axis) or from the whole range; a complex
+    column has real and imaginary parts drawn from ``parts``."""
+
+    def of(values):
+        pooled = st.lists(values, min_size=1, max_size=3).flatmap(
+            lambda pool: st.lists(
+                st.sampled_from(pool), min_size=length, max_size=length
+            )
+        )
+        return pooled | st.lists(values, min_size=length, max_size=length)
+
+    return st.one_of(
+        of(FLOATS).map(lambda v: np.array(v, dtype=float)),
+        of(st.booleans()).map(lambda v: np.array(v, dtype=bool)),
+        of(TEXT).map(lambda v: np.array(v, dtype=str)),
+        of(st.integers(-(2**62), 2**62)).map(lambda v: np.array(v, dtype=np.int64)),
+        st.tuples(of(parts), of(parts)).map(
+            lambda p: np.array([complex(*z) for z in zip(*p)], dtype=complex)
+        ),
+    )
+
+
+@st.composite
+def tables(draw, parts=FLOATS):
+    length = draw(st.integers(0, 40))
+    names = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True)
+    columns = {name: draw(column_of(length, parts)) for name in draw(names)}
+    if length == 1:
+        # a scalar is a column of one
+        columns["scalar"] = draw(FLOATS | st.booleans())
+    return columns
+
+
+ARRAYS = st.one_of(
+    st.integers(0, 4).flatmap(
+        lambda n: column_of(n, FINITE).map(
+            lambda c: c.astype(object) if n == 3 else c
+        )
+    ),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda shape: column_of(shape[0] * shape[1], FINITE).map(
+            lambda c: c.reshape(shape)
+        )
+    ),
+    FLOATS.map(np.array),
+    st.lists(st.none() | FLOATS, max_size=5).map(
+        lambda v: np.array(v + [None], dtype=object)
+    ),
+    st.lists(st.tuples(FLOATS, st.booleans()), max_size=6).map(
+        lambda v: np.ma.masked_array([x for x, _ in v], [m for _, m in v], dtype=float)
+    ),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    FLOATS,
+    TEXT,
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    FLOATS.map(np.float64),
+    st.floats(allow_nan=True, width=32).map(np.float32),
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
+)
+PAYLOADS = st.recursive(
+    SCALARS | ARRAYS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestColumnWriters:
+    """The column writers spell every value as the per-cell writers did."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables())
+    def test_csv_matches_per_cell_writer(self, columns):
+        expected = old_csv(*old_table(columns))
+        assert stdout_of(cli._write_csv, *cli._table(columns)) == expected
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_csv_edge_values(self, repeats):
+        # repeated values are spelled once per distinct bit pattern
+        n = len(EDGE_FLOATS) * repeats
+        columns = {"x": np.array(EDGE_FLOATS * repeats), "b": np.arange(n) % 3 == 0}
+        expected = old_csv(*old_table(columns))
+        assert expected.splitlines()[1:3] == ["-0.0,true", "0.0,false"]
+        assert stdout_of(cli._write_csv, *cli._table(columns)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(TEXT, PAYLOADS, max_size=4))
+    def test_json_matches_json_dumps(self, payload):
+        assert stdout_of(cli._write_json, payload) == old_json(payload)
+
+    def test_json_spells_non_finite_complex_parts(self):
+        text = stdout_of(cli._write_json, {"z": complex(math.nan, -math.inf)})
+        assert json.loads(text) == {"z": ["nan", "-inf"]}
+
+    @settings(max_examples=60, deadline=None)
+    @given(tables(FINITE))
+    def test_json_rows_match_per_row_records(self, columns):
+        header, values = cli._table(columns)
+        rows = [list(row) for row in zip(*(v.tolist() for v in values))]
+        payload = {"rows": cli._Rows(values)}
+        assert stdout_of(cli._write_json, payload) == old_json({"rows": rows})
+        # keyed by name: complex columns are [re, im] pairs
+        named = {name: np.ravel(column) for name, column in columns.items()}
+        length = min(len(c) for c in named.values())
+        records = [
+            {name: column.tolist()[i] for name, column in named.items()}
+            for i in range(length)
+        ]
+        payload = {"rows": cli._Rows(list(named.values()), list(named))}
+        assert stdout_of(cli._write_json, payload) == old_json({"rows": records})
+
+
+class TestParserReuse:
+    ARGV = [
+        ["sync", "--set", "scenario.name=equatorial", "--set", "scenario.gamma_g=1",
+         "--set", "scenario.gamma_d=3", "--format", "json"],
+        ["sync", "--set", "scenario.name=vdp", "--set", "scenario.gamma_g=2",
+         "--set", "scenario.gamma_d=5"],
+    ]
+
+    def test_two_calls_in_one_process_match_fresh_processes(self, capsys):
+        in_process = [run_cli(capsys, *argv) for argv in self.ARGV]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "spinsync.cli", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            for argv in self.ARGV
+        ]
+        assert [p.returncode for p in fresh] == [code for code, _, _ in in_process]
+        assert [p.stdout for p in fresh] == [out for _, out, _ in in_process]
+        assert json.loads(in_process[0][1])["config"]["scenario"]["gamma_d"] == 3
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
+class TestUserErrors:
+    def test_library_errors_share_one_base(self):
+        errors = [
+            obj
+            for obj in vars(spinsync).values()
+            if isinstance(obj, type) and issubclass(obj, Exception)
+        ]
+        assert len(errors) >= 8
+        assert all(issubclass(e, SpinsyncError) for e in errors)
+        assert issubclass(SpinsyncError, ValueError)
+        with pytest.raises(SpinsyncError):
+            catalog.equatorial_limit_cycle(-1.0, 1.0)
+
+    def test_internal_value_error_propagates(self, tmp_path, capsys, monkeypatch):
+        def broken(_):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "steady_state", broken)
+        cfg = write_config(tmp_path, EQUATORIAL)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["steady", "--config", cfg])
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["steady", "--set", "scenario.gamma_d=abc"], "scenario.gamma_d"),
+            (["sync", "--set", "signal.phase=abc"], "signal.phase"),
+            (["sync", "--set", "unit_rate=null"], "unit_rate"),
+            (["bound", "--set", 'bound={"pop0": "x"}'], "bound.pop0"),
+            (["figure", "fig3a", "--set", "figure.gamma_ratio=abc"], "figure.gamma_ratio"),
+            (
+                ["sync", "--set", 'sweep=[{"name": "detuning", "min": 0, "max": 1, '
+                 '"points": "many"}]'],
+                "points",
+            ),
+        ],
+    )
+    def test_non_numeric_config_value_exits_two(self, tmp_path, capsys, argv, key):
+        cfg = write_config(tmp_path, EQUATORIAL)
+        code, _, err = run_cli(capsys, *argv, "--config", cfg)
+        assert code == 2
+        assert err.startswith("ConfigError") and key in err

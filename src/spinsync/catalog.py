@@ -32,6 +32,7 @@ from .perturbation import (
     SyncResult,
     _apply_maps,
     _driven_steady_state,
+    _float_or_array,
     _peak_and_strength,
     _response_maps,
     coherence_response,
@@ -189,34 +190,28 @@ def vdp_oscillator_equivalence() -> dict[str, float]:
 # closed forms
 
 
-def equatorial_response_geometry(
-    gamma_g: float, gamma_d: float, delta: float = 0.0
-) -> tuple[float, float]:
+def equatorial_response_geometry(gamma_g, gamma_d, delta=0.0):
     """Amplitude ratio r and interference angle alpha of the equatorial
-    cycle's two single-quantum responses at detuning delta."""
-    r = math.sqrt((gamma_g**2 + delta**2) / (gamma_d**2 + delta**2))
-    alpha = float(np.angle(1.0 / ((gamma_g - 1j * delta) * (gamma_d + 1j * delta))))
-    return r, alpha
+    cycle's two single-quantum responses at detuning delta.  Broadcasts over
+    numpy arguments; floats for scalars."""
+    r = np.sqrt((gamma_g**2 + delta**2) / (gamma_d**2 + delta**2))
+    alpha = np.angle(1.0 / ((gamma_g - 1j * delta) * (gamma_d + 1j * delta)))
+    return _float_or_array(r), _float_or_array(alpha)
 
 
-def equatorial_sync_closed(
-    zeta: float,
-    chi: float,
-    gamma_g: float,
-    gamma_d: float,
-    delta: float = 0.0,
-    eta: float = 0.1,
-) -> float:
+def equatorial_sync_closed(zeta, chi, gamma_g, gamma_d, delta=0.0, eta=0.1):
     """Measure of the equatorial cycle for tones (cos zeta e^{i chi}, sin zeta).
 
-    Exact at all rates and detunings.
+    Exact at all rates and detunings.  Broadcasts over numpy arguments.
     """
     r, alpha = equatorial_response_geometry(gamma_g, gamma_d, delta)
-    denom = r * math.cos(zeta) ** 2 + math.sin(zeta) ** 2 / r
+    denom = r * np.cos(zeta) ** 2 + np.sin(zeta) ** 2 / r
     interference = (
-        2.0 * math.sin(zeta) * math.cos(zeta) * math.cos(chi + alpha) / denom
+        2.0 * np.sin(zeta) * np.cos(zeta) * np.cos(chi + alpha) / denom
     )
-    return eta * (3.0 / 16.0) * math.sqrt(max(0.0, 1.0 - interference))
+    return _float_or_array(
+        eta * (3.0 / 16.0) * np.sqrt(np.maximum(0.0, 1.0 - interference))
+    )
 
 
 def equatorial_optimal_angles(
@@ -227,20 +222,19 @@ def equatorial_optimal_angles(
     return math.atan(r), float((math.pi - alpha) % (2.0 * math.pi))
 
 
-def blockade_sync_closed(
-    gamma_g: float, gamma_d: float, delta: float, eta: float = 0.1
-) -> float:
+def blockade_sync_closed(gamma_g, gamma_d, delta, eta=0.1):
     """Measure at fixed tone phase chi = 0 with equal response amplitudes.
 
     Destructive interference suppresses synchronization on resonance; a
     finite detuning rotates the two coherences by different angles and
     partially lifts the blockade, peaking at |delta| = sqrt(gamma_g gamma_d).
-    Symmetric under exchanging the two rates and even in delta.
+    Symmetric under exchanging the two rates and even in delta.  Broadcasts
+    over numpy arguments.
     """
-    lag = math.atan2(
-        (gamma_d - gamma_g) * delta, gamma_d * gamma_g + delta**2
+    lag = np.arctan2((gamma_d - gamma_g) * delta, gamma_d * gamma_g + delta**2)
+    return _float_or_array(
+        eta * (3.0 / 16.0) * np.sqrt(np.maximum(0.0, 1.0 - np.cos(lag)))
     )
-    return eta * (3.0 / 16.0) * math.sqrt(max(0.0, 1.0 - math.cos(lag)))
 
 
 def vdp_squeeze_sync_closed(
@@ -262,12 +256,11 @@ def vdp_squeeze_sync_closed(
     return eta * (math.sqrt(5.0) / (48.0 * math.pi)) * num / den
 
 
-def vdp_optimal_squeeze_ratio(
-    gamma_g: float, gamma_d: float, delta: float = 0.0
-) -> float:
-    """Squeezing-to-semiclassical ratio maximizing the deep-quantum form."""
-    u = math.sqrt(9.0 * gamma_g**2 + 4.0 * delta**2)
-    return 4.0 * gamma_d / (3.0 * math.pi * u)
+def vdp_optimal_squeeze_ratio(gamma_g, gamma_d, delta=0.0):
+    """Squeezing-to-semiclassical ratio maximizing the deep-quantum form.
+    Broadcasts over numpy arguments."""
+    u = np.sqrt(9.0 * gamma_g**2 + 4.0 * delta**2)
+    return _float_or_array(4.0 * gamma_d / (3.0 * math.pi * u))
 
 
 def vdp_optimal_params(gamma_g: float, gamma_d: float) -> tuple[float, float]:
@@ -480,23 +473,6 @@ class OptimumReport:
     signal: SignalSpec
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float = 1e-10) -> float:
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv * (hi - lo)
-    x2 = lo + inv * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv * (hi - lo)
-            f2 = fun(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv * (hi - lo)
-            f1 = fun(x1)
-    return 0.5 * (lo + hi)
-
-
 def stationary_squeeze_ratio(r_10, r_0m1, map2):
     """Squeezing ratio tau maximizing the aligned measure of the van der Pol
     signal at fixed single-quantum coherences: the measure is (a + b tau) /
@@ -508,94 +484,115 @@ def stationary_squeeze_ratio(r_10, r_0m1, map2):
         return COS2_WEIGHT * base / (SQRT2 * amp1 * abs(map2))
 
 
-#: :func:`optimize_signal`: initial grid points per coordinate, stopping
-#: tolerance of a coordinate sweep on the measure, largest squeezing ratio
-OPT_GRID_SIZE = 64
-OPT_TOL = 1e-8
+#: largest squeezing ratio of the ``vdp_general`` family in :func:`optimize_signal`
 OPT_TAU_MAX = 2.0
 
 
 def optimize_signal(
     lc: LimitCycleSpec, family: str, eta: float = 0.1
 ) -> OptimumReport:
-    """Deterministic grid search plus coordinate descent over a signal family.
+    """Closed-form optimum of a signal family on a fixed limit cycle.
 
-    Families: ``"equatorial_angles"`` with parameters (zeta, chi) and
-    ``"vdp_general"`` with (zeta, chi, tau_ratio).  Only (zeta, chi) are
-    searched: the squeezing ratio is :func:`stationary_squeeze_ratio` clipped
-    to [0, OPT_TAU_MAX] (0 without a squeezing response), and the squeezing
-    phase is always auto-aligned (it enters the objective additively).  Ties
-    on the initial grid resolve toward smaller zeta, then smaller chi.
+    Families: ``"equatorial_angles"``, parameters (zeta, chi), tones
+    t = (t01, tm10) = (cos zeta e^{i chi}, sin zeta); ``"vdp_general"``,
+    (zeta, chi, tau_ratio), tones (cos zeta e^{i chi}, sin zeta / sqrt 2) and
+    an aligned squeezing tone tau_ratio / sqrt 2.  Either way t^H E t = 1,
+    with E = diag(1, 2) for ``vdp_general`` and the identity otherwise.
+
+    Interior case: with aligned harmonics the single-quantum part of the
+    measure is largest where map1 t is proportional to (1, 1), so the tones
+    are t* = lstsq(map1, (1, 1)) and tau_ratio is
+    :func:`stationary_squeeze_ratio` at t* (0 for ``equatorial_angles`` or
+    without squeezing response).  Boundary case: when that ratio exceeds
+    ``OPT_TAU_MAX``, the optimum lies on tau_ratio = ``OPT_TAU_MAX`` with the
+    tones of :func:`_boundary_tones` (t* is the only maximum once tau is
+    profiled out).  zeta and chi are read off the tones with t01 real, chi in
+    [0, 2 pi).
+
+    Degenerate optima: a singular map1 (``vdp_limit_cycle(g, g)``, where t01
+    does not couple) has a ridge of maxima, and lstsq picks its minimum-norm
+    point, with chi = 0 whenever t01 = 0.  A cycle without first-order
+    response (equal populations) reports value 0 and zeta = chi =
+    tau_ratio = 0.
     """
     if family not in ("equatorial_angles", "vdp_general"):
         raise InvalidValueError(f"unknown signal family {family!r}")
     vdp = family == "vdp_general"
     rho0, map1, map2 = coherence_response(lc)
     pops = rho0.diagonal().real
-    # fmin also sends the inf or nan of a vanishing coherence sum to tau_max
-    tau_max = OPT_TAU_MAX if vdp and map2 != 0 else 0.0
-
-    def response(zeta, chi):
-        # the relative phase sits on tm10 so that the chi-independent row
-        # zeta = 0 ties exactly on the grid and resolves to chi = 0
-        t01 = np.cos(zeta) + 0j
-        tm10 = np.sin(zeta) / (SQRT2 if vdp else 1.0) * np.exp(-1j * chi)
-        r_10, r_0m1, _ = _apply_maps(map1, map2, SignalSpec(t01, tm10))
-        tau = np.fmin(stationary_squeeze_ratio(r_10, r_0m1, map2), tau_max)
-        return r_10, r_0m1, tau
-
-    def objective(*coords):
-        r_10, r_0m1, tau = response(*coords)
-        return sync_from_coherences(
-            pops, (r_10, r_0m1, np.abs(map2) * (tau / SQRT2)), eta
-        )
-
-    bounds = ((0.0, 0.5 * math.pi), (0.0, 2.0 * math.pi))
-    axes = [
-        np.linspace(lo, hi, OPT_GRID_SIZE, endpoint=(i != 1))
-        for i, (lo, hi) in enumerate(bounds)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    grid_vals = objective(*mesh)
-    flat_idx = int(np.argmax(grid_vals))
-    coords = [
-        float(axes[i][k])
-        for i, k in enumerate(np.unravel_index(flat_idx, grid_vals.shape))
-    ]
-    step = [(hi - lo) / (OPT_GRID_SIZE - 1) for lo, hi in bounds]
-
-    best = float(objective(*coords))
-    for _ in range(200):
-        previous = best
-        for i, (lo, hi) in enumerate(bounds):
-            span = max(step[i], 1e-6)
-
-            def along(x, i=i):
-                probe = list(coords)
-                probe[i] = x
-                return float(objective(*probe))
-
-            coords[i] = _golden_max(
-                along,
-                max(lo, coords[i] - span),
-                min(hi, coords[i] + span),
-                tol=1e-12,
-            )
-            best = along(coords[i])
-        if best - previous < OPT_TOL:
-            break
-
-    zeta, chi = coords
+    scale = SQRT2 if vdp else 1.0  # tm10 = sin(zeta) / scale
+    ellipse = np.array([1.0, scale**2])
+    if map1.any():
+        tones = np.linalg.lstsq(map1, np.ones(2, dtype=complex), rcond=None)[0]
+    else:  # no first-order response: every tone gives 0, report zeta = 0
+        tones = np.array([1.0, 0.0], dtype=complex)
+    tones = tones[:, None] / math.sqrt(ellipse @ abs(tones) ** 2)
+    tau = 0.0
+    if vdp and map2 != 0:
+        tau = float(stationary_squeeze_ratio(*(map1 @ tones[:, 0]), map2))
+        if tau > OPT_TAU_MAX:
+            tau = OPT_TAU_MAX
+            tones = _boundary_tones(map1, abs(map2) * tau, ellipse)
+            tones = tones / np.sqrt(ellipse @ abs(tones) ** 2)
+    r_10, r_0m1, _ = _apply_maps(map1, map2, SignalSpec(*tones))
+    values = sync_from_coherences(
+        pops, (r_10, r_0m1, abs(map2) * (tau / SQRT2)), eta
+    )
+    best = int(np.argmax(values))
+    t01, tm10 = tones[:, best]
+    zeta = math.atan2(abs(tm10) * scale, abs(t01))
+    chi = 0.0
+    if t01 != 0:
+        # a phase just below 0 rounds to 2 pi under the first modulo
+        chi = float(np.angle(t01 * np.conj(tm10))) % math.tau % math.tau
     params = {"zeta": zeta, "chi": chi}
     signal = from_equatorial_angles(zeta, chi)
     if vdp:
-        params["tau_ratio"] = tau = float(response(zeta, chi)[2])
+        params["tau_ratio"] = tau
         signal = _align_on_maps(
             map1, map2, SignalSpec(signal.t01, signal.tm10 / SQRT2, tau / SQRT2 + 0j)
         )
     return OptimumReport(
-        family=family, params=params, value=best, eta=eta, signal=signal
+        family=family, params=params, value=float(values[best]), eta=eta, signal=signal
     )
+
+
+def _boundary_tones(map1: np.ndarray, squeeze: float, ellipse: np.ndarray):
+    """Candidate tones of the aligned measure's maximum at a fixed squeezing
+    amplitude, ``squeeze`` = |map2| tau, as the columns of a (2, k) array.
+
+    Unnormalized tones t have the measure (C1 |w t| + K sqrt(t^H E t)) /
+    sqrt(t^H P t), with w = (1, 1) map1, K = C2 squeeze / sqrt 2 and
+    P = 2 map1^H map1 + squeeze^2 E, E = diag(``ellipse``).  Its stationary
+    directions are t = nu x + y with real nu, x = P^-1 w^H and y = P^-1 E x,
+    where nu solves the quartic
+
+        C1^2 g^2 (B nu^2 + 2 C nu + D) = K^2 (g nu^2 + (AD - BC) nu + (BD - C^2))^2
+
+    with A = w x, B = x^H E x, C = x^H E y, D = y^H E y and g = AC - B^2.
+    The candidates are t = x (nu -> inf) and nu x + y at the real parts of
+    all four roots (a double root may come out as a complex pair); the
+    caller keeps the one with the largest measure, as
+    :func:`spinsync.spin._max_shifted_phase` does with its quartic.
+    """
+    w = map1.sum(axis=0)
+    gram = 2.0 * map1.conj().T @ map1 + squeeze**2 * np.diag(ellipse)
+    x = np.linalg.solve(gram, w.conj())
+    y = np.linalg.solve(gram, ellipse * x)
+    a = (w @ x).real
+    b, c, d = (np.vdot(u, ellipse * v).real for u, v in ((x, x), (x, y), (y, y)))
+    g, h, k = a * c - b * b, a * d - b * c, b * d - c * c
+    kk = (COS2_WEIGHT * squeeze) ** 2 / 2.0  # K^2
+    cc = (COS1_WEIGHT * g) ** 2  # C1^2 g^2
+    quartic = [
+        kk * g * g,
+        2.0 * kk * g * h,
+        kk * (h * h + 2.0 * g * k) - cc * b,
+        2.0 * (kk * h * k - cc * c),
+        kk * k * k - cc * d,
+    ]
+    nu = np.roots(quartic).real
+    return np.column_stack([x, nu[None, :] * x[:, None] + y[:, None]])
 
 
 # ---------------------------------------------------------------------------

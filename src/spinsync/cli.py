@@ -698,12 +698,12 @@ def _figure_fig4(cfg: dict):
     sig = _align_on_maps(map1, map2, sig)
     res = _measure(rho0.diagonal().real, _apply_maps(map1, map2, sig), eta)
     delta, tau = np.meshgrid(detunings, taus, indexing="ij")
-    tau_opt = [vdp_optimal_squeeze_ratio(gg, gd, d) for d in detunings]
+    tau_opt = vdp_optimal_squeeze_ratio(gg, gd, detunings)
     columns = {
         "detuning": delta,
         "tau_ratio": tau,
         "S_over_eta": res.value.T / eta,
-        "tau_opt": np.broadcast_to(np.array(tau_opt)[:, None], delta.shape),
+        "tau_opt": np.broadcast_to(tau_opt[:, None], delta.shape),
     }
     return [("", *_table(columns))]
 
@@ -752,11 +752,7 @@ def _figure_fig6(cfg: dict):
     zetas = np.linspace(0.0, 0.5 * math.pi, 91)
     chis = np.linspace(0.0, 2.0 * math.pi, 181)
     zeta, chi = np.meshgrid(zetas, chis, indexing="ij")
-    vals = [
-        catalog.equatorial_sync_closed(z, c, gg, gd, 0.0, 1.0)
-        for z in zetas
-        for c in chis
-    ]
+    vals = catalog.equatorial_sync_closed(zeta, chi, gg, gd, 0.0, 1.0)
     return [("", *_table({"zeta": zeta, "chi": chi, "S_over_eta": vals}))]
 
 
@@ -773,20 +769,16 @@ def _figure_fig7(cfg: dict):
     for ratio in ratios:
         gd = gg * ratio
         # equal response amplitudes at every detuning, tone phase fixed at 0
-        zeta = [
-            math.atan(catalog.equatorial_response_geometry(gg, gd, d)[0])
-            for d in deltas
-        ]
+        zeta = np.arctan(catalog.equatorial_response_geometry(gg, gd, deltas)[0])
         liou = build_liouvillian(catalog.equatorial_limit_cycle(gg, gd))
         rho0, map1, map2 = _response_maps(liou, deltas)
-        sig = from_equatorial_angles(np.array(zeta), 0.0)
+        sig = from_equatorial_angles(zeta, 0.0)
         res = _measure(rho0.diagonal().real, _apply_maps(map1, map2, sig), eta)
         columns["gamma_ratio"] += [ratio] * len(deltas)
         columns["delta"] += deltas.tolist()
         columns["S_over_eta"] += (res.value / eta).tolist()
-        columns["S_over_eta_closed"] += [
-            catalog.blockade_sync_closed(gg, gd, d, eta) / eta for d in deltas
-        ]
+        closed = catalog.blockade_sync_closed(gg, gd, deltas, eta) / eta
+        columns["S_over_eta_closed"] += closed.tolist()
     return [("", *_table(columns))]
 
 

@@ -213,7 +213,12 @@ def sync_from_coherences(populations, coherences, eta: float = 0.1):
     norm0, norm1 = _norms(populations, coherences)
     # a vanishing rho1 has amp = 0, which an infinite norm maps to 0
     val = eta * norm0 * amp / np.where(norm1 > 0.0, norm1, np.inf)
-    return float(val) if np.ndim(val) == 0 else val
+    return _float_or_array(val)
+
+
+def _float_or_array(value):
+    """A float for a 0-d result, so that scalar calls return floats."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _strength(norm0: float, norm1, eta: float) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinsync.catalog import (
     EQUATORIAL_OPTIMAL_VALUE,
@@ -39,7 +41,7 @@ from spinsync.catalog import (
     vdp_oscillator_equivalence,
     vdp_squeeze_sync_closed,
 )
-from spinsync.lindblad import build_liouvillian, steady_state
+from spinsync.lindblad import LimitCycleSpec, build_liouvillian, steady_state
 from spinsync.perturbation import (
     _response_maps,
     coherence_response,
@@ -47,7 +49,7 @@ from spinsync.perturbation import (
     sync_measure,
 )
 from spinsync.signals import SignalSpec, from_equatorial_angles, semiclassical
-from spinsync.spin import COS1_WEIGHT, COS2_WEIGHT, SQRT2
+from spinsync.spin import COS1_WEIGHT, COS2_WEIGHT, SM, SP, SQRT2
 
 
 class TestScenarios:
@@ -286,6 +288,55 @@ class TestTightness:
         assert res.value >= 0.998 * smax(0.1)
 
 
+#: the four scenarios, from three rate exponents and a detuning
+RANDOM_CYCLES = {
+    "equatorial": lambda e, d: equatorial_limit_cycle(1.0, 10 ** e[0], d),
+    "vdp": lambda e, d: vdp_limit_cycle(1.0, 10 ** e[0], d),
+    "asymmetric_equatorial": lambda e, d: asymmetric_equatorial_limit_cycle(
+        1.0, 10 ** e[0], 10 ** (e[1] / 2.0 - 1.0), d
+    ),
+    "cooperativity": lambda e, d: cooperativity_limit_cycle(
+        10 ** (e[0] - 1.0), 10 ** (e[1] / 3.0), 10 ** (e[2] / 3.0), d
+    ),
+}
+
+
+def _grid_max(lc, family, report, eta=0.1):
+    """Largest aligned measure of the signal family on a grid of (zeta, chi,
+    tau in [0, 2]): a global grid, dense near zeta = 0, and a fine grid
+    around the reported optimum (chi taken around the circle)."""
+    vdp = family == "vdp_general"
+    zeta0, chi0 = report.params["zeta"], report.params["chi"]
+    tau0 = report.params.get("tau_ratio", 0.0)
+    local = np.linspace(-1.0, 1.0, 41)
+    grids = [
+        (
+            np.concatenate(
+                [np.linspace(0.0, 0.5 * math.pi, 121), np.geomspace(1e-5, 0.1, 61)]
+            ),
+            np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False),
+            np.linspace(0.0, 2.0, 21) if vdp else np.zeros(1),
+        ),
+        (
+            np.clip(zeta0 + 0.05 * local, 0.0, 0.5 * math.pi),
+            chi0 + 0.1 * local,
+            np.clip(tau0 + 0.05 * local, 0.0, 2.0) if vdp else np.zeros(1),
+        ),
+    ]
+    rho0, map1, map2 = coherence_response(lc)
+    best = 0.0
+    for zetas, chis, taus in grids:
+        zeta, chi, tau = np.meshgrid(zetas, chis, taus, indexing="ij", sparse=True)
+        t01 = np.cos(zeta) * np.exp(1j * chi)
+        tm10 = np.sin(zeta) / (SQRT2 if vdp else 1.0)
+        r_10 = map1[0, 0] * t01 + map1[0, 1] * tm10
+        r_0m1 = map1[1, 0] * t01 + map1[1, 1] * tm10
+        coherences = (r_10, r_0m1, abs(map2) * tau / SQRT2)
+        values = sync_from_coherences(rho0.diagonal().real, coherences, eta)
+        best = max(best, float(values.max()))
+    return best
+
+
 class TestOptimizer:
     def test_equatorial_balanced(self):
         report = optimize_signal(equatorial_limit_cycle(1.0, 1.0), "equatorial_angles")
@@ -295,14 +346,20 @@ class TestOptimizer:
         assert report.params["zeta"] == pytest.approx(math.pi / 4, abs=1e-5)
         assert report.params["chi"] == pytest.approx(math.pi, abs=1e-5)
 
-    def test_equatorial_optimum_detuning_independent(self):
-        values = []
-        for delta in (0.0, 1.0, 10.0):
-            report = optimize_signal(
-                equatorial_limit_cycle(1.0, 5.0, delta), "equatorial_angles"
-            )
-            values.append(report.value / 0.1)
-        assert np.allclose(values, EQUATORIAL_OPTIMAL_VALUE, atol=1e-8)
+    @pytest.mark.parametrize("gg, gd", [(1.0, 5.0), (1.0, 1.0), (3.0, 0.2), (1.0, 1e4)])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -2.5, 10.0, 300.0])
+    def test_equatorial_optimum_detuning_independent(self, gg, gd, delta):
+        report = optimize_signal(
+            equatorial_limit_cycle(gg, gd, delta), "equatorial_angles"
+        )
+        assert report.value / 0.1 == pytest.approx(
+            EQUATORIAL_OPTIMAL_VALUE, rel=1e-13
+        )
+        zeta, chi = equatorial_optimal_angles(gg, gd, delta)
+        assert report.params["zeta"] == pytest.approx(zeta, rel=1e-12)
+        wrapped = math.remainder(report.params["chi"] - chi, 2.0 * math.pi)
+        assert abs(wrapped) < 1e-12
+        assert 0.0 <= report.params["chi"] < 2.0 * math.pi
 
     def test_vdp_general(self):
         gg, gd = 1.0, 100.0
@@ -342,6 +399,98 @@ class TestOptimizer:
             / (SQRT2 * COS1_WEIGHT * abs(r_10 + r_0m1) * abs(map2))
         )
         assert report.params["tau_ratio"] == pytest.approx(tau_star, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "lc",
+        [
+            vdp_limit_cycle(1.0, 57.89, 0.043),
+            asymmetric_equatorial_limit_cycle(1.0, 677.69, 0.2073, 0.073),
+        ],
+        ids=["optimum-below-2pi", "peak-inside-first-grid-step"],
+    )
+    def test_no_family_point_beats_the_optimum(self, lc):
+        report = optimize_signal(lc, "vdp_general")
+        # the reported signal reaches the reported value ...
+        assert sync_measure(lc, report.signal, 0.1).value == pytest.approx(
+            report.value, rel=1e-13
+        )
+        # ... and no point of a dense grid around or away from it does better
+        assert report.value >= _grid_max(lc, "vdp_general", report) * (1 - 1e-13)
+
+    @pytest.mark.parametrize(
+        "lc",
+        [
+            vdp_limit_cycle(1.0, 57.89, 0.043),
+            vdp_limit_cycle(1.0, 10.0, 1.5),
+            vdp_limit_cycle(1.0, 1000.0),
+            asymmetric_equatorial_limit_cycle(1.0, 20.0, 0.5, -0.4),
+            cooperativity_limit_cycle(0.3, 1.0, 2.0, 0.7),
+        ],
+    )
+    def test_interior_optimum_closed_value(self, lc):
+        # with map1 invertible, |r10 + r0m1| / ||(r10, r0m1)|| peaks at sqrt 2
+        # on s ~ (1, 1), so the family values are eta ||rho0|| C1 and
+        # eta ||rho0|| sqrt(C1^2 + C2^2 / 2), the latter for tau* <= 2
+        rho0 = steady_state(build_liouvillian(lc))
+        norm0 = np.linalg.norm(rho0)
+        report = optimize_signal(lc, "equatorial_angles")
+        assert report.value == pytest.approx(0.1 * norm0 * COS1_WEIGHT, rel=1e-13)
+        report = optimize_signal(lc, "vdp_general")
+        assert report.params["tau_ratio"] < 2.0
+        closed = 0.1 * norm0 * math.sqrt(COS1_WEIGHT**2 + COS2_WEIGHT**2 / 2.0)
+        assert report.value == pytest.approx(closed, rel=1e-13)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3, -2.0])
+    def test_degenerate_optimum_is_the_minimum_norm_point(self, delta):
+        # p0 = p+: t01 does not couple, and every zeta > 0 with its
+        # stationary squeezing ratio gives the same value
+        lc = vdp_limit_cycle(1.5, 1.5, delta)
+        report = optimize_signal(lc, "vdp_general")
+        assert report.params["zeta"] == 0.5 * math.pi
+        assert report.params["chi"] == 0.0
+        _, map1, map2 = coherence_response(lc)
+        assert not map1[:, 0].any()
+        for zeta in (0.3, 1.0):
+            r_10, r_0m1 = map1[:, 1] * math.sin(zeta) / SQRT2
+            tau = COS2_WEIGHT * 2.0 * (abs(r_10) ** 2 + abs(r_0m1) ** 2) / (
+                SQRT2 * COS1_WEIGHT * abs(r_10 + r_0m1) * abs(map2)
+            )
+            sig = align_squeeze_phase(
+                lc, SignalSpec(math.cos(zeta), math.sin(zeta) / SQRT2, tau / SQRT2)
+            )
+            assert sync_measure(lc, sig, 0.1).value == pytest.approx(
+                report.value, rel=1e-13
+            )
+
+    @pytest.mark.parametrize("family", ["equatorial_angles", "vdp_general"])
+    def test_no_response_reports_zero(self, family):
+        # equal populations: no tone drives a coherence at first order
+        lc = LimitCycleSpec(((SP, 1.0), (SM, 1.0)))
+        report = optimize_signal(lc, family)
+        assert report.value == 0.0
+        assert set(report.params.values()) == {0.0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scenario=st.sampled_from(sorted(RANDOM_CYCLES)),
+        exponents=st.lists(
+            st.floats(min_value=-2.0, max_value=4.0), min_size=3, max_size=3
+        ),
+        detuning=st.sampled_from([0.0, 0.3, -2.0, 25.0]),
+        family=st.sampled_from(["equatorial_angles", "vdp_general"]),
+    )
+    # chi of the optimum just below 2 pi, on both families
+    @example("vdp", [math.log10(1.1961122636557853), 0.0, 0.0], -0.0658, "vdp_general")
+    @example(
+        "cooperativity",
+        [1.0 + math.log10(0.0132216), *(3.0 * np.log10([0.293584, 0.892027]))],
+        2.740666,
+        "equatorial_angles",
+    )
+    def test_optimum_tops_a_dense_grid(self, scenario, exponents, detuning, family):
+        lc = RANDOM_CYCLES[scenario](exponents, detuning)
+        report = optimize_signal(lc, family)
+        assert report.value >= _grid_max(lc, family, report) * (1 - 1e-13)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -545,7 +545,18 @@ class TestGeneratorBuilds:
         assert len(read_csv(out)) == 20
         assert len(builds) == 1
 
-    @pytest.mark.parametrize("fig_id, expected", [("fig4", 1), ("fig7", 3)])
+    def test_optimize_builds_once(self, tmp_path, capsys, builds):
+        cfg = write_config(
+            tmp_path, {**VDP_AUTO, "signal": {"family": "vdp_general"}}
+        )
+        code, out, _ = run_cli(capsys, "optimize", "--config", cfg)
+        assert code == 0
+        assert len(builds) == 1
+
+    # fig5: one build for its grid and one per optimizer run of the inset
+    @pytest.mark.parametrize(
+        "fig_id, expected", [("fig4", 1), ("fig5", 14), ("fig7", 3)]
+    )
     def test_figure_builds_once_per_curve(self, capsys, builds, fig_id, expected):
         code, out, _ = run_cli(capsys, "figure", fig_id)
         assert code == 0

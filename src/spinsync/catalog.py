@@ -17,6 +17,9 @@ cooperativity
     Natural decays of the spin ladder plus an effective incoherent pump
     |-1> -> |0> at rate 4 C Gamma_{0,-1}, the reduced description of an
     ancilla-assisted pumping scheme with cooperativity C.
+
+Rates and detuning may be arrays that broadcast against each other, giving a
+stacked :class:`~spinsync.lindblad.LimitCycleSpec`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidValueError
-from .lindblad import LimitCycleSpec, Liouvillian, build_liouvillian, steady_state
+from .lindblad import LimitCycleSpec, _where, build_liouvillian, require_single
+from .lindblad import steady_state
 from .perturbation import (
     SyncResult,
     _apply_maps,
@@ -79,9 +83,7 @@ def equatorial_limit_cycle(
 ) -> LimitCycleSpec:
     """Gain S+ Sz at gamma_g and damping S- Sz at gamma_d."""
     _require_positive(gamma_g=gamma_g, gamma_d=gamma_d)
-    return LimitCycleSpec(
-        ((SP @ SZ, float(gamma_g)), (SM @ SZ, float(gamma_d))), float(detuning)
-    )
+    return LimitCycleSpec(((SP @ SZ, gamma_g), (SM @ SZ, gamma_d)), detuning)
 
 
 def vdp_limit_cycle(
@@ -91,9 +93,7 @@ def vdp_limit_cycle(
     _require_positive(gamma_g=gamma_g, gamma_d=gamma_d)
     gain = SZ @ SP - SP @ SZ / SQRT2
     loss = SM @ SM / SQRT2
-    return LimitCycleSpec(
-        ((gain, float(gamma_g)), (loss, float(gamma_d))), float(detuning)
-    )
+    return LimitCycleSpec(((gain, gamma_g), (loss, gamma_d)), detuning)
 
 
 def asymmetric_equatorial_limit_cycle(
@@ -102,12 +102,7 @@ def asymmetric_equatorial_limit_cycle(
     """Equatorial cycle plus the third decay channel Sz S- at gamma_dp."""
     _require_positive(gamma_g=gamma_g, gamma_d=gamma_d, gamma_dp=gamma_dp)
     return LimitCycleSpec(
-        (
-            (SP @ SZ, float(gamma_g)),
-            (SM @ SZ, float(gamma_d)),
-            (SZ @ SM, float(gamma_dp)),
-        ),
-        float(detuning),
+        ((SP @ SZ, gamma_g), (SM @ SZ, gamma_d), (SZ @ SM, gamma_dp)), detuning
     )
 
 
@@ -121,21 +116,21 @@ def cooperativity_limit_cycle(
     _require_positive(
         cooperativity=cooperativity, gamma_10=gamma_10, gamma_0m1=gamma_0m1
     )
-    pump = 4.0 * float(cooperativity) * float(gamma_0m1)
+    pump = 4.0 * np.asarray(cooperativity, dtype=float) * gamma_0m1
     return LimitCycleSpec(
-        (
-            (_unit(1, 0), float(gamma_10)),
-            (_unit(2, 1), float(gamma_0m1)),
-            (_unit(1, 2), pump),
-        ),
-        float(detuning),
+        ((_unit(1, 0), gamma_10), (_unit(2, 1), gamma_0m1), (_unit(1, 2), pump)),
+        detuning,
     )
 
 
-def _require_positive(**rates: float) -> None:
+def _require_positive(**rates) -> None:
     for name, value in rates.items():
-        if not 0.0 < float(value) < math.inf:
-            raise InvalidValueError(f"{name} must be positive and finite, got {value}")
+        value = np.asarray(value, dtype=float)
+        bad = ~((value > 0.0) & (value < math.inf))
+        if bad.any():
+            raise InvalidValueError(
+                f"{name} must be positive and finite" + _where(bad, value)
+            )
 
 
 SCENARIOS = {
@@ -501,7 +496,8 @@ def optimize_signal(
 
     Interior case: with aligned harmonics the single-quantum part of the
     measure is largest where map1 t is proportional to (1, 1), so the tones
-    are t* = lstsq(map1, (1, 1)) and tau_ratio is
+    are t* = lstsq(map1, (1, 1)), with no cutoff on small singular values,
+    and tau_ratio is
     :func:`stationary_squeeze_ratio` at t* (0 for ``equatorial_angles`` or
     without squeezing response).  Boundary case: when that ratio exceeds
     ``OPT_TAU_MAX``, the optimum lies on tau_ratio = ``OPT_TAU_MAX`` with the
@@ -509,21 +505,31 @@ def optimize_signal(
     profiled out).  zeta and chi are read off the tones with t01 real, chi in
     [0, 2 pi).
 
-    Degenerate optima: a singular map1 (``vdp_limit_cycle(g, g)``, where t01
-    does not couple) has a ridge of maxima, and lstsq picks its minimum-norm
-    point, with chi = 0 whenever t01 = 0.  A cycle without first-order
-    response (equal populations) reports value 0 and zeta = chi =
-    tau_ratio = 0.
+    Degenerate optima: an exactly singular map1 (``vdp_limit_cycle(g, g)``,
+    where t01 does not couple) has a ridge of maxima, and lstsq picks its
+    minimum-norm point, with chi = 0 whenever t01 = 0.  A cycle without
+    first-order response (equal populations) reports value 0 and
+    zeta = chi = tau_ratio = 0.
     """
     if family not in ("equatorial_angles", "vdp_general"):
         raise InvalidValueError(f"unknown signal family {family!r}")
+    require_single(lc, "optimize_signal")
+    pops, map1, map2 = _response_maps(build_liouvillian(lc))
+    return _optimum(pops, map1, complex(map2), family, eta)
+
+
+def _optimum(
+    pops: np.ndarray, map1: np.ndarray, map2: complex, family: str, eta: float
+) -> OptimumReport:
+    """:func:`optimize_signal` from the populations of rho0 and the response
+    maps of one cycle."""
     vdp = family == "vdp_general"
-    rho0, map1, map2 = coherence_response(lc)
-    pops = rho0.diagonal().real
     scale = SQRT2 if vdp else 1.0  # tm10 = sin(zeta) / scale
     ellipse = np.array([1.0, scale**2])
     if map1.any():
-        tones = np.linalg.lstsq(map1, np.ones(2, dtype=complex), rcond=None)[0]
+        # rcond = 0 cuts only exactly zero singular values: a map1 that is
+        # singular to rounding still gives the tones of its (1, 1) response
+        tones = np.linalg.lstsq(map1, np.ones(2, dtype=complex), rcond=0.0)[0]
     else:  # no first-order response: every tone gives 0, report zeta = 0
         tones = np.array([1.0, 0.0], dtype=complex)
     tones = tones[:, None] / math.sqrt(ellipse @ abs(tones) ** 2)
@@ -625,24 +631,26 @@ def arnold_tongue(
 ) -> TongueGrid:
     """Sweep the tongue: per-detuning boundary from the threshold rule and
     the measure epsilon * peak below it.  The detuning of ``lc`` is
-    replaced by each of ``detunings``; one generator build and one measure
-    call on the stacked coherences serve the whole grid."""
-    return _tongue_grid(build_liouvillian(lc), signal, detunings, strengths, eta)
+    replaced by the array ``detunings``: one generator build of that stack
+    and one measure call on its coherences serve the whole grid."""
+    require_single(lc, "arnold_tongue")
+    detunings = np.asarray(detunings, dtype=float)
+    pops, map1, map2 = _response_maps(build_liouvillian(lc.with_detuning(detunings)))
+    coherences = _apply_maps(map1, map2, signal)
+    return _tongue_grid(pops, coherences, detunings, strengths, eta)
 
 
 def _tongue_grid(
-    liou: Liouvillian,
-    signal: SignalSpec,
+    pops: np.ndarray,
+    coherences,
     detunings: np.ndarray,
     strengths: np.ndarray,
     eta: float,
 ) -> TongueGrid:
-    """:func:`arnold_tongue` on a built generator."""
-    detunings = np.asarray(detunings, dtype=float)
+    """:func:`arnold_tongue` from the populations of rho0 and the
+    first-order coherences at each detuning."""
     strengths = np.asarray(strengths, dtype=float)
-    rho0, map1, map2 = _response_maps(liou, detunings)
-    coherences = _apply_maps(map1, map2, signal)
-    _, (peak, _), eps_max = _peak_and_strength(rho0.diagonal().real, coherences, eta)
+    _, (peak, _), eps_max = _peak_and_strength(pops, coherences, eta)
     # the measure is linear in the strength, and 0 where the response vanishes
     peak = np.where(np.isinf(eps_max), 0.0, peak)
     value = strengths[:, None] * peak[None, :]

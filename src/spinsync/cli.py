@@ -27,6 +27,7 @@ from . import catalog
 from .catalog import (
     TongueGrid,
     _align_on_maps,
+    _optimum,
     _tongue_grid,
     arnold_tongue,
     make_limit_cycle,
@@ -36,7 +37,7 @@ from .catalog import (
     vdp_optimal_squeeze_ratio,
 )
 from .errors import SpinsyncError
-from .lindblad import LimitCycleSpec, build_liouvillian, steady_state
+from .lindblad import LimitCycleSpec, _target_state, build_liouvillian, steady_state
 from .perturbation import (
     _apply_maps,
     _driven_steady_state,
@@ -148,7 +149,10 @@ def load_config(path: str | None, sets: list[str]) -> dict:
     return cfg
 
 
-def build_scenario(cfg: dict) -> LimitCycleSpec:
+def build_scenario(cfg: dict, swept: dict | None = None) -> LimitCycleSpec:
+    """The configured limit cycle, stacked over the arrays that ``swept``
+    puts in place of configured keys."""
+    swept = swept or {}
     scen = cfg.get("scenario", {})
     name = scen.get("name")
     if name not in _SCENARIO_KEYS:
@@ -158,11 +162,15 @@ def build_scenario(cfg: dict) -> LimitCycleSpec:
     unit = _number(cfg.get("unit_rate", 1.0), "unit_rate")
     params = {}
     for key in _SCENARIO_KEYS[name]:
-        if key in scen:
+        if key in swept:
+            value = swept[key]
+        elif key in scen:
             value = _number(scen[key], f"scenario.{key}")
-            if key in _RATE_KEYS:
-                value *= unit
-            params[key] = value
+        else:
+            continue
+        if key in _RATE_KEYS:
+            value = value * unit  # a copy: a swept axis is written unscaled
+        params[key] = value
     try:
         _SCENARIO_SIGNATURES[name].bind(**params)
     except TypeError as err:
@@ -178,11 +186,15 @@ def _as_complex(value) -> complex:
     raise ConfigError(f"tone must be a number or [re, im] pair, got {value!r}")
 
 
-def _signal_spec(cfg: dict) -> tuple[SignalSpec, bool]:
-    """The configured signal and whether its squeezing phase is "auto"."""
+def _signal_spec(cfg: dict, swept: dict | None = None) -> tuple[SignalSpec, bool]:
+    """The configured signal, with arrays from ``swept`` in place of configured
+    keys, and whether its squeezing phase is "auto"."""
     sig = cfg.get("signal", {})
+    swept = swept or {}
 
-    def number(key: str, default: float) -> float:
+    def number(key: str, default: float):
+        if key in swept:
+            return swept[key]
         return _number(sig.get(key, default), f"signal.{key}")
 
     family = sig.get("family", "semiclassical")
@@ -238,17 +250,6 @@ def _sweep_axes(cfg: dict, allowed: tuple[str, ...]) -> list[tuple[str, np.ndarr
             values = np.linspace(lo, hi, points)
         axes.append((name, values))
     return axes
-
-
-def _point_config(cfg: dict, assignment: dict[str, float]) -> dict:
-    # only the scenario and signal sections are edited
-    out = cfg | {"scenario": dict(cfg["scenario"]), "signal": dict(cfg["signal"])}
-    for name, value in assignment.items():
-        if name in _SCENARIO_KEYS.get(out["scenario"].get("name", ""), ()):
-            out["scenario"][name] = value
-        else:
-            out["signal"][name] = value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +436,14 @@ def cmd_steady(args) -> int:
     return 0
 
 
-def _leading_orders(cfg: dict, detunings=None):
-    """rho0 and the first-order coherences (r10, r0m1, r1m1), one per
-    detuning (default: the scenario's own), from one build, an "auto"
-    squeezing phase aligned at each detuning."""
-    sig, auto = _signal_spec(cfg)
-    lc = build_scenario(cfg)
-    if detunings is None:
-        detunings = [lc.detuning]
-    rho0, map1, map2 = _response_maps(build_liouvillian(lc), detunings)
+def _leading_orders(cfg: dict, swept: dict | None = None):
+    """rho0's populations and the first-order coherences (r10, r0m1, r1m1) from
+    one build over the ``swept`` keys; an "auto" squeezing phase is aligned."""
+    sig, auto = _signal_spec(cfg, swept)
+    pops, map1, map2 = _response_maps(build_liouvillian(build_scenario(cfg, swept)))
     if auto:
         sig = _align_on_maps(map1, map2, sig)
-    return rho0, _apply_maps(map1, map2, sig)
+    return pops, _apply_maps(map1, map2, sig)
 
 
 def cmd_sync(args) -> int:
@@ -457,48 +454,28 @@ def cmd_sync(args) -> int:
     axes = _sweep_axes(cfg, allowed)
     if len(axes) > 2:
         raise ConfigError("sync supports at most two sweep axes")
-    names = [name for name, _ in axes]
-    grids = [values for _, values in axes]
     eta = float(cfg.get("eta", 0.1))
-    unit = _number(cfg.get("unit_rate", 1.0), "unit_rate")
-    # One build per cell of the other axes; the detuning axis is one batch,
-    # and without it the batch is the scenario's own detuning.
-    batch = names.index("detuning") if "detuning" in names else None
-    outer = [i for i in range(len(axes)) if i != batch]
-    groups = []
-    for cell in np.ndindex(*[len(grids[i]) for i in outer]):
-        point_cfg = _point_config(
-            cfg, {names[i]: float(grids[i][c]) for i, c in zip(outer, cell)}
-        )
-        detunings = None
-        if batch is not None:
-            detunings = grids[batch] * unit
-        rho0, (r10, r0m1, r1m1) = _leading_orders(point_cfg, detunings)
-        res = _measure(rho0.diagonal().real, (r10, r0m1, r1m1), eta)
-        flag = np.where(res.value < 1e-12 * eta, "destructive_interference", "")
-        groups.append(
-            {
-                "S": res.value,
-                "S_over_eta": res.value / eta,
-                "epsilon": res.epsilon,
-                "locked_phase": res.locked_phase,
-                "amp1": res.terms.amp1,
-                "amp2": res.terms.amp2,
-                "flag": np.where(res.zero_response, "zero_response", flag),
-                "rho1_10": r10,
-                "rho1_0m1": r0m1,
-                "rho1_1m1": r1m1,
-            }
-        )
-    mesh = np.meshgrid(*grids, indexing="ij")
-    columns = {name: values.ravel() for name, values in zip(names, mesh)}
-    # each group is one cell of the outer axes; the batch goes back in place
-    shape = [len(grids[i]) for i in outer] + [-1]
-    for key in groups[0]:
-        column = np.reshape([group[key] for group in groups], shape)
-        if batch is not None:
-            column = np.moveaxis(column, -1, batch)
-        columns[key] = column.ravel()
+    # one row per cell of the mesh of the axes, all from one build
+    mesh = np.meshgrid(*(values for _, values in axes), indexing="ij")
+    swept = {name: values for (name, _), values in zip(axes, mesh)}
+    pops, (r10, r0m1, r1m1) = _leading_orders(cfg, swept)
+    res = _measure(pops, (r10, r0m1, r1m1), eta)
+    flag = np.where(res.value < 1e-12 * eta, "destructive_interference", "")
+    columns = swept | {
+        "S": res.value,
+        "S_over_eta": res.value / eta,
+        "epsilon": res.epsilon,
+        "locked_phase": res.locked_phase,
+        "amp1": res.terms.amp1,
+        "amp2": res.terms.amp2,
+        "flag": np.where(res.zero_response, "zero_response", flag),
+        "rho1_10": r10,
+        "rho1_0m1": r0m1,
+        "rho1_1m1": r1m1,
+    }
+    # a column that does not vary over an axis is repeated along it
+    shape = tuple(len(values) for _, values in axes)
+    columns = {k: np.broadcast_to(v, shape).ravel() for k, v in columns.items()}
     if args.format == "json":
         if axes:
             fields = {"rows": _Rows(list(columns.values()), list(columns))}
@@ -512,9 +489,9 @@ def cmd_sync(args) -> int:
 
 def cmd_perturb(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    rho0, coherences = _leading_orders(cfg)
+    pops, coherences = _leading_orders(cfg)
     res = _perturbation_result(
-        rho0, [c.item() for c in coherences], float(cfg.get("eta", 0.1))
+        _target_state(pops), [c.item() for c in coherences], float(cfg.get("eta", 0.1))
     )
     pops = res.rho0.diagonal().real
     fields = {
@@ -551,15 +528,20 @@ def cmd_tongue(args) -> int:
     axes = dict(_sweep_axes(cfg, ("detuning", "epsilon")))
     if set(axes) != {"detuning", "epsilon"}:
         raise ConfigError("tongue needs sweep axes 'detuning' and 'epsilon'")
-    liou = build_liouvillian(lc)
-    if auto and sig.tm11 != 0:
-        # as align_squeeze_phase: aligned at the scenario's detuning
-        _, map1, map2 = _response_maps(liou)
-        sig = _align_on_maps(map1, map2, sig)
     # both axes are in units of unit_rate, as the scenario rates
     unit = _number(cfg.get("unit_rate", 1.0), "unit_rate")
     eta = float(cfg.get("eta", 0.1))
-    grid = _tongue_grid(liou, sig, axes["detuning"] * unit, axes["epsilon"] * unit, eta)
+    detunings = axes["detuning"] * unit
+    align = auto and sig.tm11 != 0
+    # as align_squeeze_phase, an "auto" squeezing tone is aligned at the
+    # scenario's detuning, built as one more cell at the end of the stack
+    stack = np.append(detunings, lc.detuning) if align else detunings
+    pops, map1, map2 = _response_maps(build_liouvillian(lc.with_detuning(stack)))
+    if align:
+        sig = _align_on_maps(map1[-1], map2[-1], sig)
+    n = len(detunings)
+    coherences = _apply_maps(map1[:n], map2[:n], sig)
+    grid = _tongue_grid(pops[:n], coherences, detunings, axes["epsilon"] * unit, eta)
     if args.format == "json":
         payload = {
             "command": "tongue",
@@ -669,8 +651,9 @@ def _figure_forcing(cfg: dict, ratio: float):
     eta = _figure_number(cfg, "eta", 0.1)
     liou = build_liouvillian(catalog.equatorial_limit_cycle(gg, gd))
     sig = semiclassical(0.0)
-    rho0, map1, map2 = _response_maps(liou)
-    res = _measure(rho0.diagonal().real, _apply_maps(map1, map2, sig), eta)
+    pops, map1, map2 = _response_maps(liou)
+    res = _measure(pops, _apply_maps(map1, map2, sig), eta)
+    rho0 = _target_state(pops)
     eps_eta = float(res.epsilon)
     h = build_hext(sig)
     strengths = np.linspace(0.0, 1.5 * gg, 151)
@@ -691,12 +674,12 @@ def _figure_fig4(cfg: dict):
     eta = _figure_number(cfg, "eta", 0.1)
     detunings = np.linspace(-10.0 * gg, 10.0 * gg, 41)
     taus = np.logspace(0.0, 3.0, 61)
-    liou = build_liouvillian(catalog.vdp_limit_cycle(gg, gd))
-    rho0, map1, map2 = _response_maps(liou, detunings)
+    liou = build_liouvillian(catalog.vdp_limit_cycle(gg, gd, detunings))
+    pops, map1, map2 = _response_maps(liou)
     # squeezing ratios down the rows of the grid, detunings along them
     sig = SignalSpec(1.0, 1.0 / SQRT2, taus[:, None] / SQRT2)
     sig = _align_on_maps(map1, map2, sig)
-    res = _measure(rho0.diagonal().real, _apply_maps(map1, map2, sig), eta)
+    res = _measure(pops, _apply_maps(map1, map2, sig), eta)
     delta, tau = np.meshgrid(detunings, taus, indexing="ij")
     tau_opt = vdp_optimal_squeeze_ratio(gg, gd, detunings)
     columns = {
@@ -712,9 +695,11 @@ def _figure_fig5(cfg: dict):
     gg = _figure_number(cfg, "gamma_g", 1.0)
     gd = gg * _figure_number(cfg, "gamma_ratio", 100.0)
     eta = _figure_number(cfg, "eta", 0.1)
-    lc = catalog.vdp_limit_cycle(gg, gd)
-    rho0, map1, map2 = catalog.coherence_response(lc)
-    pops = rho0.diagonal().real
+    ratios = np.logspace(1, 4, 13)
+    # the grid's cycle, then the 13 cycles of the inset, as one stack
+    lc = catalog.vdp_limit_cycle(gg, np.append(gd, gg * ratios))
+    stack = _response_maps(build_liouvillian(lc))
+    pops, map1, map2 = (x[0] for x in stack)
     zetas = np.linspace(0.0, 0.5 * math.pi, 65)
     taus = np.logspace(-2.0, 1.0, 61)
     r10, r0m1, _ = _apply_maps(
@@ -731,10 +716,9 @@ def _figure_fig5(cfg: dict):
         "S_over_eta": vals,
         "tau_opt_for_zeta": np.broadcast_to(tau_best, zeta.shape),
     }
-    ratios = np.logspace(1, 4, 13)
     reports = [
-        optimize_signal(catalog.vdp_limit_cycle(gg, gg * r), "vdp_general", eta=eta)
-        for r in ratios
+        _optimum(p, m1, complex(m2), "vdp_general", eta)
+        for p, m1, m2 in zip(*(x[1:] for x in stack))
     ]
     inset = {
         "gamma_ratio": ratios,
@@ -764,21 +748,21 @@ def _figure_fig7(cfg: dict):
         for r in cfg.get("gamma_ratios", [1.0, 100.0, 10000.0])
     ]
     deltas = np.logspace(-2, 4, 181) * gg
-    names = ("gamma_ratio", "delta", "S_over_eta", "S_over_eta_closed")
-    columns = {name: [] for name in names}
-    for ratio in ratios:
-        gd = gg * ratio
-        # equal response amplitudes at every detuning, tone phase fixed at 0
-        zeta = np.arctan(catalog.equatorial_response_geometry(gg, gd, deltas)[0])
-        liou = build_liouvillian(catalog.equatorial_limit_cycle(gg, gd))
-        rho0, map1, map2 = _response_maps(liou, deltas)
-        sig = from_equatorial_angles(zeta, 0.0)
-        res = _measure(rho0.diagonal().real, _apply_maps(map1, map2, sig), eta)
-        columns["gamma_ratio"] += [ratio] * len(deltas)
-        columns["delta"] += deltas.tolist()
-        columns["S_over_eta"] += (res.value / eta).tolist()
-        closed = catalog.blockade_sync_closed(gg, gd, deltas, eta) / eta
-        columns["S_over_eta_closed"] += closed.tolist()
+    # rate ratios down the rows of the grid, detunings along them
+    gd = gg * np.array(ratios)[:, None]
+    # equal response amplitudes at every detuning, tone phase fixed at 0
+    zeta = np.arctan(catalog.equatorial_response_geometry(gg, gd, deltas)[0])
+    liou = build_liouvillian(catalog.equatorial_limit_cycle(gg, gd, deltas))
+    pops, map1, map2 = _response_maps(liou)
+    sig = from_equatorial_angles(zeta, 0.0)
+    res = _measure(pops, _apply_maps(map1, map2, sig), eta)
+    ratio, delta = np.meshgrid(ratios, deltas, indexing="ij")
+    columns = {
+        "gamma_ratio": ratio,
+        "delta": delta,
+        "S_over_eta": res.value / eta,
+        "S_over_eta_closed": catalog.blockade_sync_closed(gg, gd, deltas, eta) / eta,
+    }
     return [("", *_table(columns))]
 
 

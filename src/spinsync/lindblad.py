@@ -12,12 +12,13 @@ The generator then block-diagonalizes over sectors: a real block on the
 populations (k = 0) and square complex blocks on the coherence sectors
 k = +1, +2, with the k < 0 blocks the complex conjugates of their mirrors.
 :func:`build_liouvillian` assembles these blocks directly from each
-dissipator's diagonal, and the detuning only adds -i k delta to the diagonal
-of block k (:func:`detuned_blocks`).  The 9x9 generator on column-stacked
-matrices, where entry (i, j) of a 3x3 matrix sits at position i + 3 j of
-the length-9 vector, is built from Kronecker products only when
-``Liouvillian.full`` is first read: by the exact driven steady state and by
-:func:`apply_liouvillian`.
+dissipator's diagonal; they are linear in the rates, and the detuning only
+adds -i k delta to the diagonal of block k.  So rates and detuning may be
+arrays that broadcast against each other, and one build gives the blocks of
+every cell of that stack.  The 9x9 generator on column-stacked matrices, where
+entry (i, j) of a 3x3 matrix sits at position i + 3 j of the length-9 vector,
+is built from Kronecker products only when ``Liouvillian.full`` is first
+read: by the exact driven steady state and by :func:`apply_liouvillian`.
 """
 
 from __future__ import annotations
@@ -87,15 +88,54 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(3, 3, order="F")
 
 
+def _float_or_array(value):
+    """A float for a scalar, else a float array: scalar calls return floats."""
+    value = np.asarray(value, dtype=float)
+    return float(value) if value.ndim == 0 else value
+
+
+def _where(bad: np.ndarray, values=None) -> str:
+    """The ``values`` that failed a check (mask ``bad``) and, for a stack, the
+    row-major indices of the failing cells: the rows of a ``sync`` table."""
+    text = ""
+    if values is not None:
+        text = f", got {np.broadcast_to(values, bad.shape)[bad].tolist()}"
+    if bad.ndim:
+        text += f" at stack index {np.flatnonzero(bad).tolist()}"
+    return text
+
+
 @dataclass(frozen=True)
 class LimitCycleSpec:
-    """Dissipator list with rates plus the detuning of the rotating frame."""
+    """Dissipator list with rates plus the detuning of the rotating frame.
+    Rates and detuning are floats, or float arrays that broadcast against each
+    other: a stack of cycles of shape :attr:`shape`."""
 
     dissipators: tuple[tuple[np.ndarray, float], ...]
     detuning: float = 0.0
 
-    def with_detuning(self, detuning: float) -> "LimitCycleSpec":
-        return replace(self, detuning=float(detuning))
+    def __post_init__(self):
+        rates = tuple((op, _float_or_array(rate)) for op, rate in self.dissipators)
+        object.__setattr__(self, "dissipators", rates)
+        object.__setattr__(self, "detuning", _float_or_array(self.detuning))
+
+    def with_detuning(self, detuning) -> "LimitCycleSpec":
+        return replace(self, detuning=detuning)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Broadcast shape of the rates and the detuning; () for one cycle."""
+        shapes = [np.shape(rate) for _, rate in self.dissipators]
+        try:
+            return np.broadcast_shapes(np.shape(self.detuning), *shapes)
+        except ValueError as err:
+            raise InvalidValueError(f"rates and detuning: {err}") from None
+
+
+def require_single(spec: LimitCycleSpec, caller: str) -> None:
+    """Raise :class:`InvalidValueError` unless ``spec`` is a single cycle."""
+    if spec.shape:
+        raise InvalidValueError(f"{caller} takes one limit cycle, not {spec.shape}")
 
 
 @dataclass(frozen=True)
@@ -106,24 +146,24 @@ class Liouvillian:
     maps k in {1, 2} to the block acting on the coherence slots of that
     sector, ordered as in ``SECTOR_SLOTS`` (k = 1 acts on
     (rho_{1,0}, rho_{0,-1}), k = 2 on rho_{1,-1}).  Negative sectors are the
-    complex conjugates.  ``relaxation_blocks`` are the same sector blocks at
-    zero detuning, from which :func:`detuned_blocks` gives them at any other.
+    complex conjugates.  For a stacked spec every block carries the stack
+    shape in front, e.g. ``diag_block`` has shape ``spec.shape + (3, 3)``.
 
     The blocks are assembled directly from the dissipators (see
     :func:`build_liouvillian`).  ``full``, the 9x9 generator acting on
-    column-stacked 3x3 matrices, is built from ``spec`` by Kronecker products
-    on first access; only the exact driven steady state and
-    :func:`apply_liouvillian` need it.
+    column-stacked 3x3 matrices, is built from a single-cycle ``spec`` by
+    Kronecker products on first access; only the exact driven steady state
+    and :func:`apply_liouvillian` need it.
     """
 
     spec: LimitCycleSpec
     diag_block: np.ndarray
     sector_blocks: dict[int, np.ndarray]
-    relaxation_blocks: dict[int, np.ndarray]
 
     @cached_property
     def full(self) -> np.ndarray:
         """The 9x9 generator, from Kronecker products on first access."""
+        require_single(self.spec, "the 9x9 generator")
         full = np.zeros((9, 9), dtype=complex)
         for op, rate in self.spec.dissipators:
             if float(rate) > 0.0:
@@ -185,75 +225,50 @@ def dissipator_superop(op: np.ndarray) -> np.ndarray:
 
 
 def build_liouvillian(spec: LimitCycleSpec) -> Liouvillian:
-    """Assemble the sector blocks of the generator.
+    """Assemble the sector blocks of the generator, stacked over ``spec.shape``.
 
     A dissipator O on diagonal s feeds slot (i, j) from slot (i + s, j + s)
     with weight rate O[i, i+s] conj(O[j, j+s]) and takes
     rate (d_i + d_j) / 2 off every slot, d = diag(O^dag O); the detuning adds
     -i k delta on the diagonal of sector block k.  Each entry is summed in
     the same order as in the Kronecker build of ``full``, whose slices the
-    blocks reproduce.
+    blocks reproduce, and as in the build of that cell alone.
 
     Validates the spec: every dissipator must have a single well-defined
-    sector (:class:`MixedSectorError` otherwise) and a finite nonnegative
-    rate, with at least one rate positive, and the detuning must be finite.
+    sector (:class:`MixedSectorError` otherwise) and finite nonnegative
+    rates, with at least one rate positive in every cell, and the detuning
+    must be finite.  A failure in a stack names the failing cells.
     """
-    if not spec.dissipators:
-        raise InvalidValueError("limit cycle needs at least one dissipator")
-    gen = np.zeros((6, 6), dtype=complex)
-    any_positive = False
+    gen = np.zeros(spec.shape + (6, 6), dtype=complex)
+    positive = np.zeros(spec.shape, dtype=bool)
     for op, rate in spec.dissipators:
-        rate = float(rate)
-        if not (math.isfinite(rate) and rate >= 0.0):
-            raise InvalidValueError(
-                f"dissipator rate must be finite and >= 0, got {rate}"
-            )
+        bad = ~(np.isfinite(rate) & (rate >= 0.0))
+        if bad.any():
+            raise InvalidValueError("rates must be finite and >= 0" + _where(bad, rate))
         tgt, src, a, b = _JUMPS[sector_of(op)]
-        if rate > 0.0:
-            any_positive = True
-            op = np.asarray(op, dtype=complex)
-            term = np.zeros((6, 6), dtype=complex)
-            term[tgt, src] = op[a].conj() * op[b]
-            half = 0.5 * (op.conj().T @ op).diagonal()
-            term[_SLOT_DIAG, _SLOT_DIAG] = (
-                term[_SLOT_DIAG, _SLOT_DIAG] - half[_SLOT_ROW]
-            ) - half[_SLOT_COL]
-            gen += rate * term
-    if not any_positive:
-        raise InvalidValueError("limit cycle needs at least one positive rate")
-    relaxation = {1: gen[3:5, 3:5].copy(), 2: gen[5:, 5:].copy()}
-    detuned = detuned_blocks(relaxation, [spec.detuning])
+        positive |= rate > 0.0
+        op = np.asarray(op, dtype=complex)
+        term = np.zeros((6, 6), dtype=complex)
+        term[tgt, src] = op[a].conj() * op[b]
+        half = 0.5 * (op.conj().T @ op).diagonal()
+        term[_SLOT_DIAG, _SLOT_DIAG] = (
+            term[_SLOT_DIAG, _SLOT_DIAG] - half[_SLOT_ROW]
+        ) - half[_SLOT_COL]
+        # a zero rate adds zeros, so each cell sums as if built alone
+        gen += np.multiply.outer(rate, term)
+    if not positive.all():
+        raise InvalidValueError("limit cycle needs a positive rate" + _where(~positive))
+    bad = ~np.isfinite(spec.detuning)
+    if bad.any():
+        raise InvalidValueError("detuning must be finite" + _where(bad, spec.detuning))
+    # the coherence slots 3, 4 (sector 1) and 5 (sector 2)
+    for slot, k in ((3, 1), (4, 1), (5, 2)):
+        gen[..., slot, slot].imag -= k * spec.detuning
     return Liouvillian(
         spec=spec,
-        diag_block=gen[:3, :3].real.copy(),
-        sector_blocks={k: block[0] for k, block in detuned.items()},
-        relaxation_blocks=relaxation,
+        diag_block=gen[..., :3, :3].real.copy(),
+        sector_blocks={1: gen[..., 3:5, 3:5].copy(), 2: gen[..., 5:, 5:].copy()},
     )
-
-
-def detuned_blocks(
-    relaxation_blocks: dict[int, np.ndarray], detunings
-) -> dict[int, np.ndarray]:
-    """Sector blocks at each of n detunings, stacked to shape (n, m, m).
-
-    The detuning only shifts block k by -i k delta on its diagonal, so one
-    build serves a whole detuning scan.  A non-finite detuning raises
-    ``ValueError``.
-    """
-    detunings = np.asarray(detunings, dtype=float)
-    bad = ~np.isfinite(detunings)
-    if bad.any():
-        raise InvalidValueError(
-            f"detuning must be finite, got {detunings[bad].tolist()}"
-        )
-    out = {}
-    for k, block in relaxation_blocks.items():
-        m = len(block)
-        stack = np.repeat(block[None], len(detunings), axis=0)
-        # the diagonal of each m x m block is every (m + 1)-th entry
-        stack.reshape(-1, m * m).imag[:, :: m + 1] -= k * detunings[:, None]
-        out[k] = stack
-    return out
 
 
 def apply_liouvillian(liou: Liouvillian, rho: np.ndarray) -> np.ndarray:
@@ -267,8 +282,32 @@ def sector_block(liou: Liouvillian, k: int) -> np.ndarray:
     return block if k > 0 else block.conj()
 
 
+def _populations(liou: Liouvillian) -> np.ndarray:
+    """Populations of the target state, shape (..., 3); see :func:`steady_state`."""
+    a = np.moveaxis(liou.diag_block, (-2, -1), (0, 1))  # a[i, j] over the stack
+    trees = np.array(
+        [
+            a[i, j] * a[i, k] + a[i, j] * a[j, k] + a[i, k] * a[k, j]
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        ]
+    )
+    total = trees.sum(axis=0)
+    bad = ~(total > 0.0)
+    if bad.any():
+        raise DegenerateLimitCycleError(
+            "population dynamics does not single out a unique target state"
+            + _where(bad)
+        )
+    return np.moveaxis(trees / total, 0, -1)
+
+
+def _target_state(pops: np.ndarray) -> np.ndarray:
+    """The diagonal density matrices of populations of shape (..., 3)."""
+    return (pops[..., None] * np.eye(3)).astype(complex)
+
+
 def steady_state(liou: Liouvillian) -> np.ndarray:
-    """Diagonal target state of the limit cycle.
+    """Diagonal target state of the limit cycle (stacked for a stacked spec).
 
     The population block is a classical rate matrix.  By the Markov-chain
     tree theorem (Schnakenberg, Rev. Mod. Phys. 48, 571 (1976)) each
@@ -276,18 +315,6 @@ def steady_state(liou: Liouvillian) -> np.ndarray:
     into that state, of the products of their transfer rates.  All terms are
     nonnegative, so the populations keep full relative accuracy at any ratio
     of rates.  A zero total (no state reachable from all others) raises
-    :class:`DegenerateLimitCycleError`.
+    :class:`DegenerateLimitCycleError`, naming the failing cells of a stack.
     """
-    a = liou.diag_block
-    trees = np.array(
-        [
-            a[i, j] * a[i, k] + a[i, j] * a[j, k] + a[i, k] * a[k, j]
-            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-        ]
-    )
-    total = trees.sum()
-    if not total > 0.0:
-        raise DegenerateLimitCycleError(
-            "population dynamics does not single out a unique target state"
-        )
-    return np.diag(trees / total).astype(complex)
+    return _target_state(_populations(liou))

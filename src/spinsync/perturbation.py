@@ -26,9 +26,13 @@ from .lindblad import (
     SECTOR_SLOTS,
     LimitCycleSpec,
     Liouvillian,
+    _float_or_array,
+    _populations,
+    _target_state,
+    _where,
     build_liouvillian,
-    detuned_blocks,
     hamiltonian_superop,
+    require_single,
     sector_block,
     steady_state,
     unvec,
@@ -96,63 +100,47 @@ def _lext_apply(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return -1j * (h @ rho - rho @ h)
 
 
-def _solve_sectors(blocks: np.ndarray, rhs: np.ndarray, detunings) -> np.ndarray:
-    """Solve a stack of coherence blocks, shape (n, m, m), against ``rhs``
-    (broadcast to (n, m, K)), after a numerical-rank test of every block.
-    ``detunings`` label the blocks in the error raised for a singular one."""
+def _solve_sectors(blocks: np.ndarray, rhs: np.ndarray, detuning) -> np.ndarray:
+    """Solve a stack of coherence blocks, shape (..., m, m), against ``rhs``
+    (broadcast to (..., m, K)), after a numerical-rank test of every block;
+    a singular one is named by its cells and its ``detuning``."""
     svals = np.linalg.svd(blocks, compute_uv=False)
-    singular = svals[:, -1] <= svals.shape[-1] * np.finfo(float).eps * svals[:, 0]
+    singular = svals[..., -1] <= svals.shape[-1] * np.finfo(float).eps * svals[..., 0]
     if singular.any():
         sector = 3 - blocks.shape[-1]  # sector k acts on 3 - k slots
+        at = np.broadcast_to(detuning, singular.shape)[singular].tolist()
         raise SingularCoherenceBlockError(
             f"driven coherence sector {sector} has an (almost) undamped mode "
-            f"at detuning {np.asarray(detunings)[singular].tolist()}"
+            f"at detuning {at}" + _where(singular)
         )
     rhs = np.broadcast_to(rhs, blocks.shape[:-1] + rhs.shape[-1:])
     return np.linalg.solve(blocks, rhs)
 
 
-def _response_maps(liou: Liouvillian, detunings=None):
-    """The first-order kernel: rho0 and the tone-to-coherence maps of a
-    built generator (see :func:`coherence_response`).
-
-    Without ``detunings`` the maps are those of the build itself: ``map1``
-    2x2 and ``map2`` a complex scalar.  With an array of n detunings they are
-    stacked, ``map1`` of shape (n, 2, 2) and ``map2`` of shape (n,), one per
-    detuning, all from the one build: rho0 does not depend on the detuning,
-    which only shifts the coherence blocks (:func:`detuned_blocks`).
-    """
-    rho0 = steady_state(liou)
-    pops = rho0.diagonal().real
-    if detunings is None:
-        at = [liou.spec.detuning]
-        blocks = {k: block[None] for k, block in liou.sector_blocks.items()}
-    else:
-        at = np.asarray(detunings, dtype=float)
-        blocks = detuned_blocks(liou.relaxation_blocks, at)
-    drive1 = np.diag(
-        [-1j * SQRT2 * (pops[1] - pops[0]), -1j * SQRT2 * (pops[2] - pops[1])]
-    )
-    map1 = -_solve_sectors(blocks[1], drive1, at)
-    map2 = np.zeros(len(at), dtype=complex)
-    # sector-2 response only exists when the extremal populations differ
-    if pops[2] != pops[0]:
-        inv = _solve_sectors(blocks[2], np.ones((1, 1), dtype=complex), at)
-        map2 = 2j * (pops[2] - pops[0]) * inv[:, 0, 0]
-    if detunings is None:
-        return rho0, map1[0], complex(map2[0])
-    return rho0, map1, map2
+def _response_maps(liou: Liouvillian):
+    """The first-order kernel of a built generator, stacked over the shape
+    of its spec: the populations of rho0, shape (..., 3), and the maps from
+    the tones to the first-order coherences (see :func:`coherence_response`),
+    ``map1`` of shape (..., 2, 2) and ``map2`` of shape (...)."""
+    pops = _populations(liou)
+    drive1 = -1j * SQRT2 * np.diff(pops)[..., None] * np.eye(2)
+    map1 = -_solve_sectors(liou.sector_blocks[1], drive1, liou.spec.detuning)
+    # sector-2 response only where the extremal populations differ (else a unit block)
+    differ = pops[..., 2] != pops[..., 0]
+    blocks2 = np.where(differ[..., None, None], liou.sector_blocks[2], 1.0)
+    inv = _solve_sectors(blocks2, np.ones((1, 1), dtype=complex), liou.spec.detuning)
+    map2 = np.where(differ, 2j * (pops[..., 2] - pops[..., 0]) * inv[..., 0, 0], 0j)
+    return pops, map1, map2
 
 
 def _apply_maps(map1: np.ndarray, map2, signal: SignalSpec):
     """First-order coherences ``(r10, r0m1, r1m1)`` of the signal from the
     response maps.
 
-    ``map1`` is 2x2 or a stack of shape (n, 2, 2) with ``map2`` of shape
-    (n,), and the tones of ``signal`` may be arrays that broadcast against
-    that stack.  A 2x2 ``map1`` with scalar tones gives scalars.
+    ``map1`` is 2x2 or a stack of shape (..., 2, 2) with ``map2`` of shape
+    (...), and the tones of ``signal`` may be arrays that broadcast against
+    that stack.
     """
-    m = map1.T  # m[j, i] is map1[..., i, j], stacked along the last axis
     t01, tm10, tm11 = signal.t01, signal.tm10, signal.tm11
     # map2 * tm11 rounded as a scalar complex product, whether or not it is
     # stacked: numpy's array product fuses a multiply-add, which moves the
@@ -160,14 +148,18 @@ def _apply_maps(map1: np.ndarray, map2, signal: SignalSpec):
     r1m1 = (map2.real * tm11.real - map2.imag * tm11.imag) + 1j * (
         map2.real * tm11.imag + map2.imag * tm11.real
     )
-    return m[0, 0] * t01 + m[1, 0] * tm10, m[0, 1] * t01 + m[1, 1] * tm10, r1m1
+    r10 = map1[..., 0, 0] * t01 + map1[..., 0, 1] * tm10
+    r0m1 = map1[..., 1, 0] * t01 + map1[..., 1, 1] * tm10
+    return r10, r0m1, r1m1
 
 
 def _rho1(coherences) -> np.ndarray:
-    """The Hermitian, strictly off-diagonal rho1 with the given coherences."""
-    rho1 = np.zeros((3, 3), dtype=complex)
-    rho1[0, 1], rho1[1, 2], rho1[0, 2] = coherences
-    return rho1 + rho1.conj().T
+    """The Hermitian, strictly off-diagonal rho1 with the given coherences,
+    stacked over their broadcast shape."""
+    r10, r0m1, r1m1 = np.broadcast_arrays(*coherences)
+    rho1 = np.zeros(r10.shape + (3, 3), dtype=complex)
+    rho1[..., 0, 1], rho1[..., 1, 2], rho1[..., 0, 2] = r10, r0m1, r1m1
+    return rho1 + np.swapaxes(rho1, -1, -2).conj()
 
 
 def coherence_response(lc: LimitCycleSpec):
@@ -178,9 +170,11 @@ def coherence_response(lc: LimitCycleSpec):
     sending tm11 to rho1_{1,-1}.  The response is linear in the tones sector
     by sector and rho0 does not depend on the signal, so every first-order
     quantity of the package comes from these three objects, with one
-    generator build per limit cycle.
+    generator build per limit cycle.  For a stacked spec all three are
+    stacked over its shape, ``map2`` as an array.
     """
-    return _response_maps(build_liouvillian(lc))
+    pops, map1, map2 = _response_maps(build_liouvillian(lc))
+    return _target_state(pops), map1, complex(map2) if map2.ndim == 0 else map2
 
 
 def _leading_orders(lc: LimitCycleSpec, signal: SignalSpec):
@@ -196,10 +190,11 @@ def first_order(lc: LimitCycleSpec, signal: SignalSpec) -> np.ndarray:
 
 def _norms(populations, coherences):
     """||rho0|| from its populations and ||rho1|| from its coherences
-    ``(r10, r0m1, r1m1)``, which broadcast against each other."""
+    ``(r10, r0m1, r1m1)``, which broadcast against each other (and the
+    stack of the populations, of shape (..., 3))."""
     r_10, r_0m1, r_1m1 = coherences
     norm1 = np.sqrt(2.0 * (abs(r_10) ** 2 + abs(r_0m1) ** 2 + abs(r_1m1) ** 2))
-    return math.sqrt(np.dot(populations, populations)), norm1
+    return np.sqrt(np.vecdot(populations, populations)), norm1
 
 
 def sync_from_coherences(populations, coherences, eta: float = 0.1):
@@ -214,11 +209,6 @@ def sync_from_coherences(populations, coherences, eta: float = 0.1):
     # a vanishing rho1 has amp = 0, which an infinite norm maps to 0
     val = eta * norm0 * amp / np.where(norm1 > 0.0, norm1, np.inf)
     return _float_or_array(val)
-
-
-def _float_or_array(value):
-    """A float for a 0-d result, so that scalar calls return floats."""
-    return float(value) if np.ndim(value) == 0 else value
 
 
 def _strength(norm0: float, norm1, eta: float) -> np.ndarray:
@@ -246,6 +236,7 @@ def perturbation_result(
     lc: LimitCycleSpec, signal: SignalSpec, eta: float = 0.1
 ) -> PerturbationResult:
     """Orders zero and one together with the permitted strength."""
+    require_single(lc, "perturbation_result")
     return _perturbation_result(*_leading_orders(lc, signal), eta)
 
 
@@ -288,11 +279,13 @@ def sync_measure(
     distribution of rho1; it is invariant under rescaling the tones by any
     nonzero complex factor.  A signal that does not couple at first order is
     reported with value 0 and the ``zero_response`` flag set (epsilon is then
-    unbounded and returned as inf).
+    unbounded and returned as inf).  A stacked spec or array-valued tones
+    give the fields as arrays of their broadcast shape.
     """
-    # a batch of one detuning, so that the digits are those of a `sync` row
-    rho0, map1, map2 = _response_maps(build_liouvillian(lc), [lc.detuning])
-    res = _measure(rho0.diagonal().real, _apply_maps(map1, map2, signal), eta)
+    pops, map1, map2 = _response_maps(build_liouvillian(lc))
+    res = _measure(pops, _apply_maps(map1, map2, signal), eta)
+    if np.ndim(res.value):  # a stacked spec or signal: the fields are arrays
+        return res
     value, phase, eps, zero = (
         x.item() for x in (res.value, res.locked_phase, res.epsilon, res.zero_response)
     )
@@ -311,9 +304,10 @@ def perturbative_orders(
     """
     if kmax < 0:
         raise InvalidValueError("kmax must be nonnegative")
+    require_single(lc, "perturbative_orders")
     liou = build_liouvillian(lc)
-    rho0, map1, map2 = _response_maps(liou)
-    orders = [rho0]
+    pops, map1, map2 = _response_maps(liou)
+    orders = [_target_state(pops)]
     if kmax == 0:
         return orders
     orders.append(_rho1(_apply_maps(map1, map2, signal)))
@@ -321,21 +315,15 @@ def perturbative_orders(
     aug = np.vstack([liou.diag_block, np.ones((1, 3))])
     for _ in range(2, kmax + 1):
         rhs_mat = 1j * (h @ orders[-1] - orders[-1] @ h)  # -L_ext rho^(k-1)
-        rho_k = np.zeros((3, 3), dtype=complex)
         pop_rhs = np.concatenate([rhs_mat.diagonal().real, [0.0]])
-        pops = np.linalg.lstsq(aug, pop_rhs, rcond=None)[0]
-        np.fill_diagonal(rho_k, pops)
+        rho_k = np.diag(np.linalg.lstsq(aug, pop_rhs, rcond=None)[0]).astype(complex)
         for k in (1, 2):
             slots = SECTOR_SLOTS[k]
             rhs = np.array([rhs_mat[s] for s in slots])
-            if not rhs.any():
-                continue
-            sol = _solve_sectors(
-                liou.sector_blocks[k][None], rhs[:, None], [lc.detuning]
-            )[0, :, 0]
-            for s, x in zip(slots, sol):
-                rho_k[s] = x
-                rho_k[s[1], s[0]] = np.conj(x)
+            if rhs.any():
+                sol = _solve_sectors(liou.sector_blocks[k], rhs[:, None], lc.detuning)
+                for s, x in zip(slots, sol[:, 0]):
+                    rho_k[s], rho_k[s[::-1]] = x, np.conj(x)
         orders.append(rho_k)
     return orders
 
@@ -409,6 +397,7 @@ def eigencoherences(lc: LimitCycleSpec, signal: SignalSpec) -> list[Eigencoheren
     ill-conditioned eigenbasis raise :class:`NonDiagonalizableError`; the
     threshold rule itself stays well defined in that case.
     """
+    require_single(lc, "eigencoherences")
     liou = build_liouvillian(lc)
     rho0 = steady_state(liou)
     drive_mat = _lext_apply(build_hext(signal), rho0)

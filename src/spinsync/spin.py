@@ -154,11 +154,11 @@ def _phase_terms(single, double, weight1: float = COS1_WEIGHT):
     """:class:`PhaseDistributionTerms` of the sum of the single-quantum
     coherences and of the double-quantum coherence, which broadcast against
     each other; the fields are arrays of the broadcast shape.  A vanishing
-    coherence has phase 0."""
+    coherence has phase 0.  ``np.abs`` rounds one cell as a stack's cells."""
     return PhaseDistributionTerms(
-        amp1=weight1 * abs(single),
+        amp1=weight1 * np.abs(single),
         phase1=np.where(single != 0, np.angle(single), 0.0),
-        amp2=COS2_WEIGHT * abs(double),
+        amp2=COS2_WEIGHT * np.abs(double),
         phase2=np.where(double != 0, np.angle(double), 0.0),
     )
 

@@ -230,6 +230,23 @@ class TestSync:
         assert code == 2
         assert "ConfigError" in err and repr(axis) in err
 
+    def test_invalid_cells_named_by_row(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                **EQUATORIAL,
+                "sweep": [
+                    {"name": "gamma_d", "min": -1.0, "max": 1.0, "points": 3},
+                    {"name": "detuning", "min": 0.0, "max": 1.0, "points": 2},
+                ],
+            },
+        )
+        code, _, err = run_cli(capsys, "sync", "--config", cfg)
+        assert code == 2
+        # rows 0-3 carry gamma_d = -1 and 0
+        assert err.startswith("InvalidValueError: gamma_d must be positive")
+        assert "got [-1.0, -1.0, 0.0, 0.0] at stack index [0, 1, 2, 3]" in err
+
     def test_signal_axis_of_the_family_sweeps(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -497,25 +514,36 @@ TONGUE_AXES = [
 ]
 
 
+def _count_calls(monkeypatch, home, name, modules):
+    """Record the arguments of every call of ``home.name`` made through any
+    of ``modules``."""
+    calls = []
+    original = getattr(home, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestGeneratorBuilds:
-    """Generator builds per command: a detuning scan shares one build."""
+    """Generator builds and first-order kernel calls per command: a sweep is
+    one stacked build and one kernel call."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        calls = []
-        original = lindblad.build_liouvillian
+        modules = (lindblad, perturbation, catalog, cli)
+        return _count_calls(monkeypatch, lindblad, "build_liouvillian", modules)
 
-        def counting(spec):
-            calls.append(spec)
-            return original(spec)
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        modules = (perturbation, catalog, cli)
+        return _count_calls(monkeypatch, perturbation, "_response_maps", modules)
 
-        for module in (lindblad, perturbation, catalog, cli):
-            monkeypatch.setattr(module, "build_liouvillian", counting)
-        return calls
-
-    def test_sync_sweep_builds_once_per_detuning_scan(
-        self, tmp_path, capsys, builds
-    ):
+    def test_sync_sweep_builds_once(self, tmp_path, capsys, builds, kernels):
         cfg = write_config(
             tmp_path,
             {
@@ -529,7 +557,9 @@ class TestGeneratorBuilds:
         code, out, _ = run_cli(capsys, "sync", "--config", cfg)
         assert code == 0
         assert len(read_csv(out)) == 6
-        assert len(builds) == 2
+        assert len(builds) == 1
+        assert builds[0][0].shape == (2, 3)
+        assert len(kernels) == 1
 
     def test_perturb_builds_once(self, tmp_path, capsys, builds):
         cfg = write_config(tmp_path, VDP_AUTO)
@@ -538,12 +568,13 @@ class TestGeneratorBuilds:
         assert len(read_csv(out)) == 1
         assert len(builds) == 1
 
-    def test_tongue_builds_once(self, tmp_path, capsys, builds):
+    def test_tongue_builds_once(self, tmp_path, capsys, builds, kernels):
         cfg = write_config(tmp_path, {**EQUATORIAL, "sweep": TONGUE_AXES})
         code, out, _ = run_cli(capsys, "tongue", "--config", cfg)
         assert code == 0
         assert len(read_csv(out)) == 20
         assert len(builds) == 1
+        assert len(kernels) == 1
 
     def test_optimize_builds_once(self, tmp_path, capsys, builds):
         cfg = write_config(
@@ -553,20 +584,22 @@ class TestGeneratorBuilds:
         assert code == 0
         assert len(builds) == 1
 
-    # fig5: one build for its grid and one per optimizer run of the inset
-    @pytest.mark.parametrize(
-        "fig_id, expected", [("fig4", 1), ("fig5", 14), ("fig7", 3)]
-    )
-    def test_figure_builds_once_per_curve(self, capsys, builds, fig_id, expected):
+    # fig5: its grid's cycle and the 13 of the inset in one stack
+    @pytest.mark.parametrize("fig_id", ["fig4", "fig5", "fig7"])
+    def test_figure_builds_once(self, capsys, builds, kernels, fig_id):
         code, out, _ = run_cli(capsys, "figure", fig_id)
         assert code == 0
-        assert len(builds) == expected
+        assert len(builds) == 1
+        assert len(kernels) == 1
 
-    def test_tongue_with_auto_phase_builds_once(self, tmp_path, capsys, builds):
+    def test_tongue_with_auto_phase_builds_once(
+        self, tmp_path, capsys, builds, kernels
+    ):
         cfg = write_config(tmp_path, {**VDP_AUTO, "sweep": TONGUE_AXES})
         code, out, _ = run_cli(capsys, "tongue", "--config", cfg)
         assert code == 0
         assert len(builds) == 1
+        assert len(kernels) == 1
         # the squeezing tone is aligned at the scenario's detuning
         lc = vdp_limit_cycle(1.0, 10.0)
         params = VdpSignalParams(1.0, 0.25 * math.pi, 0.0, 0.7)

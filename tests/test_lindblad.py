@@ -11,6 +11,7 @@ from spinsync.catalog import (
     equatorial_limit_cycle,
     vdp_limit_cycle,
 )
+from spinsync.errors import InvalidValueError
 from spinsync.lindblad import (
     SECTOR_SLOTS,
     DegenerateLimitCycleError,
@@ -213,6 +214,63 @@ class TestBuildLiouvillian:
         with pytest.raises(ValueError, match="detuning"):
             build_liouvillian(equatorial_limit_cycle(1.0, 2.0, detuning))
 
+    @given(
+        seed=SEEDS,
+        exponents=st.lists(
+            st.floats(min_value=-6.0, max_value=15.0), min_size=2, max_size=8
+        ),
+        detunings=st.lists(
+            st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=4
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_build_equals_one_build_per_cell(self, seed, exponents, detunings):
+        # random operators, each dissipator with its own column of rates
+        rng = np.random.default_rng(seed)
+        ops = [op for op, _ in random_sector_spec(rng).dissipators]
+        rates = 10.0 ** np.resize(exponents, (len(ops), len(exponents)))
+        rng.shuffle(rates, axis=1)
+        spec = LimitCycleSpec(
+            tuple(zip(ops, rates[:, :, None])), np.array(detunings)
+        )
+        stack = build_liouvillian(spec)
+        assert spec.shape == (len(exponents), len(detunings))
+        for i, j in np.ndindex(spec.shape):
+            one = build_liouvillian(
+                LimitCycleSpec(tuple(zip(ops, rates[:, i])), detunings[j])
+            )
+            assert one.diag_block.tobytes() == stack.diag_block[i, j].tobytes()
+            for k in (1, 2):
+                assert (
+                    one.sector_blocks[k].tobytes()
+                    == stack.sector_blocks[k][i, j].tobytes()
+                )
+
+    def test_stacked_checks_name_the_failing_cells(self):
+        gain, loss = SP @ SZ, SM @ SZ
+        rates = np.array([1.0, -2.0, math.nan])
+        bad_rate = LimitCycleSpec(((gain, 1.0), (loss, rates)))
+        with pytest.raises(
+            InvalidValueError, match=r"got \[-2\.0, nan\] at stack index \[1, 2\]"
+        ):
+            build_liouvillian(bad_rate)
+        no_rate = LimitCycleSpec(((gain, np.array([[1.0], [0.0]])), (loss, 0.0)))
+        with pytest.raises(InvalidValueError, match=r"rate at stack index \[1\]"):
+            build_liouvillian(no_rate)
+        # row-major indices over a (2, 2) stack
+        detuning = np.array([[0.0, math.inf], [1.0, 2.0]])
+        with pytest.raises(
+            InvalidValueError, match=r"got \[inf\] at stack index \[1\]"
+        ):
+            build_liouvillian(equatorial_limit_cycle(1.0, 2.0, detuning))
+
+    def test_rates_that_do_not_broadcast_rejected(self):
+        spec = LimitCycleSpec(
+            ((SP @ SZ, np.ones(2)), (SM @ SZ, np.ones(3))), 0.0
+        )
+        with pytest.raises(InvalidValueError, match="broadcast"):
+            build_liouvillian(spec)
+
 
 class TestSteadyState:
     def test_equatorial_target(self):
@@ -237,6 +295,23 @@ class TestSteadyState:
         spec = LimitCycleSpec(((SP @ SP, 1.0),), 0.0)
         with pytest.raises(DegenerateLimitCycleError):
             steady_state(build_liouvillian(spec))
+
+    def test_degenerate_cell_named_in_stack(self):
+        # no gain in the middle cell: damping alone leaves |0> and |-1> both
+        # stationary there
+        spec = LimitCycleSpec(
+            ((SP @ SZ, np.array([1.0, 0.0, 2.0])), (SM @ SZ, 1.0)), 0.0
+        )
+        with pytest.raises(DegenerateLimitCycleError, match=r"stack index \[1\]$"):
+            steady_state(build_liouvillian(spec))
+
+    def test_stacked_target_states(self):
+        gd = np.array([0.5, 4.0, 1e6])
+        stack = steady_state(build_liouvillian(vdp_limit_cycle(1.0, gd, 0.3)))
+        assert stack.shape == (3, 3, 3)
+        for i, g in enumerate(gd):
+            one = steady_state(build_liouvillian(vdp_limit_cycle(1.0, g, 0.3)))
+            assert one.tobytes() == stack[i].tobytes()
 
     def test_residual_small(self):
         for lc in (

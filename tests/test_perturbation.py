@@ -8,15 +8,20 @@ from hypothesis import strategies as st
 
 from spinsync.catalog import (
     SMAX_SPIN_COEFF,
+    arnold_tongue,
     asymmetric_equatorial_limit_cycle,
     cooperativity_limit_cycle,
     equatorial_limit_cycle,
+    optimize_signal,
+    pmax_forcing_curve,
     vdp_limit_cycle,
 )
-from spinsync.lindblad import build_liouvillian, steady_state
+from spinsync.errors import InvalidValueError
+from spinsync.lindblad import LimitCycleSpec, build_liouvillian, steady_state
 from spinsync.perturbation import (
     NonDiagonalizableError,
     SingularCoherenceBlockError,
+    SyncResult,
     ZeroResponseError,
     _response_maps,
     coherence_response,
@@ -78,19 +83,29 @@ class TestFirstOrder:
             _response_maps(broken)
 
     def test_singular_detuning_named_in_batch(self):
-        liou = build_liouvillian(equatorial_limit_cycle(1.0, 1.0))
-        # an undamped mode rotating at frequency 1: the block at detuning 1
-        # is singular, every other one regular
-        broken = dataclasses.replace(
-            liou,
-            relaxation_blocks={
-                1: np.diag([1j, -1.0]),
-                2: liou.relaxation_blocks[2],
-            },
-        )
-        with pytest.raises(SingularCoherenceBlockError, match=r"detuning \[1\.0\]"):
-            _response_maps(broken, [0.0, 1.0, 2.0])
-        _, map1, _ = _response_maps(broken, [0.0, 2.0])
+        def rotating(gamma_g, detunings):
+            # an undamped mode rotating at frequency 1: the block at detuning
+            # 1 is singular, every other one regular
+            lc = equatorial_limit_cycle(gamma_g, 1.0, np.array(detunings))
+            liou = build_liouvillian(lc)
+            delta = np.broadcast_to(lc.detuning, lc.shape)[..., None, None]
+            block = np.diag([1j, -1.0]) - 1j * delta * np.eye(2)
+            return dataclasses.replace(
+                liou, sector_blocks={1: block, 2: liou.sector_blocks[2]}
+            )
+
+        with pytest.raises(
+            SingularCoherenceBlockError,
+            match=r"detuning \[1\.0\] at stack index \[1\]$",
+        ):
+            _response_maps(rotating(1.0, [0.0, 1.0, 2.0]))
+        # over a (2, 3) stack the cells are named by row-major index
+        with pytest.raises(
+            SingularCoherenceBlockError,
+            match=r"detuning \[1\.0, 1\.0\] at stack index \[1, 4\]$",
+        ):
+            _response_maps(rotating(np.array([[1.0], [2.0]]), [0.0, 1.0, 2.0]))
+        _, map1, _ = _response_maps(rotating(1.0, [0.0, 2.0]))
         assert np.isfinite(map1).all()
 
     def test_matches_linear_response_maps(self):
@@ -338,3 +353,71 @@ class TestEigencoherences:
         # equal diagonal entries with the gain cross-coupling form a Jordan block
         with pytest.raises(NonDiagonalizableError):
             eigencoherences(vdp_limit_cycle(1.0, 0.5), semiclassical(0.0))
+
+
+# a (2, 3) stack: two damping rates against three detunings
+STACK = vdp_limit_cycle(1.0, np.array([[5.0], [50.0]]), np.array([0.0, 0.3, -1.0]))
+STACK_SIGNAL = SignalSpec(0.6 + 0.2j, 0.5 - 0.3j, 0.4j)
+
+
+def _cells(lc):
+    """Each index of a stacked spec with the single cycle there."""
+    for index in np.ndindex(lc.shape):
+        rates = [np.broadcast_to(rate, lc.shape)[index] for _, rate in lc.dissipators]
+        ops = [op for op, _ in lc.dissipators]
+        detuning = np.broadcast_to(lc.detuning, lc.shape)[index]
+        yield index, LimitCycleSpec(tuple(zip(ops, rates)), detuning)
+
+
+class TestStackedSpecs:
+    """Single-cycle public functions either work cell by cell on a stacked
+    spec or reject it with InvalidValueError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda lc: steady_state(build_liouvillian(lc)),
+            lambda lc: coherence_response(lc),
+            lambda lc: first_order(lc, STACK_SIGNAL),
+            lambda lc: sync_measure(lc, STACK_SIGNAL),
+        ],
+        ids=["steady_state", "coherence_response", "first_order", "sync_measure"],
+    )
+    def test_works_per_cell(self, call):
+        def parts(out):
+            if isinstance(out, SyncResult):
+                terms = dataclasses.astuple(out.terms)
+                out = (out.value, out.locked_phase, out.epsilon, *terms)
+            return [np.asarray(x) for x in out] if isinstance(out, tuple) else [out]
+
+        stacked = parts(call(STACK))
+        for index, lc in _cells(STACK):
+            for got, one in zip(stacked, parts(call(lc))):
+                assert got[index].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda lc: build_liouvillian(lc).full,
+            lambda lc: perturbation_result(lc, STACK_SIGNAL),
+            lambda lc: arnold_tongue(lc, STACK_SIGNAL, np.zeros(3), np.ones(2)),
+            lambda lc: full_steady_state(lc, STACK_SIGNAL, 0.01),
+            lambda lc: perturbative_orders(lc, STACK_SIGNAL, 2),
+            lambda lc: eigencoherences(lc, STACK_SIGNAL),
+            lambda lc: optimize_signal(lc, "vdp_general"),
+            lambda lc: pmax_forcing_curve(lc, STACK_SIGNAL, np.array([0.1, 1.0])),
+        ],
+        ids=[
+            "full",
+            "perturbation_result",
+            "arnold_tongue",
+            "full_steady_state",
+            "perturbative_orders",
+            "eigencoherences",
+            "optimize_signal",
+            "pmax_forcing_curve",
+        ],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(InvalidValueError, match=r"one limit cycle, not \(2, 3\)"):
+            call(STACK)

@@ -30,7 +30,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidValueError
-from .lindblad import LimitCycleSpec, _where, build_liouvillian, require_single
+from .lindblad import (
+    LimitCycleSpec,
+    Liouvillian,
+    _where,
+    build_liouvillian,
+    require_single,
+)
 from .lindblad import steady_state
 from .perturbation import (
     SyncResult,
@@ -673,12 +679,30 @@ def _tongue_grid(
 def pmax_forcing_curve(
     lc: LimitCycleSpec, signal: SignalSpec, strengths: np.ndarray
 ) -> np.ndarray:
-    """Largest population deformation of the exact state along a strength grid."""
-    liou = build_liouvillian(lc)
+    """Largest population deformation of the exact state along a strength grid.
+
+    The exact driven states of the whole grid come from one stacked solve
+    (see :func:`~spinsync.perturbation.full_steady_state`), which holds every
+    strength's 9x9 generator at once: pass one curve, a few hundred strengths
+    at most.  A strength whose driven generator has no unique stationary
+    state raises :class:`~spinsync.perturbation.DegenerateSteadyStateError`
+    naming it and its index in ``strengths``.
+    """
+    return _pmax_curves(build_liouvillian(lc), [signal], strengths)[0]
+
+
+def _pmax_curves(
+    liou: Liouvillian, signals: list[SignalSpec], strengths: np.ndarray
+) -> np.ndarray:
+    """:func:`pmax_forcing_curve` of each signal on one built generator: one
+    target state and one stacked exact solve per curve, shape
+    (len(signals), len(strengths))."""
     rho0 = steady_state(liou)
-    h = build_hext(signal)
     return np.array(
-        [p_max(_driven_steady_state(liou, h, eps), rho0) for eps in strengths]
+        [
+            p_max(_driven_steady_state(liou, build_hext(signal), strengths), rho0)
+            for signal in signals
+        ]
     )
 
 
@@ -720,11 +744,10 @@ def pmax_failure_sweep(
 ) -> dict[float, dict]:
     """Deformation curves for the van der Pol cycle driven by two
     single-quantum tones of amplitude ratio r (squeezing off, resonant)."""
-    out: dict[float, dict] = {}
-    for r in r_values:
-        lc = vdp_limit_cycle(gamma_g, gamma_d)
-        signal = SignalSpec(float(r) + 0j, 1.0 / SQRT2 + 0j, 0j)
-        curve = pmax_forcing_curve(lc, signal, strengths)
-        report = detect_interior_peak(strengths, curve)
-        out[float(r)] = {"curve": curve, "analysis": report}
-    return out
+    liou = build_liouvillian(vdp_limit_cycle(gamma_g, gamma_d))
+    signals = [SignalSpec(float(r) + 0j, 1.0 / SQRT2 + 0j, 0j) for r in r_values]
+    curves = _pmax_curves(liou, signals, strengths)
+    return {
+        float(r): {"curve": curve, "analysis": detect_interior_peak(strengths, curve)}
+        for r, curve in zip(r_values, curves)
+    }

@@ -28,11 +28,11 @@ from .catalog import (
     TongueGrid,
     _align_on_maps,
     _optimum,
+    _pmax_curves,
     _tongue_grid,
     arnold_tongue,
     make_limit_cycle,
     optimize_signal,
-    pmax_forcing_curve,
     smax,
     vdp_optimal_squeeze_ratio,
 )
@@ -657,11 +657,14 @@ def _figure_forcing(cfg: dict, ratio: float):
     eps_eta = float(res.epsilon)
     h = build_hext(sig)
     strengths = np.linspace(0.0, 1.5 * gg, 151)
-    states = [_driven_steady_state(liou, h, e) if e > 0 else rho0 for e in strengths]
+    # the undriven row is rho0 itself; the driven rows are one stacked solve
+    driven = strengths > 0
+    states = np.repeat(rho0[None], len(strengths), axis=0)
+    states[driven] = _driven_steady_state(liou, h, strengths[driven])
     columns = {
         "epsilon": strengths,
-        "p_avg": [p_avg(rho, rho0) for rho in states],
-        "p_max": [p_max(rho, rho0) for rho in states],
+        "p_avg": p_avg(states, rho0),
+        "p_max": p_max(states, rho0),
         "epsilon_max": np.full(len(strengths), eps_eta),
         "forcing": strengths > eps_eta,
     }
@@ -773,11 +776,9 @@ def _figure_fig8app(cfg: dict):
         _number(r, "figure.r_values") for r in cfg.get("r_values", [0.5, 2.5, 4.0, 9.0])
     ]
     strengths = np.logspace(-2, 3, 121)
-    lc = catalog.vdp_limit_cycle(gg, gd)
-    curves = [
-        pmax_forcing_curve(lc, SignalSpec(r, 1.0 / SQRT2, 0j), strengths)
-        for r in r_values
-    ]
+    liou = build_liouvillian(catalog.vdp_limit_cycle(gg, gd))
+    signals = [SignalSpec(r, 1.0 / SQRT2, 0j) for r in r_values]
+    curves = _pmax_curves(liou, signals, strengths)
     r, eps = np.meshgrid(r_values, strengths, indexing="ij")
     return [("", *_table({"r": r, "epsilon": eps, "p_max": curves}))]
 

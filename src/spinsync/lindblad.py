@@ -79,13 +79,16 @@ _SECTOR_OF_ENTRY = np.arange(3)[None, :] - np.arange(3)[:, None]
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
-    """Column-stack a 3x3 matrix into a length-9 vector."""
-    return np.asarray(mat, dtype=complex).flatten(order="F")
+    """Column-stack a 3x3 matrix into a length-9 vector (a stack of shape
+    (..., 3, 3) into one of shape (..., 9))."""
+    mat = np.asarray(mat, dtype=complex)
+    return np.swapaxes(mat, -1, -2).reshape(mat.shape[:-2] + (9,))
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
     """Inverse of :func:`vec`."""
-    return np.asarray(v, dtype=complex).reshape(3, 3, order="F")
+    v = np.asarray(v, dtype=complex)
+    return np.swapaxes(v.reshape(v.shape[:-1] + (3, 3)), -1, -2)
 
 
 def _float_or_array(value):
@@ -105,11 +108,12 @@ def _where(bad: np.ndarray, values=None) -> str:
     return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitCycleSpec:
     """Dissipator list with rates plus the detuning of the rotating frame.
     Rates and detuning are floats, or float arrays that broadcast against each
-    other: a stack of cycles of shape :attr:`shape`."""
+    other: a stack of cycles of shape :attr:`shape`.  Specs compare and hash
+    by identity, since their fields hold arrays."""
 
     dissipators: tuple[tuple[np.ndarray, float], ...]
     detuning: float = 0.0
@@ -138,7 +142,7 @@ def require_single(spec: LimitCycleSpec, caller: str) -> None:
         raise InvalidValueError(f"{caller} takes one limit cycle, not {spec.shape}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Liouvillian:
     """Limit-cycle generator with its sector decomposition.
 
@@ -153,7 +157,8 @@ class Liouvillian:
     :func:`build_liouvillian`).  ``full``, the 9x9 generator acting on
     column-stacked 3x3 matrices, is built from a single-cycle ``spec`` by
     Kronecker products on first access; only the exact driven steady state
-    and :func:`apply_liouvillian` need it.
+    and :func:`apply_liouvillian` need it.  Generators compare and hash by
+    identity, as their specs do.
     """
 
     spec: LimitCycleSpec

@@ -43,7 +43,6 @@ from .spin import (
     COS1_WEIGHT,
     COS2_WEIGHT,
     SQRT2,
-    SZ,
     PhaseDistributionTerms,
     _max_shifted_phase,
     _phase_terms,
@@ -337,44 +336,76 @@ _TRACE_ROW = np.zeros(9)
 _TRACE_ROW[[0, 4, 8]] = 1.0
 
 
-def full_steady_state(
-    lc: LimitCycleSpec, signal: SignalSpec, epsilon: float
-) -> np.ndarray:
-    """Exact stationary state of the driven generator at finite epsilon."""
+def full_steady_state(lc: LimitCycleSpec, signal: SignalSpec, epsilon) -> np.ndarray:
+    """Exact stationary state of the driven generator at finite epsilon; an
+    array of strengths gives the states stacked over its shape (see
+    :func:`_driven_steady_state`)."""
     return _driven_steady_state(build_liouvillian(lc), build_hext(signal), epsilon)
 
 
-def _driven_steady_state(
-    liou: Liouvillian, h: np.ndarray, epsilon: float
-) -> np.ndarray:
-    """:func:`full_steady_state` on a built generator and signal Hamiltonian."""
-    gen = liou.full + float(epsilon) * hamiltonian_superop(h)
+def _hermitian_part(rho: np.ndarray) -> np.ndarray:
+    return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
+
+
+def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarray:
+    """:func:`full_steady_state` on a built generator and signal Hamiltonian.
+
+    ``epsilon`` is a strength, which gives one 3x3 state, or an array of
+    strengths, which gives the states stacked over its shape, e.g. (n, 3, 3)
+    for n strengths.  Every strength takes the kernel of its 9x9 generator
+    from one stacked SVD, then one least-squares correction on the
+    trace-augmented 10x9 system, from one stacked pseudo-inverse.  The n
+    generators and their factors are held at once, so callers stack one
+    forcing curve (a few hundred strengths) per call.  A strength whose
+    generator has a degenerate kernel, or whose stationary direction is
+    traceless, raises :class:`DegenerateSteadyStateError` naming every failing
+    strength and its index in the stack.
+    """
+    eps = np.asarray(epsilon, dtype=float)
+    gen = liou.full + eps.reshape(-1, 1, 1) * hamiltonian_superop(h)
     _, svals, vt = np.linalg.svd(gen)
-    if svals[-2] <= 1e-10 * svals[0]:
-        raise DegenerateSteadyStateError("driven generator has a degenerate kernel")
-    rho = unvec(vt[-1].conj())
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = float(rho.trace().real)
-    if abs(tr) < 1e-8 * hs_norm(rho):
-        raise DegenerateSteadyStateError("stationary direction is traceless")
-    rho = rho / tr
+    bad = svals[:, -2] <= 1e-10 * svals[:, 0]
+    if bad.any():
+        raise DegenerateSteadyStateError(
+            "driven generator has a degenerate kernel at epsilon"
+            + _where(bad.reshape(eps.shape), eps)
+        )
+    rho = _hermitian_part(unvec(vt[:, -1].conj()))
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    bad = np.abs(tr) < 1e-8 * np.linalg.norm(rho, axis=(-2, -1))
+    if bad.any():
+        raise DegenerateSteadyStateError(
+            "stationary direction is traceless at epsilon"
+            + _where(bad.reshape(eps.shape), eps)
+        )
+    rho = rho / tr[:, None, None]
     # one least-squares correction on the trace-augmented system
-    aug = np.vstack([gen, _TRACE_ROW])
-    resid = np.concatenate([gen @ vec(rho), [0.0]])
-    delta = np.linalg.lstsq(aug, resid, rcond=None)[0]
-    rho = rho - unvec(delta)
-    return 0.5 * (rho + rho.conj().T)
+    n = len(gen)
+    aug = np.concatenate([gen, np.broadcast_to(_TRACE_ROW, (n, 1, 9))], axis=1)
+    resid = np.concatenate([gen @ vec(rho)[..., None], np.zeros((n, 1, 1))], axis=1)
+    delta = np.linalg.pinv(aug, rtol=None) @ resid
+    rho = _hermitian_part(rho - unvec(delta[..., 0]))
+    return rho.reshape(eps.shape + (3, 3))
 
 
-def p_avg(rho: np.ndarray, rho0: np.ndarray) -> float:
-    """Change of the average level occupation, Tr[S_z (rho - rho0)]."""
-    return float(np.trace(SZ @ (np.asarray(rho) - np.asarray(rho0))).real)
+def _population_change(rho, rho0) -> np.ndarray:
+    """Populations of ``rho`` (one state or a stack) minus those of ``rho0``."""
+    diff = np.asarray(rho) - np.asarray(rho0)
+    return diff.diagonal(axis1=-2, axis2=-1).real
 
 
-def p_max(rho: np.ndarray, rho0: np.ndarray) -> float:
-    """Largest change of any individual population."""
-    diff = np.asarray(rho).diagonal().real - np.asarray(rho0).diagonal().real
-    return float(np.abs(diff).max())
+def p_avg(rho: np.ndarray, rho0: np.ndarray):
+    """Change of the average level occupation, Tr[S_z (rho - rho0)], i.e. the
+    change of p(+1) - p(-1); a float for one state, an array for a stack of
+    states of shape (..., 3, 3)."""
+    diff = _population_change(rho, rho0)
+    return _float_or_array(diff[..., 0] - diff[..., 2])
+
+
+def p_max(rho: np.ndarray, rho0: np.ndarray):
+    """Largest change of any individual population; a float for one state,
+    an array for a stack of states of shape (..., 3, 3)."""
+    return _float_or_array(np.abs(_population_change(rho, rho0)).max(axis=-1))
 
 
 @dataclass(frozen=True)

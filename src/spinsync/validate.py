@@ -408,9 +408,8 @@ def check_perturbative_consistency() -> list[CheckResult]:
     out = []
     for name, lc in scenarios.items():
         rho0, rho1 = perturbative_orders(lc, sig, 1)
-        resid = [
-            hs_norm(full_steady_state(lc, sig, e) - rho0 - e * rho1) for e in eps
-        ]
+        states = full_steady_state(lc, sig, eps)
+        resid = [hs_norm(rho - rho0 - e * rho1) for rho, e in zip(states, eps)]
         slope = float(np.polyfit(np.log(eps), np.log(resid), 1)[0])
         out.append(
             CheckResult(

@@ -594,22 +594,39 @@ def _cycle_and_closed(cycle, ratio, delta, spec):
 RANGE_DETUNINGS = [0.0, 0.3, 50.0, 1e6]
 
 
+def _check_pipeline_against_closed_form(cycle, delta, ratio):
+    lc, (coh, pops) = _cycle_and_closed(cycle, ratio, delta, RANGE_SIGNAL)
+    rho0 = steady_state(build_liouvillian(lc))
+    assert np.abs(rho0.diagonal().real - pops).max() <= 1e-14
+    rho1 = first_order(lc, RANGE_SIGNAL)
+    got = np.array([rho1[0, 1], rho1[1, 2], rho1[0, 2]])
+    assert np.abs(got - np.array(coh)).max() <= 1e-12 * np.abs(coh).max()
+    aligned = align_squeeze_phase(lc, RANGE_SIGNAL)
+    coh, pops = _cycle_and_closed(cycle, ratio, delta, aligned)[1]
+    assert sync_measure(lc, aligned).value == pytest.approx(
+        sync_from_coherences(pops, coh), rel=1e-9
+    )
+
+
+RANGE_CYCLES = ["equatorial", "vdp", "asymmetric"]
+
+
 class TestDynamicRange:
     @pytest.mark.parametrize("ratio", RATE_RATIOS)
     @pytest.mark.parametrize("delta", RANGE_DETUNINGS)
-    @pytest.mark.parametrize("cycle", ["equatorial", "vdp", "asymmetric"])
+    @pytest.mark.parametrize("cycle", RANGE_CYCLES)
     def test_pipeline_matches_closed_form(self, cycle, delta, ratio):
-        lc, (coh, pops) = _cycle_and_closed(cycle, ratio, delta, RANGE_SIGNAL)
-        rho0 = steady_state(build_liouvillian(lc))
-        assert np.abs(rho0.diagonal().real - pops).max() <= 1e-14
-        rho1 = first_order(lc, RANGE_SIGNAL)
-        got = np.array([rho1[0, 1], rho1[1, 2], rho1[0, 2]])
-        assert np.abs(got - np.array(coh)).max() <= 1e-12 * np.abs(coh).max()
-        aligned = align_squeeze_phase(lc, RANGE_SIGNAL)
-        coh, pops = _cycle_and_closed(cycle, ratio, delta, aligned)[1]
-        assert sync_measure(lc, aligned).value == pytest.approx(
-            sync_from_coherences(pops, coh), rel=1e-9
-        )
+        _check_pipeline_against_closed_form(cycle, delta, ratio)
+
+    # rate ratios log-uniform over the whole range, detunings off the grid
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cycle=st.sampled_from(RANGE_CYCLES),
+        delta=st.floats(-20.0, 20.0),
+        log_ratio=st.floats(-6.0, 15.0),
+    )
+    def test_pipeline_matches_closed_form_anywhere(self, cycle, delta, log_ratio):
+        _check_pipeline_against_closed_form(cycle, delta, 10.0**log_ratio)
 
     def test_equatorial_measure_at_rate_ratio_1e12(self):
         res = sync_measure(equatorial_limit_cycle(1.0, 1e12, 0.3), semiclassical(0.0))

@@ -18,7 +18,8 @@ from spinsync import catalog, cli, lindblad, perturbation
 from spinsync.catalog import align_squeeze_phase, arnold_tongue, vdp_limit_cycle
 from spinsync.cli import main
 from spinsync.errors import SpinsyncError
-from spinsync.signals import VdpSignalParams, from_vdp_params
+from spinsync.signals import SignalSpec, VdpSignalParams, from_vdp_params
+from spinsync.spin import SQRT2
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -473,6 +474,16 @@ class TestFigures:
             peak_delta = max(sub, key=lambda t: t[1])[0]
             assert peak_delta == pytest.approx(math.sqrt(ratio), rel=0.05)
 
+    @pytest.mark.parametrize("fig_id", ["fig3a", "fig3b"])
+    def test_fig3_undriven_row_is_the_target_state(self, fig_id):
+        # the eps = 0 row takes rho0 itself, not a driven solve at eps = 0
+        (_, header, columns), = cli.figure_datasets(fig_id, {})
+        col = dict(zip(header, columns))
+        assert col["epsilon"][0] == 0.0
+        assert col["p_avg"][0].tobytes() == np.float64(0.0).tobytes()
+        assert col["p_max"][0].tobytes() == np.float64(0.0).tobytes()
+        assert (col["p_max"][1:] > 0.0).all()
+
     def test_fig3_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(capsys, "figure", "fig3a", "--out", str(a))[0] == 0
@@ -591,6 +602,36 @@ class TestGeneratorBuilds:
         assert code == 0
         assert len(builds) == 1
         assert len(kernels) == 1
+
+    @pytest.fixture
+    def driven(self, monkeypatch):
+        modules = (perturbation, catalog, cli)
+        name = "_driven_steady_state"
+        return _count_calls(monkeypatch, perturbation, name, modules)
+
+    # fig3a/b: one curve of 150 driven strengths; fig8app: 4 curves of 121
+    @pytest.mark.parametrize(
+        "fig_id, curves, points",
+        [("fig3a", 1, 150), ("fig3b", 1, 150), ("fig8app", 4, 121)],
+    )
+    def test_forcing_figure_solves_once_per_curve(
+        self, capsys, builds, driven, fig_id, curves, points
+    ):
+        code, out, _ = run_cli(capsys, "figure", fig_id)
+        assert code == 0
+        assert len(builds) == 1
+        assert [np.shape(args[2]) for args in driven] == [(points,)] * curves
+
+    def test_pmax_failure_sweep_builds_once(self, builds, driven):
+        strengths = np.logspace(-2, 3, 11)
+        sweep = catalog.pmax_failure_sweep([0.5, 2.5], strengths, 1.0, 100.0)
+        assert len(builds) == 1
+        assert len(driven) == 2
+        lc = vdp_limit_cycle(1.0, 100.0)
+        for r, data in sweep.items():
+            signal = SignalSpec(r + 0j, 1.0 / SQRT2 + 0j, 0j)
+            curve = catalog.pmax_forcing_curve(lc, signal, strengths)
+            assert data["curve"].tobytes() == curve.tobytes()
 
     def test_tongue_with_auto_phase_builds_once(
         self, tmp_path, capsys, builds, kernels

@@ -23,6 +23,8 @@ from spinsync.lindblad import (
     sector_block,
     sector_of,
     steady_state,
+    unvec,
+    vec,
 )
 from spinsync.spin import SM, SP, SQRT2, SX, SZ, rotation_z
 
@@ -338,3 +340,33 @@ class TestSteadyState:
             for k in (1, 2, -1, -2):
                 evals = np.linalg.eigvals(sector_block(liou, k))
                 assert evals.real.max() < 0.0
+
+
+class TestSpecIdentity:
+    """Specs and generators hold arrays, so they compare and hash by identity."""
+
+    @pytest.mark.parametrize(
+        "gamma_d, detuning",
+        [(2.0, 0.3), (np.array([[2.0], [3.0]]), np.array([0.0, 0.5]))],
+        ids=["single", "stack"],
+    )
+    def test_equality_and_hash(self, gamma_d, detuning):
+        lc = vdp_limit_cycle(1.0, gamma_d, detuning)
+        twin = vdp_limit_cycle(1.0, gamma_d, detuning)
+        liou = build_liouvillian(lc)
+        for obj, other in ((lc, twin), (liou, build_liouvillian(twin))):
+            assert obj == obj
+            assert obj != other
+            assert hash(obj) == hash(obj)
+            assert {obj: 1, other: 2}[obj] == 1
+
+
+class TestVec:
+    def test_stack_column_stacks_each_matrix(self):
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(2, 4, 3, 3)) + 1j * rng.normal(size=(2, 4, 3, 3))
+        flat = vec(stack)
+        assert flat.shape == (2, 4, 9)
+        for index in np.ndindex(2, 4):
+            assert flat[index].tobytes() == stack[index].flatten(order="F").tobytes()
+        assert unvec(flat).tobytes() == stack.tobytes()

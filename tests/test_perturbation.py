@@ -17,12 +17,21 @@ from spinsync.catalog import (
     vdp_limit_cycle,
 )
 from spinsync.errors import InvalidValueError
-from spinsync.lindblad import LimitCycleSpec, build_liouvillian, steady_state
+from spinsync.lindblad import (
+    LimitCycleSpec,
+    build_liouvillian,
+    hamiltonian_superop,
+    steady_state,
+    unvec,
+    vec,
+)
 from spinsync.perturbation import (
+    DegenerateSteadyStateError,
     NonDiagonalizableError,
     SingularCoherenceBlockError,
     SyncResult,
     ZeroResponseError,
+    _driven_steady_state,
     _response_maps,
     coherence_response,
     eigencoherences,
@@ -38,7 +47,7 @@ from spinsync.perturbation import (
     sync_measure,
 )
 from spinsync.signals import SignalSpec, build_hext, semiclassical
-from spinsync.spin import SQRT2, phase_distribution_terms
+from spinsync.spin import SQRT2, SZ, phase_distribution_terms
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -48,6 +57,7 @@ CATALOG = [
     asymmetric_equatorial_limit_cycle(1.0, 1.0, 0.5, 0.3),
     cooperativity_limit_cycle(1.0, 1.0, 1.0, 0.3),
 ]
+CATALOG_IDS = ["equatorial", "vdp", "asymmetric_equatorial", "cooperativity"]
 
 
 class TestFirstOrder:
@@ -294,6 +304,80 @@ class TestFullSteadyState:
             resid = hs_norm(full_steady_state(lc, spec, eps) - rho0 - eps * rho1)
             ratios.append(resid / eps**2)
         assert ratios[1] == pytest.approx(ratios[0], rel=0.05)
+
+
+STRENGTHS = np.logspace(-3.0, 3.0, 25)
+DRIVES = [semiclassical(0.0), SignalSpec(0.6 + 0.2j, 0.5 - 0.3j, 0.4j)]
+_TRACE_ROW = vec(np.eye(3)).real
+
+
+def _driven_state_alone(liou, h, eps):
+    """Reference: the exact driven state of one strength, its correction
+    from ``lstsq`` on the trace-augmented system."""
+    gen = liou.full + eps * hamiltonian_superop(h)
+    _, svals, vt = np.linalg.svd(gen)
+    assert svals[-2] > 1e-10 * svals[0]
+    rho = unvec(vt[-1].conj())
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / rho.trace().real
+    aug = np.vstack([gen, _TRACE_ROW])
+    resid = np.concatenate([gen @ vec(rho), [0.0]])
+    rho = rho - unvec(np.linalg.lstsq(aug, resid, rcond=None)[0])
+    return 0.5 * (rho + rho.conj().T)
+
+
+class TestStackedDrivenState:
+    @pytest.mark.parametrize("signal", DRIVES, ids=["semiclassical", "squeezed"])
+    @pytest.mark.parametrize("lc", CATALOG, ids=CATALOG_IDS)
+    def test_stack_equals_one_solve_per_strength(self, lc, signal):
+        liou, h = build_liouvillian(lc), build_hext(signal)
+        stack = full_steady_state(lc, signal, STRENGTHS)
+        assert stack.shape == (len(STRENGTHS), 3, 3)
+        for rho, eps in zip(stack, STRENGTHS):
+            one = full_steady_state(lc, signal, eps)
+            assert one.shape == (3, 3)
+            assert np.abs(rho - one).max() <= 1e-15
+            assert np.abs(rho - _driven_state_alone(liou, h, eps)).max() <= 1e-15
+
+    def test_degenerate_cell_named(self):
+        # pure dephasing leaves every population stationary until driven
+        liou = build_liouvillian(LimitCycleSpec(((SZ, 1.0),)))
+        h = build_hext(semiclassical(0.0))
+        assert _driven_steady_state(liou, h, 0.5) == pytest.approx(np.eye(3) / 3)
+        with pytest.raises(
+            DegenerateSteadyStateError,
+            match=r"degenerate kernel at epsilon, got \[0.0\] at stack index \[2\]$",
+        ):
+            _driven_steady_state(liou, h, np.array([0.5, 1.0, 0.0, 2.0]))
+
+    def test_traceless_cell_named(self):
+        # a generator whose kernel is S_z alone, with a drive that mixes the
+        # trace in: only the undriven cell's stationary direction is traceless
+        liou = build_liouvillian(equatorial_limit_cycle(1.0, 1.0))
+        h = build_hext(semiclassical(0.0))
+        unit = [x / np.linalg.norm(x) for x in (vec(SZ), vec(np.eye(3)))]
+        push = hamiltonian_superop(h) @ unit[0]
+        push = push / np.linalg.norm(push)
+        liou.__dict__["full"] = (
+            np.eye(9) - np.outer(unit[0], unit[0]) + np.outer(unit[1], push.conj())
+        )
+        with pytest.raises(
+            DegenerateSteadyStateError,
+            match=r"traceless at epsilon, got \[0.0\] at stack index \[1\]$",
+        ):
+            _driven_steady_state(liou, h, np.array([0.3, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("lc", CATALOG, ids=CATALOG_IDS)
+    def test_deformation_measures_per_state(self, lc):
+        rho0 = steady_state(build_liouvillian(lc))
+        stack = full_steady_state(lc, DRIVES[1], STRENGTHS)
+        for measure in (p_avg, p_max):
+            values = measure(stack, rho0)
+            assert values.shape == STRENGTHS.shape
+            for value, rho in zip(values, stack):
+                one = measure(rho, rho0)
+                assert type(one) is float
+                assert value == one
 
 
 class TestDeformationMeasures:

@@ -191,8 +191,10 @@ def _norms(populations, coherences):
     """||rho0|| from its populations and ||rho1|| from its coherences
     ``(r10, r0m1, r1m1)``, which broadcast against each other (and the
     stack of the populations, of shape (..., 3))."""
-    r_10, r_0m1, r_1m1 = coherences
-    norm1 = np.sqrt(2.0 * (abs(r_10) ** 2 + abs(r_0m1) ** 2 + abs(r_1m1) ** 2))
+    # ufuncs round a scalar as one cell of a stack, where builtin abs (hypot)
+    # and ** (pow) on a scalar can differ in the last bit
+    sq_10, sq_0m1, sq_1m1 = (np.square(np.abs(r)) for r in coherences)
+    norm1 = np.sqrt(2.0 * (sq_10 + sq_0m1 + sq_1m1))
     return np.sqrt(np.vecdot(populations, populations)), norm1
 
 
@@ -203,7 +205,7 @@ def sync_from_coherences(populations, coherences, eta: float = 0.1):
     vanishes.  The coherences (r10, r0m1, r1m1) broadcast against each other.
     """
     r_10, r_0m1, r_1m1 = coherences
-    amp = COS1_WEIGHT * abs(r_10 + r_0m1) + COS2_WEIGHT * abs(r_1m1)
+    amp = COS1_WEIGHT * np.abs(r_10 + r_0m1) + COS2_WEIGHT * np.abs(r_1m1)
     norm0, norm1 = _norms(populations, coherences)
     # a vanishing rho1 has amp = 0, which an infinite norm maps to 0
     val = eta * norm0 * amp / np.where(norm1 > 0.0, norm1, np.inf)
@@ -354,8 +356,8 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
     strengths, which gives the states stacked over its shape, e.g. (n, 3, 3)
     for n strengths.  Every strength takes the kernel of its 9x9 generator
     from one stacked SVD, then one least-squares correction on the
-    trace-augmented 10x9 system, from one stacked pseudo-inverse.  The n
-    generators and their factors are held at once, so callers stack one
+    trace-augmented 10x9 system, in closed form from the same SVD's factors.
+    The n generators and their factors are held at once, so callers stack one
     forcing curve (a few hundred strengths) per call.  A strength whose
     generator has a degenerate kernel, or whose stationary direction is
     traceless, raises :class:`DegenerateSteadyStateError` naming every failing
@@ -363,7 +365,7 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
     """
     eps = np.asarray(epsilon, dtype=float)
     gen = liou.full + eps.reshape(-1, 1, 1) * hamiltonian_superop(h)
-    _, svals, vt = np.linalg.svd(gen)
+    u, svals, vt = np.linalg.svd(gen)
     bad = svals[:, -2] <= 1e-10 * svals[:, 0]
     if bad.any():
         raise DegenerateSteadyStateError(
@@ -379,12 +381,26 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
             + _where(bad.reshape(eps.shape), eps)
         )
     rho = rho / tr[:, None, None]
-    # one least-squares correction on the trace-augmented system
-    n = len(gen)
-    aug = np.concatenate([gen, np.broadcast_to(_TRACE_ROW, (n, 1, 9))], axis=1)
-    resid = np.concatenate([gen @ vec(rho)[..., None], np.zeros((n, 1, 1))], axis=1)
-    delta = np.linalg.pinv(aug, rtol=None) @ resid
-    rho = _hermitian_part(rho - unvec(delta[..., 0]))
+    # the least-squares correction on the trace-augmented system, from the
+    # factors gen = U S V^H: with d = V y, c = U^H gen vec(rho) and w =
+    # V^T trace_row it minimises sum_i |s_i y_i - c_i|^2 + |w^T y|^2.  For
+    # alpha = w^T y, y_i = (c_i - conj(w_i) alpha / s_i) / s_i (i < 8) and
+    # w_8 y_8 = alpha - sum_{i<8} w_i y_i, where alpha = s_8 (w_8 c_8 + s_8 p)
+    # / (|w_8|^2 + s_8^2 q), p = sum_{i<8} w_i c_i / s_i and q = 1 +
+    # sum_{i<8} |w_i / s_i|^2.  Nothing divides by s_8, which can be exactly
+    # 0, and the trace check keeps |w_8| >= |tr| away from 0.
+    c = (u.conj().swapaxes(-1, -2) @ (gen @ vec(rho)[..., None]))[..., 0]
+    w = vt.conj() @ _TRACE_ROW
+    s, s_8, w_8 = svals[:, :-1], svals[:, -1], w[:, -1]
+    y = c[:, :-1] / s
+    p = np.sum(w[:, :-1] * y, axis=-1)
+    q = 1.0 + np.sum(np.abs(w[:, :-1] / s) ** 2, axis=-1)
+    alpha = s_8 * (w_8 * c[:, -1] + s_8 * p) / (np.abs(w_8) ** 2 + s_8**2 * q)
+    y -= w[:, :-1].conj() * (alpha[:, None] / s**2)
+    y_8 = (alpha - np.sum(w[:, :-1] * y, axis=-1)) / w_8
+    y = np.concatenate([y, y_8[:, None]], axis=-1)
+    delta = (y[:, None] @ vt.conj())[:, 0]
+    rho = _hermitian_part(rho - unvec(delta))
     return rho.reshape(eps.shape + (3, 3))
 
 

@@ -609,18 +609,42 @@ class TestGeneratorBuilds:
         name = "_driven_steady_state"
         return _count_calls(monkeypatch, perturbation, name, modules)
 
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        """The name, operand shape and keywords of every ``np.linalg.svd``,
+        ``pinv`` and ``lstsq`` call."""
+        calls = []
+        for name in ("svd", "pinv", "lstsq"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, np.shape(a), kwargs))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        return calls
+
     # fig3a/b: one curve of 150 driven strengths; fig8app: 4 curves of 121
     @pytest.mark.parametrize(
         "fig_id, curves, points",
         [("fig3a", 1, 150), ("fig3b", 1, 150), ("fig8app", 4, 121)],
     )
     def test_forcing_figure_solves_once_per_curve(
-        self, capsys, builds, driven, fig_id, curves, points
+        self, capsys, builds, driven, factorizations, fig_id, curves, points
     ):
         code, out, _ = run_cli(capsys, "figure", fig_id)
         assert code == 0
         assert len(builds) == 1
         assert [np.shape(args[2]) for args in driven] == [(points,)] * curves
+        # one stacked SVD per curve factors the generators and gives the
+        # correction too: no second factorization
+        full = [
+            shape
+            for name, shape, kwargs in factorizations
+            if name == "svd" and kwargs.get("compute_uv", True)
+        ]
+        assert full == [(points, 9, 9)] * curves
+        assert not [call for call in factorizations if call[0] != "svd"]
 
     def test_pmax_failure_sweep_builds_once(self, builds, driven):
         strengths = np.logspace(-2, 3, 11)

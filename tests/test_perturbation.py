@@ -1,15 +1,18 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinsync.catalog import (
     SMAX_SPIN_COEFF,
+    BoundParams,
     arnold_tongue,
     asymmetric_equatorial_limit_cycle,
+    bound_terms,
     cooperativity_limit_cycle,
     equatorial_limit_cycle,
     optimize_signal,
@@ -32,6 +35,7 @@ from spinsync.perturbation import (
     SyncResult,
     ZeroResponseError,
     _driven_steady_state,
+    _norms,
     _response_maps,
     coherence_response,
     eigencoherences,
@@ -44,6 +48,7 @@ from spinsync.perturbation import (
     p_max,
     perturbation_result,
     perturbative_orders,
+    sync_from_coherences,
     sync_measure,
 )
 from spinsync.signals import SignalSpec, build_hext, semiclassical
@@ -222,6 +227,25 @@ class TestSyncMeasure:
         b = sync_measure(lc, spec.scaled(lam))
         assert abs(a.value - b.value) < 1e-12
 
+    # a scalar must round as one cell of a stack: builtin abs (hypot) and **
+    # (pow) on Python scalars differ from numpy's array loops in the last bit
+    @given(seed=SEEDS)
+    @settings(max_examples=30, deadline=None)
+    def test_scalar_calls_equal_stacked_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        pops = rng.dirichlet(np.ones(3))
+        coh = rng.normal(size=(3, 20)) + 1j * rng.normal(size=(3, 20))
+        values = sync_from_coherences(pops, coh)
+        norm1 = _norms(pops, coh)[1]
+        b, c = coh[0], coh[2]
+        coherence_terms = sync_from_coherences(np.ones(1), (b, b, c), 1.0)
+        for k in range(coh.shape[1]):
+            one = tuple(complex(x) for x in coh[:, k])
+            assert sync_from_coherences(pops, one) == values[k]
+            assert _norms(pops, one)[1] == norm1[k]
+            params = BoundParams(1.0, 0.0, one[0], one[2])
+            assert bound_terms(params, 1.0)[1] == coherence_terms[k]
+
     def test_rotation_covariance(self):
         lc = asymmetric_equatorial_limit_cycle(1.0, 2.0, 0.4, 0.3)
         spec = SignalSpec(0.4, 0.6, 0.2)
@@ -316,14 +340,26 @@ def _driven_state_alone(liou, h, eps):
     from ``lstsq`` on the trace-augmented system."""
     gen = liou.full + eps * hamiltonian_superop(h)
     _, svals, vt = np.linalg.svd(gen)
-    assert svals[-2] > 1e-10 * svals[0]
+    if svals[-2] <= 1e-10 * svals[0]:
+        raise DegenerateSteadyStateError("degenerate kernel")
     rho = unvec(vt[-1].conj())
     rho = 0.5 * (rho + rho.conj().T)
+    if abs(rho.trace().real) < 1e-8 * np.linalg.norm(rho):
+        raise DegenerateSteadyStateError("traceless")
     rho = rho / rho.trace().real
     aug = np.vstack([gen, _TRACE_ROW])
     resid = np.concatenate([gen @ vec(rho), [0.0]])
     rho = rho - unvec(np.linalg.lstsq(aug, resid, rcond=None)[0])
     return 0.5 * (rho + rho.conj().T)
+
+
+# each CATALOG scenario with its characteristic rate ratio set to ``ratio``
+CATALOG_AT_RATIO = [
+    lambda ratio: equatorial_limit_cycle(1.0, ratio, 0.3),
+    lambda ratio: vdp_limit_cycle(1.0, ratio, 0.3),
+    lambda ratio: asymmetric_equatorial_limit_cycle(1.0, ratio, 0.5, 0.3),
+    lambda ratio: cooperativity_limit_cycle(ratio, 1.0, 1.0, 0.3),
+]
 
 
 class TestStackedDrivenState:
@@ -338,6 +374,68 @@ class TestStackedDrivenState:
             assert one.shape == (3, 3)
             assert np.abs(rho - one).max() <= 1e-15
             assert np.abs(rho - _driven_state_alone(liou, h, eps)).max() <= 1e-15
+
+    # the lstsq correction per strength as the reference, over the whole
+    # dynamic range of rates and strengths; the examples are two points where
+    # one correction leaves both the stack and the reference 2e-13 to 5e-12
+    # off the exact least-squares state
+    @settings(max_examples=100, deadline=None)
+    @example(CATALOG_AT_RATIO[2], DRIVES[0], 9.6875, [-2.0])
+    @example(CATALOG_AT_RATIO[2], DRIVES[0], 9.577254241268793, [-2.446503218777714])
+    @given(
+        cycle=st.sampled_from(CATALOG_AT_RATIO),
+        signal=st.sampled_from(DRIVES),
+        log_ratio=st.floats(-6.0, 12.0),
+        log_strengths=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6),
+    )
+    def test_stack_matches_reference_anywhere(
+        self, cycle, signal, log_ratio, log_strengths
+    ):
+        liou, h = build_liouvillian(cycle(10.0**log_ratio)), build_hext(signal)
+        strengths = 10.0 ** np.array(log_strengths)
+        refs, failed = [], {"degenerate kernel": [], "traceless": []}
+        for i, eps in enumerate(strengths):
+            try:
+                refs.append(_driven_state_alone(liou, h, eps))
+            except DegenerateSteadyStateError as exc:
+                failed[str(exc)].append(i)
+        # the stack names the degenerate strengths first, as one error
+        bad = failed["degenerate kernel"] or failed["traceless"]
+        if bad:
+            named = re.escape(f"at stack index {bad}") + "$"
+            with pytest.raises(DegenerateSteadyStateError, match=named):
+                _driven_steady_state(liou, h, strengths)
+        ok = np.setdiff1d(np.arange(len(strengths)), sum(failed.values(), []))
+        if not len(ok):
+            return
+        stack = _driven_steady_state(liou, h, strengths[ok])
+        gen = liou.full + strengths[ok, None, None] * hamiltonian_superop(h)
+        resid = np.linalg.norm(gen @ vec(stack)[..., None], axis=(-2, -1))
+        assert np.all(resid <= 1e-15 * np.linalg.norm(gen, axis=(-2, -1)))
+        assert np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0).max() <= 1e-15
+        assert np.array_equal(stack, np.swapaxes(stack, -1, -2).conj())
+        # one correction step leaves an error of order (u cond)^2, for the
+        # machine epsilon u and cond = s_0 / s_7 the generator's condition off
+        # its kernel, in the stack as in the reference
+        svals = np.linalg.svd(gen, compute_uv=False)
+        u_cond = np.finfo(float).eps * svals[:, 0] / svals[:, -2]
+        error = np.abs(stack - np.array(refs)).max(axis=(-2, -1))
+        assert np.all(error <= 1e-13 + 10.0 * u_cond**2)
+
+    # diagonal generators and no drive: the kernel SVD's smallest singular
+    # value is exactly 0.0 (a kernel, the population of |+1>) or 1.0 (no
+    # kernel: the correction is the least-squares one, trace and all)
+    @pytest.mark.parametrize("smallest", [0.0, 1.0])
+    def test_diagonal_generator(self, smallest):
+        liou = build_liouvillian(equatorial_limit_cycle(1.0, 1.0))
+        liou.__dict__["full"] = -np.diag(np.arange(9.0) + smallest).astype(complex)
+        h = np.zeros((3, 3), dtype=complex)
+        assert np.linalg.svd(liou.full, compute_uv=False)[-1] == smallest
+        stack = _driven_steady_state(liou, h, np.array([0.0, 0.5, 2.0]))
+        ref = _driven_state_alone(liou, h, 0.0)
+        assert np.abs(stack - ref).max() <= 1e-15
+        if smallest == 0.0:
+            assert np.abs(ref - np.diag([1.0, 0.0, 0.0])).max() <= 1e-15
 
     def test_degenerate_cell_named(self):
         # pure dephasing leaves every population stationary until driven

@@ -479,10 +479,10 @@ def stationary_squeeze_ratio(r_10, r_0m1, map2):
     signal at fixed single-quantum coherences: the measure is (a + b tau) /
     sqrt(c + d tau^2), peaked at tau = b c / (a d).  Broadcasts over numpy
     coherences; inf where their sum vanishes, nan where both do."""
-    amp1 = COS1_WEIGHT * abs(r_10 + r_0m1)
-    base = 2.0 * (abs(r_10) ** 2 + abs(r_0m1) ** 2)
+    amp1 = COS1_WEIGHT * np.abs(r_10 + r_0m1)
+    base = 2.0 * (np.square(np.abs(r_10)) + np.square(np.abs(r_0m1)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return COS2_WEIGHT * base / (SQRT2 * amp1 * abs(map2))
+        return COS2_WEIGHT * base / (SQRT2 * amp1 * np.abs(map2))
 
 
 #: largest squeezing ratio of the ``vdp_general`` family in :func:`optimize_signal`

@@ -17,8 +17,9 @@ adds -i k delta to the diagonal of block k.  So rates and detuning may be
 arrays that broadcast against each other, and one build gives the blocks of
 every cell of that stack.  The 9x9 generator on column-stacked matrices, where
 entry (i, j) of a 3x3 matrix sits at position i + 3 j of the length-9 vector,
-is built from Kronecker products only when ``Liouvillian.full`` is first
-read: by the exact driven steady state and by :func:`apply_liouvillian`.
+is scattered from these blocks only when ``Liouvillian.full`` is first read:
+by the exact driven steady state, the higher perturbative orders and
+:func:`apply_liouvillian`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidValueError, SpinsyncError
-from .spin import SZ
 
 
 class MixedSectorError(SpinsyncError):
@@ -74,6 +74,9 @@ def _jump_table(s: int):
 
 
 _JUMPS = {s: _jump_table(s) for s in range(-2, 3)}
+#: positions i + 3 j in the 9-vector of the populations and of each sector's slots
+_VEC_POS = {k: [i + 3 * j for i, j in s] for k, s in SECTOR_SLOTS.items()}
+_VEC_POS[0] = [0, 4, 8]
 #: sector j - i of each matrix entry (i, j)
 _SECTOR_OF_ENTRY = np.arange(3)[None, :] - np.arange(3)[:, None]
 
@@ -155,10 +158,10 @@ class Liouvillian:
 
     The blocks are assembled directly from the dissipators (see
     :func:`build_liouvillian`).  ``full``, the 9x9 generator acting on
-    column-stacked 3x3 matrices, is built from a single-cycle ``spec`` by
-    Kronecker products on first access; only the exact driven steady state
-    and :func:`apply_liouvillian` need it.  Generators compare and hash by
-    identity, as their specs do.
+    column-stacked 3x3 matrices, is scattered from the blocks of a
+    single-cycle ``spec`` on first access; only the exact driven steady
+    state, the higher perturbative orders and :func:`apply_liouvillian` need
+    it.  Generators compare and hash by identity, as their specs do.
     """
 
     spec: LimitCycleSpec
@@ -167,15 +170,12 @@ class Liouvillian:
 
     @cached_property
     def full(self) -> np.ndarray:
-        """The 9x9 generator, from Kronecker products on first access."""
+        """The 9x9 generator, scattered from the sector blocks on first access."""
         require_single(self.spec, "the 9x9 generator")
         full = np.zeros((9, 9), dtype=complex)
-        for op, rate in self.spec.dissipators:
-            if float(rate) > 0.0:
-                full += float(rate) * dissipator_superop(op)
-        if self.spec.detuning != 0.0:
-            full += self.spec.detuning * hamiltonian_superop(SZ)
-        return full
+        for k, pos in _VEC_POS.items():
+            full[np.ix_(pos, pos)] = sector_block(self, k) if k else self.diag_block
+        return full + 0.0  # as a Kronecker sum: +0.0 where conj gives -0.0
 
 
 def sector_of(op: np.ndarray, rel_tol: float = 1e-14) -> int:
@@ -236,8 +236,8 @@ def build_liouvillian(spec: LimitCycleSpec) -> Liouvillian:
     with weight rate O[i, i+s] conj(O[j, j+s]) and takes
     rate (d_i + d_j) / 2 off every slot, d = diag(O^dag O); the detuning adds
     -i k delta on the diagonal of sector block k.  Each entry is summed in
-    the same order as in the Kronecker build of ``full``, whose slices the
-    blocks reproduce, and as in the build of that cell alone.
+    the same order as in the sum of rate * :func:`dissipator_superop` terms,
+    whose slices the blocks reproduce, and as in the build of that cell alone.
 
     Validates the spec: every dissipator must have a single well-defined
     sector (:class:`MixedSectorError` otherwise) and finite nonnegative

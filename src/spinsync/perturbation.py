@@ -298,35 +298,21 @@ def perturbative_orders(
 ) -> list[np.ndarray]:
     """Orders rho^(0) ... rho^(kmax) of the stationary-state expansion.
 
-    Each order k >= 1 solves the coherence sectors by block inversion and the
-    population sector by a least-squares solve on the trace-augmented
-    population block (its null direction is rho0; the trace-zero condition
-    fixes the free component).
+    Order one comes from the coherence sectors (see :func:`first_order`);
+    each later one is rho_k = -(L0 - P)^-1 L_ext rho_(k-1), the traceless
+    solution of L0 rho_k = -L_ext rho_(k-1), from one 9x9 solve per cycle
+    for the map -(L0 - P)^-1 L_ext (P of :func:`_anchored`).
     """
     if kmax < 0:
         raise InvalidValueError("kmax must be nonnegative")
     require_single(lc, "perturbative_orders")
     liou = build_liouvillian(lc)
     pops, map1, map2 = _response_maps(liou)
-    orders = [_target_state(pops)]
-    if kmax == 0:
-        return orders
-    orders.append(_rho1(_apply_maps(map1, map2, signal)))
-    h = build_hext(signal)
-    aug = np.vstack([liou.diag_block, np.ones((1, 3))])
+    orders = [_target_state(pops), _rho1(_apply_maps(map1, map2, signal))]
+    step = -np.linalg.solve(_anchored(liou), hamiltonian_superop(build_hext(signal)))
     for _ in range(2, kmax + 1):
-        rhs_mat = 1j * (h @ orders[-1] - orders[-1] @ h)  # -L_ext rho^(k-1)
-        pop_rhs = np.concatenate([rhs_mat.diagonal().real, [0.0]])
-        rho_k = np.diag(np.linalg.lstsq(aug, pop_rhs, rcond=None)[0]).astype(complex)
-        for k in (1, 2):
-            slots = SECTOR_SLOTS[k]
-            rhs = np.array([rhs_mat[s] for s in slots])
-            if rhs.any():
-                sol = _solve_sectors(liou.sector_blocks[k], rhs[:, None], lc.detuning)
-                for s, x in zip(slots, sol[:, 0]):
-                    rho_k[s], rho_k[s[::-1]] = x, np.conj(x)
-        orders.append(rho_k)
-    return orders
+        orders.append(_hermitian_part(unvec(step @ vec(orders[-1]))))
+    return orders[: kmax + 1]
 
 
 def kth_order(lc: LimitCycleSpec, signal: SignalSpec, k: int) -> np.ndarray:
@@ -336,6 +322,7 @@ def kth_order(lc: LimitCycleSpec, signal: SignalSpec, k: int) -> np.ndarray:
 
 _TRACE_ROW = np.zeros(9)
 _TRACE_ROW[[0, 4, 8]] = 1.0
+_ANCHOR = _TRACE_ROW / 3.0  # vec(I/3)
 
 
 def full_steady_state(lc: LimitCycleSpec, signal: SignalSpec, epsilon) -> np.ndarray:
@@ -349,59 +336,69 @@ def _hermitian_part(rho: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
 
 
+def _anchored(liou: Liouvillian) -> np.ndarray:
+    """L0 - P of one cycle, P = vec(I/3) tr(.): for a trace-preserving L,
+    L - P is nonsingular exactly when L has a unique stationary state x, and
+    (L - P) x = -vec(I/3); on traceless input (L - P)^-1 inverts L.  Any
+    trace-one anchor would do, and I/3 needs no target state."""
+    return liou.full - np.outer(_ANCHOR, _TRACE_ROW)
+
+
+def _inverses(stack: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of matrices, nan for an exactly singular one."""
+    try:
+        return np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        return np.full_like(stack, np.nan) if stack.ndim == 2 else np.array(
+            [_inverses(m) for m in stack]
+        )
+
+
 def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarray:
     """:func:`full_steady_state` on a built generator and signal Hamiltonian.
 
-    ``epsilon`` is a strength, which gives one 3x3 state, or an array of
-    strengths, which gives the states stacked over its shape, e.g. (n, 3, 3)
-    for n strengths.  Every strength takes the kernel of its 9x9 generator
-    from one stacked SVD, then one least-squares correction on the
-    trace-augmented 10x9 system, in closed form from the same SVD's factors.
-    The n generators and their factors are held at once, so callers stack one
-    forcing curve (a few hundred strengths) per call.  A strength whose
-    generator has a degenerate kernel, or whose stationary direction is
-    traceless, raises :class:`DegenerateSteadyStateError` naming every failing
-    strength and its index in the stack.
+    ``epsilon`` is a strength (one 3x3 state) or an array of strengths (the
+    states stacked over its shape).  With the anchor P of :func:`_anchored`,
+    each state solves (L0 + eps L_ext - P) x = -vec(I/3): one stacked 9x9
+    inverse, then one refinement step on the residual, summed in extended
+    precision (``np.clongdouble``) from L0, L_ext and the anchor.  All n
+    inverses are held at once: stack one forcing curve per call.
+
+    Degeneracy: on traceless input the anchored inverse inverts L(eps), so
+    kappa = (||L0||_1 + eps ||L_ext||_1) ||(L - P)^-1 (I - P)||_1 does not
+    change with the overall rate scale.  A strength with kappa >= 0.1 / u (u
+    the machine epsilon: less than one digit left) or an exactly singular
+    L - P raises :class:`DegenerateSteadyStateError` naming every such
+    strength and its stack index.  A 9x9 SVD of those alone names a
+    degenerate kernel (second-smallest singular value <= 1e-10 times the
+    largest) first, then a traceless stationary direction, else (a generator
+    that does not preserve the trace) a degenerate kernel.
     """
     eps = np.asarray(epsilon, dtype=float)
-    gen = liou.full + eps.reshape(-1, 1, 1) * hamiltonian_superop(h)
-    u, svals, vt = np.linalg.svd(gen)
-    bad = svals[:, -2] <= 1e-10 * svals[:, 0]
+    flat = eps.reshape(-1)
+    l0, l1 = liou.full, hamiltonian_superop(h)
+    inv = _inverses(_anchored(liou) + flat[:, None, None] * l1)
+    x = -(inv @ _ANCHOR)
+    # (L - P)^-1 (I - P) = inv + x tr(.); nan marks an exactly singular cell
+    scale = np.linalg.norm(l0, 1) + flat * np.linalg.norm(l1, 1)
+    kappa = scale * np.linalg.norm(inv + x[:, :, None] * _TRACE_ROW, 1, axis=(-2, -1))
+    bad = ~(kappa < 0.1 / np.finfo(float).eps).reshape(eps.shape)
     if bad.any():
-        raise DegenerateSteadyStateError(
-            "driven generator has a degenerate kernel at epsilon"
-            + _where(bad.reshape(eps.shape), eps)
-        )
-    rho = _hermitian_part(unvec(vt[:, -1].conj()))
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
-    bad = np.abs(tr) < 1e-8 * np.linalg.norm(rho, axis=(-2, -1))
-    if bad.any():
-        raise DegenerateSteadyStateError(
-            "stationary direction is traceless at epsilon"
-            + _where(bad.reshape(eps.shape), eps)
-        )
-    rho = rho / tr[:, None, None]
-    # the least-squares correction on the trace-augmented system, from the
-    # factors gen = U S V^H: with d = V y, c = U^H gen vec(rho) and w =
-    # V^T trace_row it minimises sum_i |s_i y_i - c_i|^2 + |w^T y|^2.  For
-    # alpha = w^T y, y_i = (c_i - conj(w_i) alpha / s_i) / s_i (i < 8) and
-    # w_8 y_8 = alpha - sum_{i<8} w_i y_i, where alpha = s_8 (w_8 c_8 + s_8 p)
-    # / (|w_8|^2 + s_8^2 q), p = sum_{i<8} w_i c_i / s_i and q = 1 +
-    # sum_{i<8} |w_i / s_i|^2.  Nothing divides by s_8, which can be exactly
-    # 0, and the trace check keeps |w_8| >= |tr| away from 0.
-    c = (u.conj().swapaxes(-1, -2) @ (gen @ vec(rho)[..., None]))[..., 0]
-    w = vt.conj() @ _TRACE_ROW
-    s, s_8, w_8 = svals[:, :-1], svals[:, -1], w[:, -1]
-    y = c[:, :-1] / s
-    p = np.sum(w[:, :-1] * y, axis=-1)
-    q = 1.0 + np.sum(np.abs(w[:, :-1] / s) ** 2, axis=-1)
-    alpha = s_8 * (w_8 * c[:, -1] + s_8 * p) / (np.abs(w_8) ** 2 + s_8**2 * q)
-    y -= w[:, :-1].conj() * (alpha[:, None] / s**2)
-    y_8 = (alpha - np.sum(w[:, :-1] * y, axis=-1)) / w_8
-    y = np.concatenate([y, y_8[:, None]], axis=-1)
-    delta = (y[:, None] @ vt.conj())[:, 0]
-    rho = _hermitian_part(rho - unvec(delta))
-    return rho.reshape(eps.shape + (3, 3))
+        svals, vt = np.linalg.svd(l0 + flat[bad.reshape(-1), None, None] * l1)[1:]
+        kernel, traceless = np.zeros_like(bad), np.zeros_like(bad)
+        kernel[bad] = svals[:, -2] <= 1e-10 * svals[:, 0]
+        rho = _hermitian_part(unvec(vt[:, -1].conj()))
+        tr = np.trace(rho, axis1=-2, axis2=-1).real
+        traceless[bad] = np.abs(tr) < 1e-8 * np.linalg.norm(rho, axis=(-2, -1))
+        mask = kernel if kernel.any() else traceless if traceless.any() else bad
+        what = ("stationary direction is traceless" if mask is traceless
+                else "driven generator has a degenerate kernel")
+        raise DegenerateSteadyStateError(f"{what} at epsilon" + _where(mask, eps))
+    ext = x.astype(np.clongdouble)  # -vec(I/3) - (L - P) x, in extended precision
+    resid = _ANCHOR * (ext @ _TRACE_ROW - 1.0)[:, None] - ext @ l0.T
+    resid -= flat[:, None] * (ext @ l1.T)
+    x = x + (inv @ resid.astype(complex)[..., None])[..., 0]
+    return _hermitian_part(unvec(x)).reshape(eps.shape + (3, 3))
 
 
 def _population_change(rho, rho0) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -64,6 +65,8 @@ from .spin import (
     phase_distribution_terms,
 )
 
+_leggauss = cache(np.polynomial.legendre.leggauss)  # nodes and weights per count
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -93,7 +96,7 @@ def shifted_phase_by_quadrature(
 ) -> np.ndarray:
     """Shifted phase distribution by Gauss-Legendre integration over the
     polar angle of the Husimi function; independent of the closed form."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _leggauss(nodes)
     theta = 0.5 * np.pi * (x + 1.0)
     weight = 0.5 * np.pi * w * np.sin(theta)
     th, ph = np.meshgrid(theta, phis, indexing="ij")

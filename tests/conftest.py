@@ -19,3 +19,23 @@ def random_density(rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def exact_driven_state(full, l1, eps, dps=50):
+    """The stationary state of the 9x9 generator full + eps l1 from a
+    ``dps``-digit mpmath solve of L vec(rho) = 0 with its first (population)
+    equation replaced by tr rho = 1, every float entry taken exactly."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        eps = mpmath.mpf(float(eps))
+        gen = mpmath.matrix(
+            [[mpmath.mpc(a) + eps * mpmath.mpc(b) for a, b in zip(*rows)]
+             for rows in zip(np.asarray(full).tolist(), np.asarray(l1).tolist())]
+        )
+        rhs = mpmath.matrix(9, 1)
+        for j in range(9):
+            gen[0, j] = 1 if j in (0, 4, 8) else 0
+        rhs[0] = 1
+        x = mpmath.lu_solve(gen, rhs)
+        return np.array([complex(v) for v in x]).reshape(3, 3).T

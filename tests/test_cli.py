@@ -18,8 +18,16 @@ from spinsync import catalog, cli, lindblad, perturbation
 from spinsync.catalog import align_squeeze_phase, arnold_tongue, vdp_limit_cycle
 from spinsync.cli import main
 from spinsync.errors import SpinsyncError
-from spinsync.signals import SignalSpec, VdpSignalParams, from_vdp_params
+from spinsync.signals import (
+    SignalSpec,
+    VdpSignalParams,
+    build_hext,
+    from_vdp_params,
+    semiclassical,
+)
 from spinsync.spin import SQRT2
+
+from conftest import exact_driven_state
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -612,9 +620,9 @@ class TestGeneratorBuilds:
     @pytest.fixture
     def factorizations(self, monkeypatch):
         """The name, operand shape and keywords of every ``np.linalg.svd``,
-        ``pinv`` and ``lstsq`` call."""
+        ``pinv``, ``lstsq``, ``inv`` and ``solve`` call."""
         calls = []
-        for name in ("svd", "pinv", "lstsq"):
+        for name in ("svd", "pinv", "lstsq", "inv", "solve"):
             original = getattr(np.linalg, name)
 
             def recording(a, *args, _name=name, _original=original, **kwargs):
@@ -636,15 +644,29 @@ class TestGeneratorBuilds:
         assert code == 0
         assert len(builds) == 1
         assert [np.shape(args[2]) for args in driven] == [(points,)] * curves
-        # one stacked SVD per curve factors the generators and gives the
-        # correction too: no second factorization
-        full = [
-            shape
-            for name, shape, kwargs in factorizations
-            if name == "svd" and kwargs.get("compute_uv", True)
-        ]
-        assert full == [(points, 9, 9)] * curves
-        assert not [call for call in factorizations if call[0] != "svd"]
+        # one stacked inverse of the anchored 9x9 operators per curve and no
+        # 9x9 SVD: the only SVDs are the rank tests of the sector blocks
+        full = [call[:2] for call in factorizations if call[1][-2:] == (9, 9)]
+        assert full == [("inv", (points, 9, 9))] * curves
+        assert not [call for call in factorizations if call[0] in ("pinv", "lstsq")]
+
+    def test_forcing_figure_at_wide_rate_ratio(self, capsys):
+        # a rate ratio of 1e11 once raised a spurious degeneracy error on
+        # every strength; the exact states are well defined there
+        code, out, _ = run_cli(
+            capsys, "figure", "fig3b", "--set", "figure.gamma_ratio=1e11"
+        )
+        assert code == 0
+        rows = read_csv(out)
+        assert len(rows) == 151
+        liou = lindblad.build_liouvillian(catalog.equatorial_limit_cycle(1.0, 1e11))
+        l1 = lindblad.hamiltonian_superop(build_hext(semiclassical(0.0)))
+        pops0 = lindblad.steady_state(liou).diagonal().real
+        for row in rows[1::15]:
+            eps = float(row["epsilon"])
+            pops = exact_driven_state(liou.full, l1, eps).diagonal().real - pops0
+            assert abs(float(row["p_avg"]) - (pops[0] - pops[2])) <= 1e-13
+            assert abs(float(row["p_max"]) - np.abs(pops).max()) <= 1e-13
 
     def test_pmax_failure_sweep_builds_once(self, builds, driven):
         strengths = np.logspace(-2, 3, 11)

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import catalog
+from ._floatrepr import reprs
 from .catalog import (
     TongueGrid,
     _align_on_maps,
@@ -233,16 +234,28 @@ def _sweep_axes(cfg: dict, allowed: tuple[str, ...]) -> list[tuple[str, np.ndarr
             raise ConfigError(
                 f"sweep axis {name!r} not recognized; allowed: {sorted(allowed)}"
             )
-        points = _number(axis.get("points", 0), f"sweep axis {name!r} points", int)
+        if name in (seen for seen, _ in axes):
+            raise ConfigError(f"sweep axis {name!r} is given twice")
+        points = _number(axis.get("points", 0), f"sweep axis {name!r} points")
+        if not points.is_integer():
+            raise ConfigError(
+                f"sweep axis {name!r} points must be an integer, got {points!r}"
+            )
+        points = int(points)
         if points < 2:
             raise ConfigError(f"sweep axis {name!r} needs points >= 2")
+        scale = axis.get("scale", "linear")
+        if scale not in ("linear", "log"):
+            raise ConfigError(
+                f"sweep axis {name!r} scale must be 'linear' or 'log', got {scale!r}"
+            )
         try:
             lo, hi = axis["min"], axis["max"]
         except KeyError as err:
             raise ConfigError(f"sweep axis {name!r} needs {err.args[0]!r}") from None
         lo = _number(lo, f"sweep axis {name!r} min")
         hi = _number(hi, f"sweep axis {name!r} max")
-        if axis.get("scale", "linear") == "log":
+        if scale == "log":
             if lo <= 0 or hi <= 0:
                 raise ConfigError(f"log axis {name!r} needs positive bounds")
             values = np.logspace(math.log10(lo), math.log10(hi), points)
@@ -260,8 +273,9 @@ _BOOL_CELLS = np.array(["false", "true"], dtype=object)
 
 def _float_cells(values: np.ndarray) -> list[str]:
     """repr of each float: the shortest spelling that round-trips, with nan,
-    inf and -inf bare.  A column that repeats its values (an axis or a
-    broadcast) is spelled once per distinct value."""
+    inf and -inf bare (a long column by the numpy kernel of ``reprs``).  A
+    column that repeats its values (an axis or a broadcast) is spelled once
+    per distinct value."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     # distinct by bit pattern: -0.0 and 0.0 compare equal but spell apart
     bits = values.view(np.uint64)
@@ -269,10 +283,10 @@ def _float_cells(values: np.ndarray) -> list[str]:
         ordered = np.sort(bits)
         distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
         if 2 * len(distinct) <= len(bits):
-            spelled = list(map(repr, distinct.view(np.float64).tolist()))
+            spelled = reprs(distinct.view(np.float64))
             inverse = np.searchsorted(distinct, bits)
             return np.array(spelled, dtype=object)[inverse].tolist()
-    return list(map(repr, values.tolist()))
+    return reprs(values)
 
 
 def _cells(column: np.ndarray) -> list[str]:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinsync
-from spinsync import catalog, cli, lindblad, perturbation
+from spinsync import _floatrepr, catalog, cli, lindblad, perturbation
 from spinsync.catalog import align_squeeze_phase, arnold_tongue, vdp_limit_cycle
 from spinsync.cli import main
 from spinsync.errors import SpinsyncError
@@ -213,6 +213,42 @@ class TestSync:
         code, _, err = run_cli(capsys, "sync", "--config", cfg)
         assert code == 2
         assert "ConfigError" in err
+
+    @pytest.mark.parametrize(
+        "command, names",
+        [("sync", ["detuning", "detuning"]), ("tongue", ["detuning", "epsilon", "detuning"])],
+    )
+    def test_repeated_axis_rejected(self, tmp_path, capsys, command, names):
+        sweep = [
+            {"name": name, "min": 0.1, "max": 1, "points": 3 - i % 2}
+            for i, name in enumerate(names)
+        ]
+        cfg = write_config(tmp_path, {**EQUATORIAL, "sweep": sweep})
+        code, _, err = run_cli(capsys, command, "--config", cfg)
+        assert code == 2
+        assert err.startswith("ConfigError") and "'detuning' is given twice" in err
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ({"scale": "logarithmic"}, "scale must be 'linear' or 'log', got 'logarithmic'"),
+            ({"points": 2.7}, "points must be an integer, got 2.7"),
+            ({"points": "nan"}, "points must be an integer, got nan"),
+        ],
+    )
+    def test_malformed_axis_rejected(self, tmp_path, capsys, axis, message):
+        sweep = [{"name": "detuning", "min": 0.5, "max": 2, "points": 3, **axis}]
+        cfg = write_config(tmp_path, {**EQUATORIAL, "sweep": sweep})
+        code, _, err = run_cli(capsys, "sync", "--config", cfg)
+        assert code == 2
+        assert err.startswith("ConfigError") and message in err
+
+    def test_integral_float_points_accepted(self, tmp_path, capsys):
+        sweep = [{"name": "detuning", "min": 0.5, "max": 2, "points": 3.0, "scale": "log"}]
+        cfg = write_config(tmp_path, {**EQUATORIAL, "sweep": sweep})
+        code, out, _ = run_cli(capsys, "sync", "--config", cfg)
+        assert code == 0
+        assert [float(r["detuning"]) for r in read_csv(out)] == [0.5, 1.0, 2.0]
 
     @pytest.mark.parametrize(
         "family, axis",
@@ -879,8 +915,59 @@ PAYLOADS = st.recursive(
 )
 
 
+def wide_exponent_column(seed: int = 12) -> np.ndarray:
+    """Normal floats of every decimal exponent and random bit patterns (nan,
+    inf and subnormals among them), longer than one kernel block."""
+    rng = np.random.default_rng(seed)
+    n = _floatrepr._BLOCK + 3000
+    normal = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-307, 308, n)
+    bits = rng.integers(0, 2**64, 3000, dtype=np.uint64).view(np.float64)
+    return np.concatenate([normal, bits])
+
+
+def edge_column() -> np.ndarray:
+    """Signed zeros and nans, infinities, the subnormal and normal extremes,
+    the fixed/scientific switch, and every power of 2 and 10 with both of
+    its neighbours, with either sign."""
+    powers = np.concatenate(
+        [np.ldexp(1.0, np.arange(-1074, 1024)), [float(f"1e{e}") for e in range(-323, 309)]]
+    )
+    edges = [0.0, math.nan, math.inf, 5e-324, 2.0**-1022, 1.7976931348623157e308,
+             1e-5, 1e-4, 1e16, 9999999999999998.0]
+    column = np.concatenate(
+        [edges, powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf)]
+    )
+    return np.concatenate([column, -column])
+
+
 class TestColumnWriters:
     """The column writers spell every value as the per-cell writers did."""
+
+    @pytest.mark.parametrize("make", [wide_exponent_column, edge_column])
+    def test_long_columns_match_per_cell_writers(self, make):
+        column = make()
+        distinct = np.unique(column.view(np.uint64))
+        assert len(distinct) >= _floatrepr._KERNEL_MIN  # spelled by the kernel
+        assert cli._float_cells(column) == list(map(repr, column.tolist()))
+        columns = {"x": column, "b": np.arange(len(column)) % 3 == 0}
+        expected = old_csv(*old_table(columns))
+        assert stdout_of(cli._write_csv, *cli._table(columns)) == expected
+        assert stdout_of(cli._write_json, {"x": column}) == old_json({"x": column})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(FLOATS, min_size=1, max_size=60))
+    def test_kernel_matches_repr(self, values):
+        assert _floatrepr._spell(np.array(values, dtype=float)) == list(map(repr, values))
+
+    def test_kernel_certifies_a_tongue(self):
+        # a kernel that left every value to repr would spell them right, slowly
+        lc = catalog.equatorial_limit_cycle(1.0, 300.0)
+        detunings, strengths = np.linspace(-15, 15, 161), np.linspace(0, 1.5, 201)
+        values = arnold_tongue(lc, semiclassical(0.0), detunings, strengths).value.ravel()
+        spelled = values[np.isfinite(values) & (values != 0)]
+        assert len(spelled) > 10000
+        assert _floatrepr._shortest(np.abs(spelled))[3].mean() >= 0.999
+        assert cli._float_cells(values) == list(map(repr, values.tolist()))
 
     @settings(max_examples=100, deadline=None)
     @given(tables())

@@ -395,6 +395,20 @@ class TestSpecIdentity:
             assert {obj: 1, other: 2}[obj] == 1
 
 
+class TestHamiltonianSuperop:
+    def test_equals_kronecker_form_bitwise(self, rng):
+        eye = np.eye(3, dtype=complex)
+        for _ in range(200):
+            h = random_hermitian(rng)
+            kronecker = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+            assert hamiltonian_superop(h).tobytes() == kronecker.tobytes()
+
+    def test_applies_the_commutator(self, rng):
+        h, rho = random_hermitian(rng), random_hermitian(rng, trace_one=True)
+        expected = vec(-1j * (h @ rho - rho @ h))
+        np.testing.assert_allclose(hamiltonian_superop(h) @ vec(rho), expected, atol=1e-14)
+
+
 class TestVec:
     def test_stack_column_stacks_each_matrix(self):
         rng = np.random.default_rng(5)

@@ -8,32 +8,21 @@ import math
 
 import numpy as np
 
-from spinsync import equatorial_limit_cycle, sync_measure
-from spinsync.catalog import blockade_sync_closed, equatorial_response_geometry
-from spinsync.signals import from_equatorial_angles
+from spinsync.catalog import blockade_sync, blockade_sync_closed
 
 eta, gamma_g = 0.1, 1.0
 deltas = np.logspace(-1, 4, 120)
+ratios = np.array([1.0, 100.0, 10000.0])
 
-curves = {}
-for ratio in (1.0, 100.0, 10000.0):
-    gamma_d = gamma_g * ratio
-    values = []
-    for delta in deltas:
-        # equal response amplitudes, tone phase held at zero
-        zeta = math.atan(equatorial_response_geometry(gamma_g, gamma_d, delta)[0])
-        res = sync_measure(
-            equatorial_limit_cycle(gamma_g, gamma_d, delta),
-            from_equatorial_angles(zeta, 0.0),
-            eta,
-        )
-        values.append(res.value / eta)
-    curves[ratio] = np.array(values)
-    if max(values) > 1e-9:
-        peak_at = deltas[np.argmax(values)]
+# one stacked pipeline call: rate ratios down the rows, detunings along them
+gamma_d = gamma_g * ratios[:, None]
+curves = dict(zip(ratios.tolist(), blockade_sync(gamma_g, gamma_d, deltas, eta) / eta))
+for ratio, values in curves.items():
+    if values.max() > 1e-9:
         print(
-            f"ratio {ratio:7.0f}: peak S/eta = {max(values):.4f} at detuning "
-            f"{peak_at:9.2f} (sqrt(gg*gd) = {math.sqrt(gamma_g * gamma_d):.2f})"
+            f"ratio {ratio:7.0f}: peak S/eta = {values.max():.4f} at detuning "
+            f"{deltas[np.argmax(values)]:9.2f} "
+            f"(sqrt(gg*gd) = {math.sqrt(gamma_g * gamma_g * ratio):.2f})"
         )
     else:
         print(f"ratio {ratio:7.0f}: balanced rates, blocked at every detuning")

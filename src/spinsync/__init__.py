@@ -26,6 +26,7 @@ from .catalog import (
     align_squeeze_phase,
     arnold_tongue,
     asymmetric_equatorial_limit_cycle,
+    blockade_sync,
     blockade_sync_closed,
     bound_terms,
     cooperativity_limit_cycle,

@@ -77,6 +77,10 @@ VDP_OPTIMAL_TAU_RATIO = 2.0 * SQRT2 / (3.0 * math.pi)
 EQUATORIAL_SEMICLASSICAL_LIMIT = 3.0 / 16.0
 EQUATORIAL_OPTIMAL_VALUE = 3.0 * SQRT2 / 16.0
 
+# van der Pol gain Sz S+ - S+ Sz / sqrt(2) and loss S-^2 / sqrt(2)
+_VDP_GAIN = SZ @ SP - SP @ SZ / SQRT2
+_VDP_LOSS = SM @ SM / SQRT2
+
 
 def _unit(i: int, j: int) -> np.ndarray:
     mat = np.zeros((3, 3), dtype=complex)
@@ -97,9 +101,7 @@ def vdp_limit_cycle(
 ) -> LimitCycleSpec:
     """Van der Pol cycle: single-excitation gain against two-excitation loss."""
     _require_positive(gamma_g=gamma_g, gamma_d=gamma_d)
-    gain = SZ @ SP - SP @ SZ / SQRT2
-    loss = SM @ SM / SQRT2
-    return LimitCycleSpec(((gain, gamma_g), (loss, gamma_d)), detuning)
+    return LimitCycleSpec(((_VDP_GAIN, gamma_g), (_VDP_LOSS, gamma_d)), detuning)
 
 
 def asymmetric_equatorial_limit_cycle(
@@ -176,12 +178,10 @@ def truncated_oscillator_ops() -> tuple[np.ndarray, np.ndarray]:
 def vdp_oscillator_equivalence() -> dict[str, float]:
     """Entrywise comparison of the spin van der Pol operators with the
     truncated oscillator ladder, plus the phase-space weight bookkeeping."""
-    gain = SZ @ SP - SP @ SZ / SQRT2
-    loss = SM @ SM / SQRT2
     adag, asq = truncated_oscillator_ops()
     return {
-        "gain_max_abs_diff": float(np.abs(gain - adag).max()),
-        "loss_max_abs_diff": float(np.abs(loss - asq).max()),
+        "gain_max_abs_diff": float(np.abs(_VDP_GAIN - adag).max()),
+        "loss_max_abs_diff": float(np.abs(_VDP_LOSS - asq).max()),
         "cos1_weight_ratio": COS1_WEIGHT / OSC_COS1_WEIGHT,
         "cos2_weight_ratio": COS2_WEIGHT / COS2_WEIGHT,
     }
@@ -236,6 +236,16 @@ def blockade_sync_closed(gamma_g, gamma_d, delta, eta=0.1):
     return _float_or_array(
         eta * (3.0 / 16.0) * np.sqrt(np.maximum(0.0, 1.0 - np.cos(lag)))
     )
+
+
+def blockade_sync(gamma_g, gamma_d, delta, eta=0.1):
+    """:func:`blockade_sync_closed` through the generic pipeline, from one
+    stacked build and one measure call: tones (cos zeta, sin zeta) with tan
+    zeta = r of :func:`equatorial_response_geometry`.  Broadcasts over numpy
+    arguments; a float for scalars."""
+    zeta = np.arctan(equatorial_response_geometry(gamma_g, gamma_d, delta)[0])
+    lc = equatorial_limit_cycle(gamma_g, gamma_d, delta)
+    return sync_measure(lc, from_equatorial_angles(zeta, 0.0), eta).value
 
 
 def vdp_squeeze_sync_closed(

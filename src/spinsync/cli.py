@@ -43,8 +43,10 @@ from .perturbation import (
     _apply_maps,
     _driven_steady_state,
     _measure,
+    _norms,
     _perturbation_result,
     _response_maps,
+    _strength,
     hs_norm,
     p_avg,
     p_max,
@@ -59,7 +61,6 @@ from .signals import (
     semiclassical,
 )
 from .spin import SQRT2
-from .validate import run_all
 
 FIGURE_IDS = ("fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7", "fig8app")
 
@@ -255,13 +256,17 @@ def _sweep_axes(cfg: dict, allowed: tuple[str, ...]) -> list[tuple[str, np.ndarr
             raise ConfigError(f"sweep axis {name!r} needs {err.args[0]!r}") from None
         lo = _number(lo, f"sweep axis {name!r} min")
         hi = _number(hi, f"sweep axis {name!r} max")
+        space = np.linspace
         if scale == "log":
             if lo <= 0 or hi <= 0:
                 raise ConfigError(f"log axis {name!r} needs positive bounds")
-            values = np.logspace(math.log10(lo), math.log10(hi), points)
-        else:
-            values = np.linspace(lo, hi, points)
-        axes.append((name, values))
+            lo, hi, space = math.log10(lo), math.log10(hi), np.logspace
+        try:
+            axes.append((name, space(lo, hi, points)))
+        except (ValueError, MemoryError) as err:  # numpy refuses the size
+            raise ConfigError(
+                f"sweep axis {name!r} cannot hold {points} points: {err}"
+            ) from None
     return axes
 
 
@@ -504,9 +509,7 @@ def cmd_sync(args) -> int:
 def cmd_perturb(args) -> int:
     cfg = load_config(args.config, args.set or [])
     pops, coherences = _leading_orders(cfg)
-    res = _perturbation_result(
-        _target_state(pops), [c.item() for c in coherences], float(cfg.get("eta", 0.1))
-    )
+    res = _perturbation_result(pops, coherences, float(cfg.get("eta", 0.1)))
     pops = res.rho0.diagonal().real
     fields = {
         "rho1_10": complex(res.rho1[0, 1]),
@@ -622,6 +625,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # imported here: validate computes its quadrature rule on import
+    from .validate import run_all
+
     results = run_all()
     table = [r for r in results if r.criterion == 1]
     sys.stdout.write("benchmark table (S/eta):\n")
@@ -666,9 +672,8 @@ def _figure_forcing(cfg: dict, ratio: float):
     liou = build_liouvillian(catalog.equatorial_limit_cycle(gg, gd))
     sig = semiclassical(0.0)
     pops, map1, map2 = _response_maps(liou)
-    res = _measure(pops, _apply_maps(map1, map2, sig), eta)
+    eps_eta = float(_strength(*_norms(pops, _apply_maps(map1, map2, sig)), eta))
     rho0 = _target_state(pops)
-    eps_eta = float(res.epsilon)
     h = build_hext(sig)
     strengths = np.linspace(0.0, 1.5 * gg, 151)
     # the undriven row is rho0 itself; the driven rows are one stacked solve
@@ -767,17 +772,11 @@ def _figure_fig7(cfg: dict):
     deltas = np.logspace(-2, 4, 181) * gg
     # rate ratios down the rows of the grid, detunings along them
     gd = gg * np.array(ratios)[:, None]
-    # equal response amplitudes at every detuning, tone phase fixed at 0
-    zeta = np.arctan(catalog.equatorial_response_geometry(gg, gd, deltas)[0])
-    liou = build_liouvillian(catalog.equatorial_limit_cycle(gg, gd, deltas))
-    pops, map1, map2 = _response_maps(liou)
-    sig = from_equatorial_angles(zeta, 0.0)
-    res = _measure(pops, _apply_maps(map1, map2, sig), eta)
     ratio, delta = np.meshgrid(ratios, deltas, indexing="ij")
     columns = {
         "gamma_ratio": ratio,
         "delta": delta,
-        "S_over_eta": res.value / eta,
+        "S_over_eta": catalog.blockade_sync(gg, gd, deltas, eta) / eta,
         "S_over_eta_closed": catalog.blockade_sync_closed(gg, gd, deltas, eta) / eta,
     }
     return [("", *_table(columns))]

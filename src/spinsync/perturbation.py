@@ -177,9 +177,9 @@ def coherence_response(lc: LimitCycleSpec):
 
 
 def _leading_orders(lc: LimitCycleSpec, signal: SignalSpec):
-    """rho0 and the first-order coherences of the signal."""
-    rho0, map1, map2 = coherence_response(lc)
-    return rho0, _apply_maps(map1, map2, signal)
+    """The populations of rho0 and the first-order coherences of the signal."""
+    pops, map1, map2 = _response_maps(build_liouvillian(lc))
+    return pops, _apply_maps(map1, map2, signal)
 
 
 def first_order(lc: LimitCycleSpec, signal: SignalSpec) -> np.ndarray:
@@ -227,7 +227,12 @@ def epsilon_for_threshold(rho0: np.ndarray, rho1: np.ndarray, eta: float) -> flo
     (relative to rho0), in which case the strength is unbounded and the
     caller decides.
     """
-    eps = float(_strength(hs_norm(rho0), hs_norm(rho1), float(eta)))
+    return _finite_strength(hs_norm(rho0), hs_norm(rho1), eta)
+
+
+def _finite_strength(norm0, norm1, eta: float) -> float:
+    """:func:`epsilon_for_threshold` from the norms of rho0 and rho1."""
+    eps = float(_strength(norm0, norm1, float(eta)))
     if eps == math.inf:
         raise ZeroResponseError("signal does not couple at first order")
     return eps
@@ -241,11 +246,13 @@ def perturbation_result(
     return _perturbation_result(*_leading_orders(lc, signal), eta)
 
 
-def _perturbation_result(rho0, coherences, eta: float) -> PerturbationResult:
-    """:func:`perturbation_result` of rho0 and the coherences of rho1."""
-    rho1 = _rho1(coherences)
-    eps = epsilon_for_threshold(rho0, rho1, eta)
-    return PerturbationResult(rho0, rho1, eps, float(eta), hs_norm(rho0), hs_norm(rho1))
+def _perturbation_result(pops, coherences, eta: float) -> PerturbationResult:
+    """:func:`perturbation_result` from the populations of rho0 and the
+    coherences of rho1, with the norms and the strength the measure uses."""
+    norm0, norm1 = _norms(pops, coherences)
+    eps = _finite_strength(norm0, norm1, eta)
+    rho0, rho1 = _target_state(pops), _rho1(coherences)
+    return PerturbationResult(rho0, rho1, eps, float(eta), float(norm0), float(norm1))
 
 
 def _peak_and_strength(populations, coherences, eta: float):
@@ -283,8 +290,7 @@ def sync_measure(
     unbounded and returned as inf).  A stacked spec or array-valued tones
     give the fields as arrays of their broadcast shape.
     """
-    pops, map1, map2 = _response_maps(build_liouvillian(lc))
-    res = _measure(pops, _apply_maps(map1, map2, signal), eta)
+    res = _measure(*_leading_orders(lc, signal), eta)
     if np.ndim(res.value):  # a stacked spec or signal: the fields are arrays
         return res
     value, phase, eps, zero = (

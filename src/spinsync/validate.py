@@ -3,15 +3,19 @@
 Each check compares the generic numeric machinery against an independent
 reference: closed-form expressions, numerical quadrature of the phase-space
 definition, fitted scaling exponents, or frozen benchmark constants.  The
-checks are deterministic (seeded random sampling) and each group runs in
-seconds.
+checks are deterministic (seeded random sampling).
+
+The random-scenario checks (criteria 2 and 9) run on the CLI's stacked
+kernel: each random cycle is built once, the kernels ``(pops, map1, map2)``
+of all draws are stacked, and one ``_apply_maps`` and one ``_measure`` call
+evaluate the whole check.  The quadrature oracle takes all its states at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from itertools import islice
 
 import numpy as np
 
@@ -22,13 +26,14 @@ from .catalog import (
     VDP_SEMICLASSICAL_LIMIT,
     VDP_SQUEEZE_LIMIT,
     BoundParams,
+    _align_on_maps,
     align_squeeze_phase,
     asymmetric_equatorial_limit_cycle,
+    blockade_sync,
     bound_terms,
     cooperativity_limit_cycle,
     equatorial_limit_cycle,
     equatorial_optimal_angles,
-    equatorial_response_geometry,
     equatorial_sync_closed,
     pmax_failure_sweep,
     smax,
@@ -39,15 +44,22 @@ from .catalog import (
     vdp_limit_cycle,
     vdp_optimal_params,
     vdp_optimal_squeeze_ratio,
+    vdp_oscillator_equivalence,
 )
 from .lindblad import (
     DegenerateLimitCycleError,
     LimitCycleSpec,
+    Liouvillian,
+    _target_state,
     build_liouvillian,
     steady_state,
 )
 from .perturbation import (
     SingularCoherenceBlockError,
+    _apply_maps,
+    _measure,
+    _response_maps,
+    _rho1,
     first_order,
     full_steady_state,
     hs_norm,
@@ -56,16 +68,12 @@ from .perturbation import (
     sync_measure,
 )
 from .signals import SignalSpec, from_equatorial_angles, semiclassical
-from .spin import (
-    SM,
-    SP,
-    SQRT2,
-    SZ,
-    _coherent_amplitudes,
-    phase_distribution_terms,
-)
+from .spin import SQRT2, _coherent_amplitudes, phase_distribution_terms
 
-_leggauss = cache(np.polynomial.legendre.leggauss)  # nodes and weights per count
+# 128-point Gauss-Legendre rule in theta, the weights times sin(theta)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
+_THETA = 0.5 * np.pi * (_GL_NODES + 1.0)
+_THETA_WEIGHTS = 0.5 * np.pi * _GL_WEIGHTS * np.sin(_THETA)
 
 
 @dataclass(frozen=True)
@@ -91,27 +99,25 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def shifted_phase_by_quadrature(
-    rho: np.ndarray, phis: np.ndarray, nodes: int = 128
-) -> np.ndarray:
+def shifted_phase_by_quadrature(rho: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Shifted phase distribution by Gauss-Legendre integration over the
-    polar angle of the Husimi function; independent of the closed form."""
-    x, w = _leggauss(nodes)
-    theta = 0.5 * np.pi * (x + 1.0)
-    weight = 0.5 * np.pi * w * np.sin(theta)
-    th, ph = np.meshgrid(theta, phis, indexing="ij")
+    polar angle of the Husimi function; independent of the closed form.
+    ``rho`` is one 3x3 state or a stack of shape (..., 3, 3); the result has
+    shape (..., len(phis))."""
+    th, ph = np.meshgrid(_THETA, phis, indexing="ij")
     amps = _coherent_amplitudes(th, ph)
-    q = np.einsum("tpi,ij,tpj->tp", amps.conj(), rho, amps).real * (
+    q = np.einsum("tpi,...ij,tpj->...tp", amps.conj(), rho, amps).real * (
         3.0 / (4.0 * np.pi)
     )
-    return weight @ q - 1.0 / (2.0 * np.pi)
+    return _THETA_WEIGHTS @ q - 1.0 / (2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
 # random sampling helpers
 
 
-def _random_limit_cycle(rng: np.random.Generator) -> LimitCycleSpec:
+def _random_limit_cycle(rng: np.random.Generator) -> Liouvillian:
+    """The generator of a random cycle with a unique target state."""
     while True:
         dissipators = []
         for _ in range(int(rng.integers(2, 4))):
@@ -127,11 +133,12 @@ def _random_limit_cycle(rng: np.random.Generator) -> LimitCycleSpec:
         if len(dissipators) < 2:
             continue
         spec = LimitCycleSpec(tuple(dissipators), detuning=float(rng.normal() * 2.0))
+        liou = build_liouvillian(spec)
         try:
-            steady_state(build_liouvillian(spec))
+            steady_state(liou)
         except DegenerateLimitCycleError:
             continue
-        return spec
+        return liou
 
 
 def _random_signal(rng: np.random.Generator, squeeze: bool) -> SignalSpec:
@@ -141,6 +148,29 @@ def _random_signal(rng: np.random.Generator, squeeze: bool) -> SignalSpec:
     if t01 == 0 and tm10 == 0 and tm11 == 0:
         return _random_signal(rng, squeeze)
     return SignalSpec(t01, tm10, tm11)
+
+
+def _random_scenarios(rng: np.random.Generator):
+    """Endless random cycles' kernels ``(pops, map1, map2)`` with a random
+    signal (squeezed at even odds), skipping undamped coherence blocks; lazy,
+    so the caller may draw from ``rng`` between scenarios."""
+    while True:
+        liou = _random_limit_cycle(rng)
+        sig = _random_signal(rng, squeeze=bool(rng.integers(0, 2)))
+        try:
+            kernel = _response_maps(liou)
+        except SingularCoherenceBlockError:
+            continue
+        yield kernel, sig
+
+
+def _stacked(draws):
+    """Stack ``draws``, each a kernel and k signals: the kernels along a new
+    first axis, the signals as one :class:`SignalSpec` of shape (k, draws)."""
+    kernels, *signals = zip(*draws)
+    pops, map1, map2 = (np.stack(x) for x in zip(*kernels))
+    tones = np.array([[(s.t01, s.tm10, s.tm11) for s in col] for col in signals])
+    return pops, map1, map2, SignalSpec(*np.moveaxis(tones, -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +324,8 @@ def check_fundamental_bound() -> list[CheckResult]:
     )
 
     rng = np.random.default_rng(20240817)
-    worst = 0.0
-    count = 0
-    while count < 1000:
-        lc = _random_limit_cycle(rng)
-        sig = _random_signal(rng, squeeze=bool(rng.integers(0, 2)))
-        try:
-            value = sync_measure(lc, sig, eta=0.1).value
-        except SingularCoherenceBlockError:
-            continue
-        worst = max(worst, value)
-        count += 1
+    pops, map1, map2, sig = _stacked(islice(_random_scenarios(rng), 1000))
+    worst = float(_measure(pops, _apply_maps(map1, map2, sig), 0.1).value.max())
     out.append(
         CheckResult(
             2,
@@ -325,14 +346,14 @@ def check_fundamental_bound() -> list[CheckResult]:
 def check_phase_oracle() -> list[CheckResult]:
     rng = np.random.default_rng(11)
     phis = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-    worst = 0.0
+    states = []
     for _ in range(100):
         mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho = mat + mat.conj().T
-        rho = rho / rho.trace().real
-        closed = phase_distribution_terms(rho).evaluate(phis)
-        quad = shifted_phase_by_quadrature(rho, phis)
-        worst = max(worst, float(np.abs(closed - quad).max()))
+        states.append(rho / rho.trace().real)
+    closed = [phase_distribution_terms(rho).evaluate(phis) for rho in states]
+    quad = shifted_phase_by_quadrature(np.array(states), phis)
+    worst = float(np.abs(np.array(closed) - quad).max())
     return [
         CheckResult(
             3,
@@ -431,16 +452,10 @@ def check_perturbative_consistency() -> list[CheckResult]:
 # criterion 6: synchronization blockade
 
 
-def _blockade_value(gg: float, gd: float, delta, eta: float):
-    zeta = np.arctan(equatorial_response_geometry(gg, gd, delta)[0])
-    lc = equatorial_limit_cycle(gg, gd, delta)
-    return sync_measure(lc, from_equatorial_angles(zeta, 0.0), eta).value
-
-
 def check_blockade() -> list[CheckResult]:
     gg, gd, eta = 1.0, 1e4, 0.1
     out = []
-    resonant = _blockade_value(gg, gd, 0.0, eta)
+    resonant = blockade_sync(gg, gd, 0.0, eta)
     out.append(
         CheckResult(
             6,
@@ -452,7 +467,7 @@ def check_blockade() -> list[CheckResult]:
         )
     )
     deltas = np.linspace(10.0, 300.0, 291)
-    values = _blockade_value(gg, gd, deltas, eta)
+    values = blockade_sync(gg, gd, deltas, eta)
     argmax = float(deltas[int(np.argmax(values))])
     step = float(deltas[1] - deltas[0])
     expected = math.sqrt(gg * gd)
@@ -486,12 +501,8 @@ def check_blockade() -> list[CheckResult]:
 
 
 def check_oscillator_equivalence() -> list[CheckResult]:
-    gain = SZ @ SP - SP @ SZ / SQRT2
-    loss = SM @ SM / SQRT2
-    adag, asq = truncated_oscillator_ops()
-    diff = max(
-        float(np.abs(gain - adag).max()), float(np.abs(loss - asq).max())
-    )
+    ops = vdp_oscillator_equivalence()
+    diff = max(ops["gain_max_abs_diff"], ops["loss_max_abs_diff"])
     out = [
         CheckResult(
             7,
@@ -505,6 +516,7 @@ def check_oscillator_equivalence() -> list[CheckResult]:
 
     # same cycle built from the ladder operators drives the same response
     spin_lc = vdp_limit_cycle(1.0, 50.0, 0.2)
+    adag, asq = truncated_oscillator_ops()
     osc_lc = LimitCycleSpec(((adag, 1.0), (asq, 50.0)), 0.2)
     sig = SignalSpec(0.4 + 0.1j, 0.7, 0.3j)
     resp_diff = float(
@@ -574,46 +586,28 @@ def check_appendix_deformation() -> list[CheckResult]:
 
 def check_structural_invariants() -> list[CheckResult]:
     rng = np.random.default_rng(90125)
-    worst_offdiag = 0.0
-    worst_trace = 0.0
-    worst_rho0 = 0.0
-    worst_scale = 0.0
-    count = 0
-    while count < 200:
-        lc = _random_limit_cycle(rng)
-        squeeze = bool(rng.integers(0, 2))
-        sig = _random_signal(rng, squeeze)
-        try:
-            rho0 = steady_state(build_liouvillian(lc))
-            rho1 = first_order(lc, sig)
-        except SingularCoherenceBlockError:
-            continue
-        worst_offdiag = max(worst_offdiag, float(np.abs(rho1.diagonal()).max()))
-        worst_trace = max(worst_trace, abs(complex(rho1.trace())))
-        off = rho0 - np.diag(rho0.diagonal())
-        worst_rho0 = max(
-            worst_rho0,
-            float(np.abs(off).max()),
-            max(0.0, -float(rho0.diagonal().real.min())),
-            abs(float(rho0.trace().real) - 1.0),
-        )
+    draws = []
+    for kernel, sig in islice(_random_scenarios(rng), 200):
         lam = complex(rng.normal(), rng.normal())
         if abs(lam) < 1e-3:
             lam = 1.0 + 1j
-        # the squeezing phase is the aligned one on both sides, matching the
-        # convention that both harmonics localize the same phase
-        if squeeze:
-            a = align_squeeze_phase(lc, sig)
-            b = align_squeeze_phase(lc, sig.scaled(lam))
-        else:
-            a, b = sig, sig.scaled(lam)
-        try:
-            sa = sync_measure(lc, a, eta=0.1)
-            sb = sync_measure(lc, b, eta=0.1)
-        except SingularCoherenceBlockError:
-            continue
-        worst_scale = max(worst_scale, abs(sa.value - sb.value))
-        count += 1
+        draws.append((kernel, sig, sig.scaled(lam)))
+    pops, map1, map2, pair = _stacked(draws)
+    # the squeezing phase is the aligned one on both sides, matching the
+    # convention that both harmonics localize the same phase (an unsqueezed
+    # signal is left as it is); rho1 is checked for both signals of a draw
+    coherences = _apply_maps(map1, map2, _align_on_maps(map1, map2, pair))
+    rho1 = _rho1(coherences)
+    worst_offdiag = float(np.abs(rho1.diagonal(axis1=-2, axis2=-1)).max())
+    worst_trace = float(np.abs(np.trace(rho1, axis1=-2, axis2=-1)).max())
+    rho0 = _target_state(pops)
+    worst_rho0 = max(
+        float(np.abs(rho0[..., ~np.eye(3, dtype=bool)]).max()),
+        max(0.0, -float(rho0.diagonal(axis1=-2, axis2=-1).real.min())),
+        float(np.abs(np.trace(rho0, axis1=-2, axis2=-1).real - 1.0).max()),
+    )
+    value = _measure(pops, coherences, 0.1).value
+    worst_scale = float(np.abs(value[0] - value[1]).max())
     out = [
         CheckResult(
             9,

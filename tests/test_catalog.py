@@ -18,6 +18,7 @@ from spinsync.catalog import (
     align_squeeze_phase,
     arnold_tongue,
     asymmetric_equatorial_limit_cycle,
+    blockade_sync,
     blockade_sync_closed,
     bound_terms,
     cooperativity_limit_cycle,
@@ -221,6 +222,22 @@ class TestBlockade:
             a = blockade_sync_closed(gg, gd, delta)
             assert blockade_sync_closed(gd, gg, delta) == pytest.approx(a)
             assert blockade_sync_closed(gg, gd, -delta) == pytest.approx(a)
+
+    def test_stacked_pipeline_matches_points_and_closed_form(self):
+        gg, eta = 1.0, 0.1
+        gd = np.array([3.0, 100.0, 1e4])[:, None]
+        # within three decades around sqrt(gg gd): far off resonance the
+        # lag angle is small and 1 - cos(lag) in the closed form loses digits
+        deltas = np.geomspace(0.1, 100.0, 13)
+        values = blockade_sync(gg, gd, deltas, eta)
+        assert values.shape == (3, 13)
+        for (i, j), value in np.ndenumerate(values):
+            r = equatorial_response_geometry(gg, gd[i, 0], deltas[j])[0]
+            sig = from_equatorial_angles(np.arctan(r), 0.0)
+            lc = equatorial_limit_cycle(gg, gd[i, 0], deltas[j])
+            assert value == sync_measure(lc, sig, eta).value
+        closed = blockade_sync_closed(gg, gd, deltas, eta)
+        np.testing.assert_allclose(values, closed, rtol=1e-12, atol=0.0)
 
     def test_pipeline_agreement(self):
         gg, gd = 1.0, 100.0

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinsync
-from spinsync import _floatrepr, catalog, cli, lindblad, perturbation
+from spinsync import _floatrepr, catalog, cli, lindblad, perturbation, validate
 from spinsync.catalog import align_squeeze_phase, arnold_tongue, vdp_limit_cycle
 from spinsync.cli import main
 from spinsync.errors import SpinsyncError
@@ -242,6 +242,20 @@ class TestSync:
         code, _, err = run_cli(capsys, "sync", "--config", cfg)
         assert code == 2
         assert err.startswith("ConfigError") and message in err
+
+    # numpy refuses an axis of 1e20 points before it allocates anything
+    @pytest.mark.parametrize(
+        "command, axes",
+        [("sync", ["detuning"]), ("tongue", ["detuning", "epsilon"])],
+    )
+    def test_huge_axis_rejected(self, tmp_path, capsys, command, axes):
+        sweep = [{"name": name, "min": 0.5, "max": 2, "points": 3} for name in axes]
+        sweep[-1]["points"] = 1e20
+        cfg = write_config(tmp_path, {**EQUATORIAL, "sweep": sweep})
+        code, _, err = run_cli(capsys, command, "--config", cfg)
+        assert code == 2
+        assert err.startswith("ConfigError")
+        assert f"sweep axis {axes[-1]!r} cannot hold {10**20} points" in err
 
     def test_integral_float_points_accepted(self, tmp_path, capsys):
         sweep = [{"name": "detuning", "min": 0.5, "max": 2, "points": 3.0, "scale": "log"}]
@@ -556,6 +570,28 @@ class TestValidateCommand:
         assert "benchmark table" in out
         assert out.count("[PASS]") >= 20
         assert "[FAIL]" not in out
+
+
+class TestValidateBuilds:
+    """The random-scenario checks build each random cycle once and run the
+    first-order kernel once per cycle they keep."""
+
+    # criterion 2: 1420 draws for 1000 kept scenarios, plus the tightness
+    # construction's two kernel calls; criterion 9: 274 draws for 200
+    @pytest.mark.parametrize(
+        "group, draws, kernel_calls",
+        [
+            (validate.check_fundamental_bound, 1420, 1002),
+            (validate.check_structural_invariants, 274, 200),
+        ],
+    )
+    def test_one_build_per_draw(self, monkeypatch, group, draws, kernel_calls):
+        modules = (lindblad, perturbation, catalog, validate)
+        builds = _count_calls(monkeypatch, lindblad, "build_liouvillian", modules)
+        kernels = _count_calls(monkeypatch, perturbation, "_response_maps", modules[1:])
+        assert all(result.passed for result in group())
+        assert len(builds) == draws
+        assert len(kernels) == kernel_calls
 
 
 VDP_AUTO = {

@@ -160,6 +160,17 @@ class TestPhaseDistribution:
         quad2 = shifted_phase_by_quadrature(rho2, phis)
         assert np.allclose(quad2, COS2_WEIGHT * 0.1 * np.cos(2 * phis), atol=1e-12)
 
+    def test_stacked_quadrature_matches_single_states(self):
+        rng = np.random.default_rng(5)
+        states = np.array([random_hermitian(rng, trace_one=True) for _ in range(12)])
+        states = states.reshape(3, 4, 3, 3)
+        phis = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+        stacked = shifted_phase_by_quadrature(states, phis)
+        assert stacked.shape == (3, 4, 16)
+        for idx in np.ndindex(3, 4):
+            single = shifted_phase_by_quadrature(states[idx], phis)
+            assert np.array_equal(stacked[idx], single)
+
     @given(seed=SEEDS)
     @settings(max_examples=25, deadline=None)
     def test_closed_form_matches_quadrature(self, seed):

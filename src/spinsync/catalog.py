@@ -207,12 +207,11 @@ def equatorial_sync_closed(zeta, chi, gamma_g, gamma_d, delta=0.0, eta=0.1):
     """
     r, alpha = equatorial_response_geometry(gamma_g, gamma_d, delta)
     denom = r * np.cos(zeta) ** 2 + np.sin(zeta) ** 2 / r
-    interference = (
-        2.0 * np.sin(zeta) * np.cos(zeta) * np.cos(chi + alpha) / denom
-    )
-    return _float_or_array(
-        eta * (3.0 / 16.0) * np.sqrt(np.maximum(0.0, 1.0 - interference))
-    )
+    # 1 - 2 sin(zeta) cos(zeta) cos(chi + alpha) / denom = |w|^2 / denom,
+    # without that difference's cancellation
+    w = np.sqrt(r) * np.cos(zeta) * np.exp(1j * (chi + alpha))
+    w = w - np.sin(zeta) / np.sqrt(r)
+    return _float_or_array(eta * (3.0 / 16.0) * np.abs(w) / np.sqrt(denom))
 
 
 def equatorial_optimal_angles(
@@ -233,9 +232,8 @@ def blockade_sync_closed(gamma_g, gamma_d, delta, eta=0.1):
     over numpy arguments.
     """
     lag = np.arctan2((gamma_d - gamma_g) * delta, gamma_d * gamma_g + delta**2)
-    return _float_or_array(
-        eta * (3.0 / 16.0) * np.sqrt(np.maximum(0.0, 1.0 - np.cos(lag)))
-    )
+    # sqrt(1 - cos(lag)) without its cancellation at small lags
+    return _float_or_array(eta * (3.0 / 16.0) * SQRT2 * np.abs(np.sin(lag / 2.0)))
 
 
 def blockade_sync(gamma_g, gamma_d, delta, eta=0.1):

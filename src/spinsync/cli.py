@@ -62,8 +62,6 @@ from .signals import (
 )
 from .spin import SQRT2
 
-FIGURE_IDS = ("fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7", "fig8app")
-
 # the keys of each scenario are the parameters of its builder
 _SCENARIO_SIGNATURES = {n: inspect.signature(b) for n, b in catalog.SCENARIOS.items()}
 _SCENARIO_KEYS = {n: tuple(sig.parameters) for n, sig in _SCENARIO_SIGNATURES.items()}
@@ -886,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
 
     p = sub.add_parser("figure")
-    p.add_argument("id", help=f"one of {', '.join(FIGURE_IDS)}")
+    p.add_argument("id", help=f"one of {', '.join(_FIGURES)}")
     common(p)
     p.set_defaults(func=cmd_figure)
 

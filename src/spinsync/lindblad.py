@@ -8,18 +8,20 @@ coherence sector k = j - i, i.e. k = m - n for the S_z eigenvalues m, n.
 Operators mixing sectors would imprint a phase on the relaxation and are
 rejected.
 
-The generator then block-diagonalizes over sectors: a real block on the
-populations (k = 0) and square complex blocks on the coherence sectors
-k = +1, +2, with the k < 0 blocks the complex conjugates of their mirrors.
-:func:`build_liouvillian` assembles these blocks directly from each
-dissipator's diagonal; they are linear in the rates, and the detuning only
-adds -i k delta to the diagonal of block k.  So rates and detuning may be
-arrays that broadcast against each other, and one build gives the blocks of
-every cell of that stack.  The 9x9 generator on column-stacked matrices, where
-entry (i, j) of a 3x3 matrix sits at position i + 3 j of the length-9 vector,
-is scattered from these blocks only when ``Liouvillian.full`` is first read:
-by the exact driven steady state, the higher perturbative orders and
-:func:`apply_liouvillian`.
+The generator is the sum of rate * D[O] over the dissipators minus
+i delta [S_z, .], acting on column-stacked matrices: entry (i, j) of a 3x3
+matrix sits at position i + 3 j of the length-9 vector.  It block-diagonalizes
+over sectors: a real block on the populations (k = 0) and square complex
+blocks on the coherence sectors k = +1, +2, with the k < 0 blocks the complex
+conjugates of their mirrors.  One private function evaluates that sum, from
+the Kronecker products' own entries, at a chosen set of vector positions.
+:func:`build_liouvillian` takes the blocks from the population and k = 1, 2
+positions; they are linear in the rates, and the detuning only adds
+-i k delta to the diagonal of block k.  So rates and detuning may be arrays
+that broadcast against each other, and one build gives the blocks of every
+cell of that stack.  ``Liouvillian.full`` is the same sum at all nine
+positions, built only when first read: by the exact driven steady state, the
+higher perturbative orders and :func:`apply_liouvillian`.
 """
 
 from __future__ import annotations
@@ -50,35 +52,24 @@ SECTOR_SLOTS = {
 }
 
 _EYE = np.eye(3, dtype=complex)
-
-# The populations and the k = 1, 2 slots side by side: the sector blocks are
-# the diagonal blocks [0:3], [3:5] and [5:6] of one 6x6 matrix on these slots.
-_UPPER_SLOTS = ((0, 0), (1, 1), (2, 2)) + SECTOR_SLOTS[1] + SECTOR_SLOTS[2]
-_SLOT_ROW = np.array([i for i, _ in _UPPER_SLOTS])
-_SLOT_COL = np.array([j for _, j in _UPPER_SLOTS])
-_SLOT_DIAG = np.arange(len(_UPPER_SLOTS))
-
-
-def _jump_table(s: int):
-    """Where the jump term O rho O^dag of an operator on diagonal s acts:
-    slot (i + s, j + s) feeds slot (i, j) with weight O[i, i+s] conj(O[j, j+s]).
-    Returns the target and source slot positions and the operator entries of
-    both factors."""
-    hits = [
-        (tgt, _UPPER_SLOTS.index((i + s, j + s)), i, j)
-        for tgt, (i, j) in enumerate(_UPPER_SLOTS)
-        if 0 <= i + s < 3 and 0 <= j + s < 3
-    ]
-    tgt, src, i, j = (np.array(col) for col in zip(*hits))
-    return tgt, src, (j, j + s), (i, i + s)
-
-
-_JUMPS = {s: _jump_table(s) for s in range(-2, 3)}
-#: positions i + 3 j in the 9-vector of the populations and of each sector's slots
-_VEC_POS = {k: [i + 3 * j for i, j in s] for k, s in SECTOR_SLOTS.items()}
-_VEC_POS[0] = [0, 4, 8]
 #: sector j - i of each matrix entry (i, j)
 _SECTOR_OF_ENTRY = np.arange(3)[None, :] - np.arange(3)[:, None]
+
+
+def _positions(pos):
+    """Where a Kronecker product of 3x3 factors takes its entries at the vec
+    positions ``pos`` (entry (i, j) of a 3x3 matrix sits at i + 3 j): flat
+    gathers from each factor, and the sector j - i of each position."""
+    j, i = np.divmod(pos, 3)
+    return 3 * j[:, None] + j, 3 * i[:, None] + i, j - i
+
+
+_ALL = _positions(range(9))
+# The populations and the k = 1, 2 slots side by side: the sector blocks are
+# the diagonal blocks [0:3], [3:5] and [5:6] of the generator on these positions.
+_BLOCKS = _positions(
+    [i + 3 * j for i, j in ((0, 0), (1, 1), (2, 2)) + SECTOR_SLOTS[1] + SECTOR_SLOTS[2]]
+)
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -156,12 +147,12 @@ class Liouvillian:
     complex conjugates.  For a stacked spec every block carries the stack
     shape in front, e.g. ``diag_block`` has shape ``spec.shape + (3, 3)``.
 
-    The blocks are assembled directly from the dissipators (see
-    :func:`build_liouvillian`).  ``full``, the 9x9 generator acting on
-    column-stacked 3x3 matrices, is scattered from the blocks of a
-    single-cycle ``spec`` on first access; only the exact driven steady
-    state, the higher perturbative orders and :func:`apply_liouvillian` need
-    it.  Generators compare and hash by identity, as their specs do.
+    ``full``, the 9x9 generator acting on column-stacked 3x3 matrices, is
+    built from the dissipators of a single-cycle ``spec`` on first access, by
+    the same sum as the blocks (see :func:`build_liouvillian`); only the exact
+    driven steady state, the higher perturbative orders and
+    :func:`apply_liouvillian` need it.  Generators compare and hash by
+    identity, as their specs do.
     """
 
     spec: LimitCycleSpec
@@ -170,12 +161,9 @@ class Liouvillian:
 
     @cached_property
     def full(self) -> np.ndarray:
-        """The 9x9 generator, scattered from the sector blocks on first access."""
+        """The 9x9 generator of a single cycle, built on first access."""
         require_single(self.spec, "the 9x9 generator")
-        full = np.zeros((9, 9), dtype=complex)
-        for k, pos in _VEC_POS.items():
-            full[np.ix_(pos, pos)] = sector_block(self, k) if k else self.diag_block
-        return full + 0.0  # as a Kronecker sum: +0.0 where conj gives -0.0
+        return _generator(self.spec, _ALL)
 
 
 def sector_of(op: np.ndarray, rel_tol: float = 1e-14) -> int:
@@ -212,66 +200,74 @@ def dissipator_apply(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return op @ rho @ op.conj().T - 0.5 * (odo @ rho + rho @ odo)
 
 
+def _kron(a: np.ndarray, b: np.ndarray, positions) -> np.ndarray:
+    """The Kronecker product of ``a`` and ``b`` at ``positions`` (see
+    :func:`_positions`): the products a[r, c] b[s, t] it is made of."""
+    left, right, _ = positions
+    return a.take(left) * b.take(right)
+
+
 def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     """Superoperator of -i[H, .] under column stacking."""
     h = np.asarray(h, dtype=complex)
-    # kron(I, h) - kron(h.T, I) as the same products, without np.kron's overhead
-    left = _EYE[:, None, :, None] * h[None, :, None, :]
-    right = h.T[:, None, :, None] * _EYE[None, :, None, :]
-    return -1j * (left - right).reshape(9, 9)
+    return -1j * (_kron(_EYE, h, _ALL) - _kron(h.T, _EYE, _ALL))
+
+
+def _dissipator(op: np.ndarray, positions) -> np.ndarray:
+    """D[O] = kron(O*, O) - kron(I, O^dag O) / 2 - kron((O^dag O)^T, I) / 2 at
+    ``positions``."""
+    op = np.asarray(op, dtype=complex)
+    odo = op.conj().T @ op
+    return (
+        _kron(op.conj(), op, positions)
+        - 0.5 * _kron(_EYE, odo, positions)
+        - 0.5 * _kron(odo.T, _EYE, positions)
+    )
 
 
 def dissipator_superop(op: np.ndarray) -> np.ndarray:
     """Superoperator of D[O] under column stacking."""
-    op = np.asarray(op, dtype=complex)
-    odo = op.conj().T @ op
-    return (
-        np.kron(op.conj(), op)
-        - 0.5 * np.kron(_EYE, odo)
-        - 0.5 * np.kron(odo.T, _EYE)
-    )
+    return _dissipator(op, _ALL)
+
+
+def _generator(spec: LimitCycleSpec, positions) -> np.ndarray:
+    """The generator, the sum of rate * D[O] over the dissipators minus
+    i delta [S_z, .], at ``positions`` and stacked over ``spec.shape``: the
+    detuning adds -i k delta on the diagonal at each sector-k position."""
+    sectors = positions[2]
+    gen = np.zeros(spec.shape + 2 * sectors.shape, dtype=complex)
+    for op, rate in spec.dissipators:
+        # a zero rate adds zeros, so each cell sums as if built alone
+        gen += np.multiply.outer(rate, _dissipator(op, positions))
+    for d in np.flatnonzero(sectors):
+        gen[..., d, d].imag -= sectors[d] * spec.detuning
+    return gen
 
 
 def build_liouvillian(spec: LimitCycleSpec) -> Liouvillian:
-    """Assemble the sector blocks of the generator, stacked over ``spec.shape``.
-
-    A dissipator O on diagonal s feeds slot (i, j) from slot (i + s, j + s)
-    with weight rate O[i, i+s] conj(O[j, j+s]) and takes
-    rate (d_i + d_j) / 2 off every slot, d = diag(O^dag O); the detuning adds
-    -i k delta on the diagonal of sector block k.  Each entry is summed in
-    the same order as in the sum of rate * :func:`dissipator_superop` terms,
-    whose slices the blocks reproduce, and as in the build of that cell alone.
+    """The sector blocks of the generator, stacked over ``spec.shape``: slices
+    of the generator on the population and sector k = 1, 2 positions.  Every
+    entry is summed as in the sum of rate * :func:`dissipator_superop` terms
+    and as in the build of that cell alone.
 
     Validates the spec: every dissipator must have a single well-defined
     sector (:class:`MixedSectorError` otherwise) and finite nonnegative
     rates, with at least one rate positive in every cell, and the detuning
     must be finite.  A failure in a stack names the failing cells.
     """
-    gen = np.zeros(spec.shape + (6, 6), dtype=complex)
     positive = np.zeros(spec.shape, dtype=bool)
     for op, rate in spec.dissipators:
         bad = ~(np.isfinite(rate) & (rate >= 0.0))
         if bad.any():
             raise InvalidValueError("rates must be finite and >= 0" + _where(bad, rate))
-        tgt, src, a, b = _JUMPS[sector_of(op)]
+        sector_of(op)  # raises MixedSectorError
         positive |= rate > 0.0
-        op = np.asarray(op, dtype=complex)
-        term = np.zeros((6, 6), dtype=complex)
-        term[tgt, src] = op[a].conj() * op[b]
-        half = 0.5 * (op.conj().T @ op).diagonal()
-        term[_SLOT_DIAG, _SLOT_DIAG] = (
-            term[_SLOT_DIAG, _SLOT_DIAG] - half[_SLOT_ROW]
-        ) - half[_SLOT_COL]
-        # a zero rate adds zeros, so each cell sums as if built alone
-        gen += np.multiply.outer(rate, term)
     if not positive.all():
         raise InvalidValueError("limit cycle needs a positive rate" + _where(~positive))
     bad = ~np.isfinite(spec.detuning)
     if bad.any():
         raise InvalidValueError("detuning must be finite" + _where(bad, spec.detuning))
-    # the coherence slots 3, 4 (sector 1) and 5 (sector 2)
-    for slot, k in ((3, 1), (4, 1), (5, 2)):
-        gen[..., slot, slot].imag -= k * spec.detuning
+    gen = _generator(spec, _BLOCKS)
     return Liouvillian(
         spec=spec,
         diag_block=gen[..., :3, :3].real.copy(),

@@ -326,8 +326,7 @@ def kth_order(lc: LimitCycleSpec, signal: SignalSpec, k: int) -> np.ndarray:
     return perturbative_orders(lc, signal, k)[k]
 
 
-_TRACE_ROW = np.zeros(9)
-_TRACE_ROW[[0, 4, 8]] = 1.0
+_TRACE_ROW = vec(np.eye(3)).real  # tr(X) = _TRACE_ROW @ vec(X)
 _ANCHOR = _TRACE_ROW / 3.0  # vec(I/3)
 
 

@@ -125,7 +125,38 @@ class TestEquatorialClosedForm:
             for z in np.linspace(0, math.pi / 2, 41)
         ]
         assert max(values) <= 3 / 16 + 1e-12
-        assert equatorial_sync_closed(math.pi / 4, 0.0, 1.0, 1.0, 0.0, 1.0) == 0.0
+        # zero up to the rounding of pi / 4: the exact value there is 8.1e-18
+        blockade = equatorial_sync_closed(math.pi / 4, 0.0, 1.0, 1.0, 0.0, 1.0)
+        assert abs(blockade) <= 3 / 16 * np.finfo(float).eps
+
+    def test_matches_mpmath(self):
+        """Against the measure's defining form in 50 digits.  Near the
+        blockade w = a e^{i(chi + alpha)} - b = 0 (a = sqrt(r) cos zeta,
+        b = sin zeta / sqrt(r)) the inputs' rounding alone moves the measure
+        by about u (|a| + |b|) / |w| relative; the closed form stays within a few
+        times that, where the difference 1 - interference loses its square."""
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        with mp.workdps(50):
+            for n in range(400):
+                gd = 10.0 ** rng.uniform(-3.0, 4.0)
+                delta = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 4.0)
+                zeta, chi = rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, 2 * math.pi)
+                if n % 2:  # near the blockade: tan zeta = r, chi = -alpha
+                    r, alpha = equatorial_response_geometry(1.0, gd, delta)
+                    off = rng.choice([-1, 1], 2) * 10.0 ** rng.uniform(-6, -1, 2)
+                    zeta, chi = math.atan(r) * (1.0 + off[0]), off[1] - alpha
+                z, c, d = mp.mpf(zeta), mp.mpf(chi), mp.mpf(delta)
+                r = mp.sqrt((1 + d**2) / (mp.mpf(gd) ** 2 + d**2))
+                alpha = mp.arg(1 / ((1 - 1j * d) * (gd + 1j * d)))
+                a, b = mp.sqrt(r) * mp.cos(z), mp.sin(z) / mp.sqrt(r)
+                denom = a**2 + b**2
+                interference = 2 * mp.sin(z) * mp.cos(z) * mp.cos(c + alpha) / denom
+                exact = mp.mpf(3) / 16 * mp.sqrt(1 - interference)
+                w = mp.sqrt(denom * (1 - interference))
+                value = equatorial_sync_closed(zeta, chi, 1.0, gd, delta, 1.0)
+                tol = 8 * np.finfo(float).eps * (abs(a) + abs(b)) / w
+                assert abs(value - exact) <= tol * exact
 
 
 class TestVdpClosedForms:
@@ -223,12 +254,23 @@ class TestBlockade:
             assert blockade_sync_closed(gd, gg, delta) == pytest.approx(a)
             assert blockade_sync_closed(gg, gd, -delta) == pytest.approx(a)
 
+    def test_closed_form_matches_mpmath(self):
+        """Far off resonance the lag angle is small; the closed form keeps its
+        digits there (a 50-digit reference)."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for gd in (3.0, 100.0, 1e4):
+                for delta in np.geomspace(1e-2, 1e4, 61):
+                    d = mp.mpf(delta)
+                    lag = mp.atan2((gd - 1) * d, gd + d**2)
+                    exact = mp.mpf(3) / 160 * mp.sqrt(1 - mp.cos(lag))
+                    value = blockade_sync_closed(1.0, gd, delta)
+                    assert abs(value - exact) <= 1e-15 * exact
+
     def test_stacked_pipeline_matches_points_and_closed_form(self):
         gg, eta = 1.0, 0.1
         gd = np.array([3.0, 100.0, 1e4])[:, None]
-        # within three decades around sqrt(gg gd): far off resonance the
-        # lag angle is small and 1 - cos(lag) in the closed form loses digits
-        deltas = np.geomspace(0.1, 100.0, 13)
+        deltas = np.geomspace(1e-2, 1e4, 13)
         values = blockade_sync(gg, gd, deltas, eta)
         assert values.shape == (3, 13)
         for (i, j), value in np.ndenumerate(values):
@@ -237,7 +279,7 @@ class TestBlockade:
             lc = equatorial_limit_cycle(gg, gd[i, 0], deltas[j])
             assert value == sync_measure(lc, sig, eta).value
         closed = blockade_sync_closed(gg, gd, deltas, eta)
-        np.testing.assert_allclose(values, closed, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(values, closed, rtol=1e-14, atol=0.0)
 
     def test_pipeline_agreement(self):
         gg, gd = 1.0, 100.0

@@ -592,8 +592,7 @@ def _boundary_tones(map1: np.ndarray, squeeze: float, ellipse: np.ndarray):
     with A = w x, B = x^H E x, C = x^H E y, D = y^H E y and g = AC - B^2.
     The candidates are t = x (nu -> inf) and nu x + y at the real parts of
     all four roots (a double root may come out as a complex pair); the
-    caller keeps the one with the largest measure, as
-    :func:`spinsync.spin._max_shifted_phase` does with its quartic.
+    caller keeps the one with the largest measure.
     """
     w = map1.sum(axis=0)
     gram = 2.0 * map1.conj().T @ map1 + squeeze**2 * np.diag(ellipse)

@@ -120,7 +120,7 @@ class LimitCycleSpec:
     def with_detuning(self, detuning) -> "LimitCycleSpec":
         return replace(self, detuning=detuning)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         """Broadcast shape of the rates and the detuning; () for one cycle."""
         shapes = [np.shape(rate) for _, rate in self.dissipators]
@@ -128,6 +128,18 @@ class LimitCycleSpec:
             return np.broadcast_shapes(np.shape(self.detuning), *shapes)
         except ValueError as err:
             raise InvalidValueError(f"rates and detuning: {err}") from None
+
+    @cached_property
+    def _first_unsectored(self) -> int:
+        """Index of the first dissipator whose operator :func:`sector_of`
+        rejects, else the number of dissipators.  The operators never change,
+        so a spec checks them once, however often it is built."""
+        for i, (op, _) in enumerate(self.dissipators):
+            try:
+                sector_of(op)
+            except (TypeError, ValueError):
+                return i
+        return len(self.dissipators)
 
 
 def require_single(spec: LimitCycleSpec, caller: str) -> None:
@@ -256,11 +268,13 @@ def build_liouvillian(spec: LimitCycleSpec) -> Liouvillian:
     must be finite.  A failure in a stack names the failing cells.
     """
     positive = np.zeros(spec.shape, dtype=bool)
-    for op, rate in spec.dissipators:
+    unsectored = spec._first_unsectored
+    for i, (op, rate) in enumerate(spec.dissipators):
         bad = ~(np.isfinite(rate) & (rate >= 0.0))
         if bad.any():
             raise InvalidValueError("rates must be finite and >= 0" + _where(bad, rate))
-        sector_of(op)  # raises MixedSectorError
+        if i == unsectored:
+            sector_of(op)  # raises MixedSectorError
         positive |= rate > 0.0
     if not positive.all():
         raise InvalidValueError("limit cycle needs a positive rate" + _where(~positive))

@@ -25,6 +25,7 @@ amp2 = (1/2 pi) |rho_{1,-1}|.  The prefactors are pinned by quadrature tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,15 +192,39 @@ def oscillator_phase_terms(rho: np.ndarray) -> PhaseDistributionTerms:
     return _scalar_terms(_phase_terms(single, rho[0, 2], OSC_COS1_WEIGHT))
 
 
+#: iteration cap of the secular solve; rows take at most about 35 iterations,
+#: the most where the two maxima of S merge (a1 = 4 a2, anti-aligned)
+_SECULAR_CAP = 64
+
+
 def _max_shifted_phase(a1, p1, a2, p2):
     """:func:`max_shifted_phase` over broadcast arrays of the four terms.
 
-    Returns arrays ``(peak, phi_star)``.  The exact branches (no harmonic,
-    one harmonic, a pure second harmonic, aligned harmonics) are chosen by
-    mask; the remaining rows take the root angles of their quartics from
-    stacked companion matrices, built as :func:`numpy.roots` builds them.
+    Returns arrays ``(peak, phi_star)``, nan in both for a row with a
+    non-finite term.  The exact branches (no harmonic, one harmonic, a pure
+    second harmonic, aligned harmonics) are chosen by mask.  The misaligned
+    rest solves the secular equation of the 2-D trust-region problem
+    (More and Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)) with
+    ufuncs, all rows at once.  With theta = phi + p1 and m = p2 - 2 p1
+    wrapped into [-pi, pi), S = v^T A v + g^T v on the unit circle
+    v = (cos theta, sin theta), where g = (a1, 0) and A has the eigenvalues
+    +a2 and -a2 along the angles -m/2 and -m/2 + pi/2.  The global maximum
+    is v = (lambda - A)^-1 g / 2 at lambda = a2 + u, with components
+    v+ = G+ / u and v- = G- / (u + 2 a2) in that eigenbasis, where
+    G+ = a1 cos(m/2) / 2 >= 0 and G- = a1 sin(m/2) / 2, and u >= 0 the root
+    of v+^2 + v-^2 = 1.  Newton on 1 / |v| - 1 from
+    u0 = max(G+, |G-| - 2 a2), left of the root, climbs to it monotonically;
+    each row stops once its step no longer increases u, so a row never
+    depends on the others.  The hard case G+ = 0, |G-| <= 2 a2 is u = 0 with
+    v+ = sqrt(1 - v-^2).  Then phi* = atan2(v-, v+) - m/2 - p1, polished by
+    at most two Newton steps on dS/dphi while the slope is above rounding
+    level (where the maxima merge the curvature vanishes, and a step on a
+    rounding-level slope would jump off the flat top).
     """
     a1, p1, a2, p2 = np.array(np.broadcast_arrays(a1, p1, a2, p2), dtype=float)
+    finite = np.isfinite(a1) & np.isfinite(p1) & np.isfinite(a2) & np.isfinite(p2)
+    if not finite.all():  # zeros take the no-harmonic branch; nan at the end
+        a1, p1, a2, p2 = np.where(finite, (a1, p1, a2, p2), 0.0)
     tau = 2.0 * np.pi
     misalign = (p2 - 2.0 * p1 + np.pi) % tau - np.pi
     second = a1 == 0.0
@@ -207,32 +232,49 @@ def _max_shifted_phase(a1, p1, a2, p2):
     # a2 = 0); bounded through the angle, as its sine also vanishes when the
     # harmonics are anti-aligned
     slope = 2.0 * a2 * np.abs(misalign)
-    aligned = ~second & (slope <= 1e-14 * (a1 + 2.0 * a2))
+    rounding = 1e-14 * (a1 + 2.0 * a2)
+    aligned = ~second & (slope <= rounding)
     peak = np.where(second, a2, a1 + a2)
     phi = np.where(
         second, np.where(a2 == 0.0, 0.0, (-0.5 * p2) % np.pi), (-p1) % tau
     )
     general = ~(second | aligned)
-    if not general.any():
-        return peak, phi
-
-    a1, p1, a2, p2 = a1[general], p1[general], a2[general], p2[general]
-    terms = PhaseDistributionTerms(a1, p1, a2, p2)
-    w1, w2 = a1 * np.exp(1j * p1), 2.0 * a2 * np.exp(1j * p2)
-    coeffs = np.stack([-w2, -w1, np.zeros_like(w1), w1.conj(), w2.conj()], axis=-1)
-    companion = np.zeros((len(w1), 4, 4), dtype=complex)
-    companion[:, 1:, :-1] = np.eye(3)
-    companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
-    roots = np.angle(np.linalg.eigvals(companion)).T
-    best = roots[np.argmax(terms.evaluate(roots), axis=0), np.arange(len(w1))]
-    newton = np.ones(len(best), dtype=bool)
-    for _ in range(2):
-        curvature = -a1 * np.cos(best + p1) - 4.0 * a2 * np.cos(2.0 * best + p2)
-        newton &= curvature < 0.0
-        slope = terms.derivative(best)
-        best -= np.divide(slope, curvature, out=np.zeros_like(best), where=newton)
-    peak[general] = terms.evaluate(best)
-    phi[general] = best % tau
+    if general.any():
+        a1, p1, a2, p2 = a1[general], p1[general], a2[general], p2[general]
+        half, rounding = 0.5 * misalign[general], rounding[general]
+        g_plus, g_minus = 0.5 * a1 * np.cos(half), 0.5 * a1 * np.sin(half)
+        gap = 2.0 * a2
+        hard = (g_plus == 0.0) & (np.abs(g_minus) <= gap)
+        u = np.maximum(g_plus, np.abs(g_minus) - gap)
+        rows = np.flatnonzero(~hard)
+        for _ in range(_SECULAR_CAP):
+            if not rows.size:
+                break
+            ur, wr = u[rows], u[rows] + gap[rows]
+            vp, vm = g_plus[rows] / ur, g_minus[rows] / wr
+            vp2, vm2 = vp * vp, vm * vm
+            norm2 = vp2 + vm2
+            # the Newton step -f / f' on f(u) = 1 / |v| - 1, with numerator
+            # and denominator multiplied by u so that neither overflows
+            step = ur * norm2 * (np.sqrt(norm2) - 1.0) / (vp2 + vm2 * ur / wr)
+            climbs = step > 0.0
+            rows = rows[climbs]
+            u[rows] = ur[climbs] + step[climbs]
+        vm = g_minus / (u + gap)
+        with np.errstate(divide="ignore", invalid="ignore"):  # hard rows: 0 / 0
+            vp = np.where(hard, np.sqrt(1.0 - vm * vm), g_plus / u)
+        best = np.arctan2(vm, vp) - half - p1
+        terms = PhaseDistributionTerms(a1, p1, a2, p2)
+        newton = np.ones(len(best), dtype=bool)
+        for _ in range(2):
+            curvature = -a1 * np.cos(best + p1) - 4.0 * a2 * np.cos(2.0 * best + p2)
+            slope = terms.derivative(best)
+            newton &= (curvature < 0.0) & (np.abs(slope) > rounding)
+            best -= np.divide(slope, curvature, out=np.zeros_like(best), where=newton)
+        peak[general] = terms.evaluate(best)
+        phi[general] = best % tau
+    if not finite.all():
+        peak[~finite] = phi[~finite] = np.nan
     return peak, phi
 
 
@@ -241,13 +283,24 @@ def max_shifted_phase(terms: PhaseDistributionTerms) -> tuple[float, float]:
 
     Returns ``(peak, phi_star)`` with phi_star in [0, 2 pi).  When the two
     harmonics peak at a common azimuth (the slope of S there is at rounding
-    level) the maximum is amp1 + amp2 exactly; otherwise the stationary
-    points are the root angles of the quartic
-    -2 a2 e^{i p2} z^4 - a1 e^{i p1} z^3 + a1 e^{-i p1} z + 2 a2 e^{-i p2}
-    in z = e^{i phi}.  The angle with the largest S is chosen first and only
-    then polished by at most two Newton steps on dS/dphi, because roots are
-    off by up to ~1e-8 at extreme a1/a2.  This is the scalar call of the
-    array search the measure runs on stacked coherences.
+    level) the maximum is amp1 + amp2 exactly; otherwise it is the root of a
+    secular equation, solved by Newton to rounding and polished by Newton
+    steps on dS/dphi (see :func:`_max_shifted_phase`).  This is the scalar
+    call of the array search the measure runs on stacked coherences.
+
+    Ties, where S has two equal global maxima, resolve by a fixed rule.  A
+    pure second harmonic (amp1 = 0) peaks at -phase2/2 and half a turn away:
+    phi_star is the one in [0, pi).  Anti-aligned harmonics (phase2 -
+    2 phase1 an odd multiple of pi to rounding) with amp1 < 4 amp2 peak at
+    -phase1 +- arccos(amp1 / (4 amp2)): phi_star is
+    -phase1 + arccos(amp1 / (4 amp2)), the limit of the single maximum as
+    phase2 - 2 phase1 approaches pi from above.
+
+    Raises :class:`InvalidValueError` naming the first non-finite term.
     """
+    for name in ("amp1", "phase1", "amp2", "phase2"):
+        value = getattr(terms, name)
+        if not math.isfinite(value):
+            raise InvalidValueError(f"{name} must be finite, got {value}")
     peak, phi = _max_shifted_phase(terms.amp1, terms.phase1, terms.amp2, terms.phase2)
     return float(peak), float(phi)

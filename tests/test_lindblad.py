@@ -314,6 +314,33 @@ class TestBuildLiouvillian:
         with pytest.raises(InvalidValueError, match="broadcast"):
             build_liouvillian(spec)
 
+    def test_checks_run_in_dissipator_order_on_every_build(self):
+        # each dissipator's rate is checked before its operator, and the
+        # first failing dissipator decides the error, on repeated builds too
+        gain = SP @ SZ
+        mixed_first = LimitCycleSpec(((SX, 1.0), (gain, -1.0)))
+        rate_first = LimitCycleSpec(((gain, -1.0), (SX, 1.0)))
+        for _ in range(2):
+            with pytest.raises(MixedSectorError):
+                build_liouvillian(mixed_first)
+            with pytest.raises(InvalidValueError, match="rates must be finite"):
+                build_liouvillian(rate_first)
+
+    def test_operators_checked_once_per_spec(self, monkeypatch):
+        import spinsync.lindblad as lindblad
+
+        calls = []
+        monkeypatch.setattr(
+            lindblad, "sector_of", lambda op: calls.append(op) or sector_of(op)
+        )
+        spec = vdp_limit_cycle(1.0, 2.0)
+        first = build_liouvillian(spec)
+        again = build_liouvillian(spec)
+        assert len(calls) == len(spec.dissipators)
+        assert again.diag_block.tobytes() == first.diag_block.tobytes()
+        build_liouvillian(spec.with_detuning(1.0))  # a new spec checks again
+        assert len(calls) == 2 * len(spec.dissipators)
+
 
 class TestSteadyState:
     def test_equatorial_target(self):

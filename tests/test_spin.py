@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinsync.errors import InvalidValueError
 from spinsync.spin import (
     COS1_WEIGHT,
     COS2_WEIGHT,
@@ -247,6 +248,68 @@ class TestMaxShiftedPhase:
         assert abs(terms.derivative(phi_star)) < 1e-12
 
 
+    @pytest.mark.parametrize(
+        "kind", ["generic", "near_aligned", "near_anti", "anti", "merge"]
+    )
+    @given(
+        log_ratio=st.floats(min_value=-10.0, max_value=10.0),
+        log_scale=st.floats(min_value=-3.0, max_value=3.0),
+        phase1=st.one_of(st.just(0.0), ANGLES),
+        t=st.floats(min_value=0.0, max_value=1.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    @settings(max_examples=30, deadline=None)
+    # the maxima merge: a Newton step on a rounding-level slope over a
+    # vanishing curvature once left phi_star with dS/dphi = 2e-3
+    @example(log_ratio=-4.74, log_scale=0.0, phase1=0.0, t=0.141, sign=1.0)
+    def test_against_mpmath_oracle(self, kind, log_ratio, log_scale, phase1, t, sign):
+        # kind sets the misalignment m = phase2 - 2 phase1: uniform, 10^[-12, -1]
+        # from 0, 10^[-16, -1] from +-pi, pi exactly, or near pi with
+        # amp2 = amp1 (1 + 10^[-12, -2]) / 4, where the two maxima of S merge
+        amp1 = 10.0**log_scale
+        amp2 = amp1 * 10.0**log_ratio
+        if kind == "generic":
+            m = 2.0 * math.pi * t
+        elif kind == "near_aligned":
+            m = sign * 10.0 ** (-12.0 + 11.0 * t)
+        elif kind == "anti":
+            m = math.pi
+        else:
+            m = sign * (math.pi - 10.0 ** (-16.0 + 15.0 * t))
+        if kind == "merge":
+            offset = 10.0 ** (-12.0 + 0.5 * (log_ratio + 10.0))
+            amp2 = 0.25 * amp1 * (1.0 + sign * offset)
+        terms = PhaseDistributionTerms(amp1, phase1, amp2, 2.0 * phase1 + m)
+        peak, phi_star = max_shifted_phase(terms)
+        exact = _oracle_peak(terms)
+        assert abs(peak - exact) <= 4.0 * np.finfo(float).eps * (amp1 + amp2)
+        assert abs(terms.derivative(phi_star)) <= 1e-12 * (amp1 + 2.0 * amp2)
+
+    def test_tie_takes_the_maximum_past_the_first_harmonic_crest(self):
+        # anti-aligned with amp1 < 4 amp2: S is even about phi = -phase1, with
+        # equal maxima at -phase1 +- arccos(amp1 / (4 amp2)); the one returned
+        # is the limit of the single maximum as phase2 - 2 phase1 -> pi+
+        crest = math.acos(1.0 / (4.0 * 0.5))
+        # (1, pi/2, 0.5, 0) is the resonant case: phi_star = 11 pi / 6
+        for p1, p2 in ((0.0, math.pi), (0.5 * math.pi, 0.0), (2.0, 4.0 - math.pi)):
+            peak, phi = max_shifted_phase(PhaseDistributionTerms(1.0, p1, 0.5, p2))
+            assert peak == pytest.approx(0.75, abs=1e-15)
+            assert phi == pytest.approx((crest - p1) % (2 * math.pi), abs=1e-14)
+        for offset, side in ((1e-9, 1.0), (-1e-9, -1.0)):
+            terms = PhaseDistributionTerms(1.0, 0.0, 0.5, math.pi + offset)
+            _, phi = max_shifted_phase(terms)
+            assert phi == pytest.approx(side * crest % (2 * math.pi), abs=1e-8)
+        # the hard case of the secular equation: amp1 cos(m / 2) / 2 underflows
+        _, phi = max_shifted_phase(PhaseDistributionTerms(1e-310, 0.0, 1e-310, math.pi))
+        assert phi == pytest.approx(math.acos(0.25), abs=1e-12)
+
+    @pytest.mark.parametrize("field", ["amp1", "phase1", "amp2", "phase2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_term_rejected(self, field, bad):
+        values = {"amp1": 1.0, "phase1": 0.1, "amp2": 0.5, "phase2": 1.0, field: bad}
+        with pytest.raises(InvalidValueError, match=f"{field} must be finite"):
+            max_shifted_phase(PhaseDistributionTerms(**values))
+
     def test_stack_equals_scalar_calls_bitwise(self, rng):
         terms = [
             (0.0, 1.0, 0.0, 2.0),  # no harmonic
@@ -256,16 +319,58 @@ class TestMaxShiftedPhase:
             (1.0, 1.6e-13, 2.0, 0.0),  # aligned to 3.2e-13 only
             (1.0, 0.0, 0.5, math.pi),  # anti-aligned
             (1.0, 0.5 * math.pi, 0.5, 0.0),  # anti-aligned, as on resonance
+            (1.0, 0.0, 1e-10, 1.0),  # amp2 / amp1 = 1e-10
+            (1e-10, 0.3, 1.0, 1.0),  # amp2 / amp1 = 1e10
+            (1.0, 0.0, 0.5, 1e-12),  # misaligned by 1e-12
+            (1.0, 0.0, 0.5, math.pi - 4.4e-16),  # one ulp off anti-aligned
+            (1.0, 0.0, 0.25 * (1.0 + 1e-12), math.pi),  # the maxima merge
+            (1.0, 0.0, 0.25 * (1.0 - 1e-12), math.pi - 1e-15),
+            (1e-310, 0.0, 1e-310, math.pi),  # the hard case
         ]
         for _ in range(20):  # misaligned
             a1, a2 = rng.uniform(0.01, 2.0, 2)
             p1, p2 = rng.uniform(0.0, 2.0 * math.pi, 2)
             terms.append((a1, p1, a2, p2))
+        finite = len(terms)
+        terms += [  # a non-finite term gives nan in both
+            (math.nan, 0.1, 0.5, 1.0),
+            (1.0, math.inf, 0.5, 1.0),
+            (math.inf, 0.1, 0.0, 1.0),
+            (0.0, 0.1, -math.inf, math.nan),
+        ]
         peaks, phis = _max_shifted_phase(*np.array(terms).T)
-        for t, peak, phi in zip(terms, peaks, phis):
-            one = max_shifted_phase(PhaseDistributionTerms(*t))
-            assert (peak, phi) == one
-            assert np.array([peak, phi]).tobytes() == np.array(one).tobytes()
+        for i, (t, peak, phi) in enumerate(zip(terms, peaks, phis)):
+            one = np.array(_max_shifted_phase(*t))
+            assert np.array([peak, phi]).tobytes() == one.tobytes()
+            if i < finite:
+                assert (peak, phi) == max_shifted_phase(PhaseDistributionTerms(*t))
+            else:
+                assert np.isnan([peak, phi]).all()
+
+
+def _oracle_peak(terms: PhaseDistributionTerms) -> float:
+    """The maximum of S at 40 digits, with the float terms taken exactly: the
+    largest S over the angles of the roots of the quartic
+    -2 a2 e^{i p2} z^4 - a1 e^{i p1} z^3 + a1 e^{-i p1} z + 2 a2 e^{-i p2}
+    (the stationary points, z = e^{i phi}), each polished by Newton on dS/dphi."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        fields = (terms.amp1, terms.phase1, terms.amp2, terms.phase2)
+        a1, p1, a2, p2 = (mpmath.mpf(x) for x in fields)
+        w1, w2 = a1 * mpmath.expj(p1), 2 * a2 * mpmath.expj(p2)
+        quartic = [-w2, -w1, 0, mpmath.conj(w1), mpmath.conj(w2)]
+        best = -mpmath.inf
+        for z in mpmath.polyroots(quartic, maxsteps=200, extraprec=160):
+            x = mpmath.arg(z)
+            for _ in range(8):
+                slope = -a1 * mpmath.sin(x + p1) - 2 * a2 * mpmath.sin(2 * x + p2)
+                curvature = -a1 * mpmath.cos(x + p1) - 4 * a2 * mpmath.cos(2 * x + p2)
+                if curvature >= 0:
+                    break
+                x -= slope / curvature
+            best = max(best, a1 * mpmath.cos(x + p1) + a2 * mpmath.cos(2 * x + p2))
+        return float(best)
 
 
 class TestOscillatorTerms:

@@ -577,7 +577,7 @@ def cmd_tongue(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config, args.set or [])
     lc = build_scenario(cfg)
-    family = cfg.get("signal", {}).get("family", "equatorial_angles")
+    family = cfg.get("signal", {}).get("family")
     if family not in ("equatorial_angles", "vdp_general"):
         raise ConfigError(
             "optimize expects signal.family 'equatorial_angles' or 'vdp_general'"

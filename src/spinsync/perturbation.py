@@ -102,9 +102,24 @@ def _lext_apply(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def _solve_sectors(blocks: np.ndarray, rhs: np.ndarray, detuning) -> np.ndarray:
     """Solve a stack of coherence blocks, shape (..., m, m), against ``rhs``
     (broadcast to (..., m, K)), after a numerical-rank test of every block;
-    a singular one is named by its cells and its ``detuning``."""
+    a singular one is named by its cells and its ``detuning``.
+
+    The test is smallest singular value <= m u times the largest.  A block
+    that fails it is tested again with every row divided by its largest
+    modulus, which does not see how far apart the rates are: a block whose
+    rows decay at 1 and 1e300 passes, while a zero row (an undamped mode)
+    stays zero and fails.
+    """
+    tol = blocks.shape[-1] * np.finfo(float).eps
     svals = np.linalg.svd(blocks, compute_uv=False)
-    singular = svals[..., -1] <= svals.shape[-1] * np.finfo(float).eps * svals[..., 0]
+    # an array even for one block, so that a re-tested cell can be cleared
+    singular = np.asarray(svals[..., -1] <= tol * svals[..., 0])
+    if singular.any():
+        flagged = blocks[singular]
+        rows = np.abs(flagged).max(axis=-1, keepdims=True)
+        flagged = flagged / np.where(rows > 0.0, rows, 1.0)
+        svals = np.linalg.svd(flagged, compute_uv=False)
+        singular[singular] = svals[..., -1] <= tol * svals[..., 0]
     if singular.any():
         sector = 3 - blocks.shape[-1]  # sector k acts on 3 - k slots
         at = np.broadcast_to(detuning, singular.shape)[singular].tolist()
@@ -307,7 +322,8 @@ def perturbative_orders(
     Order one comes from the coherence sectors (see :func:`first_order`);
     each later one is rho_k = -(L0 - P)^-1 L_ext rho_(k-1), the traceless
     solution of L0 rho_k = -L_ext rho_(k-1), from one 9x9 solve per cycle
-    for the map -(L0 - P)^-1 L_ext (P of :func:`_anchored`).
+    for the map -(L0 - P)^-1 L_ext (P of :func:`_anchored`), made only
+    when ``kmax`` >= 2.
     """
     if kmax < 0:
         raise InvalidValueError("kmax must be nonnegative")
@@ -315,9 +331,11 @@ def perturbative_orders(
     liou = build_liouvillian(lc)
     pops, map1, map2 = _response_maps(liou)
     orders = [_target_state(pops), _rho1(_apply_maps(map1, map2, signal))]
-    step = -np.linalg.solve(_anchored(liou), hamiltonian_superop(build_hext(signal)))
-    for _ in range(2, kmax + 1):
-        orders.append(_hermitian_part(unvec(step @ vec(orders[-1]))))
+    if kmax >= 2:
+        lext = hamiltonian_superop(build_hext(signal))
+        step = -np.linalg.solve(_anchored(liou), lext)
+        for _ in range(2, kmax + 1):
+            orders.append(_hermitian_part(unvec(step @ vec(orders[-1]))))
     return orders[: kmax + 1]
 
 
@@ -369,25 +387,30 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
     precision (``np.clongdouble``) from L0, L_ext and the anchor.  All n
     inverses are held at once: stack one forcing curve per call.
 
-    Degeneracy: on traceless input the anchored inverse inverts L(eps), so
-    kappa = (||L0||_1 + eps ||L_ext||_1) ||(L - P)^-1 (I - P)||_1 does not
-    change with the overall rate scale.  A strength with kappa >= 0.1 / u (u
-    the machine epsilon: less than one digit left) or an exactly singular
-    L - P raises :class:`DegenerateSteadyStateError` naming every such
-    strength and its stack index.  A 9x9 SVD of those alone names a
-    degenerate kernel (second-smallest singular value <= 1e-10 times the
-    largest) first, then a traceless stationary direction, else (a generator
-    that does not preserve the trace) a degenerate kernel.
+    Degeneracy: a strength whose Skeel condition number
+    cond = || |A^-1| (|A| |x| + |b|) ||_inf / ||x||_inf, for A = L - P and
+    b = -vec(I/3), reaches 0.1 / u (u the machine epsilon: less than one
+    digit left; Skeel, J. ACM 26, 494 (1979)), or whose L - P is exactly
+    singular, raises :class:`DegenerateSteadyStateError` naming every such
+    strength and its stack index.  cond is componentwise, so it does not
+    change when a row of the system is rescaled, and a fast rate does not
+    make a well-posed state look degenerate; |A| |x| is bounded by
+    |L0 - P| |x| + eps |L_ext| |x|.  A 9x9 SVD of the flagged strengths alone
+    names a degenerate kernel (second-smallest singular value <= 1e-10 times
+    the largest) first, then a traceless stationary direction, else (a
+    generator that does not preserve the trace) a degenerate kernel.
     """
     eps = np.asarray(epsilon, dtype=float)
     flat = eps.reshape(-1)
-    l0, l1 = liou.full, hamiltonian_superop(h)
-    inv = _inverses(_anchored(liou) + flat[:, None, None] * l1)
+    l0, l1, anchored = liou.full, hamiltonian_superop(h), _anchored(liou)
+    inv = _inverses(anchored + flat[:, None, None] * l1)
     x = -(inv @ _ANCHOR)
-    # (L - P)^-1 (I - P) = inv + x tr(.); nan marks an exactly singular cell
-    scale = np.linalg.norm(l0, 1) + flat * np.linalg.norm(l1, 1)
-    kappa = scale * np.linalg.norm(inv + x[:, :, None] * _TRACE_ROW, 1, axis=(-2, -1))
-    bad = ~(kappa < 0.1 / np.finfo(float).eps).reshape(eps.shape)
+    # Skeel's cond times ||x||_inf, with |b| = vec(I/3); nan marks an exactly
+    # singular cell
+    size = np.abs(x)
+    bound = size @ np.abs(anchored).T + flat[:, None] * (size @ np.abs(l1).T)
+    skeel = (np.abs(inv) @ (bound + _ANCHOR)[..., None]).max(axis=(-2, -1))
+    bad = ~(skeel < 0.1 / np.finfo(float).eps * size.max(axis=-1)).reshape(eps.shape)
     if bad.any():
         svals, vt = np.linalg.svd(l0 + flat[bad.reshape(-1), None, None] * l1)[1:]
         kernel, traceless = np.zeros_like(bad), np.zeros_like(bad)

@@ -27,7 +27,6 @@ from .catalog import (
     VDP_SQUEEZE_LIMIT,
     BoundParams,
     _align_on_maps,
-    align_squeeze_phase,
     asymmetric_equatorial_limit_cycle,
     blockade_sync,
     bound_terms,
@@ -49,10 +48,8 @@ from .catalog import (
 from .lindblad import (
     DegenerateLimitCycleError,
     LimitCycleSpec,
-    Liouvillian,
     _target_state,
     build_liouvillian,
-    steady_state,
 )
 from .perturbation import (
     SingularCoherenceBlockError,
@@ -60,6 +57,7 @@ from .perturbation import (
     _measure,
     _response_maps,
     _rho1,
+    coherence_response,
     first_order,
     full_steady_state,
     hs_norm,
@@ -116,8 +114,21 @@ def shifted_phase_by_quadrature(rho: np.ndarray, phis: np.ndarray) -> np.ndarray
 # random sampling helpers
 
 
-def _random_limit_cycle(rng: np.random.Generator) -> Liouvillian:
-    """The generator of a random cycle with a unique target state."""
+def _random_signal(rng: np.random.Generator, squeeze: bool) -> SignalSpec:
+    t01 = complex(rng.normal(), rng.normal())
+    tm10 = complex(rng.normal(), rng.normal())
+    tm11 = complex(rng.normal(), rng.normal()) if squeeze else 0j
+    if t01 == 0 and tm10 == 0 and tm11 == 0:
+        return _random_signal(rng, squeeze)
+    return SignalSpec(t01, tm10, tm11)
+
+
+def _random_scenarios(rng: np.random.Generator):
+    """Endless random cycles' kernels ``(pops, map1, map2)`` with a random
+    signal (squeezed at even odds); lazy, so the caller may draw from ``rng``
+    between scenarios.  Each cycle is built once and its kernel computed
+    once.  A cycle without a unique target state is redrawn before its signal
+    is drawn, one with an undamped coherence block after it."""
     while True:
         dissipators = []
         for _ in range(int(rng.integers(2, 4))):
@@ -133,35 +144,15 @@ def _random_limit_cycle(rng: np.random.Generator) -> Liouvillian:
         if len(dissipators) < 2:
             continue
         spec = LimitCycleSpec(tuple(dissipators), detuning=float(rng.normal() * 2.0))
-        liou = build_liouvillian(spec)
         try:
-            steady_state(liou)
+            kernel = _response_maps(build_liouvillian(spec))
         except DegenerateLimitCycleError:
             continue
-        return liou
-
-
-def _random_signal(rng: np.random.Generator, squeeze: bool) -> SignalSpec:
-    t01 = complex(rng.normal(), rng.normal())
-    tm10 = complex(rng.normal(), rng.normal())
-    tm11 = complex(rng.normal(), rng.normal()) if squeeze else 0j
-    if t01 == 0 and tm10 == 0 and tm11 == 0:
-        return _random_signal(rng, squeeze)
-    return SignalSpec(t01, tm10, tm11)
-
-
-def _random_scenarios(rng: np.random.Generator):
-    """Endless random cycles' kernels ``(pops, map1, map2)`` with a random
-    signal (squeezed at even odds), skipping undamped coherence blocks; lazy,
-    so the caller may draw from ``rng`` between scenarios."""
-    while True:
-        liou = _random_limit_cycle(rng)
-        sig = _random_signal(rng, squeeze=bool(rng.integers(0, 2)))
-        try:
-            kernel = _response_maps(liou)
         except SingularCoherenceBlockError:
-            continue
-        yield kernel, sig
+            kernel = None
+        sig = _random_signal(rng, squeeze=bool(rng.integers(0, 2)))
+        if kernel is not None:
+            yield kernel, sig
 
 
 def _stacked(draws):
@@ -179,56 +170,41 @@ def _stacked(draws):
 
 def table_one_rows() -> list[dict]:
     """The five benchmark combinations of limit cycle and signal."""
-    gg, ratio = 1.0, 1000.0
-    gd = gg * ratio
+    gg, gd = 1.0, 1000.0
     rows = []
 
     vdp = vdp_limit_cycle(gg, gd)
-    sig = SignalSpec(1.0, 1.0 / SQRT2, 0j)
-    coh, pops = vdp_first_order_closed(sig, gg, gd)
-    rows.append(
-        {
-            "limit_cycle": "van der Pol",
-            "signal": "semi-classical",
-            "lc": vdp,
-            "sig": sig,
-            "closed": sync_from_coherences(pops, coh, 1.0),
-            "asymptote": VDP_SEMICLASSICAL_LIMIT,
-        }
-    )
-
+    _, map1, map2 = coherence_response(vdp)
     tau = vdp_optimal_squeeze_ratio(gg, gd)
-    sig = align_squeeze_phase(vdp, SignalSpec(1.0, 1.0 / SQRT2, tau / SQRT2))
-    coh, pops = vdp_first_order_closed(sig, gg, gd)
-    rows.append(
-        {
-            "limit_cycle": "van der Pol",
-            "signal": "semi-classical + squeezing",
-            "lc": vdp,
-            "sig": sig,
-            "closed": sync_from_coherences(pops, coh, 1.0),
-            "asymptote": VDP_SQUEEZE_LIMIT,
-        }
-    )
-
     zeta, tau_ratio = vdp_optimal_params(gg, gd)
-    sig = align_squeeze_phase(
-        vdp,
-        SignalSpec(
-            math.cos(zeta) + 0j, math.sin(zeta) / SQRT2 + 0j, tau_ratio / SQRT2
+    # the squeezing tones take the aligned phase (an unsqueezed signal stays)
+    for name, sig, asymptote in (
+        ("semi-classical", SignalSpec(1.0, 1.0 / SQRT2, 0j), VDP_SEMICLASSICAL_LIMIT),
+        (
+            "semi-classical + squeezing",
+            SignalSpec(1.0, 1.0 / SQRT2, tau / SQRT2),
+            VDP_SQUEEZE_LIMIT,
         ),
-    )
-    coh, pops = vdp_first_order_closed(sig, gg, gd)
-    rows.append(
-        {
-            "limit_cycle": "van der Pol",
-            "signal": "optimal",
-            "lc": vdp,
-            "sig": sig,
-            "closed": sync_from_coherences(pops, coh, 1.0),
-            "asymptote": VDP_OPTIMAL_LIMIT,
-        }
-    )
+        (
+            "optimal",
+            SignalSpec(
+                math.cos(zeta) + 0j, math.sin(zeta) / SQRT2 + 0j, tau_ratio / SQRT2
+            ),
+            VDP_OPTIMAL_LIMIT,
+        ),
+    ):
+        sig = _align_on_maps(map1, map2, sig)
+        coh, pops = vdp_first_order_closed(sig, gg, gd)
+        rows.append(
+            {
+                "limit_cycle": "van der Pol",
+                "signal": name,
+                "lc": vdp,
+                "sig": sig,
+                "closed": sync_from_coherences(pops, coh, 1.0),
+                "asymptote": asymptote,
+            }
+        )
 
     equ = equatorial_limit_cycle(gg, gd)
     sig = semiclassical(0.0)

@@ -184,6 +184,28 @@ class TestSync:
         row = read_csv(out)[0]
         assert float(row["S_over_eta"]) == pytest.approx(3 * math.sqrt(2) / 16)
 
+    @pytest.mark.parametrize(
+        "signal, spec",
+        [
+            (
+                {"family": "tones", "t01": [0.5, 0.2], "tm10": 0.7, "tm11": [0, -0.3]},
+                SignalSpec(0.5 + 0.2j, 0.7, -0.3j),
+            ),
+            (
+                {"family": "vdp_params", "zeta": 0.4, "tau_ratio": 0.6,
+                 "squeeze_phase": 0.3},
+                from_vdp_params(VdpSignalParams(1.0, 0.4, 0.0, 0.6), 0.3),
+            ),
+        ],
+    )
+    def test_signal_as_configured(self, tmp_path, capsys, signal, spec):
+        # [re, im] tones and a numeric squeezing phase, taken as given
+        cfg = write_config(tmp_path, {**VDP_AUTO, "signal": signal})
+        code, out, _ = run_cli(capsys, "sync", "--config", cfg)
+        assert code == 0
+        want = perturbation.sync_measure(vdp_limit_cycle(1.0, 10.0), spec)
+        assert read_csv(out)[0]["S"] == repr(want.value)
+
     def test_sweep_rows(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -479,6 +501,19 @@ class TestOptimizeAndBound:
         row = read_csv(out)[0]
         assert float(row["S_over_eta"]) == pytest.approx(3 * math.sqrt(2) / 16)
 
+    # the family is required: the default signal (semiclassical) and a signal
+    # without a family are refused alike
+    @pytest.mark.parametrize("sets", [[], ["--set", "signal={}"]])
+    def test_optimize_needs_a_family(self, capsys, sets):
+        argv = ["optimize", "--set", "scenario.name=equatorial", *sets]
+        argv += ["--set", "scenario.gamma_g=1", "--set", "scenario.gamma_d=1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "ConfigError: optimize expects signal.family 'equatorial_angles' "
+            "or 'vdp_general'\n"
+        )
+
     def test_bound_cli_with_params(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -574,24 +609,32 @@ class TestValidateCommand:
 
 class TestValidateBuilds:
     """The random-scenario checks build each random cycle once and run the
-    first-order kernel once per cycle they keep."""
+    first-order kernel once per build, whose population step rejects a
+    degenerate draw; no other population solve is made."""
 
-    # criterion 2: 1420 draws for 1000 kept scenarios, plus the tightness
-    # construction's two kernel calls; criterion 9: 274 draws for 200
+    # criterion 2: 1418 draws for 1000 kept scenarios, plus the tightness
+    # construction's two builds; criterion 9: 274 draws for 200
     @pytest.mark.parametrize(
-        "group, draws, kernel_calls",
+        "group, builds",
         [
-            (validate.check_fundamental_bound, 1420, 1002),
-            (validate.check_structural_invariants, 274, 200),
+            (validate.check_fundamental_bound, 1420),
+            (validate.check_structural_invariants, 274),
         ],
     )
-    def test_one_build_per_draw(self, monkeypatch, group, draws, kernel_calls):
+    def test_one_build_per_draw(self, monkeypatch, group, builds):
         modules = (lindblad, perturbation, catalog, validate)
-        builds = _count_calls(monkeypatch, lindblad, "build_liouvillian", modules)
+        built = _count_calls(monkeypatch, lindblad, "build_liouvillian", modules)
         kernels = _count_calls(monkeypatch, perturbation, "_response_maps", modules[1:])
+        pops = _count_calls(monkeypatch, lindblad, "_populations", modules[:2])
         assert all(result.passed for result in group())
-        assert len(builds) == draws
-        assert len(kernels) == kernel_calls
+        assert len(built) == len(kernels) == len(pops) == builds
+
+    def test_benchmark_table_builds(self, monkeypatch):
+        # one build aligns the squeezed vdp signals, one per row measures
+        modules = (lindblad, perturbation, catalog, validate)
+        built = _count_calls(monkeypatch, lindblad, "build_liouvillian", modules)
+        assert all(result.passed for result in validate.check_table_one())
+        assert len(built) == 6
 
 
 VDP_AUTO = {
@@ -722,21 +765,24 @@ class TestGeneratorBuilds:
         assert full == [("inv", (points, 9, 9))] * curves
         assert not [call for call in factorizations if call[0] in ("pinv", "lstsq")]
 
-    def test_forcing_figure_at_wide_rate_ratio(self, capsys):
-        # a rate ratio of 1e11 once raised a spurious degeneracy error on
-        # every strength; the exact states are well defined there
+    # rate ratios of 1e11, then 1e14 and 1e15, once raised a spurious
+    # degeneracy error on driven strengths, and 1e20 a spurious singular
+    # coherence block; the exact states are well defined there
+    @pytest.mark.parametrize("ratio", [1e11, 1e14, 1e15, 1e20, 1e100])
+    def test_forcing_figure_at_wide_rate_ratio(self, capsys, ratio):
         code, out, _ = run_cli(
-            capsys, "figure", "fig3b", "--set", "figure.gamma_ratio=1e11"
+            capsys, "figure", "fig3b", "--set", f"figure.gamma_ratio={ratio!r}"
         )
         assert code == 0
         rows = read_csv(out)
         assert len(rows) == 151
-        liou = lindblad.build_liouvillian(catalog.equatorial_limit_cycle(1.0, 1e11))
+        liou = lindblad.build_liouvillian(catalog.equatorial_limit_cycle(1.0, ratio))
         l1 = lindblad.hamiltonian_superop(build_hext(semiclassical(0.0)))
         pops0 = lindblad.steady_state(liou).diagonal().real
+        dps = 40 + 3 * round(math.log10(ratio))
         for row in rows[1::15]:
             eps = float(row["epsilon"])
-            pops = exact_driven_state(liou.full, l1, eps).diagonal().real - pops0
+            pops = exact_driven_state(liou.full, l1, eps, dps).diagonal().real - pops0
             assert abs(float(row["p_avg"]) - (pops[0] - pops[2])) <= 1e-13
             assert abs(float(row["p_max"]) - np.abs(pops).max()) <= 1e-13
 
@@ -804,6 +850,102 @@ class TestJsonSpelling:
         assert nulls == payload["masked"]
         assert {False, True} == {cell for row in nulls for cell in row}
         assert all(isinstance(v, float) for row in payload["S"] for v in row if v)
+
+
+def _spelled(value) -> str:
+    """The CSV spelling of a value parsed from the JSON output."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _flat_json(payload: dict) -> dict:
+    """The fields of a JSON payload by CSV column name: nested objects
+    flattened, the populations array by level and complex [re, im] pairs as
+    ``<name>_re``, ``<name>_im``; the config echo left out."""
+    flat = {}
+    for key, value in payload.items():
+        if key == "config":
+            continue
+        if isinstance(value, dict):
+            flat |= _flat_json(value)
+        elif key == "populations":
+            flat |= dict(zip(("p_plus", "p_zero", "p_minus"), value))
+        elif isinstance(value, list):
+            flat[f"{key}_re"], flat[f"{key}_im"] = value
+        else:
+            flat[key] = value
+    return flat
+
+
+SWEPT_VDP = {
+    "scenario": {"name": "vdp", "gamma_g": 1.0, "gamma_d": 10.0},
+    "signal": {"family": "tones", "t01": [0.5, 0.2], "tm10": 0.7, "tm11": 0.0},
+    "eta": 0.1,
+    "sweep": [
+        {"name": "gamma_d", "min": 1.0, "max": 100.0, "points": 3, "scale": "log"},
+        {"name": "detuning", "min": -1.0, "max": 1.0, "points": 2},
+    ],
+}
+
+
+class TestJsonMatchesCsv:
+    """Each JSON output re-parses, and its values are the cells of the CSV
+    output of the same command."""
+
+    @pytest.mark.parametrize("fig_id", sorted(cli._FIGURES))
+    def test_figure(self, tmp_path, capsys, fig_id):
+        csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+        assert run_cli(capsys, "figure", fig_id, "--out", str(csv_path))[0] == 0
+        code, _, _ = run_cli(
+            capsys, "figure", fig_id, "--format", "json", "--out", str(json_path)
+        )
+        assert code == 0
+        suffixes = ["", "_inset"] if fig_id == "fig5" else [""]
+        for suffix in suffixes:
+            text = (tmp_path / f"out{suffix}.csv").read_text()
+            payload = json.loads((tmp_path / f"out{suffix}.json").read_text())
+            assert payload["figure"] == fig_id + suffix
+            header, *rows = list(csv.reader(io.StringIO(text)))
+            assert payload["columns"] == header
+            assert [list(map(_spelled, row)) for row in payload["rows"]] == rows
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"out{suffix}.{ext}" for suffix in suffixes for ext in ("csv", "json")
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["steady"],
+            ["perturb"],
+            ["optimize", "--set", "signal.family=vdp_general"],
+            ["bound"],
+            ["bound", "--set", 'bound={"adjacent": [1.0, 0.5], "extremal": 0.3}'],
+        ],
+    )
+    def test_single_row_commands(self, capsys, argv):
+        argv = argv + ["--set", "scenario.name=vdp", "--set", "scenario.gamma_g=1"]
+        argv += ["--set", "scenario.gamma_d=3"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        (row,) = read_csv(out)
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["command"] == argv[0]
+        flat = _flat_json(payload)
+        assert {key: _spelled(flat[key]) for key in row} == row
+
+    def test_keyed_sync_rows(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SWEPT_VDP)
+        code, out, _ = run_cli(capsys, "sync", "--config", cfg)
+        assert code == 0
+        rows = read_csv(out)
+        assert len(rows) == 6
+        code, out, _ = run_cli(capsys, "sync", "--config", cfg, "--format", "json")
+        assert code == 0
+        keyed = [_flat_json(row) for row in json.loads(out)["rows"]]
+        assert [{k: _spelled(v) for k, v in row.items()} for row in keyed] == rows
 
 
 # The per-cell writers the column writers replaced, kept as their oracle.
@@ -1121,3 +1263,61 @@ class TestUserErrors:
         code, _, err = run_cli(capsys, *argv, "--config", cfg)
         assert code == 2
         assert err.startswith("ConfigError") and key in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sync", "--set", "eta"], "--set expects key=value, got 'eta'"),
+            (["sync", "--set", "eta.x=1"], "cannot override 'eta.x': 'eta' is a leaf"),
+            (
+                ["sync", "--set", "scenario.name=ring"],
+                "scenario.name must be one of ['asymmetric_equatorial', "
+                "'cooperativity', 'equatorial', 'vdp'], got 'ring'",
+            ),
+            (
+                ["sync", "--set", 'signal={"family": "tones", "t01": [1, 2, 3]}'],
+                "tone must be a number or [re, im] pair, got [1, 2, 3]",
+            ),
+            (
+                ["sync", "--set", 'signal={"family": "tones", "t01": [0, 0]}'],
+                "signal tones are all zero",
+            ),
+            (
+                ["sync", "--set", 'signal={"family": "chirp"}'],
+                "unknown signal family 'chirp'",
+            ),
+            (
+                ["sync", "--set",
+                 'sweep=[{"name": "detuning", "min": 0, "max": 1, "points": 1}]'],
+                "sweep axis 'detuning' needs points >= 2",
+            ),
+            (
+                ["sync", "--set", 'sweep=[{"name": "gamma_d", "min": 0, "max": 1, '
+                 '"points": 3, "scale": "log"}]'],
+                "log axis 'gamma_d' needs positive bounds",
+            ),
+            (
+                ["sync", "--set", "signal.family=vdp_params", "--set", "sweep=["
+                 + ", ".join(
+                     f'{{"name": "{n}", "min": 0.1, "max": 1, "points": 2}}'
+                     for n in ("detuning", "gamma_d", "zeta")
+                 ) + "]"],
+                "sync supports at most two sweep axes",
+            ),
+            (
+                ["optimize", "--set", "signal.family=semiclassical"],
+                "optimize expects signal.family 'equatorial_angles' or 'vdp_general'",
+            ),
+        ],
+    )
+    def test_config_error_message(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path, EQUATORIAL)
+        code, _, err = run_cli(capsys, *argv, "--config", cfg)
+        assert code == 2
+        assert err == f"ConfigError: {message}\n"
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, [EQUATORIAL])
+        code, _, err = run_cli(capsys, "sync", "--config", cfg)
+        assert code == 2
+        assert err == "ConfigError: config must be a JSON object\n"

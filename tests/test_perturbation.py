@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinsync import perturbation
 from spinsync.catalog import (
     SMAX_SPIN_COEFF,
     BoundParams,
@@ -286,6 +287,19 @@ class TestHigherOrders:
         assert diag[0] > 0.0
         assert diag[1] == pytest.approx(-2 * diag[0], abs=1e-13)
 
+    @pytest.mark.parametrize("kmax", [0, 1])
+    def test_low_orders_make_no_9x9_solve(self, monkeypatch, kmax):
+        lc, spec = vdp_limit_cycle(1.0, 5.0, 0.2), SignalSpec(0.4, 0.6, 0.2)
+        want = perturbative_orders(lc, spec, 3)[: kmax + 1]
+
+        def unused(liou):
+            raise AssertionError("the 9x9 anchored generator was built")
+
+        monkeypatch.setattr(perturbation, "_anchored", unused)
+        got = perturbative_orders(lc, spec, kmax)
+        assert len(got) == kmax + 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_partial_sums_converge_at_expected_rate(self):
         lc = vdp_limit_cycle(1.0, 5.0, 0.2)
         spec = semiclassical(0.0)
@@ -397,10 +411,10 @@ STRENGTHS = np.logspace(-3.0, 3.0, 25)
 DRIVES = [semiclassical(0.0), SignalSpec(0.6 + 0.2j, 0.5 - 0.3j, 0.4j)]
 
 
-def _driven_state_alone(liou, h, eps):
-    """Reference: the exact driven state of one strength, from a 50-digit
+def _driven_state_alone(liou, h, eps, dps=50):
+    """Reference: the exact driven state of one strength, from a ``dps``-digit
     solve of the generator's float entries."""
-    return exact_driven_state(liou.full, hamiltonian_superop(h), eps)
+    return exact_driven_state(liou.full, hamiltonian_superop(h), eps, dps)
 
 
 # each CATALOG scenario with its characteristic rate ratio set to ``ratio``
@@ -428,17 +442,21 @@ class TestStackedDrivenState:
     # the exact state as the reference, over the whole dynamic range of rates
     # and strengths: every point is well defined, so none may raise.  The
     # first two examples are where one SVD-based correction step was 2e-13
-    # and 5e-12 off; the third, at a rate ratio of 1e11, raised a spurious
-    # DegenerateSteadyStateError from a singular-value test relative to the
-    # largest rate
+    # and 5e-12 off; the next three, at rate ratios of 1e11, 1e14 and 1e100,
+    # raised a spurious DegenerateSteadyStateError from a condition test
+    # relative to the largest rate.  The reference carries more digits as
+    # the rates spread, since mpmath itself finds the 1e100 system singular
+    # at 60 digits
     @settings(max_examples=100, deadline=None)
     @example(CATALOG_AT_RATIO[2], DRIVES[0], 9.6875, [-2.0])
     @example(CATALOG_AT_RATIO[2], DRIVES[0], 9.577254241268793, [-2.446503218777714])
     @example(CATALOG_AT_RATIO[3], DRIVES[1], 11.0, [-4.0, -1.0, 2.0, 4.0])
+    @example(CATALOG_AT_RATIO[3], DRIVES[1], 14.0, [-4.0, 0.0, 4.0])
+    @example(CATALOG_AT_RATIO[0], DRIVES[0], 100.0, [-4.0, 0.0, 4.0])
     @given(
         cycle=st.sampled_from(CATALOG_AT_RATIO),
         signal=st.sampled_from(DRIVES),
-        log_ratio=st.floats(-6.0, 12.0),
+        log_ratio=st.floats(-6.0, 100.0),
         log_strengths=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6),
     )
     def test_stack_matches_reference_anywhere(
@@ -452,8 +470,9 @@ class TestStackedDrivenState:
         assert np.all(resid <= 1e-15 * np.linalg.norm(gen, axis=(-2, -1)))
         assert np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0).max() <= 1e-15
         assert np.array_equal(stack, np.swapaxes(stack, -1, -2).conj())
-        refs = [_driven_state_alone(liou, h, eps) for eps in strengths]
-        assert np.abs(stack - np.array(refs)).max() <= 1e-13
+        dps = 40 + 3 * math.ceil(abs(log_ratio))
+        refs = [_driven_state_alone(liou, h, eps, dps) for eps in strengths]
+        assert np.abs(stack - np.array(refs)).max() <= 1e-14
 
     # diagonal generators and no drive: the smallest singular value is
     # exactly 0.0 (a kernel, the population of |+1>) or 1.0 (no kernel, and

@@ -104,22 +104,14 @@ def _solve_sectors(blocks: np.ndarray, rhs: np.ndarray, detuning) -> np.ndarray:
     (broadcast to (..., m, K)), after a numerical-rank test of every block;
     a singular one is named by its cells and its ``detuning``.
 
-    The test is smallest singular value <= m u times the largest.  A block
-    that fails it is tested again with every row divided by its largest
-    modulus, which does not see how far apart the rates are: a block whose
-    rows decay at 1 and 1e300 passes, while a zero row (an undamped mode)
-    stays zero and fails.
+    The test is smallest singular value <= m u times the largest, with
+    every row divided by its largest modulus, so it does not see how far
+    apart the rates are: a block whose rows decay at 1 and 1e300 passes,
+    while a zero row (an undamped mode) stays zero and fails.
     """
-    tol = blocks.shape[-1] * np.finfo(float).eps
-    svals = np.linalg.svd(blocks, compute_uv=False)
-    # an array even for one block, so that a re-tested cell can be cleared
-    singular = np.asarray(svals[..., -1] <= tol * svals[..., 0])
-    if singular.any():
-        flagged = blocks[singular]
-        rows = np.abs(flagged).max(axis=-1, keepdims=True)
-        flagged = flagged / np.where(rows > 0.0, rows, 1.0)
-        svals = np.linalg.svd(flagged, compute_uv=False)
-        singular[singular] = svals[..., -1] <= tol * svals[..., 0]
+    rows = np.abs(blocks).max(axis=-1, keepdims=True)
+    svals = np.linalg.svd(blocks / np.where(rows > 0.0, rows, 1.0), compute_uv=False)
+    singular = svals[..., -1] <= svals.shape[-1] * np.finfo(float).eps * svals[..., 0]
     if singular.any():
         sector = 3 - blocks.shape[-1]  # sector k acts on 3 - k slots
         at = np.broadcast_to(detuning, singular.shape)[singular].tolist()

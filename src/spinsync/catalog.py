@@ -537,6 +537,10 @@ def _optimum(
 ) -> OptimumReport:
     """:func:`optimize_signal` from the populations of rho0 and the response
     maps of one cycle."""
+    # the optimum depends on the maps only up to a common factor: scale them
+    # exactly, by a power of two, to a largest modulus in [1/2, 1)
+    factor = float(np.ldexp(1.0, -np.frexp(max(np.abs(map1).max(), abs(map2)))[1]))
+    map1, map2 = map1 * factor, map2 * factor
     vdp = family == "vdp_general"
     scale = SQRT2 if vdp else 1.0  # tm10 = sin(zeta) / scale
     ellipse = np.array([1.0, scale**2])

@@ -823,6 +823,12 @@ def cmd_figure(args) -> int:
     if "eta" in cfg:
         overrides.setdefault("eta", cfg["eta"])
     datasets = figure_datasets(args.id, overrides)
+    if args.out is None and len(datasets) > 1:
+        names = " and ".join(args.id + suffix for suffix, _, _ in datasets)
+        raise ConfigError(
+            f"figure {args.id} writes the tables {names}, which cannot share "
+            "stdout; give --out FILE"
+        )
     for suffix, header, columns in datasets:
         if args.out is None:
             out = None

@@ -129,18 +129,6 @@ class LimitCycleSpec:
         except ValueError as err:
             raise InvalidValueError(f"rates and detuning: {err}") from None
 
-    @cached_property
-    def _first_unsectored(self) -> int:
-        """Index of the first dissipator whose operator :func:`sector_of`
-        rejects, else the number of dissipators.  The operators never change,
-        so a spec checks them once, however often it is built."""
-        for i, (op, _) in enumerate(self.dissipators):
-            try:
-                sector_of(op)
-            except (TypeError, ValueError):
-                return i
-        return len(self.dissipators)
-
 
 def require_single(spec: LimitCycleSpec, caller: str) -> None:
     """Raise :class:`InvalidValueError` unless ``spec`` is a single cycle."""
@@ -268,13 +256,11 @@ def build_liouvillian(spec: LimitCycleSpec) -> Liouvillian:
     must be finite.  A failure in a stack names the failing cells.
     """
     positive = np.zeros(spec.shape, dtype=bool)
-    unsectored = spec._first_unsectored
-    for i, (op, rate) in enumerate(spec.dissipators):
+    for op, rate in spec.dissipators:
         bad = ~(np.isfinite(rate) & (rate >= 0.0))
         if bad.any():
             raise InvalidValueError("rates must be finite and >= 0" + _where(bad, rate))
-        if i == unsectored:
-            sector_of(op)  # raises MixedSectorError
+        sector_of(op)
         positive |= rate > 0.0
     if not positive.all():
         raise InvalidValueError("limit cycle needs a positive rate" + _where(~positive))
@@ -303,6 +289,9 @@ def sector_block(liou: Liouvillian, k: int) -> np.ndarray:
 def _populations(liou: Liouvillian) -> np.ndarray:
     """Populations of the target state, shape (..., 3); see :func:`steady_state`."""
     a = np.moveaxis(liou.diag_block, (-2, -1), (0, 1))  # a[i, j] over the stack
+    # the trees are homogeneous in the rates: dividing each cell by the power
+    # of two of its largest entry is exact and keeps their products in range
+    a = np.ldexp(a, -np.frexp(np.abs(a).max(axis=(0, 1)))[1])
     trees = np.array(
         [
             a[i, j] * a[i, k] + a[i, j] * a[j, k] + a[i, k] * a[k, j]
@@ -332,7 +321,10 @@ def steady_state(liou: Liouvillian) -> np.ndarray:
     population is proportional to the sum, over the spanning trees directed
     into that state, of the products of their transfer rates.  All terms are
     nonnegative, so the populations keep full relative accuracy at any ratio
-    of rates.  A zero total (no state reachable from all others) raises
-    :class:`DegenerateLimitCycleError`, naming the failing cells of a stack.
+    of rates.  Each cell's block is first divided by the power of two of its
+    largest entry, which is exact, so the products see the ratios of the
+    rates and not their size.  A zero total (no state reachable from all
+    others) raises :class:`DegenerateLimitCycleError`, naming the failing
+    cells of a stack.
     """
     return _target_state(_populations(liou))

@@ -201,7 +201,9 @@ def _max_shifted_phase(a1, p1, a2, p2):
     """:func:`max_shifted_phase` over broadcast arrays of the four terms.
 
     Returns arrays ``(peak, phi_star)``, nan in both for a row with a
-    non-finite term.  The exact branches (no harmonic, one harmonic, a pure
+    non-finite term.  Each row's amplitudes are first divided by the power
+    of two of the larger one, which is exact, and its peak is multiplied
+    back at the end.  The exact branches (no harmonic, one harmonic, a pure
     second harmonic, aligned harmonics) are chosen by mask.  The misaligned
     rest solves the secular equation of the 2-D trust-region problem
     (More and Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)) with
@@ -216,15 +218,16 @@ def _max_shifted_phase(a1, p1, a2, p2):
     u0 = max(G+, |G-| - 2 a2), left of the root, climbs to it monotonically;
     each row stops once its step no longer increases u, so a row never
     depends on the others.  The hard case G+ = 0, |G-| <= 2 a2 is u = 0 with
-    v+ = sqrt(1 - v-^2).  Then phi* = atan2(v-, v+) - m/2 - p1, polished by
-    at most two Newton steps on dS/dphi while the slope is above rounding
-    level (where the maxima merge the curvature vanishes, and a step on a
-    rounding-level slope would jump off the flat top).
+    v+ = sqrt(1 - v-^2).  Then phi* = atan2(v-, v+) - m/2 - p1.
     """
     a1, p1, a2, p2 = np.array(np.broadcast_arrays(a1, p1, a2, p2), dtype=float)
     finite = np.isfinite(a1) & np.isfinite(p1) & np.isfinite(a2) & np.isfinite(p2)
     if not finite.all():  # zeros take the no-harmonic branch; nan at the end
         a1, p1, a2, p2 = np.where(finite, (a1, p1, a2, p2), 0.0)
+    # S is homogeneous in (a1, a2): solve with the larger in [1/2, 1), exact
+    # power-of-two scalings that keep G+ out of the subnormal range
+    exponent = np.frexp(np.maximum(a1, a2))[1]
+    a1, a2 = np.ldexp(a1, -exponent), np.ldexp(a2, -exponent)
     tau = 2.0 * np.pi
     misalign = (p2 - 2.0 * p1 + np.pi) % tau - np.pi
     second = a1 == 0.0
@@ -241,7 +244,7 @@ def _max_shifted_phase(a1, p1, a2, p2):
     general = ~(second | aligned)
     if general.any():
         a1, p1, a2, p2 = a1[general], p1[general], a2[general], p2[general]
-        half, rounding = 0.5 * misalign[general], rounding[general]
+        half = 0.5 * misalign[general]
         g_plus, g_minus = 0.5 * a1 * np.cos(half), 0.5 * a1 * np.sin(half)
         gap = 2.0 * a2
         hard = (g_plus == 0.0) & (np.abs(g_minus) <= gap)
@@ -264,15 +267,9 @@ def _max_shifted_phase(a1, p1, a2, p2):
         with np.errstate(divide="ignore", invalid="ignore"):  # hard rows: 0 / 0
             vp = np.where(hard, np.sqrt(1.0 - vm * vm), g_plus / u)
         best = np.arctan2(vm, vp) - half - p1
-        terms = PhaseDistributionTerms(a1, p1, a2, p2)
-        newton = np.ones(len(best), dtype=bool)
-        for _ in range(2):
-            curvature = -a1 * np.cos(best + p1) - 4.0 * a2 * np.cos(2.0 * best + p2)
-            slope = terms.derivative(best)
-            newton &= (curvature < 0.0) & (np.abs(slope) > rounding)
-            best -= np.divide(slope, curvature, out=np.zeros_like(best), where=newton)
-        peak[general] = terms.evaluate(best)
+        peak[general] = PhaseDistributionTerms(a1, p1, a2, p2).evaluate(best)
         phi[general] = best % tau
+    np.ldexp(peak, exponent, out=peak)
     if not finite.all():
         peak[~finite] = phi[~finite] = np.nan
     return peak, phi
@@ -284,9 +281,12 @@ def max_shifted_phase(terms: PhaseDistributionTerms) -> tuple[float, float]:
     Returns ``(peak, phi_star)`` with phi_star in [0, 2 pi).  When the two
     harmonics peak at a common azimuth (the slope of S there is at rounding
     level) the maximum is amp1 + amp2 exactly; otherwise it is the root of a
-    secular equation, solved by Newton to rounding and polished by Newton
-    steps on dS/dphi (see :func:`_max_shifted_phase`).  This is the scalar
-    call of the array search the measure runs on stacked coherences.
+    secular equation, solved by Newton to rounding (see
+    :func:`_max_shifted_phase`).  Scaling both amplitudes by a power of two
+    leaves phi_star unchanged and scales the peak by that power, bit for bit
+    while the amplitudes and the peak stay in the normal range.  This is
+    the scalar call of the array search the measure runs on stacked
+    coherences.
 
     Ties, where S has two equal global maxima, resolve by a fixed rule.  A
     pure second harmonic (amp1 = 0) peaks at -phase2/2 and half a turn away:

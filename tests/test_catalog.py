@@ -742,3 +742,126 @@ class TestBatchedKernel:
                 assert one[0].tobytes() == pops[i, j].tobytes()
                 assert one[1].tobytes() == map1[i, j].tobytes()
                 assert one[2].tobytes() == map2[i, j].tobytes()
+
+
+def _rates_times(lc: LimitCycleSpec, k: int) -> LimitCycleSpec:
+    """``lc`` with every rate and the detuning multiplied by 2^k."""
+    return LimitCycleSpec(
+        tuple((op, math.ldexp(rate, k)) for op, rate in lc.dissipators),
+        math.ldexp(lc.detuning, k),
+    )
+
+
+def _measure_and_tongue(lc, signal, detunings, strengths):
+    res = sync_measure(lc, signal)
+    grid = arnold_tongue(lc, signal, detunings, strengths)
+    return res, grid
+
+
+def _assert_same_outputs(one, other, k_eps):
+    """The measure, its locked phase and flag, and the tongue grid of ``one``
+    and ``other`` agree bit for bit; their strengths differ by 2^k_eps."""
+    (res, grid), (res_k, grid_k) = one, other
+    assert np.float64(res_k.value).tobytes() == np.float64(res.value).tobytes()
+    assert (
+        np.float64(res_k.locked_phase).tobytes()
+        == np.float64(res.locked_phase).tobytes()
+    )
+    assert res_k.zero_response == res.zero_response
+    assert res_k.epsilon == math.ldexp(res.epsilon, k_eps)
+    assert grid_k.value.tobytes() == grid.value.tobytes()
+    assert np.array_equal(grid_k.masked, grid.masked)
+    assert np.array_equal(grid_k.eps_max, np.ldexp(grid.eps_max, k_eps))
+
+
+SCALE_EXPONENTS = st.integers(min_value=-900, max_value=900)
+# three tones, each zero or of modulus 1e-3 to 1 at any phase
+TONES = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)),
+        st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    ).map(lambda p: p[0] * complex(math.cos(p[1]), math.sin(p[1]))),
+    min_size=3,
+    max_size=3,
+).filter(any)
+CYCLE_DRAWS = {
+    "scenario": st.sampled_from(sorted(RANDOM_CYCLES)),
+    "exponents": st.lists(
+        st.floats(min_value=-2.0, max_value=4.0), min_size=3, max_size=3
+    ),
+    "detuning": st.floats(min_value=-20.0, max_value=20.0),
+}
+
+
+class TestScaleInvariance:
+    """S depends on the limit cycle and the signal only through ratios: the
+    outputs stay bit for bit the same when every rate and the detuning, or
+    every tone, are multiplied by a power of two far beyond the range where
+    squares of the rates or of the first-order response stay normal."""
+
+    @staticmethod
+    def _axes(lc, signal):
+        # detunings around the cycle's own, strengths up to twice the largest
+        # validity boundary, so that some cells are masked
+        detunings = float(lc.detuning) + np.linspace(-5.0, 5.0, 5)
+        eps_max = arnold_tongue(lc, signal, detunings, [0.0]).eps_max
+        finite = eps_max[np.isfinite(eps_max)]
+        top = 2.0 * finite.max() if finite.size else 1.0
+        return detunings, np.linspace(0.0, top, 5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**CYCLE_DRAWS, tones=TONES, k=SCALE_EXPONENTS)
+    # the equatorial cycle at 1e13 and 3e13: ||rho1|| is 2.6e-14 ||rho0||, which
+    # a relative cutoff of 1e-12 once called a vanishing response
+    @example("equatorial", [math.log10(3.0), 0.0, 0.0], 0.0, [1.0, 1.0, 0.0], 43)
+    # two fast rates at 2^600: the tree products overflowed to nan
+    @example("asymmetric_equatorial", [0.0, 2.0, 0.0], 0.0, [1.0, 0.5, 0.3j], 600)
+    # every rate at 2^-600: the tree products underflowed to a degenerate cycle
+    @example("vdp", [math.log10(32.0), 0.0, 0.0], 0.0, [1.0, 0.0, 0.0], -600)
+    def test_rates_times_power_of_two(
+        self, scenario, exponents, detuning, tones, k
+    ):
+        lc, signal = RANDOM_CYCLES[scenario](exponents, detuning), SignalSpec(*tones)
+        detunings, strengths = self._axes(lc, signal)
+        _assert_same_outputs(
+            _measure_and_tongue(lc, signal, detunings, strengths),
+            _measure_and_tongue(
+                _rates_times(lc, k), signal, np.ldexp(detunings, k),
+                np.ldexp(strengths, k),
+            ),
+            k,
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(**CYCLE_DRAWS, tones=TONES, k=SCALE_EXPONENTS)
+    # tones of 5e-14 on gamma = (1, 3) read as a vanishing response once
+    @example("equatorial", [math.log10(3.0), 0.0, 0.0], 0.0, [1.0, 1.0, 0.0], -44)
+    def test_tones_times_power_of_two(
+        self, scenario, exponents, detuning, tones, k
+    ):
+        lc, signal = RANDOM_CYCLES[scenario](exponents, detuning), SignalSpec(*tones)
+        detunings, strengths = self._axes(lc, signal)
+        scaled = SignalSpec(*(math.ldexp(1.0, k) * t for t in tones))
+        _assert_same_outputs(
+            _measure_and_tongue(lc, signal, detunings, strengths),
+            _measure_and_tongue(lc, scaled, detunings, np.ldexp(strengths, -k)),
+            -k,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        **CYCLE_DRAWS,
+        family=st.sampled_from(["equatorial_angles", "vdp_general"]),
+        k=SCALE_EXPONENTS,
+    )
+    # rates at 2^600: the squares of the response maps underflowed, and
+    # LAPACK's least-squares solve raised LinAlgError
+    @example("vdp", [math.log10(30.0), 0.0, 0.0], 0.0, "vdp_general", 600)
+    def test_optimum_under_rates_times_power_of_two(
+        self, scenario, exponents, detuning, family, k
+    ):
+        lc = RANDOM_CYCLES[scenario](exponents, detuning)
+        report = optimize_signal(lc, family)
+        scaled = optimize_signal(_rates_times(lc, k), family)
+        assert np.float64(scaled.value).tobytes() == np.float64(report.value).tobytes()
+        assert scaled.params == report.params

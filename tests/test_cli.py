@@ -167,6 +167,33 @@ class TestSync:
             assert (row["locked_phase"] == "nan") == zero
             assert (float(row["S"]) == 0.0) == zero
 
+    # the measure depends on the rates and the tones only through ratios; a
+    # cutoff of ||rho1|| at 1e-12 ||rho0|| once reported both scaled runs as
+    # zero_response, with S = 0 and epsilon = inf
+    @pytest.mark.parametrize(
+        "scaled, factor",
+        [
+            (["scenario.gamma_g=1e13", "scenario.gamma_d=3e13"], 1e13),
+            (["signal.t01=5e-14", "signal.tm10=5e-14"], 1.0 / 5e-14),
+        ],
+    )
+    def test_measure_at_scaled_rates_or_tones(self, capsys, scaled, factor):
+        base = [
+            "scenario.name=equatorial", "scenario.gamma_g=1", "scenario.gamma_d=3",
+            "signal.family=tones", "signal.t01=1", "signal.tm10=1",
+        ]
+        rows = []
+        for sets in (base, base + scaled):
+            code, out, _ = run_cli(capsys, "sync", *(f"--set={x}" for x in sets))
+            assert code == 0
+            rows.append(read_csv(out)[0])
+        unscaled, row = rows
+        assert row["flag"] == unscaled["flag"] == ""
+        for key in ("S", "S_over_eta", "locked_phase"):
+            assert float(row[key]) == pytest.approx(float(unscaled[key]), rel=1e-15)
+        eps = float(row["epsilon"]) / factor
+        assert eps == pytest.approx(float(unscaled["epsilon"]), rel=1e-15)
+
     def test_optimal_equatorial_value(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -587,6 +614,15 @@ class TestFigures:
         assert cli._cells(np.array([-math.inf])) == ["-inf"]
         assert cli._cells(np.array([math.inf, math.nan])) == ["inf", "nan"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fig5_needs_out(self, capsys, fmt):
+        # its main and inset tables cannot share one stream
+        code, out, err = run_cli(capsys, "figure", "fig5", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ConfigError: ")
+        assert "fig5 and fig5_inset" in err
+
     def test_fig5_emits_inset_series(self, tmp_path, capsys):
         out_path = tmp_path / "fig5.csv"
         code, _, _ = run_cli(capsys, "figure", "fig5", "--out", str(out_path))
@@ -720,8 +756,9 @@ class TestGeneratorBuilds:
 
     # fig5: its grid's cycle and the 13 of the inset in one stack
     @pytest.mark.parametrize("fig_id", ["fig4", "fig5", "fig7"])
-    def test_figure_builds_once(self, capsys, builds, kernels, fig_id):
-        code, out, _ = run_cli(capsys, "figure", fig_id)
+    def test_figure_builds_once(self, tmp_path, capsys, builds, kernels, fig_id):
+        out = str(tmp_path / f"{fig_id}.csv")
+        code, _, _ = run_cli(capsys, "figure", fig_id, "--out", out)
         assert code == 0
         assert len(builds) == 1
         assert len(kernels) == 1

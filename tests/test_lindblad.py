@@ -346,21 +346,6 @@ class TestBuildLiouvillian:
             with pytest.raises(InvalidValueError, match="rates must be finite"):
                 build_liouvillian(rate_first)
 
-    def test_operators_checked_once_per_spec(self, monkeypatch):
-        import spinsync.lindblad as lindblad
-
-        calls = []
-        monkeypatch.setattr(
-            lindblad, "sector_of", lambda op: calls.append(op) or sector_of(op)
-        )
-        spec = vdp_limit_cycle(1.0, 2.0)
-        first = build_liouvillian(spec)
-        again = build_liouvillian(spec)
-        assert len(calls) == len(spec.dissipators)
-        assert again.diag_block.tobytes() == first.diag_block.tobytes()
-        build_liouvillian(spec.with_detuning(1.0))  # a new spec checks again
-        assert len(calls) == 2 * len(spec.dissipators)
-
 
 class TestSteadyState:
     def test_equatorial_target(self):
@@ -379,6 +364,18 @@ class TestSteadyState:
         assert np.allclose(
             rho0.diagonal().real, [0.0, 1 / 3, 2 / 3], atol=1e-5
         )
+
+    def test_populations_at_any_size_of_the_rates(self):
+        # the tree products once overflowed to nan populations at two rates
+        # of 1e160, and underflowed to a spurious degenerate cycle at 2^-600
+        lc = asymmetric_equatorial_limit_cycle(1.0, 1e160, 1e160)
+        pops = steady_state(build_liouvillian(lc)).diagonal().real
+        assert pops[0] == 0.0 and pops[2] == 1.0
+        assert pops[1] == pytest.approx(1e-160, rel=1e-15)
+        ref = steady_state(build_liouvillian(vdp_limit_cycle(1.0, 32.0)))
+        for k in (-600, 600):
+            lc = vdp_limit_cycle(math.ldexp(1.0, k), math.ldexp(32.0, k))
+            assert steady_state(build_liouvillian(lc)).tobytes() == ref.tobytes()
 
     def test_degenerate_cycle_rejected(self):
         # double raising alone leaves the equatorial population untouched

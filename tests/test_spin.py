@@ -253,7 +253,7 @@ class TestMaxShiftedPhase:
     )
     @given(
         log_ratio=st.floats(min_value=-10.0, max_value=10.0),
-        log_scale=st.floats(min_value=-3.0, max_value=3.0),
+        log_scale=st.floats(min_value=-320.0, max_value=3.0),
         phase1=st.one_of(st.just(0.0), ANGLES),
         t=st.floats(min_value=0.0, max_value=1.0),
         sign=st.sampled_from([-1.0, 1.0]),
@@ -262,6 +262,11 @@ class TestMaxShiftedPhase:
     # the maxima merge: a Newton step on a rounding-level slope over a
     # vanishing curvature once left phi_star with dS/dphi = 2e-3
     @example(log_ratio=-4.74, log_scale=0.0, phase1=0.0, t=0.141, sign=1.0)
+    # amplitudes near and in the subnormal range, where a1 cos(m/2) / 2 of the
+    # unscaled secular equation is subnormal: the merge case once put the
+    # peak 5e4 times the bound off at 1e-305
+    @example(log_ratio=-10.0, log_scale=-305.0, phase1=0.0, t=0.0, sign=1.0)
+    @example(log_ratio=0.0, log_scale=-310.0, phase1=0.0, t=0.5, sign=1.0)
     def test_against_mpmath_oracle(self, kind, log_ratio, log_scale, phase1, t, sign):
         # kind sets the misalignment m = phase2 - 2 phase1: uniform, 10^[-12, -1]
         # from 0, 10^[-16, -1] from +-pi, pi exactly, or near pi with
@@ -282,8 +287,12 @@ class TestMaxShiftedPhase:
         terms = PhaseDistributionTerms(amp1, phase1, amp2, 2.0 * phase1 + m)
         peak, phi_star = max_shifted_phase(terms)
         exact = _oracle_peak(terms)
-        assert abs(peak - exact) <= 4.0 * np.finfo(float).eps * (amp1 + amp2)
-        assert abs(terms.derivative(phi_star)) <= 1e-12 * (amp1 + 2.0 * amp2)
+        bound = 4.0 * np.finfo(float).eps * (amp1 + amp2)
+        assert abs(peak - exact) <= max(bound, np.finfo(float).smallest_subnormal)
+        # the slope of S scaled, exactly, to a larger amplitude in [1/2, 1)
+        a1, a2 = np.ldexp([amp1, amp2], -np.frexp(max(amp1, amp2))[1])
+        scaled = PhaseDistributionTerms(a1, phase1, a2, terms.phase2)
+        assert abs(scaled.derivative(phi_star)) <= 1e-12 * (a1 + 2.0 * a2)
 
     def test_tie_takes_the_maximum_past_the_first_harmonic_crest(self):
         # anti-aligned with amp1 < 4 amp2: S is even about phi = -phase1, with
@@ -299,9 +308,14 @@ class TestMaxShiftedPhase:
             terms = PhaseDistributionTerms(1.0, 0.0, 0.5, math.pi + offset)
             _, phi = max_shifted_phase(terms)
             assert phi == pytest.approx(side * crest % (2 * math.pi), abs=1e-8)
-        # the hard case of the secular equation: amp1 cos(m / 2) / 2 underflows
+        # equal subnormal amplitudes: the search scales them to 1/2 first
         _, phi = max_shifted_phase(PhaseDistributionTerms(1e-310, 0.0, 1e-310, math.pi))
         assert phi == pytest.approx(math.acos(0.25), abs=1e-12)
+        # the hard case of the secular equation: amp1 cos(m / 2) / 2 underflows
+        # at amp1 / amp2 = 1e-310 even after that scaling; the maxima sit at
+        # -phase1 +- arccos(amp1 / (4 amp2)), which rounds to pi / 2
+        _, phi = max_shifted_phase(PhaseDistributionTerms(1e-310, 0.0, 1.0, math.pi))
+        assert phi == 0.5 * math.pi
 
     @pytest.mark.parametrize("field", ["amp1", "phase1", "amp2", "phase2"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -325,7 +339,8 @@ class TestMaxShiftedPhase:
             (1.0, 0.0, 0.5, math.pi - 4.4e-16),  # one ulp off anti-aligned
             (1.0, 0.0, 0.25 * (1.0 + 1e-12), math.pi),  # the maxima merge
             (1.0, 0.0, 0.25 * (1.0 - 1e-12), math.pi - 1e-15),
-            (1e-310, 0.0, 1e-310, math.pi),  # the hard case
+            (1e-310, 0.0, 1e-310, math.pi),  # subnormal amplitudes
+            (1e-310, 0.0, 1.0, math.pi),  # the hard case
         ]
         for _ in range(20):  # misaligned
             a1, a2 = rng.uniform(0.01, 2.0, 2)

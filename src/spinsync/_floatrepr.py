@@ -6,10 +6,12 @@ kernel: each |x| is scaled by 10**(16 - k), k its decimal exponent, to a
 double-double y in [1e16, 1e17).  The shortest digits that read back as x
 are the largest power of ten with a multiple inside x's rounding interval
 around y; of those multiples the one nearest y is kept.  This is the spelling
-``repr`` prints.  The digits are laid out in one byte buffer, decoded once
-and split once; zeros, inf and nan have fixed layouts.  Values the
-double-double cannot decide are left to ``repr``: a rounding bound or a tie
-within ``_MARGIN`` of y, and magnitudes outside (_TINY, _HUGE).
+``repr`` prints.  The digit search runs only on the magnitudes inside
+(_TINY, _HUGE): zeros, inf and nan, such as a tongue's masked cells, have
+fixed layouts and are never searched.  The digits are laid out in one byte
+buffer, decoded once and split once.  Values the double-double cannot
+decide are left to ``repr``: a rounding bound or a tie within ``_MARGIN``
+of y, and magnitudes outside (_TINY, _HUGE).
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 # Columns shorter than this are spelled one value at a time: the kernel's
 # fixed cost of some seventy numpy calls (about 0.25 ms) matches repr's
-# ~1 us a value near 500 values, and from 1024 on the kernel is 1.5-1.8x
-# faster (2-core x86-64 host, numpy 2.4).
+# ~0.9 us a value at 400-550 random values, and from 1024 on the kernel is
+# 1.5-2.2x faster (2-core x86-64 host, numpy 2.4, medians of 201 calls).
 _KERNEL_MIN = 1024
 # A long column is spelled a block at a time, which keeps the kernel's
 # temporaries small beside the cells it returns.
@@ -137,19 +139,17 @@ def _shortest(x: np.ndarray):
     top = y_int + np.floor(up).astype(np.int64)
     bottom = y_int + np.ceil(down).astype(np.int64)
     # j: the largest power of ten with a multiple in [bottom, top], and the
-    # quotients of the interval's ends by 10**j
-    j = np.zeros(len(x), dtype=np.int64)
-    highest, lowest = top.copy(), bottom.copy()
-    rows = np.arange(len(x))
+    # quotients of the interval's ends by 10**j; only the rows with a
+    # multiple of 10**(p - 1) inside can have one of 10**p
     below = bottom - 1
+    j = np.zeros(len(x), dtype=np.int64)
+    rows = np.arange(len(x))
     for power in range(1, 18):
-        high, low = top[rows] // _POW10[power], below[rows] // _POW10[power]
-        hit = high != low
-        rows = rows[hit]
+        rows = rows[top[rows] // _POW10[power] != below[rows] // _POW10[power]]
         if not rows.size:
             break
         j[rows] = power
-        highest[rows], lowest[rows] = high[hit], low[hit] + 1
+    highest, lowest = top // _POW10[j], below // _POW10[j] + 1
     # Of the multiples inside, the one nearest y. Two or more lie inside
     # only for j <= 1, where the float distance past their midpoint is exact.
     tens = j > 0
@@ -220,15 +220,21 @@ def _spell(values: np.ndarray) -> list[str]:
     """``repr`` of each value of one block, by the kernel where it is sure."""
     magnitude = np.abs(values)
     fit = (magnitude > _TINY) & (magnitude < _HUGE)
-    digits, count, k, ok = _shortest(np.where(fit, magnitude, 1.0))
-    # zero is the one digit 0 at k = 0
-    zero = magnitude == 0
-    digits[zero], count[zero], k[zero] = 0, 1, 0
+    if fit.all():
+        digits, count, k, ok = _shortest(magnitude)
+    else:
+        # the digit search runs on the cells that have digits; every other
+        # cell keeps the one digit 0 at k = 0, which is how zero is spelled
+        digits, k = np.zeros((2, len(values)), dtype=np.int64)
+        count = np.ones(len(values), dtype=np.int64)
+        ok = np.zeros(len(values), dtype=bool)
+        if fit.any():
+            digits[fit], count[fit], k[fit], ok[fit] = _shortest(magnitude[fit])
     form = np.where((k >= -4) & (k < 16), k + 4, 20 + 2 * (k < 0) + (np.abs(k) >= 100))
     form[np.isinf(values)] = _INF
     form[np.isnan(values)] = _NAN
     cells = _layout(np.signbit(values), digits, count, k, form)
-    rest = np.flatnonzero(~((fit & ok) | zero | (form >= _INF)))
+    rest = np.flatnonzero(~(ok | (magnitude == 0) | (form >= _INF)))
     if rest.size:
         # by repr, once per bit pattern
         distinct, inverse = np.unique(values[rest].view(np.uint64), return_inverse=True)

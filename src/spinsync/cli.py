@@ -346,9 +346,17 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -> None:
-    cells = [_cells(column) for column in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    _write_text(path, "\n".join(lines) + "\n")
+    # the header line, then each row's cells each followed by its separator,
+    # all in one list: the table is one join. The list is made at its full
+    # length, since copying a list this long costs as much as the join.
+    step = 2 * len(columns)
+    rows = len(columns[0]) if columns else 0
+    body = [","] * (2 + step * rows)
+    body[0], body[1] = ",".join(header), "\n"
+    for i, column in enumerate(columns):
+        body[2 + 2 * i :: step] = _cells(column)
+    body[1 + step :: step] = ["\n"] * rows
+    _write_text(path, "".join(body))
 
 
 class _Rows(NamedTuple):
@@ -794,32 +802,46 @@ def _figure_fig8app(cfg: dict):
     return [("", *_table({"r": r, "epsilon": eps, "p_max": curves}))]
 
 
+# Each figure's dataset function and the figure.<key> overrides it reads.
 _FIGURES = {
-    "fig2": _figure_fig2,
-    "fig3a": lambda cfg: _figure_forcing(cfg, 1.0),
-    "fig3b": lambda cfg: _figure_forcing(cfg, 10.0),
-    "fig4": _figure_fig4,
-    "fig5": _figure_fig5,
-    "fig6": _figure_fig6,
-    "fig7": _figure_fig7,
-    "fig8app": _figure_fig8app,
+    "fig2": (_figure_fig2, ("gamma_g", "gamma_d", "eta")),
+    "fig3a": (lambda cfg: _figure_forcing(cfg, 1.0), ("gamma_g", "gamma_ratio", "eta")),
+    "fig3b": (lambda cfg: _figure_forcing(cfg, 10.0), ("gamma_g", "gamma_ratio", "eta")),
+    "fig4": (_figure_fig4, ("gamma_g", "gamma_ratio", "eta")),
+    "fig5": (_figure_fig5, ("gamma_g", "gamma_ratio", "eta")),
+    "fig6": (_figure_fig6, ("gamma_g", "gamma_d", "eta")),
+    "fig7": (_figure_fig7, ("gamma_g", "gamma_ratios", "eta")),
+    "fig8app": (_figure_fig8app, ("gamma_g", "gamma_ratio", "r_values")),
 }
+
+
+def _figure(fig_id: str):
+    if fig_id not in _FIGURES:
+        raise ConfigError(
+            f"unknown figure id {fig_id!r}; expected one of {sorted(_FIGURES)}"
+        )
+    return _FIGURES[fig_id]
 
 
 def figure_datasets(
     fig_id: str, cfg: dict
 ) -> list[tuple[str, list[str], list[np.ndarray]]]:
     """Gridded dataset(s) for a named figure; suffix, header, 1-D columns."""
-    if fig_id not in _FIGURES:
-        raise ConfigError(
-            f"unknown figure id {fig_id!r}; expected one of {sorted(_FIGURES)}"
-        )
-    return _FIGURES[fig_id](cfg)
+    return _figure(fig_id)[0](cfg)
 
 
 def cmd_figure(args) -> int:
     cfg = load_config(args.config, args.set or [])
     overrides = cfg.get("figure", {})
+    keys = _figure(args.id)[1]
+    unread = [f"figure.{key}" for key in overrides if key not in keys]
+    if unread:
+        read = ", ".join(f"figure.{key}" for key in keys)
+        raise ConfigError(
+            f"figure {args.id} does not read {', '.join(unread)}; it reads {read}"
+        )
+    # a top-level eta is the default of figure.eta; set after the check, it
+    # is never an error
     if "eta" in cfg:
         overrides.setdefault("eta", cfg["eta"])
     datasets = figure_datasets(args.id, overrides)

@@ -562,6 +562,19 @@ class TestOptimizeAndBound:
         assert float(row["S"]) == pytest.approx(float(row["smax_spin"]), abs=1e-12)
 
 
+# the figure.<key> overrides each figure reads, in the order it names them
+FIGURE_KEYS = {
+    "fig2": ("gamma_g", "gamma_d", "eta"),
+    "fig3a": ("gamma_g", "gamma_ratio", "eta"),
+    "fig3b": ("gamma_g", "gamma_ratio", "eta"),
+    "fig4": ("gamma_g", "gamma_ratio", "eta"),
+    "fig5": ("gamma_g", "gamma_ratio", "eta"),
+    "fig6": ("gamma_g", "gamma_d", "eta"),
+    "fig7": ("gamma_g", "gamma_ratios", "eta"),
+    "fig8app": ("gamma_g", "gamma_ratio", "r_values"),
+}
+
+
 class TestFigures:
     def test_unknown_figure(self, capsys):
         code, _, err = run_cli(capsys, "figure", "fig99")
@@ -632,6 +645,36 @@ class TestFigures:
         assert final == pytest.approx(
             math.sqrt(40 + 22.5 * math.pi**2) / (24 * math.pi), rel=1e-3
         )
+
+    @pytest.mark.parametrize("fig_id", sorted(FIGURE_KEYS))
+    def test_figure_rejects_keys_it_does_not_read(self, tmp_path, capsys, fig_id):
+        keys = FIGURE_KEYS[fig_id]
+
+        class Reads(dict):
+            def get(self, key, default=None):
+                asked.append(key)
+                return super().get(key, default)
+
+        asked = []
+        cli.figure_datasets(fig_id, Reads())
+        assert sorted(asked) == sorted(keys)
+        out = str(tmp_path / "out.csv")
+        read = ", ".join(f"figure.{key}" for key in keys)
+        for key in sorted({k for ks in FIGURE_KEYS.values() for k in ks} - set(keys)):
+            code, _, err = run_cli(
+                capsys, "figure", fig_id, "--set", f"figure.{key}=2", "--out", out
+            )
+            assert code == 2
+            assert err == (
+                f"ConfigError: figure {fig_id} does not read figure.{key}; "
+                f"it reads {read}\n"
+            )
+        # an eta from the top level is never an error, read or not
+        code, _, err = run_cli(
+            capsys, "figure", fig_id, "--set", "eta=0.2", "--set", "figure.gamma_g=2",
+            "--out", out,
+        )
+        assert (code, err) == (0, "")
 
 
 class TestValidateCommand:
@@ -1183,6 +1226,58 @@ class TestColumnWriters:
         assert len(spelled) > 10000
         assert _floatrepr._shortest(np.abs(spelled))[3].mean() >= 0.999
         assert cli._float_cells(values) == list(map(repr, values.tolist()))
+
+    def test_kernel_searches_digits_only_where_there_are_some(self, monkeypatch):
+        # nan, inf, zero and out-of-range cells have no digits to search: a
+        # kernel that searched a stand-in for them would spell them right,
+        # slowly
+        rng = np.random.default_rng(5)
+        block = _floatrepr._BLOCK
+        special = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                            -(2.0**-1030), 1e-281, 1e281, -1.7976931348623157e308])
+        finite = rng.uniform(-5.0, 5.0, block) * 10.0 ** rng.integers(-30, 30, block)
+        mixed = np.where(rng.random(block) < 0.5, rng.choice(special, block), finite)
+        # blocks of mixed cells, of cells without digits and of finite cells
+        column = np.concatenate([mixed, rng.choice(special, block), finite])
+        searched = []
+        shortest = _floatrepr._shortest
+
+        def spy(x):
+            searched.append(x.copy())
+            return shortest(x)
+
+        monkeypatch.setattr(_floatrepr, "_shortest", spy)
+        assert _floatrepr.reprs(column) == list(map(repr, column.tolist()))
+        assert len(searched) == 2
+        searched = np.concatenate(searched)
+        magnitude = np.abs(column)
+        has_digits = (magnitude > _floatrepr._TINY) & (magnitude < _floatrepr._HUGE)
+        assert 0 < has_digits[:block].sum() < block
+        assert searched.tolist() == magnitude[has_digits].tolist()
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"a": np.array([]), "b": np.array([], dtype=bool)},
+            {"x": np.array([1.5, math.nan, -0.0, 1e300])},
+            {"x": np.append(np.linspace(-1.0, 1.0, 2 * _floatrepr._KERNEL_MIN), EDGE_FLOATS)},
+        ],
+        ids=["no rows", "one column", "one column spelled by the kernel"],
+    )
+    def test_csv_table_shapes(self, columns):
+        expected = old_csv(*old_table(columns))
+        assert stdout_of(cli._write_csv, *cli._table(columns)) == expected
+        if not len(next(iter(columns.values()))):
+            assert expected == ",".join(columns) + "\n"
+
+    def test_csv_tongue_with_masked_rows(self):
+        lc = catalog.equatorial_limit_cycle(1.0, 300.0)
+        detunings, strengths = np.linspace(-15, 15, 41), np.linspace(0, 1.5, 31)
+        grid = arnold_tongue(lc, semiclassical(0.0), detunings, strengths)
+        assert 0 < grid.masked.mean() < 1
+        columns = cli._tongue_columns(grid, detunings, strengths)
+        expected = old_csv(*old_table(columns))
+        assert stdout_of(cli._write_csv, *cli._table(columns)) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(tables())

@@ -26,6 +26,7 @@ import numpy as np
 from . import catalog
 from ._floatrepr import reprs
 from .catalog import (
+    SCENARIOS,
     TongueGrid,
     _align_on_maps,
     _optimum,
@@ -62,9 +63,14 @@ from .signals import (
 )
 from .spin import SQRT2
 
+# a builder's signature is the schema of its config section; making one for a
+# partial costs about 2% of a fig3a command, so each is made once
+_signature = functools.cache(inspect.signature)
+
 # the keys of each scenario are the parameters of its builder
-_SCENARIO_SIGNATURES = {n: inspect.signature(b) for n, b in catalog.SCENARIOS.items()}
-_SCENARIO_KEYS = {n: tuple(sig.parameters) for n, sig in _SCENARIO_SIGNATURES.items()}
+_SCENARIO_KEYS = {n: tuple(_signature(b).parameters) for n, b in SCENARIOS.items()}
+
+_CONFIG_KEYS = ("eta", "unit_rate", "scenario", "signal", "sweep", "figure", "bound")
 
 _POPULATIONS = ("p_plus", "p_zero", "p_minus")
 
@@ -87,12 +93,33 @@ class ConfigError(ValueError):
 # configuration handling
 
 
-def _number(value, name: str, kind=float):
-    """A config value as a float (or ``kind``), or a ConfigError naming it."""
+def _number(value, name: str, integer: bool = False):
+    """A config value as a finite float (with ``integer``, an int), or a
+    ConfigError naming it."""
     try:
-        return kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not (number.is_integer() if integer else math.isfinite(number)):
+        kind = "an integer" if integer else "finite"
+        raise ConfigError(f"{name} must be {kind}, got {number!r}")
+    return int(number) if integer else number
+
+
+def _positive(value, name: str, below: float = math.inf) -> float:
+    """A config value as a number in (0, ``below``), or a ConfigError naming it."""
+    number = _number(value, name)
+    if not 0.0 < number < below:
+        raise ConfigError(f"{name} must lie in (0, {below:g}), got {number!r}")
+    return number
+
+
+def _as_complex(value, name: str) -> complex:
+    if isinstance(value, (int, float)):
+        return complex(_number(value, name))
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_number(value[0], name), _number(value[1], name))
+    raise ConfigError(f"tone must be a number or [re, im] pair, got {value!r}")
 
 
 def _parse_set(item: str) -> tuple[str, object]:
@@ -137,9 +164,12 @@ def load_config(path: str | None, sets: list[str]) -> dict:
     for item in sets:
         key, value = _parse_set(item)
         _apply_override(cfg, key, value)
-    eta = cfg.get("eta", 0.1)
-    if not (isinstance(eta, (int, float)) and 0.0 < eta < 1.0):
-        raise ConfigError(f"eta must lie in (0, 1), got {eta}")
+    unread = ", ".join(key for key in cfg if key not in _CONFIG_KEYS)
+    if unread:
+        reads = ", ".join(_CONFIG_KEYS)
+        raise ConfigError(f"config does not read {unread}; it reads {reads}")
+    cfg["eta"] = _positive(cfg["eta"], "eta", 1.0)
+    cfg["unit_rate"] = _positive(cfg["unit_rate"], "unit_rate")
     for key in ("scenario", "signal", "figure", "bound"):
         if not isinstance(cfg.get(key, {}), dict):
             raise ConfigError(f"{key} must be a JSON object, got {cfg[key]!r}")
@@ -149,41 +179,54 @@ def load_config(path: str | None, sets: list[str]) -> dict:
     return cfg
 
 
+def _section_args(owner: str, builder, given: dict, swept: dict | None = None) -> dict:
+    """Keyword arguments of ``builder`` from its config section ``given``
+    (named by ``owner``, e.g. "figure fig2"), with the arrays of ``swept`` in
+    place of configured keys.  The signature is the schema: a value is read
+    by its parameter's default (a tuple: a JSON list of numbers; complex: a
+    number or [re, im] pair; else a number), and an unknown or a missing
+    required key is refused."""
+    section = owner.split()[0]
+    signature = _signature(builder)
+    params = signature.parameters
+    unread = ", ".join(f"{section}.{key}" for key in given if key not in params)
+    if unread:
+        reads = ", ".join(f"{section}.{key}" for key in params)
+        raise ConfigError(f"{owner} does not read {unread}; it reads {reads}")
+    args = {}
+    for key, value in given.items():
+        name, default = f"{section}.{key}", params[key].default
+        if isinstance(default, tuple):
+            if not isinstance(value, list):
+                raise ConfigError(f"{name} must be a JSON list of numbers, got {value!r}")
+            args[key] = tuple(_number(v, name) for v in value)
+        elif isinstance(default, complex):
+            args[key] = _as_complex(value, name)
+        else:
+            args[key] = _number(value, name)
+    args |= {key: value for key, value in (swept or {}).items() if key in params}
+    try:
+        signature.bind(**args)
+    except TypeError as err:
+        raise ConfigError(f"{owner}: {err}") from None
+    return args
+
+
 def build_scenario(cfg: dict, swept: dict | None = None) -> LimitCycleSpec:
     """The configured limit cycle, stacked over the arrays that ``swept``
     puts in place of configured keys."""
-    swept = swept or {}
     scen = cfg.get("scenario", {})
     name = scen.get("name")
     if name not in _SCENARIO_KEYS:
         raise ConfigError(
             f"scenario.name must be one of {sorted(_SCENARIO_KEYS)}, got {name!r}"
         )
-    unit = _number(cfg.get("unit_rate", 1.0), "unit_rate")
-    params = {}
-    for key in _SCENARIO_KEYS[name]:
-        if key in swept:
-            value = swept[key]
-        elif key in scen:
-            value = _number(scen[key], f"scenario.{key}")
-        else:
-            continue
-        if key in _RATE_KEYS:
-            value = value * unit  # a copy: a swept axis is written unscaled
-        params[key] = value
-    try:
-        _SCENARIO_SIGNATURES[name].bind(**params)
-    except TypeError as err:
-        raise ConfigError(f"scenario {name!r}: {err}") from None
+    given = {key: value for key, value in scen.items() if key != "name"}
+    params = _section_args(f"scenario {name}", SCENARIOS[name], given, swept)
+    for key in params.keys() & _RATE_KEYS:
+        # a copy: a swept axis is written unscaled
+        params[key] = params[key] * cfg["unit_rate"]
     return make_limit_cycle(name, **params)
-
-
-def _as_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_number(value[0], "tone"), _number(value[1], "tone"))
-    raise ConfigError(f"tone must be a number or [re, im] pair, got {value!r}")
 
 
 def _signal_spec(cfg: dict, swept: dict | None = None) -> tuple[SignalSpec, bool]:
@@ -215,13 +258,19 @@ def _signal_spec(cfg: dict, swept: dict | None = None) -> tuple[SignalSpec, bool
         return from_vdp_params(params, number("squeeze_phase", 0.0)), False
     if family == "tones":
         spec = SignalSpec(
-            _as_complex(sig.get("t01", 0.0)),
-            _as_complex(sig.get("tm10", 0.0)),
-            _as_complex(sig.get("tm11", 0.0)),
+            _as_complex(sig.get("t01", 0.0), "signal.t01"),
+            _as_complex(sig.get("tm10", 0.0), "signal.tm10"),
+            _as_complex(sig.get("tm11", 0.0), "signal.tm11"),
         )
         if spec.t01 == 0 and spec.tm10 == 0 and spec.tm11 == 0:
             raise ConfigError("signal tones are all zero")
-        return spec, sig.get("squeeze_phase") == "auto"
+        # tm11's own phase is the squeezing phase: only "auto" changes it
+        phase = sig.get("squeeze_phase")
+        if phase not in (None, "auto"):
+            raise ConfigError(
+                f'tones take signal.squeeze_phase "auto" only, got {phase!r}'
+            )
+        return spec, phase == "auto"
     raise ConfigError(f"unknown signal family {family!r}")
 
 
@@ -235,12 +284,7 @@ def _sweep_axes(cfg: dict, allowed: tuple[str, ...]) -> list[tuple[str, np.ndarr
             )
         if name in (seen for seen, _ in axes):
             raise ConfigError(f"sweep axis {name!r} is given twice")
-        points = _number(axis.get("points", 0), f"sweep axis {name!r} points")
-        if not points.is_integer():
-            raise ConfigError(
-                f"sweep axis {name!r} points must be an integer, got {points!r}"
-            )
-        points = int(points)
+        points = _number(axis.get("points", 0), f"sweep axis {name!r} points", True)
         if points < 2:
             raise ConfigError(f"sweep axis {name!r} needs points >= 2")
         scale = axis.get("scale", "linear")
@@ -479,7 +523,7 @@ def cmd_sync(args) -> int:
     axes = _sweep_axes(cfg, allowed)
     if len(axes) > 2:
         raise ConfigError("sync supports at most two sweep axes")
-    eta = float(cfg.get("eta", 0.1))
+    eta = cfg["eta"]
     # one row per cell of the mesh of the axes, all from one build
     mesh = np.meshgrid(*(values for _, values in axes), indexing="ij")
     swept = {name: values for (name, _), values in zip(axes, mesh)}
@@ -515,7 +559,7 @@ def cmd_sync(args) -> int:
 def cmd_perturb(args) -> int:
     cfg = load_config(args.config, args.set or [])
     pops, coherences = _leading_orders(cfg)
-    res = _perturbation_result(pops, coherences, float(cfg.get("eta", 0.1)))
+    res = _perturbation_result(pops, coherences, cfg["eta"])
     pops = res.rho0.diagonal().real
     fields = {
         "rho1_10": complex(res.rho1[0, 1]),
@@ -552,8 +596,7 @@ def cmd_tongue(args) -> int:
     if set(axes) != {"detuning", "epsilon"}:
         raise ConfigError("tongue needs sweep axes 'detuning' and 'epsilon'")
     # both axes are in units of unit_rate, as the scenario rates
-    unit = _number(cfg.get("unit_rate", 1.0), "unit_rate")
-    eta = float(cfg.get("eta", 0.1))
+    unit, eta = cfg["unit_rate"], cfg["eta"]
     detunings = axes["detuning"] * unit
     align = auto and sig.tm11 != 0
     # as align_squeeze_phase, an "auto" squeezing tone is aligned at the
@@ -590,7 +633,7 @@ def cmd_optimize(args) -> int:
         raise ConfigError(
             "optimize expects signal.family 'equatorial_angles' or 'vdp_general'"
         )
-    report = optimize_signal(lc, family, eta=float(cfg.get("eta", 0.1)))
+    report = optimize_signal(lc, family, eta=cfg["eta"])
     measure = {"S": report.value, "S_over_eta": report.value / report.eta}
     payload = {
         "command": "optimize",
@@ -610,7 +653,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_bound(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    eta = float(cfg.get("eta", 0.1))
+    eta = cfg["eta"]
     columns = {
         "smax_spin": smax(eta, "spin"),
         "smax_oscillator": smax(eta, "oscillator"),
@@ -618,12 +661,9 @@ def cmd_bound(args) -> int:
     }
     bound_cfg = cfg.get("bound")
     if bound_cfg:
-        params = catalog.BoundParams(
-            pop0=_number(bound_cfg.get("pop0", 1.0), "bound.pop0"),
-            asymmetry=_number(bound_cfg.get("asymmetry", 0.0), "bound.asymmetry"),
-            adjacent=_as_complex(bound_cfg.get("adjacent", 0.0)),
-            extremal=_as_complex(bound_cfg.get("extremal", 0.0)),
-        )
+        # pop0 defaults to 1: the limit-cycle state |0><0|
+        kwargs = _section_args("bound", catalog.BoundParams, {"pop0": 1.0} | bound_cfg)
+        params = catalog.BoundParams(**kwargs)
         norm_term, coh_term, product = catalog.bound_terms(params, eta)
         columns |= {"norm_term": norm_term, "coherence_term": coh_term, "S": product}
     _emit(args, {"command": "bound", "config": cfg, **columns}, columns)
@@ -653,35 +693,25 @@ def cmd_validate(args) -> int:
 # figure datasets
 
 
-def _figure_number(cfg: dict, key: str, default: float) -> float:
-    return _number(cfg.get(key, default), f"figure.{key}")
-
-
-def _figure_fig2(cfg: dict):
-    gg = _figure_number(cfg, "gamma_g", 1.0)
-    gd = _figure_number(cfg, "gamma_d", 100.0)
-    eta = _figure_number(cfg, "eta", 0.1)
-    lc = catalog.equatorial_limit_cycle(gg, gd)
-    detunings = np.linspace(-20.0 * gg, 20.0 * gg, 161)
-    eps_hi = eta / math.sqrt(
-        1.0 / (gd**2 + detunings.max() ** 2) + 1.0 / (gg**2 + detunings.max() ** 2)
-    )
+def _figure_fig2(*, gamma_g=1.0, gamma_d=100.0, eta=0.1):
+    lc = catalog.equatorial_limit_cycle(gamma_g, gamma_d)
+    detunings = np.linspace(-20.0 * gamma_g, 20.0 * gamma_g, 161)
+    edge = detunings.max() ** 2
+    eps_hi = eta / math.sqrt(1.0 / (gamma_d**2 + edge) + 1.0 / (gamma_g**2 + edge))
     strengths = np.linspace(0.0, 1.05 * eps_hi, 211)
     grid = arnold_tongue(lc, semiclassical(0.0), detunings, strengths, eta)
     return [("", *_table(_tongue_columns(grid, detunings, strengths)))]
 
 
-def _figure_forcing(cfg: dict, ratio: float):
-    gg = _figure_number(cfg, "gamma_g", 1.0)
-    gd = gg * _figure_number(cfg, "gamma_ratio", ratio)
-    eta = _figure_number(cfg, "eta", 0.1)
-    liou = build_liouvillian(catalog.equatorial_limit_cycle(gg, gd))
+def _figure_forcing(*, gamma_g=1.0, gamma_ratio, eta=0.1):
+    gd = gamma_g * gamma_ratio
+    liou = build_liouvillian(catalog.equatorial_limit_cycle(gamma_g, gd))
     sig = semiclassical(0.0)
     pops, map1, map2 = _response_maps(liou)
     eps_eta = float(_strength(*_norms(pops, _apply_maps(map1, map2, sig)), eta))
     rho0 = _target_state(pops)
     h = build_hext(sig)
-    strengths = np.linspace(0.0, 1.5 * gg, 151)
+    strengths = np.linspace(0.0, 1.5 * gamma_g, 151)
     # the undriven row is rho0 itself; the driven rows are one stacked solve
     driven = strengths > 0
     states = np.repeat(rho0[None], len(strengths), axis=0)
@@ -696,36 +726,31 @@ def _figure_forcing(cfg: dict, ratio: float):
     return [("", *_table(columns))]
 
 
-def _figure_fig4(cfg: dict):
-    gg = _figure_number(cfg, "gamma_g", 1.0)
-    gd = gg * _figure_number(cfg, "gamma_ratio", 1000.0)
-    eta = _figure_number(cfg, "eta", 0.1)
-    detunings = np.linspace(-10.0 * gg, 10.0 * gg, 41)
+def _figure_fig4(*, gamma_g=1.0, gamma_ratio=1000.0):
+    gd = gamma_g * gamma_ratio
+    detunings = np.linspace(-10.0 * gamma_g, 10.0 * gamma_g, 41)
     taus = np.logspace(0.0, 3.0, 61)
-    liou = build_liouvillian(catalog.vdp_limit_cycle(gg, gd, detunings))
+    liou = build_liouvillian(catalog.vdp_limit_cycle(gamma_g, gd, detunings))
     pops, map1, map2 = _response_maps(liou)
     # squeezing ratios down the rows of the grid, detunings along them
     sig = SignalSpec(1.0, 1.0 / SQRT2, taus[:, None] / SQRT2)
     sig = _align_on_maps(map1, map2, sig)
-    res = _measure(pops, _apply_maps(map1, map2, sig), eta)
+    res = _measure(pops, _apply_maps(map1, map2, sig), 1.0)
     delta, tau = np.meshgrid(detunings, taus, indexing="ij")
-    tau_opt = vdp_optimal_squeeze_ratio(gg, gd, detunings)
+    tau_opt = vdp_optimal_squeeze_ratio(gamma_g, gd, detunings)
     columns = {
         "detuning": delta,
         "tau_ratio": tau,
-        "S_over_eta": res.value.T / eta,
+        "S_over_eta": res.value.T,
         "tau_opt": np.broadcast_to(tau_opt[:, None], delta.shape),
     }
     return [("", *_table(columns))]
 
 
-def _figure_fig5(cfg: dict):
-    gg = _figure_number(cfg, "gamma_g", 1.0)
-    gd = gg * _figure_number(cfg, "gamma_ratio", 100.0)
-    eta = _figure_number(cfg, "eta", 0.1)
+def _figure_fig5(*, gamma_g=1.0, gamma_ratio=100.0):
     ratios = np.logspace(1, 4, 13)
     # the grid's cycle, then the 13 cycles of the inset, as one stack
-    lc = catalog.vdp_limit_cycle(gg, np.append(gd, gg * ratios))
+    lc = catalog.vdp_limit_cycle(gamma_g, gamma_g * np.append(gamma_ratio, ratios))
     stack = _response_maps(build_liouvillian(lc))
     pops, map1, map2 = (x[0] for x in stack)
     zetas = np.linspace(0.0, 0.5 * math.pi, 65)
@@ -745,73 +770,62 @@ def _figure_fig5(cfg: dict):
         "tau_opt_for_zeta": np.broadcast_to(tau_best, zeta.shape),
     }
     reports = [
-        _optimum(p, m1, complex(m2), "vdp_general", eta)
+        _optimum(p, m1, complex(m2), "vdp_general", 1.0)
         for p, m1, m2 in zip(*(x[1:] for x in stack))
     ]
     inset = {
         "gamma_ratio": ratios,
-        "S_over_eta": [rep.value / eta for rep in reports],
+        "S_over_eta": [rep.value for rep in reports],
         "zeta_opt": [rep.params["zeta"] for rep in reports],
         "tau_ratio_opt": [rep.params["tau_ratio"] for rep in reports],
     }
     return [("", *_table(columns)), ("_inset", *_table(inset))]
 
 
-def _figure_fig6(cfg: dict):
-    gg = _figure_number(cfg, "gamma_g", 1.0)
-    gd = _figure_number(cfg, "gamma_d", gg)
-    eta = _figure_number(cfg, "eta", 0.1)
+def _figure_fig6(*, gamma_g=1.0, gamma_d=None):
+    gd = gamma_g if gamma_d is None else gamma_d
     zetas = np.linspace(0.0, 0.5 * math.pi, 91)
     chis = np.linspace(0.0, 2.0 * math.pi, 181)
     zeta, chi = np.meshgrid(zetas, chis, indexing="ij")
-    vals = catalog.equatorial_sync_closed(zeta, chi, gg, gd, 0.0, 1.0)
+    vals = catalog.equatorial_sync_closed(zeta, chi, gamma_g, gd, 0.0, 1.0)
     return [("", *_table({"zeta": zeta, "chi": chi, "S_over_eta": vals}))]
 
 
-def _figure_fig7(cfg: dict):
-    gg = _figure_number(cfg, "gamma_g", 1.0)
-    eta = _figure_number(cfg, "eta", 0.1)
-    ratios = [
-        _number(r, "figure.gamma_ratios")
-        for r in cfg.get("gamma_ratios", [1.0, 100.0, 10000.0])
-    ]
-    deltas = np.logspace(-2, 4, 181) * gg
+def _figure_fig7(*, gamma_g=1.0, gamma_ratios=(1.0, 100.0, 10000.0)):
+    deltas = np.logspace(-2, 4, 181) * gamma_g
     # rate ratios down the rows of the grid, detunings along them
-    gd = gg * np.array(ratios)[:, None]
-    ratio, delta = np.meshgrid(ratios, deltas, indexing="ij")
+    gd = gamma_g * np.array(gamma_ratios)[:, None]
+    ratio, delta = np.meshgrid(gamma_ratios, deltas, indexing="ij")
     columns = {
         "gamma_ratio": ratio,
         "delta": delta,
-        "S_over_eta": catalog.blockade_sync(gg, gd, deltas, eta) / eta,
-        "S_over_eta_closed": catalog.blockade_sync_closed(gg, gd, deltas, eta) / eta,
+        "S_over_eta": catalog.blockade_sync(gamma_g, gd, deltas, 1.0),
+        "S_over_eta_closed": catalog.blockade_sync_closed(gamma_g, gd, deltas, 1.0),
     }
     return [("", *_table(columns))]
 
 
-def _figure_fig8app(cfg: dict):
-    gg = _figure_number(cfg, "gamma_g", 1.0)
-    gd = gg * _figure_number(cfg, "gamma_ratio", 100.0)
-    r_values = [
-        _number(r, "figure.r_values") for r in cfg.get("r_values", [0.5, 2.5, 4.0, 9.0])
-    ]
+def _figure_fig8app(*, gamma_g=1.0, gamma_ratio=100.0, r_values=(0.5, 2.5, 4.0, 9.0)):
     strengths = np.logspace(-2, 3, 121)
-    liou = build_liouvillian(catalog.vdp_limit_cycle(gg, gd))
+    liou = build_liouvillian(catalog.vdp_limit_cycle(gamma_g, gamma_g * gamma_ratio))
     signals = [SignalSpec(r, 1.0 / SQRT2, 0j) for r in r_values]
     curves = _pmax_curves(liou, signals, strengths)
     r, eps = np.meshgrid(r_values, strengths, indexing="ij")
     return [("", *_table({"r": r, "epsilon": eps, "p_max": curves}))]
 
 
-# Each figure's dataset function and the figure.<key> overrides it reads.
+# Each figure's dataset function; its keyword parameters are the figure.<key>
+# overrides it reads.  fig4-fig7 write S/eta, the measure at eta = 1 (it is
+# linear in eta), and so take no eta.
 _FIGURES = {
-    "fig2": (_figure_fig2, ("gamma_g", "gamma_d", "eta")),
-    "fig3a": (lambda cfg: _figure_forcing(cfg, 1.0), ("gamma_g", "gamma_ratio", "eta")),
-    "fig3b": (lambda cfg: _figure_forcing(cfg, 10.0), ("gamma_g", "gamma_ratio", "eta")),
-    "fig4": (_figure_fig4, ("gamma_g", "gamma_ratio", "eta")),
-    "fig5": (_figure_fig5, ("gamma_g", "gamma_ratio", "eta")),
-    "fig6": (_figure_fig6, ("gamma_g", "gamma_d", "eta")),
-    "fig7": (_figure_fig7, ("gamma_g", "gamma_ratios", "eta")),
-    "fig8app": (_figure_fig8app, ("gamma_g", "gamma_ratio", "r_values")),
+    "fig2": _figure_fig2,
+    "fig3a": functools.partial(_figure_forcing, gamma_ratio=1.0),
+    "fig3b": functools.partial(_figure_forcing, gamma_ratio=10.0),
+    "fig4": _figure_fig4,
+    "fig5": _figure_fig5,
+    "fig6": _figure_fig6,
+    "fig7": _figure_fig7,
+    "fig8app": _figure_fig8app,
 }
 
 
@@ -826,23 +840,20 @@ def _figure(fig_id: str):
 def figure_datasets(
     fig_id: str, cfg: dict
 ) -> list[tuple[str, list[str], list[np.ndarray]]]:
-    """Gridded dataset(s) for a named figure; suffix, header, 1-D columns."""
-    return _figure(fig_id)[0](cfg)
+    """Gridded dataset(s) for a named figure from its ``figure`` config
+    section; suffix, header, 1-D columns."""
+    dataset = _figure(fig_id)
+    kwargs = _section_args(f"figure {fig_id}", dataset, cfg)
+    if "eta" in kwargs:
+        _positive(kwargs["eta"], "figure.eta", 1.0)
+    return dataset(**kwargs)
 
 
 def cmd_figure(args) -> int:
     cfg = load_config(args.config, args.set or [])
     overrides = cfg.get("figure", {})
-    keys = _figure(args.id)[1]
-    unread = [f"figure.{key}" for key in overrides if key not in keys]
-    if unread:
-        read = ", ".join(f"figure.{key}" for key in keys)
-        raise ConfigError(
-            f"figure {args.id} does not read {', '.join(unread)}; it reads {read}"
-        )
-    # a top-level eta is the default of figure.eta; set after the check, it
-    # is never an error
-    if "eta" in cfg:
+    # a top-level eta is the default of figure.eta, for a figure that reads one
+    if "eta" in _signature(_figure(args.id)).parameters:
         overrides.setdefault("eta", cfg["eta"])
     datasets = figure_datasets(args.id, overrides)
     if args.out is None and len(datasets) > 1:

@@ -401,9 +401,18 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
     |L0 - P| |x| + eps |L_ext| |x|.  A 9x9 SVD of the flagged strengths alone
     names a degenerate kernel (second-smallest singular value <= 1e-10 times
     the largest) first, then a traceless stationary direction, else (a
-    generator that does not preserve the trace) a degenerate kernel.
+    generator that does not preserve the trace) a degenerate kernel.  A
+    strength or tone that is not finite raises :class:`InvalidValueError`.
     """
     eps = np.asarray(epsilon, dtype=float)
+    bad = ~np.isfinite(eps)
+    if bad.any():
+        raise InvalidValueError("epsilon must be finite" + _where(bad, eps))
+    # the tones where build_hext puts them
+    tones = {"t01": h[0, 1], "tm10": h[1, 2], "tm11": h[0, 2]}
+    bad = [name for name, tone in tones.items() if not np.isfinite(tone)]
+    if bad:
+        raise InvalidValueError(f"signal tones must be finite: {', '.join(bad)}")
     flat = eps.reshape(-1)
     l0, l1, anchored = liou.full, hamiltonian_superop(h), _anchored(liou)
     inv = _inverses(anchored + flat[:, None, None] * l1)

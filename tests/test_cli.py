@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -562,15 +563,16 @@ class TestOptimizeAndBound:
         assert float(row["S"]) == pytest.approx(float(row["smax_spin"]), abs=1e-12)
 
 
-# the figure.<key> overrides each figure reads, in the order it names them
+# the figure.<key> overrides each figure reads, in the order it names them;
+# fig4-fig7 write S/eta, which does not depend on eta
 FIGURE_KEYS = {
     "fig2": ("gamma_g", "gamma_d", "eta"),
     "fig3a": ("gamma_g", "gamma_ratio", "eta"),
     "fig3b": ("gamma_g", "gamma_ratio", "eta"),
-    "fig4": ("gamma_g", "gamma_ratio", "eta"),
-    "fig5": ("gamma_g", "gamma_ratio", "eta"),
-    "fig6": ("gamma_g", "gamma_d", "eta"),
-    "fig7": ("gamma_g", "gamma_ratios", "eta"),
+    "fig4": ("gamma_g", "gamma_ratio"),
+    "fig5": ("gamma_g", "gamma_ratio"),
+    "fig6": ("gamma_g", "gamma_d"),
+    "fig7": ("gamma_g", "gamma_ratios"),
     "fig8app": ("gamma_g", "gamma_ratio", "r_values"),
 }
 
@@ -649,15 +651,8 @@ class TestFigures:
     @pytest.mark.parametrize("fig_id", sorted(FIGURE_KEYS))
     def test_figure_rejects_keys_it_does_not_read(self, tmp_path, capsys, fig_id):
         keys = FIGURE_KEYS[fig_id]
-
-        class Reads(dict):
-            def get(self, key, default=None):
-                asked.append(key)
-                return super().get(key, default)
-
-        asked = []
-        cli.figure_datasets(fig_id, Reads())
-        assert sorted(asked) == sorted(keys)
+        # the dataset function's keyword parameters are the keys it reads
+        assert tuple(inspect.signature(cli._FIGURES[fig_id]).parameters) == keys
         out = str(tmp_path / "out.csv")
         read = ", ".join(f"figure.{key}" for key in keys)
         for key in sorted({k for ks in FIGURE_KEYS.values() for k in ks} - set(keys)):
@@ -1440,6 +1435,71 @@ class TestUserErrors:
                 ["optimize", "--set", "signal.family=semiclassical"],
                 "optimize expects signal.family 'equatorial_angles' or 'vdp_general'",
             ),
+            # a config section is read against the signature of what it builds,
+            # top-level keys against the keys a config has
+            (
+                ["sync", "--set", "scenario.gamma_dp=0.3"],
+                "scenario equatorial does not read scenario.gamma_dp; it reads "
+                "scenario.gamma_g, scenario.gamma_d, scenario.detuning",
+            ),
+            (
+                ["bound", "--set", "bound.pop=0.5"],
+                "bound does not read bound.pop; it reads bound.pop0, "
+                "bound.asymmetry, bound.adjacent, bound.extremal",
+            ),
+            *(
+                (
+                    ["figure", fig_id, "--set", "figure.eta=0.3"],
+                    f"figure {fig_id} does not read figure.eta; it reads "
+                    + ", ".join(f"figure.{key}" for key in FIGURE_KEYS[fig_id]),
+                )
+                for fig_id in ("fig4", "fig5", "fig6", "fig7")
+            ),
+            (
+                ["figure", "fig7", "--set", "figure.gamma_ratios=5"],
+                "figure.gamma_ratios must be a JSON list of numbers, got 5",
+            ),
+            (
+                ["sync", "--set", "gamma_ratio=100"],
+                "config does not read gamma_ratio; it reads eta, unit_rate, "
+                "scenario, signal, sweep, figure, bound",
+            ),
+            (
+                ["sync", "--set", 'scenario={"name": "vdp", "gamma_g": 1}'],
+                "scenario vdp: missing a required argument: 'gamma_d'",
+            ),
+            (
+                ["sync", "--set", 'signal={"family": "tones", "t01": 1, '
+                 '"squeeze_phase": 0.3}'],
+                'tones take signal.squeeze_phase "auto" only, got 0.3',
+            ),
+            (["sync", "--set", "unit_rate=0"], "unit_rate must lie in (0, inf), got 0.0"),
+            (
+                ["figure", "fig2", "--set", "figure.eta=2"],
+                "figure.eta must lie in (0, 1), got 2.0",
+            ),
+            # each wrote rows of nan, or leaked a LinAlgError from the driven state
+            (
+                ["sync", "--set", "signal.phase=Infinity"],
+                "signal.phase must be finite, got inf",
+            ),
+            (
+                ["sync", "--set", 'signal={"family": "tones", "t01": NaN}'],
+                "signal.t01 must be finite, got nan",
+            ),
+            (
+                ["sync", "--set", 'signal={"family": "tones", "tm10": [1, NaN]}'],
+                "signal.tm10 must be finite, got nan",
+            ),
+            (
+                ["tongue", "--set", 'sweep=[{"name": "detuning", "min": NaN, "max": 1, '
+                 '"points": 3}, {"name": "epsilon", "min": 0, "max": 0.1, "points": 3}]'],
+                "sweep axis 'detuning' min must be finite, got nan",
+            ),
+            (
+                ["figure", "fig8app", "--set", "figure.r_values=[NaN]"],
+                "figure.r_values must be finite, got nan",
+            ),
         ],
     )
     def test_config_error_message(self, tmp_path, capsys, argv, message):
@@ -1453,3 +1513,15 @@ class TestUserErrors:
         code, _, err = run_cli(capsys, "sync", "--config", cfg)
         assert code == 2
         assert err == "ConfigError: config must be a JSON object\n"
+
+    def test_every_workload_config_is_read(self, tmp_path, capsys, monkeypatch):
+        # the benchmark's commands set only keys their builders read
+        monkeypatch.syspath_prepend(str(ROOT))
+        from perfbench import workloads
+
+        for name in workloads.WORKLOADS:
+            for i, cmd in enumerate(workloads.generate(name, 1)):
+                cfg = write_config(tmp_path, cmd.config, f"{name}{i}.json")
+                out = str(tmp_path / f"{name}{i}.{cmd.fmt}")
+                argv = [*cmd.argv, "--config", cfg, "--out", out, "--format", cmd.fmt]
+                assert run_cli(capsys, *argv)[::2] == (0, "")

@@ -556,6 +556,25 @@ class TestStackedDrivenState:
         ):
             _driven_steady_state(liou, h, np.array([0.3, 0.0, 1.0]))
 
+    # a nan reached the degeneracy SVD, which raised LinAlgError
+    @pytest.mark.parametrize(
+        "signal, epsilon, message",
+        [
+            (SignalSpec(math.nan, 1.0), 0.1, "signal tones must be finite: t01"),
+            (SignalSpec(1.0, 1.0, math.inf), 0.1, "signal tones must be finite: tm11"),
+            (semiclassical(0.0), math.nan, r"epsilon must be finite, got \[nan\]$"),
+            (
+                semiclassical(0.0),
+                np.array([0.1, math.nan, math.inf]),
+                r"epsilon must be finite, got \[nan, inf\] at stack index \[1, 2\]$",
+            ),
+        ],
+    )
+    def test_non_finite_input_named(self, signal, epsilon, message):
+        lc = equatorial_limit_cycle(1.0, 2.0)
+        with pytest.raises(InvalidValueError, match=message):
+            full_steady_state(lc, signal, epsilon)
+
     @pytest.mark.parametrize("lc", CATALOG, ids=CATALOG_IDS)
     def test_deformation_measures_per_state(self, lc):
         rho0 = steady_state(build_liouvillian(lc))

@@ -473,11 +473,12 @@ def bound_terms(
 
 @dataclass(frozen=True)
 class OptimumReport:
-    """Arg-optimum of a signal family on a fixed limit cycle."""
+    """Arg-optimum of a signal family on a fixed limit cycle; for a stack of
+    cycles the value, each parameter and each tone are arrays of its shape."""
 
     family: str
-    params: dict[str, float]
-    value: float
+    params: dict[str, float | np.ndarray]
+    value: float | np.ndarray
     eta: float
     signal: SignalSpec
 
@@ -510,8 +511,7 @@ def optimize_signal(
 
     Interior case: with aligned harmonics the single-quantum part of the
     measure is largest where map1 t is proportional to (1, 1), so the tones
-    are t* = lstsq(map1, (1, 1)), with no cutoff on small singular values,
-    and tau_ratio is
+    solve map1 t* = (1, 1), and tau_ratio is
     :func:`stationary_squeeze_ratio` at t* (0 for ``equatorial_angles`` or
     without squeezing response).  Boundary case: when that ratio exceeds
     ``OPT_TAU_MAX``, the optimum lies on tau_ratio = ``OPT_TAU_MAX`` with the
@@ -520,70 +520,91 @@ def optimize_signal(
     [0, 2 pi).
 
     Degenerate optima: an exactly singular map1 (``vdp_limit_cycle(g, g)``,
-    where t01 does not couple) has a ridge of maxima, and lstsq picks its
-    minimum-norm point, with chi = 0 whenever t01 = 0.  A cycle without
-    first-order response (equal populations) reports value 0 and
-    zeta = chi = tau_ratio = 0.
+    where t01 does not couple) has a ridge of maxima, and t* is its
+    minimum-norm least-squares point, with chi = 0 whenever t01 = 0.  Only an
+    exactly zero singular value counts: a map1 singular to rounding still
+    gives the tones of its (1, 1) response.  A cycle without first-order
+    response (equal populations) reports value 0 and zeta = chi = tau_ratio = 0.
     """
     if family not in ("equatorial_angles", "vdp_general"):
         raise InvalidValueError(f"unknown signal family {family!r}")
     require_single(lc, "optimize_signal")
-    pops, map1, map2 = _response_maps(build_liouvillian(lc))
-    return _optimum(pops, map1, complex(map2), family, eta)
+    return _optimum(*_response_maps(build_liouvillian(lc)), family, eta)
 
 
-def _optimum(
-    pops: np.ndarray, map1: np.ndarray, map2: complex, family: str, eta: float
-) -> OptimumReport:
-    """:func:`optimize_signal` from the populations of rho0 and the response
-    maps of one cycle."""
-    # the optimum depends on the maps only up to a common factor: scale them
-    # exactly, by a power of two, to a largest modulus in [1/2, 1)
-    factor = float(np.ldexp(1.0, -np.frexp(max(np.abs(map1).max(), abs(map2)))[1]))
-    map1, map2 = map1 * factor, map2 * factor
+def _optimum(pops, map1, map2, family: str, eta: float) -> OptimumReport:
+    """:func:`optimize_signal` from the populations of rho0, shape (..., 3),
+    and the response maps, ``map1`` of shape (..., 2, 2) and ``map2`` of
+    shape (...), of a stack of cycles: the value, the parameters and the
+    tones are arrays of the stack's shape, floats for one cycle."""
+    map2 = np.asarray(map2)
+    # the optimum depends on the maps only up to a common factor: scale each
+    # cell exactly, by a power of two, to a largest modulus in [1/2, 1)
+    biggest = np.maximum(np.abs(map1).max(axis=(-2, -1)), np.abs(map2))
+    factor = np.ldexp(1.0, -np.frexp(biggest)[1])
+    map1, map2 = map1 * factor[..., None, None], map2 * factor
     vdp = family == "vdp_general"
     scale = SQRT2 if vdp else 1.0  # tm10 = sin(zeta) / scale
     ellipse = np.array([1.0, scale**2])
-    if map1.any():
-        # rcond = 0 cuts only exactly zero singular values: a map1 that is
-        # singular to rounding still gives the tones of its (1, 1) response
-        tones = np.linalg.lstsq(map1, np.ones(2, dtype=complex), rcond=0.0)[0]
-    else:  # no first-order response: every tone gives 0, report zeta = 0
-        tones = np.array([1.0, 0.0], dtype=complex)
-    tones = tones[:, None] / math.sqrt(ellipse @ abs(tones) ** 2)
-    tau = 0.0
-    if vdp and map2 != 0:
-        tau = float(stationary_squeeze_ratio(*(map1 @ tones[:, 0]), map2))
-        if tau > OPT_TAU_MAX:
-            tau = OPT_TAU_MAX
-            tones = _boundary_tones(map1, abs(map2) * tau, ellipse)
-            tones = tones / np.sqrt(ellipse @ abs(tones) ** 2)
-    r_10, r_0m1, _ = _apply_maps(map1, map2, SignalSpec(*tones))
-    values = sync_from_coherences(
-        pops, (r_10, r_0m1, abs(map2) * (tau / SQRT2)), eta
-    )
-    best = int(np.argmax(values))
-    t01, tm10 = tones[:, best]
-    zeta = math.atan2(abs(tm10) * scale, abs(t01))
-    chi = 0.0
-    if t01 != 0:
-        # a phase just below 0 rounds to 2 pi under the first modulo
-        chi = float(np.angle(t01 * np.conj(tm10))) % math.tau % math.tau
-    params = {"zeta": zeta, "chi": chi}
-    signal = from_equatorial_angles(zeta, chi)
+    # the minimum-norm solution of map1 t = (1, 1); rtol = 0 cuts only exactly
+    # zero singular values, so a map1 singular to rounding keeps its solution
+    tones = np.linalg.pinv(map1, rtol=0.0).sum(axis=-1)
+    # no first-order response: every tone gives 0, report zeta = 0
+    tones = np.where(map1.any(axis=(-2, -1))[..., None], tones, [1.0, 0.0])
+    tones = _unit_tones(tones[..., None], ellipse)  # (..., 2, 1)
+    tau = np.zeros(map2.shape)
     if vdp:
-        params["tau_ratio"] = tau
+        r_10, r_0m1 = np.moveaxis((map1 @ tones)[..., 0], -1, 0)
+        ratio = stationary_squeeze_ratio(r_10, r_0m1, map2)
+        tau = np.where(map2 != 0, ratio, 0.0)
+        boundary = tau > OPT_TAU_MAX
+        if boundary.any():
+            tau[boundary] = OPT_TAU_MAX
+            tones = np.repeat(tones, 5, axis=-1)
+            squeeze = np.abs(map2[boundary]) * OPT_TAU_MAX
+            tones[boundary] = _unit_tones(
+                _boundary_tones(map1[boundary], squeeze, ellipse), ellipse
+            )
+    # every candidate of every cell at once: (..., 2, k) tones, k = 1 or 5
+    t01, tm10 = np.moveaxis(tones, -2, 0)
+    r_10, r_0m1, _ = _apply_maps(map1[..., None, :, :], map2, SignalSpec(t01, tm10))
+    squeezed = (np.abs(map2) * (tau / SQRT2))[..., None]
+    values = sync_from_coherences(pops[..., None, :], (r_10, r_0m1, squeezed), eta)
+    best = np.argmax(values, axis=-1)[..., None]
+    value = np.take_along_axis(values, best, axis=-1)[..., 0]
+    t01, tm10 = (np.take_along_axis(t, best, axis=-1)[..., 0] for t in (t01, tm10))
+    zeta = np.arctan2(np.abs(tm10) * scale, np.abs(t01))
+    # a phase just below 0 rounds to 2 pi under the first modulo
+    phase = np.angle(t01 * np.conj(tm10)) % math.tau % math.tau
+    chi = np.where(t01 != 0, phase, 0.0)
+    params = {"zeta": _float_or_array(zeta), "chi": _float_or_array(chi)}
+    signal = from_equatorial_angles(params["zeta"], params["chi"])
+    if vdp:
+        params["tau_ratio"] = _float_or_array(tau)
+        tm11 = params["tau_ratio"] / SQRT2 + 0j
         signal = _align_on_maps(
-            map1, map2, SignalSpec(signal.t01, signal.tm10 / SQRT2, tau / SQRT2 + 0j)
+            map1, map2, SignalSpec(signal.t01, signal.tm10 / SQRT2, tm11)
         )
     return OptimumReport(
-        family=family, params=params, value=float(values[best]), eta=eta, signal=signal
+        family=family,
+        params=params,
+        value=_float_or_array(value),
+        eta=eta,
+        signal=signal,
     )
 
 
-def _boundary_tones(map1: np.ndarray, squeeze: float, ellipse: np.ndarray):
+def _unit_tones(tones, ellipse: np.ndarray):
+    """Tones (t01, tm10) down axis -2 of ``tones`` scaled to t^H E t = 1,
+    E = diag(``ellipse``)."""
+    return tones / np.sqrt(ellipse @ np.square(np.abs(tones)))[..., None, :]
+
+
+def _boundary_tones(map1: np.ndarray, squeeze, ellipse: np.ndarray):
     """Candidate tones of the aligned measure's maximum at a fixed squeezing
-    amplitude, ``squeeze`` = |map2| tau, as the columns of a (2, k) array.
+    amplitude, ``squeeze`` = |map2| tau, for a stack of maps ``map1`` of shape
+    (..., 2, 2): five candidates per cell, as the columns of a (..., 2, 5)
+    array.
 
     Unnormalized tones t have the measure (C1 |w t| + K sqrt(t^H E t)) /
     sqrt(t^H P t), with w = (1, 1) map1, K = C2 squeeze / sqrt 2 and
@@ -596,26 +617,48 @@ def _boundary_tones(map1: np.ndarray, squeeze: float, ellipse: np.ndarray):
     with A = w x, B = x^H E x, C = x^H E y, D = y^H E y and g = AC - B^2.
     The candidates are t = x (nu -> inf) and nu x + y at the real parts of
     all four roots (a double root may come out as a complex pair); the
-    caller keeps the one with the largest measure.
+    caller keeps the one with the largest measure.  The roots are those of
+    ``np.roots``, the eigenvalues of the companion matrix, for every cell at
+    once.  A quartic with k leading zero coefficients has k roots at
+    infinity, whose candidate is x.
     """
-    w = map1.sum(axis=0)
-    gram = 2.0 * map1.conj().T @ map1 + squeeze**2 * np.diag(ellipse)
-    x = np.linalg.solve(gram, w.conj())
-    y = np.linalg.solve(gram, ellipse * x)
-    a = (w @ x).real
-    b, c, d = (np.vdot(u, ellipse * v).real for u, v in ((x, x), (x, y), (y, y)))
+    w = map1.sum(axis=-2)
+    gram = 2.0 * np.swapaxes(map1, -1, -2).conj() @ map1
+    gram = gram + squeeze[..., None, None] ** 2 * np.diag(ellipse)
+    x = np.linalg.solve(gram, w.conj()[..., None])[..., 0]
+    y = np.linalg.solve(gram, (ellipse * x)[..., None])[..., 0]
+    a = np.vecdot(w.conj(), x).real
+    b, c, d = (np.vecdot(u, ellipse * v).real for u, v in ((x, x), (x, y), (y, y)))
     g, h, k = a * c - b * b, a * d - b * c, b * d - c * c
     kk = (COS2_WEIGHT * squeeze) ** 2 / 2.0  # K^2
     cc = (COS1_WEIGHT * g) ** 2  # C1^2 g^2
-    quartic = [
-        kk * g * g,
-        2.0 * kk * g * h,
-        kk * (h * h + 2.0 * g * k) - cc * b,
-        2.0 * (kk * h * k - cc * c),
-        kk * k * k - cc * d,
-    ]
-    nu = np.roots(quartic).real
-    return np.column_stack([x, nu[None, :] * x[:, None] + y[:, None]])
+    quartic = np.stack(
+        [
+            kk * g * g,
+            2.0 * kk * g * h,
+            kk * (h * h + 2.0 * g * k) - cc * b,
+            2.0 * (kk * h * k - cc * c),
+            kk * k * k - cc * d,
+        ],
+        axis=-1,
+    )
+    # np.roots drops leading zero coefficients: shift each quartic left by
+    # their count, which puts as many exact roots 0 in its companion matrix,
+    # and read those as the roots at infinity (a zero quartic has no root,
+    # as a constant one)
+    quartic[..., 4] = np.where(quartic.any(axis=-1), quartic[..., 4], 1.0)
+    infinite = np.argmax(quartic != 0.0, axis=-1)[..., None]
+    padded = np.concatenate([quartic, np.zeros_like(quartic)], axis=-1)
+    quartic = np.take_along_axis(padded, np.arange(5) + infinite, axis=-1)
+    companion = np.zeros(quartic.shape[:-1] + (4, 4))
+    companion[..., 0, :] = -quartic[..., 1:] / quartic[..., :1]
+    companion[..., 1:, :-1] = np.eye(3)
+    roots = np.linalg.eigvals(companion)
+    zero = roots == 0.0
+    at_infinity = (zero & (np.cumsum(zero, axis=-1) <= infinite))[..., None, :]
+    x, y = x[..., None], y[..., None]
+    candidates = np.where(at_infinity, x, roots.real[..., None, :] * x + y)
+    return np.concatenate([x, candidates], axis=-1)
 
 
 # ---------------------------------------------------------------------------

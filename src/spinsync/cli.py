@@ -119,7 +119,7 @@ def _as_complex(value, name: str) -> complex:
         return complex(_number(value, name))
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_number(value[0], name), _number(value[1], name))
-    raise ConfigError(f"tone must be a number or [re, im] pair, got {value!r}")
+    raise ConfigError(f"{name} must be a number or [re, im] pair, got {value!r}")
 
 
 def _parse_set(item: str) -> tuple[str, object]:
@@ -179,6 +179,17 @@ def load_config(path: str | None, sets: list[str]) -> dict:
     return cfg
 
 
+def _config(args) -> dict:
+    """The configuration of a command; one that reads no sweep axes refuses
+    them, rather than write the same table for every value."""
+    cfg = load_config(args.config, args.set or [])
+    if cfg["sweep"] and args.command not in ("sync", "tongue"):
+        raise ConfigError(
+            f"{args.command} does not read sweep; only sync and tongue read sweep"
+        )
+    return cfg
+
+
 def _section_args(owner: str, builder, given: dict, swept: dict | None = None) -> dict:
     """Keyword arguments of ``builder`` from its config section ``given``
     (named by ``owner``, e.g. "figure fig2"), with the arrays of ``swept`` in
@@ -197,8 +208,10 @@ def _section_args(owner: str, builder, given: dict, swept: dict | None = None) -
     for key, value in given.items():
         name, default = f"{section}.{key}", params[key].default
         if isinstance(default, tuple):
-            if not isinstance(value, list):
-                raise ConfigError(f"{name} must be a JSON list of numbers, got {value!r}")
+            if not (isinstance(value, list) and value):
+                raise ConfigError(
+                    f"{name} must be a non-empty JSON list of numbers, got {value!r}"
+                )
             args[key] = tuple(_number(v, name) for v in value)
         elif isinstance(default, complex):
             args[key] = _as_complex(value, name)
@@ -495,7 +508,7 @@ def _emit(args, payload: dict, columns: dict) -> None:
 
 
 def cmd_steady(args) -> int:
-    cfg = load_config(args.config, args.set or [])
+    cfg = _config(args)
     lc = build_scenario(cfg)
     rho0 = steady_state(build_liouvillian(lc))
     pops = dict(zip(_POPULATIONS, rho0.diagonal().real.tolist()))
@@ -516,7 +529,7 @@ def _leading_orders(cfg: dict, swept: dict | None = None):
 
 
 def cmd_sync(args) -> int:
-    cfg = load_config(args.config, args.set or [])
+    cfg = _config(args)
     scen_name = cfg.get("scenario", {}).get("name", "")
     family = cfg.get("signal", {}).get("family", "semiclassical")
     allowed = _SCENARIO_KEYS.get(scen_name, ()) + _SIGNAL_AXES.get(family, ())
@@ -557,7 +570,7 @@ def cmd_sync(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    cfg = load_config(args.config, args.set or [])
+    cfg = _config(args)
     pops, coherences = _leading_orders(cfg)
     res = _perturbation_result(pops, coherences, cfg["eta"])
     pops = res.rho0.diagonal().real
@@ -589,7 +602,7 @@ def _tongue_columns(grid: TongueGrid, detunings, strengths) -> dict:
 
 
 def cmd_tongue(args) -> int:
-    cfg = load_config(args.config, args.set or [])
+    cfg = _config(args)
     lc = build_scenario(cfg)
     sig, auto = _signal_spec(cfg)
     axes = dict(_sweep_axes(cfg, ("detuning", "epsilon")))
@@ -626,7 +639,7 @@ def cmd_tongue(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    cfg = load_config(args.config, args.set or [])
+    cfg = _config(args)
     lc = build_scenario(cfg)
     family = cfg.get("signal", {}).get("family")
     if family not in ("equatorial_angles", "vdp_general"):
@@ -652,7 +665,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    cfg = load_config(args.config, args.set or [])
+    cfg = _config(args)
     eta = cfg["eta"]
     columns = {
         "smax_spin": smax(eta, "spin"),
@@ -769,15 +782,12 @@ def _figure_fig5(*, gamma_g=1.0, gamma_ratio=100.0):
         "S_over_eta": vals,
         "tau_opt_for_zeta": np.broadcast_to(tau_best, zeta.shape),
     }
-    reports = [
-        _optimum(p, m1, complex(m2), "vdp_general", 1.0)
-        for p, m1, m2 in zip(*(x[1:] for x in stack))
-    ]
+    report = _optimum(*(x[1:] for x in stack), "vdp_general", 1.0)
     inset = {
         "gamma_ratio": ratios,
-        "S_over_eta": [rep.value for rep in reports],
-        "zeta_opt": [rep.params["zeta"] for rep in reports],
-        "tau_ratio_opt": [rep.params["tau_ratio"] for rep in reports],
+        "S_over_eta": report.value,
+        "zeta_opt": report.params["zeta"],
+        "tau_ratio_opt": report.params["tau_ratio"],
     }
     return [("", *_table(columns)), ("_inset", *_table(inset))]
 
@@ -850,7 +860,7 @@ def figure_datasets(
 
 
 def cmd_figure(args) -> int:
-    cfg = load_config(args.config, args.set or [])
+    cfg = _config(args)
     overrides = cfg.get("figure", {})
     # a top-level eta is the default of figure.eta, for a figure that reads one
     if "eta" in _signature(_figure(args.id)).parameters:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from spinsync.catalog import (
     VDP_SQUEEZE_INFINITE_TAU_LIMIT,
     VDP_SQUEEZE_LIMIT,
     BoundParams,
+    _boundary_tones,
+    _optimum,
     align_squeeze_phase,
     arnold_tongue,
     asymmetric_equatorial_limit_cycle,
@@ -559,6 +562,107 @@ class TestOptimizer:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             optimize_signal(equatorial_limit_cycle(1.0, 1.0), "fourier")
+
+
+def _stacked_maps(cycles):
+    """The populations and response maps of single cycles, stacked."""
+    maps = [_response_maps(build_liouvillian(lc)) for lc in cycles]
+    return tuple(np.stack(x) for x in zip(*maps))
+
+
+def _cell(report, i):
+    """The parameters of cell ``i`` of a stacked report."""
+    return SimpleNamespace(params={k: v[i] for k, v in report.params.items()})
+
+
+class TestStackedOptimum:
+    """One ``_optimum`` call on a stack of cycles against one call per cycle."""
+
+    @pytest.mark.parametrize("family", ["equatorial_angles", "vdp_general"])
+    def test_stack_matches_single_cycles(self, family):
+        rng = np.random.default_rng(20)
+        names = sorted(RANDOM_CYCLES)
+        cycles = [
+            RANDOM_CYCLES[names[i % 4]](
+                rng.uniform(-2.0, 4.0, 3), rng.choice([0.0, 0.3, -2.0, 25.0])
+            )
+            for i in range(240)
+        ]
+        # a (120, 2) stack: the cells of every scenario side by side
+        pops, map1, map2 = _stacked_maps(cycles)
+        report = _optimum(
+            pops.reshape(120, 2, 3), map1.reshape(120, 2, 2, 2),
+            map2.reshape(120, 2), family, 0.1,
+        )
+        assert report.value.shape == (120, 2)
+        values = report.value.ravel()
+        params = {k: v.ravel() for k, v in report.params.items()}
+        tau = params.get("tau_ratio", np.zeros(240))
+        if family == "vdp_general":  # interior and boundary cells in one stack
+            assert 0 < np.count_nonzero(tau == 2.0) < 240
+        for i, lc in enumerate(cycles):
+            single = optimize_signal(lc, family)
+            assert abs(values[i] - single.value) <= 1e-15 * single.value
+            assert params["zeta"][i] == pytest.approx(single.params["zeta"], abs=1e-9)
+            wrapped = math.remainder(params["chi"][i] - single.params["chi"], math.tau)
+            assert abs(wrapped) <= 1e-9
+            single_tau = single.params.get("tau_ratio", 0.0)
+            assert tau[i] == pytest.approx(single_tau, abs=1e-9)
+            for name in ("t01", "tm10", "tm11"):
+                cell = getattr(report.signal, name)
+                cell = np.ravel(cell)[i] if np.ndim(cell) else cell
+                assert abs(cell - getattr(single.signal, name)) <= 1e-9
+
+    def test_degenerate_cells_in_a_stack(self):
+        # a ridge of maxima (map1 singular), no response, an ordinary cycle,
+        # and a squeezing response 1e-200 times that cycle's: K^2 underflows,
+        # so the boundary quartic has two leading zero coefficients
+        cycles = [
+            vdp_limit_cycle(1.5, 1.5),
+            LimitCycleSpec(((SP, 1.0), (SM, 1.0))),
+            vdp_limit_cycle(1.0, 100.0),
+            vdp_limit_cycle(1.0, 100.0),
+        ]
+        pops, map1, map2 = _stacked_maps(cycles)
+        map2[3] *= 1e-200
+        report = _optimum(pops, map1, map2, "vdp_general", 0.1)
+        ridge = optimize_signal(cycles[0], "vdp_general")
+        assert report.params["zeta"][0] == 0.5 * math.pi
+        assert report.params["chi"][0] == 0.0
+        assert abs(report.value[0] - ridge.value) <= 1e-15 * ridge.value
+        assert report.value[1] == 0.0
+        assert [report.params[k][1] for k in ("zeta", "chi", "tau_ratio")] == [0.0] * 3
+        assert report.params["tau_ratio"][3] == 2.0
+        # a vanishing squeezing tone leaves the single-quantum optimum C1
+        norm0 = np.linalg.norm(pops[3])
+        closed = 0.1 * norm0 * COS1_WEIGHT
+        assert report.value[3] == pytest.approx(closed, rel=1e-13, abs=0.0)
+        # the two roots at infinity are candidate x, as np.roots drops them
+        squeeze = np.abs(map2[3:] / np.abs(map1[3]).max()) * 2.0
+        tones = _boundary_tones(map1[3:] / np.abs(map1[3]).max(), squeeze, [1.0, 2.0])
+        assert tones.shape == (1, 2, 5)
+        assert np.array_equal(tones[..., 1:3], tones[..., :1].repeat(2, axis=-1))
+        assert np.isfinite(tones).all()
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        cycles=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(RANDOM_CYCLES)),
+                st.lists(st.floats(-2.0, 4.0), min_size=3, max_size=3),
+                st.sampled_from([0.0, 0.3, -2.0, 25.0]),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        family=st.sampled_from(["equatorial_angles", "vdp_general"]),
+    )
+    def test_stacked_optimum_tops_a_dense_grid(self, cycles, family):
+        cycles = [RANDOM_CYCLES[name](e, d) for name, e, d in cycles]
+        report = _optimum(*_stacked_maps(cycles), family, 0.1)
+        for i, lc in enumerate(cycles):
+            best = _grid_max(lc, family, _cell(report, i))
+            assert report.value[i] >= best * (1 - 1e-13)
 
 
 class TestArnoldTongue:

@@ -801,6 +801,16 @@ class TestGeneratorBuilds:
         assert len(builds) == 1
         assert len(kernels) == 1
 
+    # fig5: the 13 optima of its inset from one call on their stacked maps
+    def test_fig5_inset_is_one_optimum(
+        self, tmp_path, capsys, builds, kernels, monkeypatch
+    ):
+        optima = _count_calls(monkeypatch, catalog, "_optimum", (catalog, cli))
+        code, _, _ = run_cli(capsys, "figure", "fig5", "--out", str(tmp_path / "f.csv"))
+        assert code == 0
+        assert (len(builds), len(kernels), len(optima)) == (1, 1, 1)
+        assert optima[0][1].shape == (13, 2, 2)
+
     @pytest.fixture
     def driven(self, monkeypatch):
         modules = (perturbation, catalog, cli)
@@ -1403,7 +1413,11 @@ class TestUserErrors:
             ),
             (
                 ["sync", "--set", 'signal={"family": "tones", "t01": [1, 2, 3]}'],
-                "tone must be a number or [re, im] pair, got [1, 2, 3]",
+                "signal.t01 must be a number or [re, im] pair, got [1, 2, 3]",
+            ),
+            (
+                ["bound", "--set", "bound.adjacent=[1,2,3]"],
+                "bound.adjacent must be a number or [re, im] pair, got [1, 2, 3]",
             ),
             (
                 ["sync", "--set", 'signal={"family": "tones", "t01": [0, 0]}'],
@@ -1457,7 +1471,29 @@ class TestUserErrors:
             ),
             (
                 ["figure", "fig7", "--set", "figure.gamma_ratios=5"],
-                "figure.gamma_ratios must be a JSON list of numbers, got 5",
+                "figure.gamma_ratios must be a non-empty JSON list of numbers, got 5",
+            ),
+            # each wrote a table of the header only
+            *(
+                (
+                    ["figure", fig_id, "--set", f"figure.{key}=[]"],
+                    f"figure.{key} must be a non-empty JSON list of numbers, got []",
+                )
+                for fig_id, key in (("fig7", "gamma_ratios"), ("fig8app", "r_values"))
+            ),
+            # each wrote one row, whatever the axis
+            *(
+                (
+                    [*argv, "--set", "sweep=" + json.dumps(TONGUE_AXES[:1])],
+                    f"{argv[0]} does not read sweep; only sync and tongue read sweep",
+                )
+                for argv in (
+                    ["steady"],
+                    ["perturb"],
+                    ["optimize", "--set", "signal.family=equatorial_angles"],
+                    ["bound"],
+                    ["figure", "fig5"],
+                )
             ),
             (
                 ["sync", "--set", "gamma_ratio=100"],

@@ -267,6 +267,8 @@ class TestMaxShiftedPhase:
     # peak 5e4 times the bound off at 1e-305
     @example(log_ratio=-10.0, log_scale=-305.0, phase1=0.0, t=0.0, sign=1.0)
     @example(log_ratio=0.0, log_scale=-310.0, phase1=0.0, t=0.5, sign=1.0)
+    # amp2 = 1e-324 rounds to 0: the oracle's quartic loses its leading term
+    @example(log_ratio=-4.0, log_scale=-320.0, phase1=0.0, t=0.0, sign=-1.0)
     def test_against_mpmath_oracle(self, kind, log_ratio, log_scale, phase1, t, sign):
         # kind sets the misalignment m = phase2 - 2 phase1: uniform, 10^[-12, -1]
         # from 0, 10^[-16, -1] from +-pi, pi exactly, or near pi with
@@ -367,8 +369,12 @@ def _oracle_peak(terms: PhaseDistributionTerms) -> float:
     """The maximum of S at 40 digits, with the float terms taken exactly: the
     largest S over the angles of the roots of the quartic
     -2 a2 e^{i p2} z^4 - a1 e^{i p1} z^3 + a1 e^{-i p1} z + 2 a2 e^{-i p2}
-    (the stationary points, z = e^{i phi}), each polished by Newton on dS/dphi."""
+    (the stationary points, z = e^{i phi}), each polished by Newton on dS/dphi;
+    a1 itself without a second harmonic, where the quartic has no leading term."""
     import mpmath
+
+    if terms.amp2 == 0.0:
+        return terms.amp1
 
     with mpmath.workdps(40):
         fields = (terms.amp1, terms.phase1, terms.amp2, terms.phase2)

@@ -433,8 +433,8 @@ REFERENCE_DOMAIN = {
     "log_ratio": st.floats(-6.0, 100.0),
     "log_strengths": st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6),
 }
-#: driven-state error bound with the refinement summed in plain double
-PLAIN_DOUBLE_BOUND = 1e-12
+#: driven-state error bound against the high-precision reference
+REFERENCE_BOUND = 1e-14
 
 
 def _reference_states(liou, h, log_ratio, strengths):
@@ -482,15 +482,12 @@ class TestStackedDrivenState:
         assert np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0).max() <= 1e-15
         assert np.array_equal(stack, np.swapaxes(stack, -1, -2).conj())
         refs = _reference_states(liou, h, log_ratio, strengths)
-        # where long double is double, the refinement gains nothing over
-        # plain double, and only the plain-double bound holds
-        extended = np.finfo(np.longdouble).eps < np.finfo(float).eps
-        bound = 1e-14 if extended else PLAIN_DOUBLE_BOUND
-        assert np.abs(stack - refs).max() <= bound
+        assert np.abs(stack - refs).max() <= REFERENCE_BOUND
 
-    # the refinement with its residual summed in plain double, as where long
-    # double is double: over 600 draws of this domain the error was at most
-    # 3.0e-13, at the example below (2.2e-16 there with x86-64's clongdouble)
+    # the refinement with its residual compensated in plain double, as where
+    # long double is double: over 900 draws of this domain the error was at
+    # most 1.1e-16 (1.3e-15 with x86-64's clongdouble).  The second example
+    # was 1.0e-12 off when that residual was summed in plain double alone
     @settings(max_examples=50, deadline=None)
     @example(
         CATALOG_AT_RATIO[0],
@@ -498,6 +495,7 @@ class TestStackedDrivenState:
         3.5917745017492493,
         [1.1477286421587332, 3.525876177992, -0.8761715908886147],
     )
+    @example(CATALOG_AT_RATIO[2], DRIVES[0], -6.0, [-3.0])
     @given(**REFERENCE_DOMAIN)
     def test_plain_double_refinement(self, cycle, signal, log_ratio, log_strengths):
         liou, h = build_liouvillian(cycle(10.0**log_ratio)), build_hext(signal)
@@ -505,7 +503,7 @@ class TestStackedDrivenState:
         with unittest.mock.patch.object(perturbation, "_EXTENDED", complex):
             stack = _driven_steady_state(liou, h, strengths)
         refs = _reference_states(liou, h, log_ratio, strengths)
-        assert np.abs(stack - refs).max() <= PLAIN_DOUBLE_BOUND
+        assert np.abs(stack - refs).max() <= REFERENCE_BOUND
 
     # diagonal generators and no drive: the smallest singular value is
     # exactly 0.0 (a kernel, the population of |+1>) or 1.0 (no kernel, and

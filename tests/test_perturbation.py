@@ -486,8 +486,11 @@ class TestStackedDrivenState:
 
     # the refinement with its residual compensated in plain double, as where
     # long double is double: over 900 draws of this domain the error was at
-    # most 1.1e-16 (1.3e-15 with x86-64's clongdouble).  The second example
-    # was 1.0e-12 off when that residual was summed in plain double alone
+    # most 1.2e-41 (1.4e-16 with x86-64's clongdouble).  The second example
+    # was 1.0e-12 off when that residual was summed in plain double alone.
+    # The last four, at rate ratio 1e300, have rates from 2^996 up, where
+    # (2^27 + 1) times a rate overflows unless the split rescales it: they
+    # were nan, with an overflow warning
     @settings(max_examples=50, deadline=None)
     @example(
         CATALOG_AT_RATIO[0],
@@ -496,6 +499,10 @@ class TestStackedDrivenState:
         [1.1477286421587332, 3.525876177992, -0.8761715908886147],
     )
     @example(CATALOG_AT_RATIO[2], DRIVES[0], -6.0, [-3.0])
+    @example(CATALOG_AT_RATIO[0], DRIVES[0], 300.0, [-3.0, 0.0, 3.0])
+    @example(CATALOG_AT_RATIO[1], DRIVES[1], 300.0, [-3.0, 0.0, 3.0])
+    @example(CATALOG_AT_RATIO[2], DRIVES[1], 300.0, [-3.0, 0.0, 3.0])
+    @example(CATALOG_AT_RATIO[3], DRIVES[0], 300.0, [-3.0, 0.0, 3.0])
     @given(**REFERENCE_DOMAIN)
     def test_plain_double_refinement(self, cycle, signal, log_ratio, log_strengths):
         liou, h = build_liouvillian(cycle(10.0**log_ratio)), build_hext(signal)
@@ -504,6 +511,34 @@ class TestStackedDrivenState:
             stack = _driven_steady_state(liou, h, strengths)
         refs = _reference_states(liou, h, log_ratio, strengths)
         assert np.abs(stack - refs).max() <= REFERENCE_BOUND
+
+    # the compensated residual against the exact residual of the same
+    # doubles: off by one rounding of the result and a second-order term of
+    # the summands, in every row, the anchor's P x = fl(1/3) tr(x) included
+    @pytest.mark.parametrize("lc", CATALOG, ids=CATALOG_IDS)
+    def test_compensated_residual_is_error_free(self, lc):
+        import mpmath
+
+        liou, h = build_liouvillian(lc), build_hext(DRIVES[1])
+        l0, l1 = liou.full, hamiltonian_superop(h)
+        strengths = np.array([1e-3, 0.7, 1e3])
+        x = vec(_driven_steady_state(liou, h, strengths))
+        got = perturbation._compensated_residual(x, l0, l1, strengths)
+        third, diag = 1.0 / 3.0, (0, 4, 8)
+        with mpmath.workdps(80):
+            for xk, eps, rk in zip(x.tolist(), strengths.tolist(), got.tolist()):
+                for i, ri in enumerate(rk):
+                    terms = [
+                        -(mpmath.mpc(l0[i, j]) + mpmath.mpf(eps) * mpmath.mpc(l1[i, j]))
+                        * mpmath.mpc(xk[j])
+                        for j in range(9)
+                    ]
+                    if i in diag:
+                        terms += [mpmath.mpf(third) * mpmath.mpc(xk[j]) for j in diag]
+                        terms.append(-mpmath.mpf(third))
+                    exact = mpmath.fsum(terms)
+                    size = sum(abs(t) for t in terms)
+                    assert abs(ri - exact) <= 2.0**-51 * abs(exact) + 2.0**-90 * size
 
     # diagonal generators and no drive: the smallest singular value is
     # exactly 0.0 (a kernel, the population of |+1>) or 1.0 (no kernel, and

@@ -91,14 +91,28 @@ def _float_or_array(value):
     return float(value) if value.ndim == 0 else value
 
 
+#: the most failing cells an error message names one by one
+_NAMED_CELLS = 5
+
+
 def _where(bad: np.ndarray, values=None) -> str:
     """The ``values`` that failed a check (mask ``bad``) and, for a stack, the
-    row-major indices of the failing cells: the rows of a ``sync`` table."""
+    row-major indices of the failing cells: the rows of a ``sync`` table.
+    Past :data:`_NAMED_CELLS` cells, the first of them and the count."""
+    count = int(np.count_nonzero(bad))
+
+    def listed(items: np.ndarray) -> str:
+        if count <= _NAMED_CELLS:
+            return str(items.tolist())
+        return str(items[:_NAMED_CELLS].tolist())[:-1] + ", ...]"
+
     text = ""
     if values is not None:
-        text = f", got {np.broadcast_to(values, bad.shape)[bad].tolist()}"
+        text = f", got {listed(np.broadcast_to(values, bad.shape)[bad])}"
     if bad.ndim:
-        text += f" at stack index {np.flatnonzero(bad).tolist()}"
+        text += f" at stack index {listed(np.flatnonzero(bad))}"
+    if count > _NAMED_CELLS:
+        text += f" ({count} cells)"
     return text
 
 

@@ -316,8 +316,9 @@ def perturbative_orders(
 
     Order one comes from the coherence sectors (see :func:`first_order`);
     each later one is rho_k = -(L0 - P)^-1 L_ext rho_(k-1), the traceless
-    solution of L0 rho_k = -L_ext rho_(k-1), from one 9x9 solve per cycle
-    for the map -(L0 - P)^-1 L_ext (P of :func:`_anchored`), made only
+    solution of L0 rho_k = -L_ext rho_(k-1), from one real 9x9 solve per
+    cycle for that map on the coordinates of a Hermitian matrix (P of
+    :func:`_anchored`, the coordinates of :func:`_real_form`), made only
     when ``kmax`` >= 2.
     """
     if kmax < 0:
@@ -327,10 +328,12 @@ def perturbative_orders(
     pops, map1, map2 = _response_maps(liou)
     orders = [_target_state(pops), _rho1(_apply_maps(map1, map2, signal))]
     if kmax >= 2:
-        lext = hamiltonian_superop(build_hext(signal))
-        step = -np.linalg.solve(_anchored(liou), lext)
+        lext = _real_form(hamiltonian_superop(build_hext(signal)))
+        step = -np.linalg.solve(_anchored(_real_form(liou.full)), lext)
+        x = _coordinates(orders[-1])
         for _ in range(2, kmax + 1):
-            orders.append(_hermitian_part(unvec(step @ vec(orders[-1]))))
+            x = step @ x
+            orders.append(_from_coordinates(x))
     return orders[: kmax + 1]
 
 
@@ -339,10 +342,52 @@ def kth_order(lc: LimitCycleSpec, signal: SignalSpec, k: int) -> np.ndarray:
     return perturbative_orders(lc, signal, k)[k]
 
 
-_TRACE_ROW = vec(np.eye(3)).real  # tr(X) = _TRACE_ROW @ vec(X)
-_ANCHOR = _TRACE_ROW / 3.0  # vec(I/3)
+# The real coordinates of a Hermitian 3x3 matrix: its three populations, then
+# the real and then the imaginary parts of rho_{1,0}, rho_{0,-1} and
+# rho_{1,-1}.  These are the vec positions (entry (i, j) at i + 3 j) of the
+# populations, of those three coherences and of their mirrors.
+_DIAG, _UPPER, _LOWER = [0, 4, 8], [3, 7, 6], [1, 5, 2]
+_TRACE_ROW = np.r_[1.0, 1.0, 1.0, np.zeros(6)]  # tr(X) from the coordinates of X
+_ANCHOR = _TRACE_ROW / 3.0  # the coordinates of I/3
+_PROJECTOR = np.outer(_ANCHOR, _TRACE_ROW)  # P = vec(I/3) tr(.)
 #: dtype of the driven state's residual sum where it is wider than double
-_EXTENDED = np.clongdouble
+_EXTENDED = np.longdouble
+
+
+def _real_form(op: np.ndarray) -> np.ndarray:
+    """A 9x9 superoperator that keeps matrices Hermitian, as the real 9x9
+    matrix that acts on their coordinates.
+
+    Its columns are ``op`` applied to E_ii, E_ij + E_ji and i (E_ij - E_ji),
+    read at the populations and at the upper coherences, so each entry is
+    the real or imaginary part of the sum or difference of two entries of
+    ``op``.  In the generators and signal superoperators of this package one
+    of the two is zero, or the two are complex conjugates: each entry is +-1
+    or +-2 times the real or imaginary part of one entry of ``op``, and the
+    form is exact.
+    """
+    upper, lower = op[..., _UPPER], op[..., _LOWER]
+    cols = [op[..., _DIAG], upper + lower, 1j * (upper - lower)]
+    cols = np.concatenate(cols, axis=-1)[..., _DIAG + _UPPER, :]
+    return np.concatenate([cols.real, cols[..., 3:, :].imag], axis=-2)
+
+
+def _coordinates(rho: np.ndarray) -> np.ndarray:
+    """The real coordinates of a Hermitian matrix, or of a stack of shape
+    (..., 3, 3) as shape (..., 9)."""
+    v = vec(rho)[..., _DIAG + _UPPER]
+    return np.concatenate([v.real, v[..., 3:].imag], axis=-1)
+
+
+def _from_coordinates(x: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian matrices with real coordinates ``x``, of shape
+    (..., 9)."""
+    v = np.zeros(x.shape, dtype=complex)
+    v.real[..., _DIAG] = x[..., :3]
+    v.real[..., _UPPER] = v.real[..., _LOWER] = x[..., 3:6]
+    v.imag[..., _UPPER] = x[..., 6:]
+    v.imag[..., _LOWER] = -x[..., 6:]
+    return unvec(v)
 
 
 def full_steady_state(lc: LimitCycleSpec, signal: SignalSpec, epsilon) -> np.ndarray:
@@ -352,41 +397,46 @@ def full_steady_state(lc: LimitCycleSpec, signal: SignalSpec, epsilon) -> np.nda
     return _driven_steady_state(build_liouvillian(lc), build_hext(signal), epsilon)
 
 
-def _hermitian_part(rho: np.ndarray) -> np.ndarray:
-    return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
-
-
-def _anchored(liou: Liouvillian) -> np.ndarray:
-    """L0 - P of one cycle, P = vec(I/3) tr(.): for a trace-preserving L,
-    L - P is nonsingular exactly when L has a unique stationary state x, and
+def _anchored(gen: np.ndarray) -> np.ndarray:
+    """L - P from the real form ``gen`` of a generator L (see
+    :func:`_real_form`), P = vec(I/3) tr(.): for a trace-preserving L, L - P
+    is nonsingular exactly when L has a unique stationary state x, and
     (L - P) x = -vec(I/3); on traceless input (L - P)^-1 inverts L.  Any
     trace-one anchor would do, and I/3 needs no target state."""
-    return liou.full - np.outer(_ANCHOR, _TRACE_ROW)
+    return gen - _PROJECTOR
 
 
 def _inverses(stack: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of matrices, nan for an exactly singular one."""
+    """Inverses of a stack of matrices, nan for an exactly singular one and
+    for one that overflowed."""
     try:
-        return np.linalg.inv(stack)
+        inv = np.linalg.inv(stack)
     except np.linalg.LinAlgError:
         return np.full_like(stack, np.nan) if stack.ndim == 2 else np.array(
             [_inverses(m) for m in stack]
         )
+    inv[~np.isfinite(inv).all(axis=(-2, -1))] = np.nan
+    return inv
 
 
 def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarray:
     """:func:`full_steady_state` on a built generator and signal Hamiltonian.
 
     ``epsilon`` is a strength (one 3x3 state) or an array of strengths (the
-    states stacked over its shape).  With the anchor P of :func:`_anchored`,
-    each state solves (L0 + eps L_ext - P) x = -vec(I/3): one stacked 9x9
-    inverse, then one refinement step on the residual, summed in extended
-    precision (``np.clongdouble``) from L0, L_ext and the anchor; where long
-    double is double (macOS on arm64, Windows), the residual is summed
-    error-free in plain double instead (:func:`_compensated_residual`).
-    That sum is the more accurate but costs about four times as much: on
-    x86-64 it would cut the forcing figures' throughput by about 30%.  All
-    n inverses are held at once: stack one forcing curve per call.
+    states stacked over its shape).  The state is Hermitian and every
+    generator keeps matrices Hermitian, so the solve runs on the nine real
+    coordinates of a Hermitian matrix (the populations and the real and
+    imaginary parts of the three upper coherences; :func:`_real_form`).
+    With the anchor P of :func:`_anchored`, each state solves
+    (L0 + eps L_ext - P) x = -vec(I/3): one stacked real 9x9 inverse, then
+    one refinement step.  Its residual is summed from L0, L_ext and the
+    anchor in ``np.longdouble`` where that type is wider than double
+    (x86-64), and error-free in plain double elsewhere (macOS on arm64,
+    Windows; :func:`_compensated_residual`).  The state is rebuilt from its
+    coordinates, so it is exactly Hermitian.  On one x86-64 core a call on
+    fig8app's 121 strengths takes about 0.5 ms with the extended sum and
+    0.7 ms with the error-free one (fig3a's 150: 0.57 and 0.8 ms).  All n
+    inverses are held at once: stack one forcing curve per call.
 
     Accuracy, on the catalog cycles at rate ratios 1e-6 to 1e100 and
     strengths 1e-4 to 1e4 against a high-precision solve: within 1e-14 on
@@ -394,17 +444,19 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
 
     Degeneracy: a strength whose Skeel condition number
     cond = || |A^-1| (|A| |x| + |b|) ||_inf / ||x||_inf, for A = L - P and
-    b = -vec(I/3), reaches 0.1 / u (u the machine epsilon: less than one
-    digit left; Skeel, J. ACM 26, 494 (1979)), or whose L - P is exactly
-    singular, raises :class:`DegenerateSteadyStateError` naming every such
-    strength and its stack index.  cond is componentwise, so it does not
-    change when a row of the system is rescaled, and a fast rate does not
-    make a well-posed state look degenerate; |A| |x| is bounded by
-    |L0 - P| |x| + eps |L_ext| |x|.  A 9x9 SVD of the flagged strengths alone
-    names a degenerate kernel (second-smallest singular value <= 1e-10 times
-    the largest) first, then a traceless stationary direction, else (a
-    generator that does not preserve the trace) a degenerate kernel.  A
-    strength or tone that is not finite raises :class:`InvalidValueError`.
+    b = -vec(I/3) in coordinates, reaches 0.1 / u (u the machine epsilon:
+    less than one digit left; Skeel, J. ACM 26, 494 (1979)), or whose L - P
+    is exactly singular, raises :class:`DegenerateSteadyStateError` naming
+    every such strength and its stack index.  cond is componentwise, so it
+    does not change when a row of the system is rescaled, and a fast rate
+    does not make a well-posed state look degenerate; |A| |x| is bounded by
+    |L0 - P| |x| + eps |L_ext| |x|.  The product is formed on copies scaled
+    by powers of two, so it does not overflow, and an inverse that overflows
+    counts as singular.  A real 9x9 SVD of the flagged strengths alone names a
+    degenerate kernel (second-smallest singular value <= 1e-10 times the
+    largest) first, then a traceless stationary direction, else (a generator
+    that does not preserve the trace) a degenerate kernel.  A strength or
+    tone that is not finite raises :class:`InvalidValueError`.
     """
     eps = np.asarray(epsilon, dtype=float)
     bad = ~np.isfinite(eps)
@@ -416,35 +468,56 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
     if bad:
         raise InvalidValueError(f"signal tones must be finite: {', '.join(bad)}")
     flat = eps.reshape(-1)
-    l0, l1, anchored = liou.full, hamiltonian_superop(h), _anchored(liou)
+    l0, l1 = _real_form(liou.full), _real_form(hamiltonian_superop(h))
+    anchored = _anchored(l0)
     inv = _inverses(anchored + flat[:, None, None] * l1)
     x = -(inv @ _ANCHOR)
-    # Skeel's cond times ||x||_inf, with |b| = vec(I/3); nan marks an exactly
-    # singular cell
-    size = np.abs(x)
-    bound = size @ np.abs(anchored).T + flat[:, None] * (size @ np.abs(l1).T)
-    skeel = (np.abs(inv) @ (bound + _ANCHOR)[..., None]).max(axis=(-2, -1))
-    bad = ~(skeel < 0.1 / np.finfo(float).eps * size.max(axis=-1)).reshape(eps.shape)
+    bad = ~_well_posed(inv, anchored, l1, flat, x).reshape(eps.shape)
     if bad.any():
         svals, vt = np.linalg.svd(l0 + flat[bad.reshape(-1), None, None] * l1)[1:]
         kernel, traceless = np.zeros_like(bad), np.zeros_like(bad)
         kernel[bad] = svals[:, -2] <= 1e-10 * svals[:, 0]
-        rho = _hermitian_part(unvec(vt[:, -1].conj()))
-        tr = np.trace(rho, axis1=-2, axis2=-1).real
-        traceless[bad] = np.abs(tr) < 1e-8 * np.linalg.norm(rho, axis=(-2, -1))
+        rho = _from_coordinates(vt[:, -1])
+        traceless[bad] = np.abs(vt[:, -1] @ _TRACE_ROW) < 1e-8 * np.linalg.norm(
+            rho, axis=(-2, -1)
+        )
         mask = kernel if kernel.any() else traceless if traceless.any() else bad
         what = ("stationary direction is traceless" if mask is traceless
                 else "driven generator has a degenerate kernel")
         raise DegenerateSteadyStateError(f"{what} at epsilon" + _where(mask, eps))
     if np.finfo(_EXTENDED).eps < np.finfo(float).eps:
-        ext = x.astype(_EXTENDED)  # -vec(I/3) - (L - P) x, in extended precision
-        resid = _ANCHOR * (ext @ _TRACE_ROW - 1.0)[:, None] - ext @ l0.T
-        resid -= flat[:, None] * (ext @ l1.T)
-        resid = resid.astype(complex)
+        # -vec(I/3) - (L - P) x in extended precision; np.dot, as numpy's
+        # matmul loop on that type takes about twice as long
+        ext = x.astype(_EXTENDED)
+        resid = _ANCHOR * (np.dot(ext, _TRACE_ROW) - 1.0)[:, None] - np.dot(ext, l0.T)
+        resid -= np.dot(flat[:, None] * ext, l1.T)
+        resid = resid.astype(float)
     else:
         resid = _compensated_residual(x, l0, l1, flat)
     x = x + (inv @ resid[..., None])[..., 0]
-    return _hermitian_part(unvec(x)).reshape(eps.shape + (3, 3))
+    return _from_coordinates(x.reshape(eps.shape + (9,)))
+
+
+def _well_posed(inv, anchored, l1, eps, x) -> np.ndarray:
+    """Where Skeel's cond of the anchored systems, of inverses ``inv`` and
+    solutions ``x``, stays below 0.1 / u; false for an exactly singular (nan)
+    one.  cond ||x||_inf is |A^-1| (|A| |x| + |b|), with |b| = vec(I/3).  |x|
+    and then the two factors of that product are each divided by the power
+    of two of their largest entry, and the limit with them: that is exact,
+    and it keeps every product in range.
+    """
+    size = np.abs(x)
+    shift = np.frexp(size.max(axis=-1))[1]
+    size = np.ldexp(size, -shift[:, None])
+    bound = size @ np.abs(anchored).T + eps[:, None] * (size @ np.abs(l1).T)
+    bound += np.ldexp(_ANCHOR, -shift[:, None])
+    inv = np.abs(inv)
+    inv_shift = np.frexp(inv.max(axis=(-2, -1)))[1]
+    bound_shift = np.frexp(bound.max(axis=-1))[1]
+    inv = np.ldexp(inv, -inv_shift[:, None, None])
+    skeel = (inv @ np.ldexp(bound, -bound_shift[:, None])[..., None]).max(axis=(-2, -1))
+    limit = 0.1 / np.finfo(float).eps * size.max(axis=-1)
+    return skeel < np.ldexp(limit, -(inv_shift + bound_shift))
 
 
 def _split(a):
@@ -476,35 +549,27 @@ def _product_error(p, ah, al, bh, bl):
 
 
 def _compensated_residual(x, l0, l1, eps) -> np.ndarray:
-    """-vec(I/3) - (L0 + eps L1 - P) x for a stack x (n, 9), every product
-    and sum error-free and only the sum of their errors rounded (Dot2 of
-    Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 1955 (2005), its sums
-    taken pairwise): as accurate as a sum in twice the working precision.
+    """-vec(I/3) - (L0 + eps L1 - P) x in real coordinates, for a stack x
+    (n, 9) and the real forms ``l0`` and ``l1`` (see :func:`_real_form`),
+    every product and sum error-free and only the sum of their errors
+    rounded (Dot2 of Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 1955
+    (2005), its sums taken pairwise): as accurate as a sum in twice the
+    working precision.
 
-    In real form the residual is M z, M = [-L0 | P | -L1 | -vec(I/3)] and
+    The residual is M z, M = [-L0 | P | -L1 | -vec(I/3)] and
     z = (x, x, eps x, 1); eps x = y + dy exactly, and -L1 dy, of the order
     of the errors, is summed with them.  Only the nonzero entries of each
     row of M take part, zero-padded to a common count."""
-
-    def real(m):  # the real form [[Re, -Im], [Im, Re]] of a complex matrix
-        return np.concatenate(
-            [np.concatenate([m.real, -m.imag], axis=1),
-             np.concatenate([m.imag, m.real], axis=1)]
-        )
-
-    anchor, l1 = real(np.outer(_ANCHOR, _TRACE_ROW).astype(complex)), real(l1)
-    m = np.concatenate(
-        [-real(l0), anchor, -l1, -np.r_[_ANCHOR, np.zeros(9)][:, None]], axis=-1
-    )
-    # column k of the padded rows: (w, 18) entries and their indices into z
+    m = np.concatenate([-l0, _PROJECTOR, -l1, -_ANCHOR[:, None]], axis=-1)
+    # column k of the padded rows: (w, 9) entries and their indices into z
     nonzero = m != 0
     cols = np.argsort(~nonzero, axis=-1, kind="stable").T
     cols = cols[: nonzero.sum(axis=-1).max()]
     m = np.take_along_axis(m, cols.T, axis=-1).T[..., None]
-    xs = np.concatenate([x.real, x.imag], axis=-1).T  # (18, n)
+    xs = x.T  # (9, n)
     y, dy = _two_prod(eps, xs)
     z = np.concatenate([xs, xs, y, np.ones((1, len(eps)))])
-    terms = m * z[cols]  # (w, 18, n)
+    terms = m * z[cols]  # (w, 9, n)
     err = _product_error(terms, *_split(m), *(part[cols] for part in _split(z)))
     err = err.sum(axis=0) - l1 @ dy
     while len(terms) > 1:
@@ -512,8 +577,7 @@ def _compensated_residual(x, l0, l1, eps) -> np.ndarray:
         total, e = _two_sum(terms[:half], terms[half : 2 * half])
         terms = np.concatenate([total, terms[2 * half :]])
         err += e.sum(axis=0)
-    total = terms[0] + err
-    return (total[:9] + 1j * total[9:]).T
+    return (terms[0] + err).T
 
 
 def _population_change(rho, rho0) -> np.ndarray:

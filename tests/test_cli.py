@@ -671,6 +671,20 @@ class TestFigures:
         )
         assert (code, err) == (0, "")
 
+    # every one of fig3a's 150 driven strengths fails at gamma_g = 1e20 (the
+    # unit anchor against rates of 1e20): the message names the first five
+    # and the count instead of all 150
+    def test_many_failing_strengths_named_by_count(self, capsys):
+        code, _, err = run_cli(
+            capsys, "figure", "fig3a", "--set", "figure.gamma_g=1e20"
+        )
+        assert code == 2
+        assert err.startswith("DegenerateSteadyStateError")
+        assert err.rstrip().endswith(
+            "at epsilon, got [1e+18, 2e+18, 3e+18, 4e+18, 5e+18, ...] "
+            "at stack index [0, 1, 2, 3, 4, ...] (150 cells)"
+        )
+
 
 class TestValidateCommand:
     def test_validate_passes(self, capsys):

@@ -327,6 +327,23 @@ class TestBuildLiouvillian:
         ):
             build_liouvillian(equatorial_limit_cycle(1.0, 2.0, detuning))
 
+    # past five failing cells a message names the first five and the count;
+    # up to five it names every one, as before
+    @pytest.mark.parametrize(
+        "failing, message",
+        [
+            (5, r"got \[-1\.0, -2\.0, -3\.0, -4\.0, -5\.0\] at stack index "
+                r"\[0, 1, 2, 3, 4\]$"),
+            (7, r"got \[-1\.0, -2\.0, -3\.0, -4\.0, -5\.0, \.\.\.\] at stack "
+                r"index \[0, 1, 2, 3, 4, \.\.\.\] \(7 cells\)$"),
+        ],
+    )
+    def test_many_failing_cells_named_by_count(self, failing, message):
+        rates = np.r_[-1.0 - np.arange(failing), np.ones(3)]
+        spec = LimitCycleSpec(((SP @ SZ, 1.0), (SM @ SZ, rates)))
+        with pytest.raises(InvalidValueError, match=message):
+            build_liouvillian(spec)
+
     def test_rates_that_do_not_broadcast_rejected(self):
         spec = LimitCycleSpec(
             ((SP @ SZ, np.ones(2)), (SM @ SZ, np.ones(3))), 0.0

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import unittest.mock
+import warnings
 
 import numpy as np
 import pytest
@@ -485,8 +486,9 @@ class TestStackedDrivenState:
         assert np.abs(stack - refs).max() <= REFERENCE_BOUND
 
     # the refinement with its residual compensated in plain double, as where
-    # long double is double: over 900 draws of this domain the error was at
-    # most 1.2e-41 (1.4e-16 with x86-64's clongdouble).  The second example
+    # long double is double, and checked to run that path: over 900 draws of
+    # this domain the error was at most 3.6e-43 (1.3e-15 with x86-64's
+    # np.longdouble).  The second example
     # was 1.0e-12 off when that residual was summed in plain double alone.
     # The last four, at rate ratio 1e300, have rates from 2^996 up, where
     # (2^27 + 1) times a rate overflows unless the split rescales it: they
@@ -507,8 +509,12 @@ class TestStackedDrivenState:
     def test_plain_double_refinement(self, cycle, signal, log_ratio, log_strengths):
         liou, h = build_liouvillian(cycle(10.0**log_ratio)), build_hext(signal)
         strengths = 10.0 ** np.array(log_strengths)
-        with unittest.mock.patch.object(perturbation, "_EXTENDED", complex):
+        compensated = unittest.mock.Mock(wraps=perturbation._compensated_residual)
+        with unittest.mock.patch.multiple(
+            perturbation, _EXTENDED=float, _compensated_residual=compensated
+        ):
             stack = _driven_steady_state(liou, h, strengths)
+        assert compensated.call_count == 1
         refs = _reference_states(liou, h, log_ratio, strengths)
         assert np.abs(stack - refs).max() <= REFERENCE_BOUND
 
@@ -520,25 +526,52 @@ class TestStackedDrivenState:
         import mpmath
 
         liou, h = build_liouvillian(lc), build_hext(DRIVES[1])
-        l0, l1 = liou.full, hamiltonian_superop(h)
+        l0 = perturbation._real_form(liou.full)
+        l1 = perturbation._real_form(hamiltonian_superop(h))
         strengths = np.array([1e-3, 0.7, 1e3])
-        x = vec(_driven_steady_state(liou, h, strengths))
+        x = perturbation._coordinates(_driven_steady_state(liou, h, strengths))
         got = perturbation._compensated_residual(x, l0, l1, strengths)
-        third, diag = 1.0 / 3.0, (0, 4, 8)
+        third, populations = 1.0 / 3.0, range(3)
         with mpmath.workdps(80):
             for xk, eps, rk in zip(x.tolist(), strengths.tolist(), got.tolist()):
                 for i, ri in enumerate(rk):
                     terms = [
-                        -(mpmath.mpc(l0[i, j]) + mpmath.mpf(eps) * mpmath.mpc(l1[i, j]))
-                        * mpmath.mpc(xk[j])
+                        -(mpmath.mpf(l0[i, j]) + mpmath.mpf(eps) * mpmath.mpf(l1[i, j]))
+                        * mpmath.mpf(xk[j])
                         for j in range(9)
                     ]
-                    if i in diag:
-                        terms += [mpmath.mpf(third) * mpmath.mpc(xk[j]) for j in diag]
+                    if i in populations:
+                        terms += [mpmath.mpf(third) * mpmath.mpf(xk[j])
+                                  for j in populations]
                         terms.append(-mpmath.mpf(third))
                     exact = mpmath.fsum(terms)
                     size = sum(abs(t) for t in terms)
                     assert abs(ri - exact) <= 2.0**-51 * abs(exact) + 2.0**-90 * size
+
+    # no overflow warning (an error under this suite's filter) at extreme
+    # rates and strengths, only a state or DegenerateSteadyStateError.  At
+    # rates of 1e300 and a strength of 1e296 the real inverse overflows (the
+    # complex one did not, and its Skeel product overflowed); in the other
+    # two cases |A^-1| times the Skeel bound overflows unless it is formed
+    # on scaled copies
+    @pytest.mark.parametrize(
+        "lc, signal, epsilon",
+        [
+            (cooperativity_limit_cycle(1e300, 1.0, 1.0, 0.3), DRIVES[0], 1e296),
+            (cooperativity_limit_cycle(1e100, 1.0, 1.0, 0.3), DRIVES[0], 1e61),
+            (equatorial_limit_cycle(1.0, 1e300, 0.3), DRIVES[1], 1e17),
+        ],
+        ids=["inverse", "skeel-semiclassical", "skeel-squeezed"],
+    )
+    def test_no_overflow_at_extreme_rates(self, lc, signal, epsilon):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rho = full_steady_state(lc, signal, epsilon)
+            except DegenerateSteadyStateError as err:
+                assert str(err).endswith(f"[{epsilon!r}]")
+            else:
+                assert np.isfinite(rho).all()
 
     # diagonal generators and no drive: the smallest singular value is
     # exactly 0.0 (a kernel, the population of |+1>) or 1.0 (no kernel, and
@@ -619,6 +652,49 @@ class TestStackedDrivenState:
                 one = measure(rho, rho0)
                 assert type(one) is float
                 assert value == one
+
+
+class TestRealForm:
+    # each entry of the real form of every catalog generator and of both
+    # drives' superoperators is, in exact rational arithmetic, the coordinate
+    # of the operator applied to the matrix of one unit coordinate; that
+    # matrix is exactly Hermitian, and so is the operator's image of it
+    @pytest.mark.parametrize("signal", DRIVES, ids=["semiclassical", "squeezed"])
+    @pytest.mark.parametrize("lc", CATALOG, ids=CATALOG_IDS)
+    def test_entries_exact(self, lc, signal):
+        from fractions import Fraction
+
+        def exact(z):
+            return Fraction(z.real), Fraction(z.imag)
+
+        def product(a, b):
+            return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+        mirror = vec(np.arange(9).reshape(3, 3)).real.astype(int)  # (i, j) -> (j, i)
+        for op in (build_liouvillian(lc).full, hamiltonian_superop(build_hext(signal))):
+            form = perturbation._real_form(op)
+            for c, unit in enumerate(np.eye(9)):
+                basis = vec(perturbation._from_coordinates(unit))
+                image = [
+                    tuple(map(sum, zip(*(product(exact(a), exact(b))
+                                         for a, b in zip(row, basis)))))
+                    for row in op
+                ]
+                assert all(image[p] == (image[q][0], -image[q][1])
+                           for p, q in enumerate(mirror))
+                want = [image[p][0] for p in (0, 4, 8, 3, 7, 6)]
+                want += [image[p][1] for p in (3, 7, 6)]
+                assert [Fraction(v) for v in form[:, c]] == want
+
+    def test_coordinates_round_trip(self, rng):
+        x = rng.normal(size=(5, 9)) * 10.0 ** rng.integers(-300, 300, size=(5, 9))
+        rho = perturbation._from_coordinates(x)
+        assert np.array_equal(rho, np.swapaxes(rho, -1, -2).conj())
+        assert np.array_equal(perturbation._coordinates(rho), x)
+        assert np.array_equal(rho.diagonal(axis1=-2, axis2=-1).real, x[:, :3])
+        assert np.array_equal(rho[:, 0, 1], x[:, 3] + 1j * x[:, 6])
+        assert np.array_equal(rho[:, 1, 2], x[:, 4] + 1j * x[:, 7])
+        assert np.array_equal(rho[:, 0, 2], x[:, 5] + 1j * x[:, 8])
 
 
 class TestDeformationMeasures:

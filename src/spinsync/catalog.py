@@ -195,6 +195,7 @@ def equatorial_response_geometry(gamma_g, gamma_d, delta=0.0):
     """Amplitude ratio r and interference angle alpha of the equatorial
     cycle's two single-quantum responses at detuning delta.  Broadcasts over
     numpy arguments; floats for scalars."""
+    _require_positive(gamma_g=gamma_g, gamma_d=gamma_d)
     r = np.sqrt((gamma_g**2 + delta**2) / (gamma_d**2 + delta**2))
     alpha = np.angle(1.0 / ((gamma_g - 1j * delta) * (gamma_d + 1j * delta)))
     return _float_or_array(r), _float_or_array(alpha)

@@ -332,45 +332,62 @@ _BOOL_CELLS = np.array(["false", "true"], dtype=object)
 
 
 def _float_cells(values: np.ndarray) -> list[str]:
-    """repr of each float: the shortest spelling that round-trips, with nan,
-    inf and -inf bare (a long column by the numpy kernel of ``reprs``).  A
-    column that repeats its values (an axis or a broadcast) is spelled once
-    per distinct value."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    """repr of each float of an array of any shape, in row-major order: the
+    shortest spelling that round-trips, with nan, inf and -inf bare (a long
+    column by the numpy kernel of ``reprs``).  A column that repeats its
+    values (a masked tongue's nan, a symmetric grid) is spelled once per
+    distinct value."""
+    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
     # distinct by bit pattern: -0.0 and 0.0 compare equal but spell apart
     bits = values.view(np.uint64)
     if len(bits) > 1:
+        # the sort counts the distinct values; only a column that repeats
+        # pays for the argsort that gives each cell its distinct value
         ordered = np.sort(bits)
-        distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+        first = np.append(True, ordered[1:] != ordered[:-1])
+        distinct = ordered[first]
         if 2 * len(distinct) <= len(bits):
-            spelled = reprs(distinct.view(np.float64))
-            inverse = np.searchsorted(distinct, bits)
-            return np.array(spelled, dtype=object)[inverse].tolist()
+            spelled = np.array(reprs(distinct.view(np.float64)), dtype=object)
+            inverse = np.empty(len(bits), dtype=np.intp)
+            inverse[np.argsort(bits)] = np.cumsum(first) - 1
+            return spelled[inverse].tolist()
     return reprs(values)
 
 
 def _cells(column: np.ndarray) -> list[str]:
-    """CSV spelling of each value of a 1-D column: floats by repr, bools as
-    true/false, anything else by str."""
+    """CSV spelling of each value of a column of any shape, in row-major
+    order: floats by repr, bools as true/false, anything else by str.  A
+    column that repeats its values along zero-stride axes (a grid axis or a
+    broadcast constant) is spelled once per element of its core, the column
+    cut to length 1 along those axes."""
+    if 0 in column.strides:
+        cut = tuple(slice(0, 1) if s == 0 else slice(None) for s in column.strides)
+        core = column[cut]
+        if core.size < column.size:
+            cells = np.array(_cells(core), dtype=object).reshape(core.shape)
+            return np.broadcast_to(cells, column.shape).ravel().tolist()
     kind = column.dtype.kind
     if kind == "f":
         return _float_cells(column)
+    column = column.ravel()
     if kind == "b":
         return _BOOL_CELLS[column.view(np.uint8)].tolist()
     return list(map(str, column.tolist()))
 
 
 def _json_cells(column: np.ndarray) -> list[str]:
-    """JSON spelling of each value of a 1-D real column: the CSV spelling,
-    with non-finite floats as the strings "nan", "inf" and "-inf", strings
-    quoted and masked cells null."""
+    """JSON spelling of each value of a real column of any shape, in
+    row-major order: the CSV spelling, with non-finite floats as the strings
+    "nan", "inf" and "-inf", strings quoted and masked cells null."""
     if np.ma.isMaskedArray(column):
-        unmasked = ~np.ma.getmaskarray(column)
-        cells = np.full(len(column), "null", dtype=object)
-        cells[unmasked] = _json_cells(np.asarray(column)[unmasked])
-        return cells.tolist()
+        unmasked = np.flatnonzero(~np.ma.getmaskarray(column))
+        cells = ["null"] * column.size
+        spelled = _json_cells(np.asarray(column).ravel()[unmasked])
+        for i, cell in zip(unmasked.tolist(), spelled):
+            cells[i] = cell
+        return cells
     if column.dtype.kind == "U":
-        return list(map(json.dumps, column.tolist()))
+        return list(map(json.dumps, column.ravel().tolist()))
     cells = _cells(column)
     if column.dtype.kind == "f":
         for i in np.flatnonzero(~np.isfinite(column)).tolist():
@@ -379,12 +396,14 @@ def _json_cells(column: np.ndarray) -> list[str]:
 
 
 def _table(columns: dict) -> tuple[list[str], list[np.ndarray]]:
-    """Header and 1-D value columns of named columns of equal length, a
-    scalar being a column of one; a complex column is written as
-    ``<name>_re``, ``<name>_im``."""
+    """Header and value columns of named columns of equal size, each of any
+    shape and written in row-major order; a scalar is a column of one and a
+    complex column is written as ``<name>_re``, ``<name>_im``.  A column is
+    kept as given, a broadcast view included, so the writers spell the
+    values it repeats once."""
     header, values = [], []
     for name, column in columns.items():
-        column = np.ravel(column)
+        column = np.atleast_1d(column)
         if np.iscomplexobj(column):
             header += [f"{name}_re", f"{name}_im"]
             values += [column.real, column.imag]
@@ -407,7 +426,7 @@ def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -
     # all in one list: the table is one join. The list is made at its full
     # length, since copying a list this long costs as much as the join.
     step = 2 * len(columns)
-    rows = len(columns[0]) if columns else 0
+    rows = columns[0].size if columns else 0
     body = [","] * (2 + step * rows)
     body[0], body[1] = ",".join(header), "\n"
     for i, column in enumerate(columns):
@@ -417,8 +436,9 @@ def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -
 
 
 class _Rows(NamedTuple):
-    """Table rows for the JSON writer, one per index of the 1-D columns:
-    each a list of cells, or with ``keys`` an object keyed by column name."""
+    """Table rows for the JSON writer, one per element of the columns (of
+    one size, any shape) in row-major order: each a list of cells, or with
+    ``keys`` an object keyed by column name."""
 
     columns: list
     keys: list[str] | None = None
@@ -439,9 +459,17 @@ def _json_elements(array: np.ndarray, level: int) -> list[str]:
     more dimensions, at depth ``level``; a complex number is a [re, im] pair."""
     if array.dtype.kind not in "biufcU":  # objects: one value at a time
         return [_json(value, level) for value in array.tolist()]
-    if np.iscomplexobj(array):
-        array = np.stack((array.real, array.imag), axis=-1)
-    return _nest(_json_cells(array.ravel()), array.shape, level)
+    return _nest(_json_values(array, level + array.ndim - 1), array.shape, level)
+
+
+def _json_values(array: np.ndarray, level: int) -> list[str]:
+    """JSON text of each value of an array of any shape, in row-major order;
+    a complex number is a [re, im] pair at depth ``level``."""
+    if not np.iscomplexobj(array):
+        return _json_cells(array)
+    parts = [""] * (2 * array.size)
+    parts[::2], parts[1::2] = _json_cells(array.real), _json_cells(array.imag)
+    return _nest(parts, (array.size, 2), level)
 
 
 def _nest(cells: list[str], shape: tuple[int, ...], level: int) -> list[str]:
@@ -453,7 +481,7 @@ def _nest(cells: list[str], shape: tuple[int, ...], level: int) -> list[str]:
 
 
 def _json_rows(rows: _Rows, level: int) -> str:
-    cells = [_json_elements(column, level + 2) for column in rows.columns]
+    cells = [_json_values(column, level + 2) for column in rows.columns]
     opening, closing = "[]"
     if rows.keys is not None:
         opening, closing = "{}"
@@ -557,12 +585,12 @@ def cmd_sync(args) -> int:
     }
     # a column that does not vary over an axis is repeated along it
     shape = tuple(len(values) for _, values in axes)
-    columns = {k: np.broadcast_to(v, shape).ravel() for k, v in columns.items()}
+    columns = {k: np.broadcast_to(v, shape) for k, v in columns.items()}
     if args.format == "json":
         if axes:
             fields = {"rows": _Rows(list(columns.values()), list(columns))}
         else:
-            fields = {name: column[0] for name, column in columns.items()}
+            fields = {name: column[()] for name, column in columns.items()}
         _write_json(args.out, {"command": "sync", "config": cfg} | fields)
     else:
         _write_csv(args.out, *_table(columns))
@@ -590,7 +618,7 @@ def cmd_perturb(args) -> int:
 def _tongue_columns(grid: TongueGrid, detunings, strengths) -> dict:
     """One row per cell of the tongue, strengths outermost, with the axis
     values as given."""
-    detuning, strength = np.meshgrid(detunings, strengths)
+    detuning, strength = np.meshgrid(detunings, strengths, copy=False)
     return {
         "detuning": detuning,
         "epsilon": strength,
@@ -733,7 +761,7 @@ def _figure_forcing(*, gamma_g=1.0, gamma_ratio, eta=0.1):
         "epsilon": strengths,
         "p_avg": p_avg(states, rho0),
         "p_max": p_max(states, rho0),
-        "epsilon_max": np.full(len(strengths), eps_eta),
+        "epsilon_max": np.broadcast_to(eps_eta, strengths.shape),
         "forcing": strengths > eps_eta,
     }
     return [("", *_table(columns))]
@@ -749,7 +777,7 @@ def _figure_fig4(*, gamma_g=1.0, gamma_ratio=1000.0):
     sig = SignalSpec(1.0, 1.0 / SQRT2, taus[:, None] / SQRT2)
     sig = _align_on_maps(map1, map2, sig)
     res = _measure(pops, _apply_maps(map1, map2, sig), 1.0)
-    delta, tau = np.meshgrid(detunings, taus, indexing="ij")
+    delta, tau = np.meshgrid(detunings, taus, indexing="ij", copy=False)
     tau_opt = vdp_optimal_squeeze_ratio(gamma_g, gd, detunings)
     columns = {
         "detuning": delta,
@@ -773,7 +801,7 @@ def _figure_fig5(*, gamma_g=1.0, gamma_ratio=100.0):
     )
     # zetas down the rows of the grid, squeezing ratios along them
     r10, r0m1 = r10[:, None], r0m1[:, None]
-    zeta, tau = np.meshgrid(zetas, taus, indexing="ij")
+    zeta, tau = np.meshgrid(zetas, taus, indexing="ij", copy=False)
     vals = sync_from_coherences(pops, (r10, r0m1, abs(map2) * taus / SQRT2), 1.0)
     tau_best = catalog.stationary_squeeze_ratio(r10, r0m1, map2)
     columns = {
@@ -796,7 +824,7 @@ def _figure_fig6(*, gamma_g=1.0, gamma_d=None):
     gd = gamma_g if gamma_d is None else gamma_d
     zetas = np.linspace(0.0, 0.5 * math.pi, 91)
     chis = np.linspace(0.0, 2.0 * math.pi, 181)
-    zeta, chi = np.meshgrid(zetas, chis, indexing="ij")
+    zeta, chi = np.meshgrid(zetas, chis, indexing="ij", copy=False)
     vals = catalog.equatorial_sync_closed(zeta, chi, gamma_g, gd, 0.0, 1.0)
     return [("", *_table({"zeta": zeta, "chi": chi, "S_over_eta": vals}))]
 
@@ -805,7 +833,7 @@ def _figure_fig7(*, gamma_g=1.0, gamma_ratios=(1.0, 100.0, 10000.0)):
     deltas = np.logspace(-2, 4, 181) * gamma_g
     # rate ratios down the rows of the grid, detunings along them
     gd = gamma_g * np.array(gamma_ratios)[:, None]
-    ratio, delta = np.meshgrid(gamma_ratios, deltas, indexing="ij")
+    ratio, delta = np.meshgrid(gamma_ratios, deltas, indexing="ij", copy=False)
     columns = {
         "gamma_ratio": ratio,
         "delta": delta,
@@ -820,7 +848,7 @@ def _figure_fig8app(*, gamma_g=1.0, gamma_ratio=100.0, r_values=(0.5, 2.5, 4.0, 
     liou = build_liouvillian(catalog.vdp_limit_cycle(gamma_g, gamma_g * gamma_ratio))
     signals = [SignalSpec(r, 1.0 / SQRT2, 0j) for r in r_values]
     curves = _pmax_curves(liou, signals, strengths)
-    r, eps = np.meshgrid(r_values, strengths, indexing="ij")
+    r, eps = np.meshgrid(r_values, strengths, indexing="ij", copy=False)
     return [("", *_table({"r": r, "epsilon": eps, "p_max": curves}))]
 
 
@@ -851,7 +879,8 @@ def figure_datasets(
     fig_id: str, cfg: dict
 ) -> list[tuple[str, list[str], list[np.ndarray]]]:
     """Gridded dataset(s) for a named figure from its ``figure`` config
-    section; suffix, header, 1-D columns."""
+    section; suffix, header, columns (of one size, any shape, cells in
+    row-major order)."""
     dataset = _figure(fig_id)
     kwargs = _section_args(f"figure {fig_id}", dataset, cfg)
     if "eta" in kwargs:

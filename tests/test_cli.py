@@ -1151,6 +1151,28 @@ def tables(draw, parts=FLOATS):
     return columns
 
 
+@st.composite
+def grid_tables(draw):
+    """Columns over one grid of 1-3 axes as the producers hand them over:
+    each a broadcast view with zero strides on a drawn subset of the axes,
+    some transposed, and a scalar in a table of one cell."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    names = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True)
+    columns = {}
+    for name in draw(names):
+        transposed = draw(st.booleans())
+        view_shape = shape[::-1] if transposed else shape
+        flags = st.lists(st.booleans(), min_size=len(shape), max_size=len(shape))
+        repeated = draw(flags)
+        core = tuple(1 if r else n for r, n in zip(repeated, view_shape))
+        values = draw(column_of(math.prod(core))).reshape(core)
+        view = np.broadcast_to(values, view_shape)
+        columns[name] = view.T if transposed else view
+    if math.prod(shape) == 1:
+        columns["scalar"] = draw(FLOATS | st.booleans())
+    return columns
+
+
 ARRAYS = st.one_of(
     st.integers(0, 4).flatmap(
         lambda n: column_of(n, FINITE).map(
@@ -1303,6 +1325,48 @@ class TestColumnWriters:
     def test_csv_matches_per_cell_writer(self, columns):
         expected = old_csv(*old_table(columns))
         assert stdout_of(cli._write_csv, *cli._table(columns)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_tables())
+    def test_broadcast_views_match_per_cell_writers(self, columns):
+        expected = old_csv(*old_table(columns))
+        header, values = cli._table(columns)
+        assert stdout_of(cli._write_csv, header, values) == expected
+        rows = [list(row) for row in zip(*(np.ravel(v).tolist() for v in values))]
+        text = stdout_of(cli._write_json, {"rows": cli._Rows(values)})
+        assert text == old_json({"rows": rows})
+        # keyed by name, complex columns as [re, im] pairs: a view writes
+        # what its contiguous copy writes
+        views = {name: np.asarray(column) for name, column in columns.items()}
+        copies = [np.array(column).ravel() for column in views.values()]
+        keyed = cli._Rows(list(views.values()), list(views))
+        text = stdout_of(cli._write_json, {"rows": keyed})
+        copied = cli._Rows(copies, list(views))
+        assert text == stdout_of(cli._write_json, {"rows": copied})
+
+    def test_grid_axes_spelled_once_per_value(self, tmp_path, capsys, monkeypatch):
+        # a tongue's axis and boundary columns repeat 161 or 201 values over
+        # its 32361 cells; only its measure columns are spelled cell by cell
+        sizes = []
+        float_cells = cli._float_cells
+
+        def spy(values):
+            sizes.append(np.size(values))
+            return float_cells(values)
+
+        monkeypatch.setattr(cli, "_float_cells", spy)
+        axes = [
+            {"name": "detuning", "min": -15.0, "max": 15.0, "points": 161},
+            {"name": "epsilon", "min": 0.0, "max": 1.5, "points": 201},
+        ]
+        scenario = {"name": "equatorial", "gamma_g": 1.0, "gamma_d": 300.0}
+        cfg = write_config(tmp_path, {**EQUATORIAL, "scenario": scenario, "sweep": axes})
+        code, out, _ = run_cli(capsys, "tongue", "--config", cfg)
+        cells = 161 * 201
+        assert code == 0
+        assert out.count("\n") == 1 + cells
+        # detuning, epsilon, S, S_over_eta, epsilon_max
+        assert sizes == [161, 201, cells, cells, 161]
 
     @pytest.mark.parametrize("repeats", [1, 3])
     def test_csv_edge_values(self, repeats):
@@ -1557,6 +1621,21 @@ class TestUserErrors:
         code, _, err = run_cli(capsys, *argv, "--config", cfg)
         assert code == 2
         assert err == f"ConfigError: {message}\n"
+
+    # fig6 leaked a ZeroDivisionError at a zero rate and wrote a table at a
+    # negative one
+    @pytest.mark.parametrize(
+        "key, value",
+        [("gamma_d", "0"), ("gamma_g", "0"), ("gamma_d", "-1")],
+    )
+    def test_fig6_rejects_bad_rates(self, capsys, key, value):
+        argv = ["figure", "fig6", "--set", f"figure.{key}={value}"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"InvalidValueError: {key} must be positive and finite, "
+            f"got [{float(value)!r}]\n"
+        )
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [EQUATORIAL])

@@ -12,6 +12,13 @@ fixed layouts and are never searched.  The digits are laid out in one byte
 buffer, decoded once and split once.  Values the double-double cannot
 decide are left to ``repr``: a rounding bound or a tie within ``_MARGIN``
 of y, and magnitudes outside (_TINY, _HUGE).
+
+The kernel reads four tables, each built once per process on first use and
+read with one gather per block: ``_powers``, 10**(16 - k) for every k it
+meets as a double-double whose high part is already split in Veltkamp
+halves (built from exact integers in about 1 ms); ``_by_k``, the layout
+form and exponent of each k; ``_templates``, the row of each layout; and
+``_parts``, the characters of four digits, a first digit or an exponent.
 """
 
 from __future__ import annotations
@@ -21,9 +28,10 @@ import functools
 import numpy as np
 
 # Columns shorter than this are spelled one value at a time: the kernel's
-# fixed cost of some seventy numpy calls (about 0.25 ms) matches repr's
-# ~0.9 us a value at 400-550 random values, and from 1024 on the kernel is
-# 1.5-2.2x faster (2-core x86-64 host, numpy 2.4, medians of 201 calls).
+# fixed cost of about 0.1 ms matches repr's ~0.65 us a value at 250-320
+# random values, and from 1024 on the kernel is 2.1-2.3x faster (2-core
+# x86-64 host, numpy 2.4, medians of 201 paired calls). The sweeps' and
+# forcing figures' columns, 48-484 values, stay with repr.
 _KERNEL_MIN = 1024
 # A long column is spelled a block at a time, which keeps the kernel's
 # temporaries small beside the cells it returns.
@@ -39,6 +47,13 @@ _MARGIN = 1e-6
 
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 _SPLIT = 2.0**27 + 1.0  # Veltkamp's constant for 53-bit doubles
+_EXPONENT_BITS = np.uint64(0x7FF0000000000000)
+
+# The decimal exponents k that the tables below hold, by k - _K_MIN: those
+# of (_TINY, _HUGE) with one to spare either side for log10's rounding and a
+# carry, then two that stand for inf and nan.
+_K_MIN, _K_MAX = -282, 281
+_K_INF, _K_NAN = _K_MAX + 1, _K_MAX + 2
 
 # One output row of six 64-bit words: sign, the "0.000" of 1e-4 <= |x| < 0.1,
 # 17 digits with a possible '.' after each of the first 16, the '0' of
@@ -47,7 +62,7 @@ _ROW = np.frombuffer(b"-0.000" + b"0." * 16 + b"0" + b"0e+000 \0\0", dtype=np.ui
 _DIGITS = slice(6, 39, 2)
 _POINTS = slice(7, 39, 2)
 _EXPONENT = slice(42, 45)
-# A row's layout depends on its sign, digit count and form. Forms 0..19 are
+# A row's layout depends on its form, sign and digit count. Forms 0..19 are
 # fixed notation at k = -4..15; 20..23 are scientific with a '+' or '-'
 # exponent of two or three digits, spelled here at these k; then inf and nan.
 _FORM_K = np.append(np.arange(-4, 16), [16, 100, -5, -100])
@@ -55,7 +70,6 @@ _INF, _NAN = len(_FORM_K), len(_FORM_K) + 1
 _FORMS = len(_FORM_K) + 2
 
 
-@functools.cache
 def _pow10(e: int) -> tuple[float, float]:
     """10**e as a double-double (hi, lo), from exact integer arithmetic."""
     if e >= 0:
@@ -66,6 +80,24 @@ def _pow10(e: int) -> tuple[float, float]:
     hi = 1 / denominator
     num, den = hi.as_integer_ratio()
     return hi, (den - num * denominator) / (den * denominator)
+
+
+@functools.cache
+def _powers() -> np.ndarray:
+    """10**(16 - k) for each k of _K_MIN.._K_MAX, a row by k - _K_MIN: hi
+    and lo of the double-double hi + lo, then hi's Veltkamp halves."""
+    hi, lo = np.array([_pow10(16 - k) for k in range(_K_MIN, _K_MAX + 1)]).T
+    return np.stack([hi, lo, *_split(hi)], axis=1)
+
+
+@functools.cache
+def _by_k() -> np.ndarray:
+    """For each k of _K_MIN.._K_NAN, by k - _K_MIN: its form's first layout
+    number less one, and the index of its exponent in _parts()."""
+    k = np.arange(_K_MIN, _K_NAN + 1)
+    form = np.where((k >= -4) & (k < 16), k + 4, 20 + 2 * (k < 0) + (np.abs(k) >= 100))
+    form[k == _K_INF], form[k == _K_NAN] = _INF, _NAN
+    return np.stack([2 * 17 * form - 1, np.abs(k) + 10010])
 
 
 @functools.cache
@@ -89,23 +121,21 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scaled(x: np.ndarray, k: np.ndarray):
-    """x * 10**(16 - k) as s + t (s the rounded product), and 10**(16 - k)
+    """x * 10**(16 - k) as y + f, y an int64 and f in [0, 1], and 10**(16 - k)
     rounded to a double."""
-    e10 = 16 - k
-    first = int(e10.min())
-    hi, lo = zip(*[_pow10(e) for e in range(first, int(e10.max()) + 1)])
-    p_hi, p_lo = np.take(hi, e10 - first), np.take(lo, e10 - first)
+    p_hi, p_lo, p_hi_hi, p_hi_lo = np.take(_powers(), k - _K_MIN, axis=0).T
     s = x * p_hi
     x_hi, x_lo = _split(x)
-    p_hi_hi, p_hi_lo = _split(p_hi)
     # Dekker's two-product: s + err is x * p_hi exactly
     err = ((x_hi * p_hi_hi - s) + x_hi * p_hi_lo + x_lo * p_hi_hi) + x_lo * p_hi_lo
-    return s, err + x * p_lo, p_hi
+    t = err + x * p_lo
+    floor_t = np.floor(t)
+    return s.astype(np.int64) + floor_t.astype(np.int64), t - floor_t, p_hi
 
 
-def _outside(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where s + t lies below 1e16 and where at or above 1e17."""
-    return (s < 1e16) | ((s == 1e16) & (t < 0)), (s > 1e17) | ((s == 1e17) & (t >= 0))
+def _outside(y: np.ndarray) -> np.ndarray:
+    """Where the integer y lies outside [1e16, 1e17): one unsigned compare."""
+    return (y - _POW10[16]).view(np.uint64) >= np.uint64(9 * 10**16)
 
 
 def _shortest(x: np.ndarray):
@@ -116,61 +146,70 @@ def _shortest(x: np.ndarray):
     certified; elsewhere the other three are meaningless.
     """
     k = np.floor(np.log10(x)).astype(np.int64)
-    s, t, p = _scaled(x, k)
+    y, f, p = _scaled(x, k)
     # log10 can round across a power of ten: move k by one there
-    low, high = _outside(s, t)
-    moved = np.flatnonzero(low | high)
+    moved = np.flatnonzero(_outside(y))
     if moved.size:
-        k[moved] += high[moved].astype(np.int64) - low[moved]
-        s[moved], t[moved], p[moved] = _scaled(x[moved], k[moved])
-    low, high = _outside(s, t)
-    ok = ~(low | high)
-    s[~ok], t[~ok] = 1e16, 0.0
-    floor_t = np.floor(t)
-    y_int = s.astype(np.int64) + floor_t.astype(np.int64)
-    f = t - floor_t  # y = y_int + f, f in [0, 1]
+        k[moved] += np.where(y[moved] < _POW10[16], -1, 1)
+        y[moved], f[moved], p[moved] = _scaled(x[moved], k[moved])
+        moved = moved[_outside(y[moved])]
+        y[moved], f[moved] = _POW10[16], 0.0
     # the rounding interval [y - h_lo, y + h]: half an ulp of x either side,
     # a quarter below a power of two. Its width lies between 1.1 and 23.
     bits = x.view(np.uint64)
-    h = np.ldexp(p, (bits >> np.uint64(52)).astype(np.int64) - 1076)
-    h_lo = np.where(bits & np.uint64(2**52 - 1) == 0, 0.5 * h, h)
-    up, down = f + h, f - h_lo
-    ok &= (np.abs(up - np.round(up)) > _MARGIN) & (np.abs(down - np.round(down)) > _MARGIN)
-    top = y_int + np.floor(up).astype(np.int64)
-    bottom = y_int + np.ceil(down).astype(np.int64)
-    # j: the largest power of ten with a multiple in [bottom, top], and the
-    # quotients of the interval's ends by 10**j; only the rows with a
-    # multiple of 10**(p - 1) inside can have one of 10**p
-    below = bottom - 1
-    j = np.zeros(len(x), dtype=np.int64)
-    rows = np.arange(len(x))
-    for power in range(1, 18):
-        rows = rows[top[rows] // _POW10[power] != below[rows] // _POW10[power]]
-        if not rows.size:
-            break
-        j[rows] = power
-    highest, lowest = top // _POW10[j], below // _POW10[j] + 1
-    # Of the multiples inside, the one nearest y. Two or more lie inside
-    # only for j <= 1, where the float distance past their midpoint is exact.
-    tens = j > 0
-    q = np.where(tens, y_int // 10, y_int)
-    past_half = (y_int - np.where(tens, 10 * q, q)) + f - np.where(tens, 5.0, 0.5)
-    several = lowest < highest
-    ok &= ~several | (np.abs(past_half) > _MARGIN)
-    nearest = np.where(several, np.clip(q + (past_half > 0), lowest, highest), highest)
-    digits = nearest * _POW10[j]
-    # a multiple of 1e17 is the next power of ten, one digit long
-    carry = digits == _POW10[17]
-    digits[carry] = _POW10[16]
-    return digits, np.maximum(17 - j, 1), k + carry, ok
+    exponent = bits & _EXPONENT_BITS  # x rounded down to a power of two
+    # half an ulp of x is 2**-53 of that, a normal double here
+    h = p * (exponent - np.uint64(53 << 52)).view(np.float64)
+    up, down = f + h, f - h
+    powers_of_two = np.flatnonzero(exponent == bits)
+    down[powers_of_two] = f[powers_of_two] - 0.5 * h[powers_of_two]
+    sure = (np.abs(up - np.rint(up)) > _MARGIN) & (np.abs(down - np.rint(down)) > _MARGIN)
+    sure[moved] = False
+    # the integers inside: y + ceil(down) .. y + floor(up)
+    floor_up, ceil_down = np.floor(up), np.ceil(down)
+    # Of the multiples of 10**j inside, the one nearest y, j the largest
+    # power of ten with a multiple inside. Two or more lie inside only for
+    # j <= 1, where the float distance past their midpoint is exact. At
+    # j = 0 that is the integer nearest y, a tie (f = 0.5) rounding down.
+    digits = y + np.minimum(np.maximum(np.rint(f), ceil_down), floor_up).astype(np.int64)
+    ok = sure & ((ceil_down >= floor_up) | (np.abs(f - 0.5) > _MARGIN))
+    count = np.full(len(x), 17)
+    # j > 0 only in the rows with a multiple of ten inside, and the rows
+    # with a multiple of 10**(p - 1) inside are those that can have one of
+    # 10**p: each division by ten adds one to j where the ends still differ
+    top, below = y + floor_up.astype(np.int64), y + (ceil_down - 1).astype(np.int64)
+    last, first = top // 10, below // 10
+    tens = np.flatnonzero(last != first)
+    if tens.size:
+        last, first = last[tens], first[tens]
+        j = np.ones(len(tens), dtype=np.int64)
+        for _ in range(2, 18):
+            last, first = last // 10, first // 10
+            more = last != first
+            if not more.any():
+                break
+            j += more
+        # the interval's first and last multiple of 10**j, over 10**j
+        y, ten_j = y[tens], _POW10[j]
+        highest, lowest = top[tens] // ten_j, below[tens] // ten_j + 1
+        q = y // 10
+        past_half = (y - 10 * q) + f[tens] - 5.0
+        ok[tens] = sure[tens] & ((lowest >= highest) | (np.abs(past_half) > _MARGIN))
+        nearest = np.clip(q + (past_half > 0), lowest, highest) * ten_j
+        # a multiple of 1e17 is the next power of ten, one digit long
+        carry = nearest == _POW10[17]
+        nearest[carry] = _POW10[16]
+        digits[tens], count[tens] = nearest, np.maximum(17 - j, 1)
+        k[tens[carry]] += 1
+    return digits, count, k, ok
 
 
 @functools.cache
 def _templates() -> np.ndarray:
     """Each layout's row as six words: its characters, 0xff at the digits
     it shows and zero bytes at what it drops. Layout number
-    (negative * 17 + count - 1) * _FORMS + form."""
-    negative, count, form = np.indices((2, 17, _FORMS)).reshape(3, -1)
+    (form * 2 + negative) * 17 + count - 1."""
+    form, negative, count = np.indices((_FORMS, 2, 17)).reshape(3, -1)
     count += 1
     k = _FORM_K[np.minimum(form, _INF - 1)]
     fixed = form < 20
@@ -198,18 +237,25 @@ def _templates() -> np.ndarray:
     return rows.view(np.uint64)
 
 
-def _layout(negative, digits, count, k, form) -> list[str]:
+def _layout(negative, digits, count, k) -> list[str]:
     """The text of each value: its layout's row with its digits and its
     exponent filled in."""
-    rows = np.take(_templates(), (negative * 17 + count - 1) * _FORMS + form, axis=0)
-    lead = digits // _POW10[16]
-    rest = digits - lead * _POW10[16]
-    upper = rest // _POW10[8]
-    lower = rest - upper * _POW10[8]
-    upper_hi, lower_hi = upper // 10000, lower // 10000
-    parts = [lead + 10000, upper_hi, upper - 10000 * upper_hi, lower_hi,
-             lower - 10000 * lower_hi, np.abs(k) + 10010]
-    rows &= _parts()[np.stack(parts, axis=1)]
+    first_layout, exponent = np.take(_by_k(), k - _K_MIN, axis=1)
+    rows = np.take(_templates(), first_layout + 17 * negative + count, axis=0)
+    # word 0 takes the first digit and words 1..4 four digits each, a word
+    # at a time: one contiguous gather per word
+    words = _parts()
+    upper = digits // _POW10[8]  # the first nine digits
+    lower = digits - upper * _POW10[8]
+    head = upper // 10000  # the first five
+    lead = head // 10000
+    rows[:, 0] &= np.take(words, lead + 10000)
+    rows[:, 1] &= np.take(words, head - 10000 * lead)
+    rows[:, 2] &= np.take(words, upper - 10000 * head)
+    head = lower // 10000
+    rows[:, 3] &= np.take(words, head)
+    rows[:, 4] &= np.take(words, lower - 10000 * head)
+    rows[:, 5] &= np.take(words, exponent)
     # the dropped characters are zero bytes: delete them all at once
     cells = rows.tobytes().translate(None, b"\0").decode("ascii").split(" ")
     del cells[-1]  # after the last separator
@@ -224,17 +270,18 @@ def _spell(values: np.ndarray) -> list[str]:
         digits, count, k, ok = _shortest(magnitude)
     else:
         # the digit search runs on the cells that have digits; every other
-        # cell keeps the one digit 0 at k = 0, which is how zero is spelled
+        # cell keeps the one digit 0 at k = 0, which is how zero is spelled,
+        # or the k that stands for inf or nan. Those three need no check;
+        # the out-of-range magnitudes are left to repr.
         digits, k = np.zeros((2, len(values)), dtype=np.int64)
         count = np.ones(len(values), dtype=np.int64)
-        ok = np.zeros(len(values), dtype=bool)
+        k[np.isinf(values)], k[np.isnan(values)] = _K_INF, _K_NAN
+        ok = ~((magnitude > 0) & (magnitude < np.inf))
         if fit.any():
-            digits[fit], count[fit], k[fit], ok[fit] = _shortest(magnitude[fit])
-    form = np.where((k >= -4) & (k < 16), k + 4, 20 + 2 * (k < 0) + (np.abs(k) >= 100))
-    form[np.isinf(values)] = _INF
-    form[np.isnan(values)] = _NAN
-    cells = _layout(np.signbit(values), digits, count, k, form)
-    rest = np.flatnonzero(~(ok | (magnitude == 0) | (form >= _INF)))
+            rows = np.flatnonzero(fit)
+            digits[rows], count[rows], k[rows], ok[rows] = _shortest(magnitude[rows])
+    cells = _layout(np.signbit(values), digits, count, k)
+    rest = np.flatnonzero(~ok)
     if rest.size:
         # by repr, once per bit pattern
         distinct, inverse = np.unique(values[rest].view(np.uint64), return_inverse=True)

@@ -94,6 +94,16 @@ def _float_or_array(value):
 #: the most failing cells an error message names one by one
 _NAMED_CELLS = 5
 
+#: the smallest positive rate: the smallest normal double
+_SMALLEST_RATE = float(np.finfo(float).tiny)
+#: a generator whose entries are bounded below this cannot overflow
+_SAFE_BOUND = 2.0**1020
+
+
+def _largest(value) -> float:
+    """The largest modulus of a float or of a float array."""
+    return abs(value) if isinstance(value, float) else float(np.abs(value).max())
+
 
 def _where(bad: np.ndarray, values=None) -> str:
     """The ``values`` that failed a check (mask ``bad``) and, for a stack, the
@@ -187,6 +197,11 @@ def sector_of(op: np.ndarray, rel_tol: float = 1e-14) -> int:
     largest) occupy two or more diagonals, and ``ValueError`` for the zero
     matrix or a non-finite entry.
     """
+    return _sector_and_scale(op, rel_tol)[0]
+
+
+def _sector_and_scale(op: np.ndarray, rel_tol: float = 1e-14) -> tuple[int, float]:
+    """:func:`sector_of` and the largest modulus of an entry of ``op``."""
     op = np.asarray(op, dtype=complex)
     if op.shape != (3, 3):
         raise InvalidValueError(f"expected a 3x3 operator, got shape {op.shape}")
@@ -203,7 +218,7 @@ def sector_of(op: np.ndarray, rel_tol: float = 1e-14) -> int:
             f"operator occupies sectors {np.unique(sectors).tolist()}; a "
             "limit-cycle dissipator must live on a single diagonal"
         )
-    return int(lo)
+    return int(lo), scale
 
 
 def dissipator_apply(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -267,21 +282,49 @@ def build_liouvillian(spec: LimitCycleSpec) -> Liouvillian:
     Validates the spec: every dissipator must have a single well-defined
     sector (:class:`MixedSectorError` otherwise) and finite nonnegative
     rates, with at least one rate positive in every cell, and the detuning
-    must be finite.  A failure in a stack names the failing cells.
+    must be finite.  A positive rate must be a normal double, at least
+    ``np.finfo(float).tiny``: the sector solves divide each block row by
+    its largest entry, which overflows at a subnormal rate.  The generator
+    must be finite, which bounds the rates and the detuning from above.  A
+    failure in a stack names the failing cells.
     """
     positive = np.zeros(spec.shape, dtype=bool)
+    # a bound on the modulus of every entry of the generator, from
+    # |D[O]| <= 4 max|O|^2 and |k delta| <= 2 |delta|
+    bound = 0.0
     for op, rate in spec.dissipators:
-        bad = ~(np.isfinite(rate) & (rate >= 0.0))
+        bad = ~(np.isfinite(rate) & ((rate >= _SMALLEST_RATE) | (rate == 0.0)))
         if bad.any():
-            raise InvalidValueError("rates must be finite and >= 0" + _where(bad, rate))
-        sector_of(op)
+            subnormal = np.greater(rate, 0.0) & np.less(rate, _SMALLEST_RATE)
+            if (bad & ~subnormal).any():
+                where = _where(bad & ~subnormal, rate)
+                raise InvalidValueError("rates must be finite and >= 0" + where)
+            raise InvalidValueError(
+                f"a positive rate must be at least {_SMALLEST_RATE!r}, the smallest "
+                "normal double" + _where(subnormal, rate)
+            )
+        scale = _sector_and_scale(op)[1]
         positive |= rate > 0.0
+        bound += 4.0 * scale * scale * _largest(rate)
     if not positive.all():
         raise InvalidValueError("limit cycle needs a positive rate" + _where(~positive))
     bad = ~np.isfinite(spec.detuning)
     if bad.any():
         raise InvalidValueError("detuning must be finite" + _where(bad, spec.detuning))
-    gen = _generator(spec, _BLOCKS)
+    bound += 2.0 * _largest(spec.detuning)
+    if bound < _SAFE_BOUND:
+        gen = _generator(spec, _BLOCKS)
+    else:
+        # some entry may overflow: build without warnings, then name the
+        # cells that did (ufuncs run slower under np.errstate, so the usual
+        # build stays outside it)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gen = _generator(spec, _BLOCKS)
+        bad = ~np.isfinite(gen).all(axis=(-2, -1))
+        if bad.any():
+            raise InvalidValueError(
+                "rates or detuning too large: the generator overflows" + _where(bad)
+            )
     return Liouvillian(
         spec=spec,
         diag_block=gen[..., :3, :3].real.copy(),

@@ -1,4 +1,5 @@
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -879,12 +880,27 @@ def _assert_same_outputs(one, other, k_eps):
 
 
 SCALE_EXPONENTS = st.integers(min_value=-900, max_value=900)
-# three tones, each zero or of modulus 1e-3 to 1 at any phase
+# the smallest tone part drawn: a normal double, and still one at 2^-900
+SMALLEST_PART = math.ldexp(sys.float_info.min, 900)
+
+
+def _tone(modulus: float, phase: float) -> complex:
+    """The tone of a modulus and a phase, with a part below SMALLEST_PART
+    (the imaginary part at a phase within about 1e-37 of zero) drawn as
+    zero."""
+    tone = modulus * complex(math.cos(phase), math.sin(phase))
+    parts = (x if abs(x) >= SMALLEST_PART else 0.0 for x in (tone.real, tone.imag))
+    return complex(*parts)
+
+
+# three tones, each zero or of modulus 1e-3 to 1 at any phase, with each
+# part zero or at least SMALLEST_PART
 TONES = st.lists(
-    st.tuples(
+    st.builds(
+        _tone,
         st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)),
         st.floats(min_value=0.0, max_value=2.0 * math.pi),
-    ).map(lambda p: p[0] * complex(math.cos(p[1]), math.sin(p[1]))),
+    ),
     min_size=3,
     max_size=3,
 ).filter(any)
@@ -901,7 +917,15 @@ class TestScaleInvariance:
     """S depends on the limit cycle and the signal only through ratios: the
     outputs stay bit for bit the same when every rate and the detuning, or
     every tone, are multiplied by a power of two far beyond the range where
-    squares of the rates or of the first-order response stay normal."""
+    squares of the rates or of the first-order response stay normal.
+
+    Precondition: each nonzero real or imaginary part of a tone is a normal
+    double, and stays one times 2^-900, the smallest factor drawn.  A
+    subnormal part, or a product of a part with a scaled response that falls
+    below the normal range, keeps fewer bits than the rest and does not
+    scale bit for bit: a tone of 0.75 + 8.3e-309j moved ``eps_max`` in its
+    last bits under rates times 2^43, and masked one tongue cell on one side
+    only under 2^44; a part of 1e-60 fails the same way at 2^900."""
 
     @staticmethod
     def _axes(lc, signal):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import inspect
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1239,6 +1241,17 @@ def edge_column() -> np.ndarray:
     return np.concatenate([column, -column])
 
 
+@functools.cache
+def equatorial_tongue() -> np.ndarray:
+    """The measure over a 161 x 201 tongue of the equatorial cycle at gamma_d
+    = 300, masked cells nan: 32361 values, half of them masked."""
+    lc = catalog.equatorial_limit_cycle(1.0, 300.0)
+    detunings, strengths = np.linspace(-15, 15, 161), np.linspace(0, 1.5, 201)
+    values = arnold_tongue(lc, semiclassical(0.0), detunings, strengths).value.ravel()
+    values.flags.writeable = False
+    return values
+
+
 class TestColumnWriters:
     """The column writers spell every value as the per-cell writers did."""
 
@@ -1258,11 +1271,39 @@ class TestColumnWriters:
     def test_kernel_matches_repr(self, values):
         assert _floatrepr._spell(np.array(values, dtype=float)) == list(map(repr, values))
 
+    def test_power_table_is_double_double(self):
+        # each row: 10**(16 - k) as hi + lo, and hi in Veltkamp halves whose
+        # products with the halves of a double are exact
+        table = _floatrepr._powers()
+        assert len(table) == _floatrepr._K_MAX - _floatrepr._K_MIN + 1
+        for k, (hi, lo, hi_hi, hi_lo) in enumerate(table.tolist(), start=_floatrepr._K_MIN):
+            exact = Fraction(10) ** (16 - k)
+            assert abs(exact - Fraction(hi)) <= Fraction(math.ulp(hi)) / 2
+            assert abs(exact - Fraction(hi) - Fraction(lo)) <= Fraction(math.ulp(lo)) / 2
+            assert hi_hi + hi_lo == hi
+            for half in (hi_hi, hi_lo):
+                # its significand: the numerator without its trailing zero bits
+                numerator = abs(half.as_integer_ratio()[0])
+                assert numerator == 0 or (numerator // (numerator & -numerator)).bit_length() <= 26
+
+    @pytest.mark.parametrize(
+        "length",
+        [_floatrepr._BLOCK - 1, _floatrepr._BLOCK + 1, 3 * _floatrepr._BLOCK + 1],
+    )
+    @pytest.mark.parametrize("kind", ["linspace", "logspace", "round", "tongue"])
+    def test_kernel_matches_repr_across_blocks(self, kind, length):
+        column = {
+            "linspace": lambda: np.linspace(-15.0, 15.0, length),
+            "logspace": lambda: np.logspace(-3.0, 3.0, length),
+            "round": lambda: np.arange(length) / 8.0,
+            "tongue": lambda: equatorial_tongue()[:length],
+        }[kind]()
+        assert len(column) == length
+        assert _floatrepr.reprs(column) == list(map(repr, column.tolist()))
+
     def test_kernel_certifies_a_tongue(self):
         # a kernel that left every value to repr would spell them right, slowly
-        lc = catalog.equatorial_limit_cycle(1.0, 300.0)
-        detunings, strengths = np.linspace(-15, 15, 161), np.linspace(0, 1.5, 201)
-        values = arnold_tongue(lc, semiclassical(0.0), detunings, strengths).value.ravel()
+        values = equatorial_tongue()
         spelled = values[np.isfinite(values) & (values != 0)]
         assert len(spelled) > 10000
         assert _floatrepr._shortest(np.abs(spelled))[3].mean() >= 0.999
@@ -1636,6 +1677,37 @@ class TestUserErrors:
             f"InvalidValueError: {key} must be positive and finite, "
             f"got [{float(value)!r}]\n"
         )
+
+    # a subnormal rate leaked a LinAlgError from the sector solves (or, for
+    # vdp's gamma_d, wrote a row); rates of 1e308 overflowed the generator
+    # and were reported as a degenerate cycle after a RuntimeWarning
+    SUBNORMAL = (
+        "InvalidValueError: a positive rate must be at least "
+        "2.2250738585072014e-308, the smallest normal double, got [1e-310]\n"
+    )
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            (EQUATORIAL, ["sync", "--set", "scenario.gamma_d=1e-310"]),
+            (EQUATORIAL, ["sync", "--set", "scenario.gamma_g=1e-310"]),
+            (EQUATORIAL, ["sync", "--set", "scenario.name=vdp", "--set", "scenario.gamma_g=1e-310"]),
+            (EQUATORIAL, ["sync", "--set", "scenario.name=vdp", "--set", "scenario.gamma_d=1e-310"]),
+            (TestTongue.UNIT_RATE, ["tongue", "--set", "unit_rate=1e-310"]),
+        ],
+    )
+    def test_subnormal_rate_rejected(self, tmp_path, capsys, config, argv):
+        cfg = write_config(tmp_path, config)
+        code, out, err = run_cli(capsys, *argv, "--config", cfg)
+        assert (code, out, err) == (2, "", self.SUBNORMAL)
+
+    def test_overflowing_generator_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, EQUATORIAL)
+        sets = ["scenario.name=vdp", "scenario.gamma_g=1e308", "scenario.gamma_d=1e308"]
+        argv = [arg for key in sets for arg in ("--set", key)]
+        code, out, err = run_cli(capsys, "steady", "--config", cfg, *argv)
+        assert (code, out) == (2, "")
+        assert err == "InvalidValueError: rates or detuning too large: the generator overflows\n"
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [EQUATORIAL])

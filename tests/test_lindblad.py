@@ -344,6 +344,55 @@ class TestBuildLiouvillian:
         with pytest.raises(InvalidValueError, match=message):
             build_liouvillian(spec)
 
+    # the sector solves scale by the rates: a subnormal one overflowed them
+    # to a LinAlgError, and rates of 1e308 overflowed the generator itself
+    @pytest.mark.parametrize("rate", [1e-310, 5e-324, float(np.nextafter(2.0**-1022, 0.0))])
+    def test_subnormal_rate_rejected(self, rate):
+        spec = LimitCycleSpec(((SP @ SZ, 1.0), (SM @ SZ, rate)))
+        with pytest.raises(InvalidValueError, match=rf"smallest normal double, got \[{rate!r}\]$"):
+            build_liouvillian(spec)
+
+    def test_subnormal_cells_named_in_stack(self):
+        # zero and the smallest normal double are valid rates
+        rates = np.array([1.0, 1e-310, 0.0, 2.0**-1022, 5e-324])
+        spec = LimitCycleSpec(((SP @ SZ, 1.0), (SM @ SZ, rates)))
+        message = r"got \[1e-310, 5e-324\] at stack index \[1, 4\]$"
+        with pytest.raises(InvalidValueError, match=message):
+            build_liouvillian(spec)
+        valid = LimitCycleSpec(((SP @ SZ, 1.0), (SM @ SZ, rates[[0, 2, 3]])))
+        assert np.isfinite(build_liouvillian(valid).diag_block).all()
+
+    def test_negative_rate_reported_before_subnormal_one(self):
+        spec = LimitCycleSpec(((SP @ SZ, 1.0), (SM @ SZ, np.array([1e-310, -1.0]))))
+        with pytest.raises(InvalidValueError, match=r"finite and >= 0, got \[-1.0\] at stack index \[1\]$"):
+            build_liouvillian(spec)
+
+    @pytest.mark.parametrize(
+        "spec, where",
+        [
+            (vdp_limit_cycle(1e308, 1e308), ""),
+            (vdp_limit_cycle(np.array([1.0, 1e308, 1e300]), 1.0), " at stack index [1]"),
+            (equatorial_limit_cycle(1.0, 1.0).with_detuning(np.array([1.0, 1e308])), " at stack index [1]"),
+        ],
+    )
+    def test_overflowing_generator_rejected(self, spec, where):
+        # no RuntimeWarning either: the suite turns warnings into errors
+        with pytest.raises(InvalidValueError) as raised:
+            build_liouvillian(spec)
+        assert str(raised.value) == "rates or detuning too large: the generator overflows" + where
+
+    @pytest.mark.parametrize("gamma_g", [1e306, 1e307, 8e307])
+    def test_largest_rates_that_fit_still_build(self, gamma_g):
+        # from about 1e307 the build is checked for overflow; a generator
+        # that fits is the same as at rates scaled down by a power of two
+        liou = build_liouvillian(vdp_limit_cycle(gamma_g, 1.0))
+        small = build_liouvillian(vdp_limit_cycle(gamma_g * 2.0**-600, 2.0**-600))
+        assert np.array_equal(liou.diag_block, np.ldexp(small.diag_block, 600))
+        for k in (1, 2):
+            block = small.sector_blocks[k]
+            scaled = np.ldexp(block.real, 600) + 1j * np.ldexp(block.imag, 600)
+            assert np.array_equal(liou.sector_blocks[k], scaled)
+
     def test_rates_that_do_not_broadcast_rejected(self):
         spec = LimitCycleSpec(
             ((SP @ SZ, np.ones(2)), (SM @ SZ, np.ones(3))), 0.0

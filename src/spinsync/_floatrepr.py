@@ -1,17 +1,18 @@
 """``repr`` of every float of a long float64 column at once.
 
 ``reprs(values)`` is ``list(map(repr, values.tolist()))`` byte for byte.  A
-short column takes that per-value path.  A long one is spelled by a numpy
-kernel: each |x| is scaled by 10**(16 - k), k its decimal exponent, to a
-double-double y in [1e16, 1e17).  The shortest digits that read back as x
-are the largest power of ten with a multiple inside x's rounding interval
-around y; of those multiples the one nearest y is kept.  This is the spelling
-``repr`` prints.  The digit search runs only on the magnitudes inside
-(_TINY, _HUGE): zeros, inf and nan, such as a tongue's masked cells, have
-fixed layouts and are never searched.  The digits are laid out in one byte
-buffer, decoded once and split once.  Values the double-double cannot
-decide are left to ``repr``: a rounding bound or a tie within ``_MARGIN``
-of y, and magnitudes outside (_TINY, _HUGE).
+short column takes that per-value path.  A long one that repeats its values
+(a masked tongue's nan, a symmetric grid) is spelled once per distinct bit
+pattern.  Otherwise a numpy kernel spells it: each |x| is scaled by
+10**(16 - k), k its decimal exponent, to a double-double y in [1e16, 1e17).
+The shortest digits that read back as x are the largest power of ten with a
+multiple inside x's rounding interval around y; of those multiples the one
+nearest y is kept.  This is the spelling ``repr`` prints.  The kernel lays
+out only the cells with digits that it certifies: magnitudes inside
+(_TINY, _HUGE) whose rounding bound and tie lie farther than ``_MARGIN``
+from y.  ``repr`` spells every other cell once per bit pattern: zeros, inf,
+nan, the magnitudes outside those bounds and the undecided cells.  All the
+cells go into one byte buffer, decoded once and split once.
 
 The kernel reads four tables, each built once per process on first use and
 read with one gather per block: ``_powers``, 10**(16 - k) for every k it
@@ -27,11 +28,11 @@ import functools
 
 import numpy as np
 
-# Columns shorter than this are spelled one value at a time: the kernel's
-# fixed cost of about 0.1 ms matches repr's ~0.65 us a value at 250-320
-# random values, and from 1024 on the kernel is 2.1-2.3x faster (2-core
-# x86-64 host, numpy 2.4, medians of 201 paired calls). The sweeps' and
-# forcing figures' columns, 48-484 values, stay with repr.
+# Columns shorter than this are spelled one value at a time, untested for
+# repeats: the kernel's fixed cost of about 0.1 ms matches repr's ~0.65 us a
+# value at 250-320 random values, and from 1024 on the kernel is 2.1-2.3x
+# faster (2-core x86-64 host, numpy 2.4, medians of 201 paired calls). The
+# sweeps' and forcing figures' columns, 48-484 values, stay with repr.
 _KERNEL_MIN = 1024
 # A long column is spelled a block at a time, which keeps the kernel's
 # temporaries small beside the cells it returns.
@@ -51,9 +52,8 @@ _EXPONENT_BITS = np.uint64(0x7FF0000000000000)
 
 # The decimal exponents k that the tables below hold, by k - _K_MIN: those
 # of (_TINY, _HUGE) with one to spare either side for log10's rounding and a
-# carry, then two that stand for inf and nan.
+# carry.
 _K_MIN, _K_MAX = -282, 281
-_K_INF, _K_NAN = _K_MAX + 1, _K_MAX + 2
 
 # One output row of six 64-bit words: sign, the "0.000" of 1e-4 <= |x| < 0.1,
 # 17 digits with a possible '.' after each of the first 16, the '0' of
@@ -62,12 +62,11 @@ _ROW = np.frombuffer(b"-0.000" + b"0." * 16 + b"0" + b"0e+000 \0\0", dtype=np.ui
 _DIGITS = slice(6, 39, 2)
 _POINTS = slice(7, 39, 2)
 _EXPONENT = slice(42, 45)
+_CELL = np.dtype((np.void, len(_ROW)))  # a row as one value
 # A row's layout depends on its form, sign and digit count. Forms 0..19 are
 # fixed notation at k = -4..15; 20..23 are scientific with a '+' or '-'
-# exponent of two or three digits, spelled here at these k; then inf and nan.
+# exponent of two or three digits, spelled here at these k.
 _FORM_K = np.append(np.arange(-4, 16), [16, 100, -5, -100])
-_INF, _NAN = len(_FORM_K), len(_FORM_K) + 1
-_FORMS = len(_FORM_K) + 2
 
 
 def _pow10(e: int) -> tuple[float, float]:
@@ -92,11 +91,10 @@ def _powers() -> np.ndarray:
 
 @functools.cache
 def _by_k() -> np.ndarray:
-    """For each k of _K_MIN.._K_NAN, by k - _K_MIN: its form's first layout
+    """For each k of _K_MIN.._K_MAX, by k - _K_MIN: its form's first layout
     number less one, and the index of its exponent in _parts()."""
-    k = np.arange(_K_MIN, _K_NAN + 1)
+    k = np.arange(_K_MIN, _K_MAX + 1)
     form = np.where((k >= -4) & (k < 16), k + 4, 20 + 2 * (k < 0) + (np.abs(k) >= 100))
-    form[k == _K_INF], form[k == _K_NAN] = _INF, _NAN
     return np.stack([2 * 17 * form - 1, np.abs(k) + 10010])
 
 
@@ -209,9 +207,9 @@ def _templates() -> np.ndarray:
     """Each layout's row as six words: its characters, 0xff at the digits
     it shows and zero bytes at what it drops. Layout number
     (form * 2 + negative) * 17 + count - 1."""
-    form, negative, count = np.indices((_FORMS, 2, 17)).reshape(3, -1)
+    form, negative, count = np.indices((len(_FORM_K), 2, 17)).reshape(3, -1)
     count += 1
-    k = _FORM_K[np.minimum(form, _INF - 1)]
+    k = _FORM_K[form]
     fixed = form < 20
     whole = fixed & (k >= 0)  # fixed with digits before the point
     keep = np.zeros((len(k), len(_ROW)), dtype=bool)
@@ -230,15 +228,11 @@ def _templates() -> np.ndarray:
     rows[:, 41] = np.where(k < 0, ord("-"), ord("+")) * keep[:, 41]
     rows[:, _DIGITS] = 0xFF * keep[:, _DIGITS]
     rows[:, _EXPONENT] = 0xFF * keep[:, _EXPONENT]
-    # inf and nan: a signed word and an unsigned one
-    rows[form >= _INF, 1:45] = 0
-    rows[form == _INF, 1:4] = np.frombuffer(b"inf", dtype=np.uint8)
-    rows[form == _NAN, :4] = np.frombuffer(b"\0nan", dtype=np.uint8)
     return rows.view(np.uint64)
 
 
-def _layout(negative, digits, count, k) -> list[str]:
-    """The text of each value: its layout's row with its digits and its
+def _layout(negative, digits, count, k) -> np.ndarray:
+    """The row of each value: its layout's row with its digits and its
     exponent filled in."""
     first_layout, exponent = np.take(_by_k(), k - _K_MIN, axis=1)
     rows = np.take(_templates(), first_layout + 17 * negative + count, axis=0)
@@ -256,46 +250,59 @@ def _layout(negative, digits, count, k) -> list[str]:
     rows[:, 3] &= np.take(words, head)
     rows[:, 4] &= np.take(words, lower - 10000 * head)
     rows[:, 5] &= np.take(words, exponent)
+    return rows
+
+
+def _repr_rows(values: np.ndarray) -> np.ndarray:
+    """The row of each value spelled by repr, once per bit pattern: its at
+    most 24 characters, zero bytes up to the separator, and the padding."""
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = b"".join(
+        repr(x).encode("ascii").ljust(45, b"\0") + _ROW[45:].tobytes()
+        for x in distinct.view(np.float64).tolist()
+    )
+    return np.frombuffer(text, dtype=_CELL)[inverse]
+
+
+def _spell(values: np.ndarray) -> list[str]:
+    """``repr`` of each value of one block: laid out by the kernel where it
+    certifies the digits, by repr once per bit pattern elsewhere."""
+    magnitude = np.abs(values)
+    fit = (magnitude > _TINY) & (magnitude < _HUGE)
+    rows = np.empty(len(values), dtype=_CELL)
+    if fit.any():
+        digits, count, k, ok = _shortest(magnitude[fit])
+        rows[fit] = _layout(np.signbit(values[fit]), digits, count, k).view(_CELL).ravel()
+        fit[fit] = ok  # an undecided cell is left to repr
+    rest = np.flatnonzero(~fit)
+    if rest.size:
+        rows[rest] = _repr_rows(values[rest])
     # the dropped characters are zero bytes: delete them all at once
     cells = rows.tobytes().translate(None, b"\0").decode("ascii").split(" ")
     del cells[-1]  # after the last separator
     return cells
 
 
-def _spell(values: np.ndarray) -> list[str]:
-    """``repr`` of each value of one block, by the kernel where it is sure."""
-    magnitude = np.abs(values)
-    fit = (magnitude > _TINY) & (magnitude < _HUGE)
-    if fit.all():
-        digits, count, k, ok = _shortest(magnitude)
-    else:
-        # the digit search runs on the cells that have digits; every other
-        # cell keeps the one digit 0 at k = 0, which is how zero is spelled,
-        # or the k that stands for inf or nan. Those three need no check;
-        # the out-of-range magnitudes are left to repr.
-        digits, k = np.zeros((2, len(values)), dtype=np.int64)
-        count = np.ones(len(values), dtype=np.int64)
-        k[np.isinf(values)], k[np.isnan(values)] = _K_INF, _K_NAN
-        ok = ~((magnitude > 0) & (magnitude < np.inf))
-        if fit.any():
-            rows = np.flatnonzero(fit)
-            digits[rows], count[rows], k[rows], ok[rows] = _shortest(magnitude[rows])
-    cells = _layout(np.signbit(values), digits, count, k)
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        # by repr, once per bit pattern
-        distinct, inverse = np.unique(values[rest].view(np.uint64), return_inverse=True)
-        spelled = list(map(repr, distinct.view(np.float64).tolist()))
-        for i, j in zip(rest.tolist(), inverse.tolist()):
-            cells[i] = spelled[j]
-    return cells
-
-
 def reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of each value of a 1-D float64 array, in order."""
+    """``repr`` of each value of a 1-D float64 array, in order; a long
+    array that repeats its values is spelled once per distinct value."""
+    inverse = None
+    if len(values) >= _KERNEL_MIN:
+        # distinct by bit pattern, as -0.0 and 0.0 spell apart; only a
+        # column that repeats pays for the argsort giving each cell its value
+        bits = values.view(np.uint64)
+        ordered = np.sort(bits)
+        first = np.append(True, ordered[1:] != ordered[:-1])
+        if 2 * np.count_nonzero(first) <= len(bits):
+            inverse = np.empty(len(bits), dtype=np.intp)
+            inverse[np.argsort(bits)] = np.cumsum(first) - 1
+            values = ordered[first].view(np.float64)
     if len(values) < _KERNEL_MIN:
-        return list(map(repr, values.tolist()))
-    cells = []
-    for block in np.array_split(values, -(-len(values) // _BLOCK)):
-        cells += _spell(block)
-    return cells
+        cells = list(map(repr, values.tolist()))
+    else:
+        cells = []
+        for block in np.array_split(values, -(-len(values) // _BLOCK)):
+            cells += _spell(block)
+    if inverse is None:
+        return cells
+    return np.array(cells, dtype=object)[inverse].tolist()

@@ -711,6 +711,11 @@ def _tongue_grid(
     """:func:`arnold_tongue` from the populations of rho0 and the
     first-order coherences at each detuning."""
     strengths = np.asarray(strengths, dtype=float)
+    bad = ~((strengths >= 0.0) & (strengths < math.inf))
+    if bad.any():
+        raise InvalidValueError(
+            "tongue strengths must be non-negative and finite" + _where(bad, strengths)
+        )
     _, (peak, _), eps_max = _peak_and_strength(pops, coherences, eta)
     # the measure is linear in the strength, and 0 where the response vanishes
     peak = np.where(np.isinf(eps_max), 0.0, peak)

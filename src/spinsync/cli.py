@@ -71,6 +71,7 @@ _signature = functools.cache(inspect.signature)
 _SCENARIO_KEYS = {n: tuple(_signature(b).parameters) for n, b in SCENARIOS.items()}
 
 _CONFIG_KEYS = ("eta", "unit_rate", "scenario", "signal", "sweep", "figure", "bound")
+_AXIS_KEYS = ("name", "min", "max", "points", "scale")
 
 _POPULATIONS = ("p_plus", "p_zero", "p_minus")
 
@@ -291,6 +292,12 @@ def _sweep_axes(cfg: dict, allowed: tuple[str, ...]) -> list[tuple[str, np.ndarr
     axes = []
     for axis in cfg.get("sweep", []):
         name = axis.get("name")
+        unread = ", ".join(key for key in axis if key not in _AXIS_KEYS)
+        if unread:
+            reads = ", ".join(_AXIS_KEYS)
+            raise ConfigError(
+                f"sweep axis {name!r} does not read {unread}; it reads {reads}"
+            )
         if name not in allowed:
             raise ConfigError(
                 f"sweep axis {name!r} not recognized; allowed: {sorted(allowed)}"
@@ -331,35 +338,14 @@ def _sweep_axes(cfg: dict, allowed: tuple[str, ...]) -> list[tuple[str, np.ndarr
 _BOOL_CELLS = np.array(["false", "true"], dtype=object)
 
 
-def _float_cells(values: np.ndarray) -> list[str]:
-    """repr of each float of an array of any shape, in row-major order: the
-    shortest spelling that round-trips, with nan, inf and -inf bare (a long
-    column by the numpy kernel of ``reprs``).  A column that repeats its
-    values (a masked tongue's nan, a symmetric grid) is spelled once per
-    distinct value."""
-    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    # distinct by bit pattern: -0.0 and 0.0 compare equal but spell apart
-    bits = values.view(np.uint64)
-    if len(bits) > 1:
-        # the sort counts the distinct values; only a column that repeats
-        # pays for the argsort that gives each cell its distinct value
-        ordered = np.sort(bits)
-        first = np.append(True, ordered[1:] != ordered[:-1])
-        distinct = ordered[first]
-        if 2 * len(distinct) <= len(bits):
-            spelled = np.array(reprs(distinct.view(np.float64)), dtype=object)
-            inverse = np.empty(len(bits), dtype=np.intp)
-            inverse[np.argsort(bits)] = np.cumsum(first) - 1
-            return spelled[inverse].tolist()
-    return reprs(values)
-
-
 def _cells(column: np.ndarray) -> list[str]:
     """CSV spelling of each value of a column of any shape, in row-major
-    order: floats by repr, bools as true/false, anything else by str.  A
-    column that repeats its values along zero-stride axes (a grid axis or a
-    broadcast constant) is spelled once per element of its core, the column
-    cut to length 1 along those axes."""
+    order: floats by repr (nan, inf and -inf bare; a long column by
+    ``reprs``, once per distinct value if it repeats them), bools as
+    true/false, anything else by str.
+    A column that repeats its values along zero-stride axes (a grid axis or
+    a broadcast constant) is spelled once per element of its core, the
+    column cut to length 1 along those axes."""
     if 0 in column.strides:
         cut = tuple(slice(0, 1) if s == 0 else slice(None) for s in column.strides)
         core = column[cut]
@@ -368,7 +354,7 @@ def _cells(column: np.ndarray) -> list[str]:
             return np.broadcast_to(cells, column.shape).ravel().tolist()
     kind = column.dtype.kind
     if kind == "f":
-        return _float_cells(column)
+        return reprs(np.ascontiguousarray(column, dtype=np.float64).ravel())
     column = column.ravel()
     if kind == "b":
         return _BOOL_CELLS[column.view(np.uint8)].tolist()
@@ -566,7 +552,7 @@ def cmd_sync(args) -> int:
         raise ConfigError("sync supports at most two sweep axes")
     eta = cfg["eta"]
     # one row per cell of the mesh of the axes, all from one build
-    mesh = np.meshgrid(*(values for _, values in axes), indexing="ij")
+    mesh = np.meshgrid(*(values for _, values in axes), indexing="ij", copy=False)
     swept = {name: values for (name, _), values in zip(axes, mesh)}
     pops, (r10, r0m1, r1m1) = _leading_orders(cfg, swept)
     res = _measure(pops, (r10, r0m1, r1m1), eta)

@@ -47,6 +47,7 @@ from spinsync.catalog import (
     vdp_oscillator_equivalence,
     vdp_squeeze_sync_closed,
 )
+from spinsync.errors import InvalidValueError
 from spinsync.lindblad import LimitCycleSpec, build_liouvillian, steady_state
 from spinsync.perturbation import (
     _response_maps,
@@ -681,6 +682,23 @@ class TestArnoldTongue:
         assert np.all(grid.masked == (strengths[:, None] > grid.eps_max[None, :]))
         assert np.isnan(grid.value[grid.masked]).all()
         assert (grid.eps_max >= grid.eps_max[detunings == 0.0]).all()
+
+    @pytest.mark.parametrize(
+        "strengths, message",
+        [
+            ([0.5, -0.1, 1.0], r"got \[-0\.1\] at stack index \[1\]"),
+            ([0.0, math.nan, math.inf], r"got \[nan, inf\] at stack index \[1, 2\]"),
+        ],
+    )
+    def test_negative_or_non_finite_strengths_refused(self, strengths, message):
+        # a negative strength would write a negative measure in an unmasked cell
+        with pytest.raises(InvalidValueError, match="non-negative and finite, " + message):
+            arnold_tongue(
+                equatorial_limit_cycle(1.0, 100.0),
+                semiclassical(0.0),
+                np.linspace(-5.0, 5.0, 3),
+                np.array(strengths),
+            )
 
     def test_value_decreases_with_detuning_below_boundary(self):
         gg, gd = 1.0, 100.0

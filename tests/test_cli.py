@@ -280,6 +280,22 @@ class TestSync:
         assert code == 2
         assert err.startswith("ConfigError") and "'detuning' is given twice" in err
 
+    @pytest.mark.parametrize("command", ["sync", "tongue"])
+    def test_unread_axis_key_rejected(self, tmp_path, capsys, command):
+        # a misspelt scale would otherwise give a linear axis
+        sweep = [
+            {"name": "detuning", "min": 0.5, "max": 2, "points": 3, "sacle": "log"},
+            {"name": "epsilon", "min": 0.0, "max": 0.1, "points": 2},
+        ]
+        cfg = write_config(tmp_path, {**EQUATORIAL, "sweep": sweep})
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "ConfigError: sweep axis 'detuning' does not read sacle; "
+            "it reads name, min, max, points, scale\n"
+        )
+
     @pytest.mark.parametrize(
         "axis, message",
         [
@@ -479,6 +495,18 @@ class TestTongue:
             {"name": "epsilon", "min": 0.0, "max": 0.3, "points": 4},
         ],
     }
+
+    def test_negative_strengths_refused(self, tmp_path, capsys):
+        sweep = [
+            {"name": "detuning", "min": -1.0, "max": 1.0, "points": 3},
+            {"name": "epsilon", "min": -1.0, "max": 1.0, "points": 3},
+        ]
+        cfg = write_config(tmp_path, {**self.UNIT_RATE, "sweep": sweep})
+        code, out, err = run_cli(capsys, "tongue", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("InvalidValueError: tongue strengths must be non-negative")
+        assert "got [-2.0] at stack index [0]" in err
 
     def test_unit_rate_scales_both_axes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.UNIT_RATE)
@@ -1260,7 +1288,7 @@ class TestColumnWriters:
         column = make()
         distinct = np.unique(column.view(np.uint64))
         assert len(distinct) >= _floatrepr._KERNEL_MIN  # spelled by the kernel
-        assert cli._float_cells(column) == list(map(repr, column.tolist()))
+        assert cli._cells(column) == list(map(repr, column.tolist()))
         columns = {"x": column, "b": np.arange(len(column)) % 3 == 0}
         expected = old_csv(*old_table(columns))
         assert stdout_of(cli._write_csv, *cli._table(columns)) == expected
@@ -1307,7 +1335,7 @@ class TestColumnWriters:
         spelled = values[np.isfinite(values) & (values != 0)]
         assert len(spelled) > 10000
         assert _floatrepr._shortest(np.abs(spelled))[3].mean() >= 0.999
-        assert cli._float_cells(values) == list(map(repr, values.tolist()))
+        assert cli._cells(values) == list(map(repr, values.tolist()))
 
     def test_kernel_searches_digits_only_where_there_are_some(self, monkeypatch):
         # nan, inf, zero and out-of-range cells have no digits to search: a
@@ -1329,13 +1357,51 @@ class TestColumnWriters:
             return shortest(x)
 
         monkeypatch.setattr(_floatrepr, "_shortest", spy)
-        assert _floatrepr.reprs(column) == list(map(repr, column.tolist()))
+        # block by block: reprs would spell this repeating column's
+        # distinct values in blocks of its own
+        cells = [cell for part in np.split(column, 3) for cell in _floatrepr._spell(part)]
+        assert cells == list(map(repr, column.tolist()))
         assert len(searched) == 2
         searched = np.concatenate(searched)
         magnitude = np.abs(column)
         has_digits = (magnitude > _floatrepr._TINY) & (magnitude < _floatrepr._HUGE)
         assert 0 < has_digits[:block].sum() < block
         assert searched.tolist() == magnitude[has_digits].tolist()
+
+    @pytest.mark.parametrize("length", [_floatrepr._BLOCK - 1, _floatrepr._BLOCK + 1])
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            [math.nan],
+            [0.0, -0.0],
+            [math.inf, -math.inf],
+            [math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf],
+            "nan payloads",
+        ],
+    )
+    def test_cells_without_digits_are_left_to_repr(self, pool, length, monkeypatch):
+        # no digit search, and no warning from one, on a block without
+        # digits: a column that repeats them is spelled once per value, and
+        # nans of distinct payloads do not repeat
+        if pool == "nan payloads":
+            bits = np.arange(length, dtype=np.uint64) | np.uint64(0x7FF8000000000000)
+            column = bits.view(np.float64)
+        else:
+            column = np.random.default_rng(9).choice(pool, length)
+        searched = []
+        monkeypatch.setattr(_floatrepr, "_shortest", searched.append)
+        expected = list(map(repr, column.tolist()))
+        assert _floatrepr.reprs(column) == expected
+        assert _floatrepr._spell(column) == expected
+        assert searched == []
+
+    @pytest.mark.parametrize("fig_id", sorted(cli._FIGURES))
+    def test_figure_tables_match_per_cell_writer(self, fig_id):
+        # real grids: fig2's masked tongue, fig6's symmetric grid and
+        # fig5's short inset among them
+        for _, header, columns in cli.figure_datasets(fig_id, {}):
+            expected = old_csv(*old_table(dict(zip(header, columns))))
+            assert stdout_of(cli._write_csv, header, columns) == expected
 
     @pytest.mark.parametrize(
         "columns",
@@ -1389,13 +1455,13 @@ class TestColumnWriters:
         # a tongue's axis and boundary columns repeat 161 or 201 values over
         # its 32361 cells; only its measure columns are spelled cell by cell
         sizes = []
-        float_cells = cli._float_cells
+        reprs = cli.reprs
 
         def spy(values):
             sizes.append(np.size(values))
-            return float_cells(values)
+            return reprs(values)
 
-        monkeypatch.setattr(cli, "_float_cells", spy)
+        monkeypatch.setattr(cli, "reprs", spy)
         axes = [
             {"name": "detuning", "min": -15.0, "max": 15.0, "points": 161},
             {"name": "epsilon", "min": 0.0, "max": 1.5, "points": 201},

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import catalog
+from . import catalog, lindblad
 from ._floatrepr import reprs
 from .catalog import (
     SCENARIOS,
@@ -33,7 +33,6 @@ from .catalog import (
     _pmax_curves,
     _tongue_grid,
     arnold_tongue,
-    make_limit_cycle,
     optimize_signal,
     smax,
     vdp_optimal_squeeze_ratio,
@@ -67,23 +66,12 @@ from .spin import SQRT2
 # partial costs about 2% of a fig3a command, so each is made once
 _signature = functools.cache(inspect.signature)
 
-# the keys of each scenario are the parameters of its builder
-_SCENARIO_KEYS = {n: tuple(_signature(b).parameters) for n, b in SCENARIOS.items()}
-
 _CONFIG_KEYS = ("eta", "unit_rate", "scenario", "signal", "sweep", "figure", "bound")
 _AXIS_KEYS = ("name", "min", "max", "points", "scale")
 
 _POPULATIONS = ("p_plus", "p_zero", "p_minus")
 
 _RATE_KEYS = ("gamma_g", "gamma_d", "gamma_dp", "gamma_10", "gamma_0m1", "detuning")
-
-# signal parameters that each family reads, and so may sweep
-_SIGNAL_AXES = {
-    "semiclassical": ("phase",),
-    "equatorial_angles": ("zeta", "chi"),
-    "vdp_params": ("zeta", "chi", "tau_ratio"),
-    "tones": (),
-}
 
 
 class ConfigError(ValueError):
@@ -98,7 +86,8 @@ def _number(value, name: str, integer: bool = False):
     """A config value as a finite float (with ``integer``, an int), or a
     ConfigError naming it."""
     try:
-        number = float(value)
+        # float() would read JSON's true and false as 1 and 0
+        number = float(None if isinstance(value, bool) else value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not (number.is_integer() if integer else math.isfinite(number)):
@@ -149,7 +138,7 @@ def load_config(path: str | None, sets: list[str]) -> dict:
         "eta": 0.1,
         "unit_rate": 1.0,
         "scenario": {},
-        "signal": {"family": "semiclassical", "phase": 0.0},
+        "signal": {"family": "semiclassical"},
         "sweep": [],
     }
     if path is not None:
@@ -192,12 +181,13 @@ def _config(args) -> dict:
 
 
 def _section_args(owner: str, builder, given: dict, swept: dict | None = None) -> dict:
-    """Keyword arguments of ``builder`` from its config section ``given``
-    (named by ``owner``, e.g. "figure fig2"), with the arrays of ``swept`` in
-    place of configured keys.  The signature is the schema: a value is read
-    by its parameter's default (a tuple: a JSON list of numbers; complex: a
-    number or [re, im] pair; else a number), and an unknown or a missing
-    required key is refused."""
+    """Keyword arguments of ``builder``, its defaults included, from its
+    config section ``given`` (named by ``owner``, e.g. "figure fig2"), with
+    the arrays of ``swept`` in place of configured keys.  The signature is the
+    schema: a value is read by its parameter's default (a tuple: a JSON list
+    of numbers; complex: a number or [re, im] pair; else a number, or "auto"
+    for a squeeze_phase), and an unknown or a missing required key is
+    refused."""
     section = owner.split()[0]
     signature = _signature(builder)
     params = signature.parameters
@@ -216,76 +206,83 @@ def _section_args(owner: str, builder, given: dict, swept: dict | None = None) -
             args[key] = tuple(_number(v, name) for v in value)
         elif isinstance(default, complex):
             args[key] = _as_complex(value, name)
+        elif key == "squeeze_phase" and value == "auto":
+            args[key] = value
         else:
             args[key] = _number(value, name)
     args |= {key: value for key, value in (swept or {}).items() if key in params}
     try:
-        signature.bind(**args)
+        bound = signature.bind(**args)
     except TypeError as err:
         raise ConfigError(f"{owner}: {err}") from None
-    return args
+    bound.apply_defaults()
+    return bound.arguments
+
+
+def _vdp_params(
+    c=1.0, zeta=0.25 * math.pi, chi=0.0, tau_ratio=0.0, squeeze_phase="auto"
+) -> SignalSpec:
+    phase = 0.0 if squeeze_phase == "auto" else squeeze_phase
+    return from_vdp_params(VdpSignalParams(c, zeta, chi, tau_ratio), phase)
+
+
+def _tones(t01=0j, tm10=0j, tm11=0j, squeeze_phase=None) -> SignalSpec:
+    if t01 == tm10 == tm11 == 0:
+        raise ConfigError("signal tones are all zero")
+    # tm11's own phase is the squeezing phase: only "auto" changes it
+    if squeeze_phase not in (None, "auto"):
+        raise ConfigError(
+            f'tones take signal.squeeze_phase "auto" only, got {squeeze_phase!r}'
+        )
+    return SignalSpec(t01, tm10, tm11)
+
+
+# Each signal family's builder; its keyword parameters are the signal.<key>
+# overrides it reads.
+_SIGNALS = {
+    "semiclassical": semiclassical,
+    "equatorial_angles": from_equatorial_angles,
+    "vdp_params": _vdp_params,
+    "tones": _tones,
+}
+
+# the sections that name their builder: the naming key and the builders
+_NAMED = {"scenario": ("name", SCENARIOS), "signal": ("family", _SIGNALS)}
+
+
+def _named(table: dict, key: str, name):
+    """The builder ``name`` of ``table``, named by the config value ``key``."""
+    if not (isinstance(name, str) and name in table):
+        raise ConfigError(f"{key} must be one of {sorted(table)}, got {name!r}")
+    return table[name]
+
+
+def _section(cfg: dict, section: str) -> tuple[str, object, dict]:
+    """The owner, the builder and the other keys of a section of ``_NAMED``."""
+    key, table = _NAMED[section]
+    given = dict(cfg.get(section, {}))
+    name = given.pop(key, None)
+    return f"{section} {name}", _named(table, f"{section}.{key}", name), given
 
 
 def build_scenario(cfg: dict, swept: dict | None = None) -> LimitCycleSpec:
     """The configured limit cycle, stacked over the arrays that ``swept``
     puts in place of configured keys."""
-    scen = cfg.get("scenario", {})
-    name = scen.get("name")
-    if name not in _SCENARIO_KEYS:
-        raise ConfigError(
-            f"scenario.name must be one of {sorted(_SCENARIO_KEYS)}, got {name!r}"
-        )
-    given = {key: value for key, value in scen.items() if key != "name"}
-    params = _section_args(f"scenario {name}", SCENARIOS[name], given, swept)
+    owner, builder, given = _section(cfg, "scenario")
+    params = _section_args(owner, builder, given, swept)
     for key in params.keys() & _RATE_KEYS:
         # a copy: a swept axis is written unscaled
         params[key] = params[key] * cfg["unit_rate"]
-    return make_limit_cycle(name, **params)
+    return builder(**params)
 
 
-def _signal_spec(cfg: dict, swept: dict | None = None) -> tuple[SignalSpec, bool]:
-    """The configured signal, with arrays from ``swept`` in place of configured
-    keys, and whether its squeezing phase is "auto"."""
-    sig = cfg.get("signal", {})
-    swept = swept or {}
-
-    def number(key: str, default: float):
-        if key in swept:
-            return swept[key]
-        return _number(sig.get(key, default), f"signal.{key}")
-
-    family = sig.get("family", "semiclassical")
-    if family == "semiclassical":
-        return semiclassical(number("phase", 0.0)), False
-    if family == "equatorial_angles":
-        zeta, chi = number("zeta", 0.25 * math.pi), number("chi", 0.0)
-        return from_equatorial_angles(zeta, chi), False
-    if family == "vdp_params":
-        params = VdpSignalParams(
-            c=number("c", 1.0),
-            zeta=number("zeta", 0.25 * math.pi),
-            chi=number("chi", 0.0),
-            tau_ratio=number("tau_ratio", 0.0),
-        )
-        if sig.get("squeeze_phase", "auto") == "auto":
-            return from_vdp_params(params, 0.0), True
-        return from_vdp_params(params, number("squeeze_phase", 0.0)), False
-    if family == "tones":
-        spec = SignalSpec(
-            _as_complex(sig.get("t01", 0.0), "signal.t01"),
-            _as_complex(sig.get("tm10", 0.0), "signal.tm10"),
-            _as_complex(sig.get("tm11", 0.0), "signal.tm11"),
-        )
-        if spec.t01 == 0 and spec.tm10 == 0 and spec.tm11 == 0:
-            raise ConfigError("signal tones are all zero")
-        # tm11's own phase is the squeezing phase: only "auto" changes it
-        phase = sig.get("squeeze_phase")
-        if phase not in (None, "auto"):
-            raise ConfigError(
-                f'tones take signal.squeeze_phase "auto" only, got {phase!r}'
-            )
-        return spec, phase == "auto"
-    raise ConfigError(f"unknown signal family {family!r}")
+def build_signal(cfg: dict, swept: dict | None = None) -> tuple[SignalSpec, bool]:
+    """The configured signal, with the arrays of ``swept`` in place of
+    configured keys, and whether its squeezing phase is "auto": aligned on
+    the cycle (see catalog.align_squeeze_phase)."""
+    owner, builder, given = _section(cfg, "signal")
+    args = _section_args(owner, builder, given, swept)
+    return builder(**args), args.get("squeeze_phase") == "auto"
 
 
 def _sweep_axes(cfg: dict, allowed: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
@@ -535,7 +532,7 @@ def cmd_steady(args) -> int:
 def _leading_orders(cfg: dict, swept: dict | None = None):
     """rho0's populations and the first-order coherences (r10, r0m1, r1m1) from
     one build over the ``swept`` keys; an "auto" squeezing phase is aligned."""
-    sig, auto = _signal_spec(cfg, swept)
+    sig, auto = build_signal(cfg, swept)
     pops, map1, map2 = _response_maps(build_liouvillian(build_scenario(cfg, swept)))
     if auto:
         sig = _align_on_maps(map1, map2, sig)
@@ -544,9 +541,14 @@ def _leading_orders(cfg: dict, swept: dict | None = None):
 
 def cmd_sync(args) -> int:
     cfg = _config(args)
-    scen_name = cfg.get("scenario", {}).get("name", "")
-    family = cfg.get("signal", {}).get("family", "semiclassical")
-    allowed = _SCENARIO_KEYS.get(scen_name, ()) + _SIGNAL_AXES.get(family, ())
+    # an axis sets a key of the scenario or the signal family that is read as
+    # a real number: one with a float default, or none
+    allowed = [
+        p.name
+        for part in _NAMED
+        for p in _signature(_section(cfg, part)[1]).parameters.values()
+        if p.default is p.empty or type(p.default) is float
+    ]
     axes = _sweep_axes(cfg, allowed)
     if len(axes) > 2:
         raise ConfigError("sync supports at most two sweep axes")
@@ -618,10 +620,14 @@ def _tongue_columns(grid: TongueGrid, detunings, strengths) -> dict:
 def cmd_tongue(args) -> int:
     cfg = _config(args)
     lc = build_scenario(cfg)
-    sig, auto = _signal_spec(cfg)
+    sig, auto = build_signal(cfg)
     axes = dict(_sweep_axes(cfg, ("detuning", "epsilon")))
     if set(axes) != {"detuning", "epsilon"}:
         raise ConfigError("tongue needs sweep axes 'detuning' and 'epsilon'")
+    bad = ~((axes["epsilon"] >= 0.0) & (axes["epsilon"] < math.inf))
+    if bad.any():  # named as configured, before the unit_rate scaling
+        at = lindblad._where(bad, axes["epsilon"], "axis position")
+        raise ConfigError(f"sweep axis 'epsilon' must be non-negative and finite{at}")
     # both axes are in units of unit_rate, as the scenario rates
     unit, eta = cfg["unit_rate"], cfg["eta"]
     detunings = axes["detuning"] * unit
@@ -853,21 +859,13 @@ _FIGURES = {
 }
 
 
-def _figure(fig_id: str):
-    if fig_id not in _FIGURES:
-        raise ConfigError(
-            f"unknown figure id {fig_id!r}; expected one of {sorted(_FIGURES)}"
-        )
-    return _FIGURES[fig_id]
-
-
 def figure_datasets(
     fig_id: str, cfg: dict
 ) -> list[tuple[str, list[str], list[np.ndarray]]]:
     """Gridded dataset(s) for a named figure from its ``figure`` config
     section; suffix, header, columns (of one size, any shape, cells in
     row-major order)."""
-    dataset = _figure(fig_id)
+    dataset = _named(_FIGURES, "figure id", fig_id)
     kwargs = _section_args(f"figure {fig_id}", dataset, cfg)
     if "eta" in kwargs:
         _positive(kwargs["eta"], "figure.eta", 1.0)
@@ -878,7 +876,7 @@ def cmd_figure(args) -> int:
     cfg = _config(args)
     overrides = cfg.get("figure", {})
     # a top-level eta is the default of figure.eta, for a figure that reads one
-    if "eta" in _signature(_figure(args.id)).parameters:
+    if "eta" in _signature(_named(_FIGURES, "figure id", args.id)).parameters:
         overrides.setdefault("eta", cfg["eta"])
     datasets = figure_datasets(args.id, overrides)
     if args.out is None and len(datasets) > 1:

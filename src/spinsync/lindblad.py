@@ -105,9 +105,9 @@ def _largest(value) -> float:
     return abs(value) if isinstance(value, float) else float(np.abs(value).max())
 
 
-def _where(bad: np.ndarray, values=None) -> str:
+def _where(bad: np.ndarray, values=None, index: str = "stack index") -> str:
     """The ``values`` that failed a check (mask ``bad``) and, for a stack, the
-    row-major indices of the failing cells: the rows of a ``sync`` table.
+    row-major ``index`` of the failing cells: the rows of a ``sync`` table.
     Past :data:`_NAMED_CELLS` cells, the first of them and the count."""
     count = int(np.count_nonzero(bad))
 
@@ -120,7 +120,7 @@ def _where(bad: np.ndarray, values=None) -> str:
     if values is not None:
         text = f", got {listed(np.broadcast_to(values, bad.shape)[bad])}"
     if bad.ndim:
-        text += f" at stack index {listed(np.flatnonzero(bad))}"
+        text += f" at {index} {listed(np.flatnonzero(bad))}"
     if count > _NAMED_CELLS:
         text += f" ({count} cells)"
     return text

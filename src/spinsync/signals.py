@@ -91,6 +91,7 @@ def from_vdp_params(
     return SignalSpec(tau01, tau10 / SQRT2, tau11 / SQRT2)
 
 
-def from_equatorial_angles(zeta: float, chi: float) -> SignalSpec:
-    """Two single-quantum tones (cos(zeta) e^{i chi}, sin(zeta)), no squeezing."""
+def from_equatorial_angles(zeta: float = 0.25 * np.pi, chi: float = 0.0) -> SignalSpec:
+    """Two single-quantum tones (cos(zeta) e^{i chi}, sin(zeta)), no squeezing;
+    balanced by default."""
     return SignalSpec(np.cos(zeta) * np.exp(1j * chi), np.sin(zeta) + 0j, 0j)

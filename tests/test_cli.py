@@ -57,6 +57,23 @@ EQUATORIAL = {
     "eta": 0.1,
 }
 
+# each signal family with every key it reads, in the order of its builder
+SIGNALS = {
+    "semiclassical": {"phase": 0.3},
+    "equatorial_angles": {"zeta": 0.4, "chi": 0.5},
+    "vdp_params": {"c": 1.2, "zeta": 0.4, "chi": 0.5, "tau_ratio": 0.6,
+                   "squeeze_phase": 0.7},
+    "tones": {"t01": [0.5, 0.2], "tm10": 0.7, "tm11": [0, -0.3],
+              "squeeze_phase": "auto"},
+}
+# the keys of each family that a sync sweep may set: those that are numbers
+SIGNAL_AXES = {
+    "semiclassical": ["phase"],
+    "equatorial_angles": ["zeta", "chi"],
+    "vdp_params": ["c", "zeta", "chi", "tau_ratio"],
+    "tones": [],
+}
+
 
 class TestSteady:
     def test_equatorial_populations(self, tmp_path, capsys):
@@ -349,13 +366,36 @@ class TestSync:
             tmp_path,
             {
                 **EQUATORIAL,
-                "signal": {"family": family, "t01": 1.0, "tm10": 1.0},
+                "signal": {"family": family, **SIGNALS[family]},
                 "sweep": [{"name": axis, "min": 0.1, "max": 1.0, "points": 3}],
             },
         )
         code, _, err = run_cli(capsys, "sync", "--config", cfg)
         assert code == 2
-        assert "ConfigError" in err and repr(axis) in err
+        assert err.startswith(f"ConfigError: sweep axis {axis!r} not recognized")
+
+    @pytest.mark.parametrize("family", sorted(SIGNALS))
+    def test_signal_axes_are_the_numeric_keys(self, tmp_path, capsys, family):
+        allowed = sorted(["gamma_g", "gamma_d", "detuning", *SIGNAL_AXES[family]])
+        for key in SIGNALS[family]:
+            cfg = write_config(
+                tmp_path,
+                {
+                    **EQUATORIAL,
+                    "signal": {"family": family, **SIGNALS[family]},
+                    "sweep": [{"name": key, "min": 0.1, "max": 1.0, "points": 2}],
+                },
+            )
+            code, out, err = run_cli(capsys, "sync", "--config", cfg)
+            if key in SIGNAL_AXES[family]:
+                assert code == 0
+                assert [float(row[key]) for row in read_csv(out)] == [0.1, 1.0]
+            else:
+                assert (code, out) == (2, "")
+                assert err == (
+                    f"ConfigError: sweep axis {key!r} not recognized; "
+                    f"allowed: {allowed}\n"
+                )
 
     def test_invalid_cells_named_by_row(self, tmp_path, capsys):
         cfg = write_config(
@@ -388,19 +428,48 @@ class TestSync:
         assert code == 0
         assert len({row["S"] for row in read_csv(out)}) == 3
 
-    def test_json_config_echo_round_trips(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {**EQUATORIAL, "eta": 0.2})
-        code, out, _ = run_cli(
-            capsys, "sync", "--config", cfg, "--format", "json"
-        )
+    @pytest.mark.parametrize("family", sorted(SIGNALS))
+    @pytest.mark.parametrize("command", ["sync", "perturb", "tongue"])
+    def test_json_config_echo_round_trips(self, tmp_path, capsys, command, family):
+        config = {
+            **EQUATORIAL,
+            "eta": 0.2,
+            "signal": {"family": family, **SIGNALS[family]},
+            "sweep": TONGUE_AXES if command == "tongue" else [],
+        }
+        cfg = write_config(tmp_path, config)
+        code, out, _ = run_cli(capsys, command, "--config", cfg, "--format", "json")
         assert code == 0
         payload = json.loads(out)
+        # the echo holds the keys as given, and no default of another family
+        assert payload["config"]["signal"] == config["signal"]
         echoed = write_config(tmp_path, payload["config"], "echo.json")
         code2, out2, _ = run_cli(
-            capsys, "sync", "--config", echoed, "--format", "json"
+            capsys, command, "--config", echoed, "--format", "json"
         )
         assert code2 == 0
         assert json.loads(out2) == payload
+
+    # each was dropped, and the run wrote the same rows as without it
+    @pytest.mark.parametrize("family", sorted(SIGNALS))
+    @pytest.mark.parametrize("command", ["sync", "perturb", "tongue"])
+    def test_signal_key_the_family_does_not_read(
+        self, tmp_path, capsys, command, family
+    ):
+        unread = "phase" if family == "vdp_params" else "tau_ratio"
+        config = {
+            **EQUATORIAL,
+            "signal": {"family": family, **SIGNALS[family], unread: 0.3},
+            "sweep": TONGUE_AXES if command == "tongue" else [],
+        }
+        cfg = write_config(tmp_path, config)
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert (code, out) == (2, "")
+        reads = ", ".join(f"signal.{key}" for key in SIGNALS[family])
+        assert err == (
+            f"ConfigError: signal {family} does not read signal.{unread}; "
+            f"it reads {reads}\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -505,8 +574,11 @@ class TestTongue:
         code, out, err = run_cli(capsys, "tongue", "--config", cfg)
         assert code == 2
         assert out == ""
-        assert err.startswith("InvalidValueError: tongue strengths must be non-negative")
-        assert "got [-2.0] at stack index [0]" in err
+        # the strengths as configured, before the unit_rate scaling
+        assert err == (
+            "ConfigError: sweep axis 'epsilon' must be non-negative and finite, "
+            "got [-1.0] at axis position [0]\n"
+        )
 
     def test_unit_rate_scales_both_axes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.UNIT_RATE)
@@ -522,6 +594,18 @@ class TestTongue:
         epsilon = read_csv(out)[0]["epsilon"]
         assert at_one == {epsilon}
         assert float(epsilon) == pytest.approx(0.2582, abs=1e-4)
+
+    # the cooperativity cycle's default gamma_10 and gamma_0m1 were left
+    # unscaled, so unit_rate changed their ratio to the configured detuning
+    def test_unit_rate_scales_default_rates(self, capsys):
+        base = ["unit_rate=2", "scenario.name=cooperativity",
+                "scenario.cooperativity=1", "scenario.detuning=0.5"]
+        rows = []
+        for sets in (base, base + ["scenario.gamma_10=1", "scenario.gamma_0m1=1"]):
+            code, out, _ = run_cli(capsys, "sync", *(f"--set={x}" for x in sets))
+            assert code == 0
+            rows.append(out)
+        assert rows[0] == rows[1]
 
     def test_unit_rate_matches_doubled_rates(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.UNIT_RATE)
@@ -611,7 +695,10 @@ class TestFigures:
     def test_unknown_figure(self, capsys):
         code, _, err = run_cli(capsys, "figure", "fig99")
         assert code == 2
-        assert "ConfigError" in err
+        assert err == (
+            "ConfigError: figure id must be one of ['fig2', 'fig3a', 'fig3b', "
+            "'fig4', 'fig5', 'fig6', 'fig7', 'fig8app'], got 'fig99'\n"
+        )
 
     def test_fig2_boundary_column(self, tmp_path, capsys):
         out_path = tmp_path / "fig2.csv"
@@ -1543,6 +1630,9 @@ class TestParserReuse:
         assert cli.build_parser() is not cli.build_parser()
 
 
+GAMMA_D_SWEEP = 'sweep=[{"name": "gamma_d", "min": 1, "max": 2, "points": 2}]'
+
+
 class TestUserErrors:
     def test_library_errors_share_one_base(self):
         errors = [
@@ -1610,7 +1700,73 @@ class TestUserErrors:
             ),
             (
                 ["sync", "--set", 'signal={"family": "chirp"}'],
-                "unknown signal family 'chirp'",
+                "signal.family must be one of ['equatorial_angles', "
+                "'semiclassical', 'tones', 'vdp_params'], got 'chirp'",
+            ),
+            # a bad scenario or family is named before the sweep axes it
+            # decides; each was reported as an axis that is not recognized
+            (
+                ["sync", "--set", "scenario.name=bogus", "--set", GAMMA_D_SWEEP],
+                "scenario.name must be one of ['asymmetric_equatorial', "
+                "'cooperativity', 'equatorial', 'vdp'], got 'bogus'",
+            ),
+            (
+                ["sync", "--set", "signal.family=bogus", "--set", GAMMA_D_SWEEP],
+                "signal.family must be one of ['equatorial_angles', "
+                "'semiclassical', 'tones', 'vdp_params'], got 'bogus'",
+            ),
+            # the family's default is the default config's: a section given
+            # whole names its family
+            (
+                ["sync", "--set", 'signal={"phase": 0.3}'],
+                "signal.family must be one of ['equatorial_angles', "
+                "'semiclassical', 'tones', 'vdp_params'], got None",
+            ),
+            # an unhashable name leaked a TypeError
+            (
+                ["sync", "--set", "scenario.name=[1]"],
+                "scenario.name must be one of ['asymmetric_equatorial', "
+                "'cooperativity', 'equatorial', 'vdp'], got [1]",
+            ),
+            # each was dropped, and the run wrote the same row as without it
+            (
+                ["sync", "--set", "signal.zeta=0.3"],
+                "signal semiclassical does not read signal.zeta; it reads "
+                "signal.phase",
+            ),
+            (
+                ["sync", "--set", "signal.family=equatorial_angles"],
+                "signal equatorial_angles does not read signal.phase; it reads "
+                "signal.zeta, signal.chi",
+            ),
+            (
+                ["sync", "--set",
+                 'signal={"family": "equatorial_angles", "tau_ratio": 0.3}'],
+                "signal equatorial_angles does not read signal.tau_ratio; it "
+                "reads signal.zeta, signal.chi",
+            ),
+            # JSON's true and false were read as 1 and 0
+            (
+                ["sync", "--set", "scenario.gamma_d=true"],
+                "scenario.gamma_d must be a number, got True",
+            ),
+            (["sync", "--set", "eta=false"], "eta must be a number, got False"),
+            (
+                ["figure", "fig7", "--set", "figure.gamma_ratios=[true, 2]"],
+                "figure.gamma_ratios must be a number, got True",
+            ),
+            (
+                ["bound", "--set", "bound.adjacent=[0, true]"],
+                "bound.adjacent must be a number, got True",
+            ),
+            (
+                ["sync", "--set", 'signal={"family": "tones", "t01": true}'],
+                "signal.t01 must be a number, got True",
+            ),
+            (
+                ["sync", "--set", 'sweep=[{"name": "detuning", "min": 0, "max": 1, '
+                 '"points": true}]'],
+                "sweep axis 'detuning' points must be a number, got True",
             ),
             (
                 ["sync", "--set",

@@ -48,25 +48,20 @@ from .lindblad import (
     Liouvillian,
     MixedSectorError,
     build_liouvillian,
-    dissipator_apply,
     sector_of,
     steady_state,
 )
 from .perturbation import (
     DegenerateSteadyStateError,
-    Eigencoherence,
-    NonDiagonalizableError,
     PerturbationResult,
     SingularCoherenceBlockError,
     SyncResult,
     ZeroResponseError,
     coherence_response,
-    eigencoherences,
     epsilon_for_threshold,
     first_order,
     full_steady_state,
     hs_norm,
-    kth_order,
     p_avg,
     p_max,
     perturbation_result,

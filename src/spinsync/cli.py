@@ -320,6 +320,10 @@ def _sweep_axes(cfg: dict, allowed: tuple[str, ...]) -> list[tuple[str, np.ndarr
             if lo <= 0 or hi <= 0:
                 raise ConfigError(f"log axis {name!r} needs positive bounds")
             lo, hi, space = math.log10(lo), math.log10(hi), np.logspace
+        elif not math.isfinite(hi - lo):
+            raise ConfigError(
+                f"sweep axis {name!r} from {lo!r} to {hi!r}: max - min overflows"
+            )
         try:
             axes.append((name, space(lo, hi, points)))
         except (ValueError, MemoryError) as err:  # numpy refuses the size
@@ -661,11 +665,15 @@ def cmd_tongue(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = _config(args)
     lc = build_scenario(cfg)
-    family = cfg.get("signal", {}).get("family")
+    signal = cfg.get("signal", {})
+    family = signal.get("family")
     if family not in ("equatorial_angles", "vdp_general"):
         raise ConfigError(
             "optimize expects signal.family 'equatorial_angles' or 'vdp_general'"
         )
+    unread = ", ".join(f"signal.{key}" for key in signal if key != "family")
+    if unread:
+        raise ConfigError(f"optimize does not read {unread}; it reads signal.family")
     report = optimize_signal(lc, family, eta=cfg["eta"])
     measure = {"S": report.value, "S_over_eta": report.value / report.eta}
     payload = {

@@ -13,15 +13,12 @@ i delta [S_z, .], acting on column-stacked matrices: entry (i, j) of a 3x3
 matrix sits at position i + 3 j of the length-9 vector.  It block-diagonalizes
 over sectors: a real block on the populations (k = 0) and square complex
 blocks on the coherence sectors k = +1, +2, with the k < 0 blocks the complex
-conjugates of their mirrors.  One private function evaluates that sum, from
-the Kronecker products' own entries, at a chosen set of vector positions.
-:func:`build_liouvillian` takes the blocks from the population and k = 1, 2
-positions; they are linear in the rates, and the detuning only adds
+conjugates of their mirrors.  :func:`build_liouvillian` evaluates that sum,
+from the Kronecker products' own entries, at the population and k = 1, 2
+positions only; the blocks are linear in the rates, and the detuning only adds
 -i k delta to the diagonal of block k.  So rates and detuning may be arrays
 that broadcast against each other, and one build gives the blocks of every
-cell of that stack.  ``Liouvillian.full`` is the same sum at all nine
-positions, built only when first read: by the exact driven steady state, the
-higher perturbative orders and :func:`apply_liouvillian`.
+cell of that stack.  Every use of the generator reads these blocks.
 """
 
 from __future__ import annotations
@@ -56,20 +53,14 @@ _EYE = np.eye(3, dtype=complex)
 _SECTOR_OF_ENTRY = np.arange(3)[None, :] - np.arange(3)[:, None]
 
 
-def _positions(pos):
-    """Where a Kronecker product of 3x3 factors takes its entries at the vec
-    positions ``pos`` (entry (i, j) of a 3x3 matrix sits at i + 3 j): flat
-    gathers from each factor, and the sector j - i of each position."""
-    j, i = np.divmod(pos, 3)
-    return 3 * j[:, None] + j, 3 * i[:, None] + i, j - i
-
-
-_ALL = _positions(range(9))
-# The populations and the k = 1, 2 slots side by side: the sector blocks are
-# the diagonal blocks [0:3], [3:5] and [5:6] of the generator on these positions.
-_BLOCKS = _positions(
-    [i + 3 * j for i, j in ((0, 0), (1, 1), (2, 2)) + SECTOR_SLOTS[1] + SECTOR_SLOTS[2]]
-)
+# The matrix entries (i, j) of the populations and of the k = 1, 2 slots, side
+# by side: the sector blocks are the diagonal blocks [0:3], [3:5] and [5:6] of
+# the generator on the vec positions i + 3 j of these entries.
+_I, _J = np.transpose(((0, 0), (1, 1), (2, 2)) + SECTOR_SLOTS[1] + SECTOR_SLOTS[2])
+_SECTORS = _J - _I
+# A Kronecker product of 3x3 factors takes its entry at vec positions (p, q)
+# from a[j_p, j_q] and b[i_p, i_q]: flat gathers from each factor.
+_LEFT, _RIGHT = 3 * _J[:, None] + _J, 3 * _I[:, None] + _I
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -162,32 +153,21 @@ def require_single(spec: LimitCycleSpec, caller: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Limit-cycle generator with its sector decomposition.
+    """Limit-cycle generator as its sector blocks.
 
     ``diag_block`` is the real 3x3 block on the populations; ``sector_blocks``
     maps k in {1, 2} to the block acting on the coherence slots of that
     sector, ordered as in ``SECTOR_SLOTS`` (k = 1 acts on
     (rho_{1,0}, rho_{0,-1}), k = 2 on rho_{1,-1}).  Negative sectors are the
-    complex conjugates.  For a stacked spec every block carries the stack
-    shape in front, e.g. ``diag_block`` has shape ``spec.shape + (3, 3)``.
-
-    ``full``, the 9x9 generator acting on column-stacked 3x3 matrices, is
-    built from the dissipators of a single-cycle ``spec`` on first access, by
-    the same sum as the blocks (see :func:`build_liouvillian`); only the exact
-    driven steady state, the higher perturbative orders and
-    :func:`apply_liouvillian` need it.  Generators compare and hash by
-    identity, as their specs do.
+    complex conjugates, and no entry couples two sectors.  For a stacked spec
+    every block carries the stack shape in front, e.g. ``diag_block`` has
+    shape ``spec.shape + (3, 3)``.  Generators compare and hash by identity,
+    as their specs do.
     """
 
     spec: LimitCycleSpec
     diag_block: np.ndarray
     sector_blocks: dict[int, np.ndarray]
-
-    @cached_property
-    def full(self) -> np.ndarray:
-        """The 9x9 generator of a single cycle, built on first access."""
-        require_single(self.spec, "the 9x9 generator")
-        return _generator(self.spec, _ALL)
 
 
 def sector_of(op: np.ndarray, rel_tol: float = 1e-14) -> int:
@@ -221,63 +201,38 @@ def _sector_and_scale(op: np.ndarray, rel_tol: float = 1e-14) -> tuple[int, floa
     return int(lo), scale
 
 
-def dissipator_apply(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """D[O] rho = O rho O^dag - (1/2){O^dag O, rho}."""
-    op = np.asarray(op, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    odo = op.conj().T @ op
-    return op @ rho @ op.conj().T - 0.5 * (odo @ rho + rho @ odo)
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of ``a`` and ``b`` on the block positions: the
+    products a[r, c] b[s, t] it is made of."""
+    return a.take(_LEFT) * b.take(_RIGHT)
 
 
-def _kron(a: np.ndarray, b: np.ndarray, positions) -> np.ndarray:
-    """The Kronecker product of ``a`` and ``b`` at ``positions`` (see
-    :func:`_positions`): the products a[r, c] b[s, t] it is made of."""
-    left, right, _ = positions
-    return a.take(left) * b.take(right)
-
-
-def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    """Superoperator of -i[H, .] under column stacking."""
-    h = np.asarray(h, dtype=complex)
-    return -1j * (_kron(_EYE, h, _ALL) - _kron(h.T, _EYE, _ALL))
-
-
-def _dissipator(op: np.ndarray, positions) -> np.ndarray:
-    """D[O] = kron(O*, O) - kron(I, O^dag O) / 2 - kron((O^dag O)^T, I) / 2 at
-    ``positions``."""
+def _dissipator(op: np.ndarray) -> np.ndarray:
+    """D[O] = kron(O*, O) - kron(I, O^dag O) / 2 - kron((O^dag O)^T, I) / 2 on
+    the block positions."""
     op = np.asarray(op, dtype=complex)
     odo = op.conj().T @ op
-    return (
-        _kron(op.conj(), op, positions)
-        - 0.5 * _kron(_EYE, odo, positions)
-        - 0.5 * _kron(odo.T, _EYE, positions)
-    )
+    return _kron(op.conj(), op) - 0.5 * _kron(_EYE, odo) - 0.5 * _kron(odo.T, _EYE)
 
 
-def dissipator_superop(op: np.ndarray) -> np.ndarray:
-    """Superoperator of D[O] under column stacking."""
-    return _dissipator(op, _ALL)
-
-
-def _generator(spec: LimitCycleSpec, positions) -> np.ndarray:
+def _generator(spec: LimitCycleSpec) -> np.ndarray:
     """The generator, the sum of rate * D[O] over the dissipators minus
-    i delta [S_z, .], at ``positions`` and stacked over ``spec.shape``: the
-    detuning adds -i k delta on the diagonal at each sector-k position."""
-    sectors = positions[2]
-    gen = np.zeros(spec.shape + 2 * sectors.shape, dtype=complex)
+    i delta [S_z, .], on the block positions and stacked over ``spec.shape``:
+    the detuning adds -i k delta on the diagonal at each sector-k position."""
+    gen = np.zeros(spec.shape + 2 * _SECTORS.shape, dtype=complex)
     for op, rate in spec.dissipators:
         # a zero rate adds zeros, so each cell sums as if built alone
-        gen += np.multiply.outer(rate, _dissipator(op, positions))
-    for d in np.flatnonzero(sectors):
-        gen[..., d, d].imag -= sectors[d] * spec.detuning
+        gen += np.multiply.outer(rate, _dissipator(op))
+    for d in np.flatnonzero(_SECTORS):
+        gen[..., d, d].imag -= _SECTORS[d] * spec.detuning
     return gen
 
 
 def build_liouvillian(spec: LimitCycleSpec) -> Liouvillian:
     """The sector blocks of the generator, stacked over ``spec.shape``: slices
     of the generator on the population and sector k = 1, 2 positions.  Every
-    entry is summed as in the sum of rate * :func:`dissipator_superop` terms
-    and as in the build of that cell alone.
+    entry is summed as in the sum of rate * D[O] Kronecker terms over the
+    whole 9x9 and as in the build of that cell alone.
 
     Validates the spec: every dissipator must have a single well-defined
     sector (:class:`MixedSectorError` otherwise) and finite nonnegative
@@ -313,13 +268,13 @@ def build_liouvillian(spec: LimitCycleSpec) -> Liouvillian:
         raise InvalidValueError("detuning must be finite" + _where(bad, spec.detuning))
     bound += 2.0 * _largest(spec.detuning)
     if bound < _SAFE_BOUND:
-        gen = _generator(spec, _BLOCKS)
+        gen = _generator(spec)
     else:
         # some entry may overflow: build without warnings, then name the
         # cells that did (ufuncs run slower under np.errstate, so the usual
         # build stays outside it)
         with np.errstate(over="ignore", invalid="ignore"):
-            gen = _generator(spec, _BLOCKS)
+            gen = _generator(spec)
         bad = ~np.isfinite(gen).all(axis=(-2, -1))
         if bad.any():
             raise InvalidValueError(
@@ -330,17 +285,6 @@ def build_liouvillian(spec: LimitCycleSpec) -> Liouvillian:
         diag_block=gen[..., :3, :3].real.copy(),
         sector_blocks={1: gen[..., 3:5, 3:5].copy(), 2: gen[..., 5:, 5:].copy()},
     )
-
-
-def apply_liouvillian(liou: Liouvillian, rho: np.ndarray) -> np.ndarray:
-    """Apply the full generator to a 3x3 matrix."""
-    return unvec(liou.full @ vec(rho))
-
-
-def sector_block(liou: Liouvillian, k: int) -> np.ndarray:
-    """Block of the generator on the slots of sector k (k in +-1, +-2)."""
-    block = liou.sector_blocks[abs(k)]
-    return block if k > 0 else block.conj()
 
 
 def _populations(liou: Liouvillian) -> np.ndarray:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import InvalidValueError, SpinsyncError
 from .lindblad import (
-    SECTOR_SLOTS,
     LimitCycleSpec,
     Liouvillian,
     _float_or_array,
@@ -31,10 +30,7 @@ from .lindblad import (
     _target_state,
     _where,
     build_liouvillian,
-    hamiltonian_superop,
     require_single,
-    sector_block,
-    steady_state,
     unvec,
     vec,
 )
@@ -60,10 +56,6 @@ class ZeroResponseError(SpinsyncError):
 
 class DegenerateSteadyStateError(SpinsyncError):
     """The driven generator has no unique stationary state."""
-
-
-class NonDiagonalizableError(SpinsyncError):
-    """A coherence block cannot be reliably eigendecomposed."""
 
 
 def hs_norm(op: np.ndarray) -> float:
@@ -93,10 +85,6 @@ class SyncResult:
     epsilon: float
     eta: float
     zero_response: bool = False
-
-
-def _lext_apply(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return -1j * (h @ rho - rho @ h)
 
 
 def _solve_sectors(blocks: np.ndarray, rhs: np.ndarray, detuning) -> np.ndarray:
@@ -318,8 +306,8 @@ def perturbative_orders(
     each later one is rho_k = -(L0 - P)^-1 L_ext rho_(k-1), the traceless
     solution of L0 rho_k = -L_ext rho_(k-1), from one real 9x9 solve per
     cycle for that map on the coordinates of a Hermitian matrix (P of
-    :func:`_anchored`, the coordinates of :func:`_real_form`), made only
-    when ``kmax`` >= 2.
+    :func:`_anchored`, the real forms of :func:`_generator_form` and
+    :func:`_signal_form`), made only when ``kmax`` >= 2.
     """
     if kmax < 0:
         raise InvalidValueError("kmax must be nonnegative")
@@ -328,18 +316,13 @@ def perturbative_orders(
     pops, map1, map2 = _response_maps(liou)
     orders = [_target_state(pops), _rho1(_apply_maps(map1, map2, signal))]
     if kmax >= 2:
-        lext = _real_form(hamiltonian_superop(build_hext(signal)))
-        step = -np.linalg.solve(_anchored(_real_form(liou.full)), lext)
+        lext = _signal_form(build_hext(signal))
+        step = -np.linalg.solve(_anchored(_generator_form(liou)), lext)
         x = _coordinates(orders[-1])
         for _ in range(2, kmax + 1):
             x = step @ x
             orders.append(_from_coordinates(x))
     return orders[: kmax + 1]
-
-
-def kth_order(lc: LimitCycleSpec, signal: SignalSpec, k: int) -> np.ndarray:
-    """Order-k term of the stationary-state expansion."""
-    return perturbative_orders(lc, signal, k)[k]
 
 
 # The real coordinates of a Hermitian 3x3 matrix: its three populations, then
@@ -352,24 +335,6 @@ _ANCHOR = _TRACE_ROW / 3.0  # the coordinates of I/3
 _PROJECTOR = np.outer(_ANCHOR, _TRACE_ROW)  # P = vec(I/3) tr(.)
 #: dtype of the driven state's residual sum where it is wider than double
 _EXTENDED = np.longdouble
-
-
-def _real_form(op: np.ndarray) -> np.ndarray:
-    """A 9x9 superoperator that keeps matrices Hermitian, as the real 9x9
-    matrix that acts on their coordinates.
-
-    Its columns are ``op`` applied to E_ii, E_ij + E_ji and i (E_ij - E_ji),
-    read at the populations and at the upper coherences, so each entry is
-    the real or imaginary part of the sum or difference of two entries of
-    ``op``.  In the generators and signal superoperators of this package one
-    of the two is zero, or the two are complex conjugates: each entry is +-1
-    or +-2 times the real or imaginary part of one entry of ``op``, and the
-    form is exact.
-    """
-    upper, lower = op[..., _UPPER], op[..., _LOWER]
-    cols = [op[..., _DIAG], upper + lower, 1j * (upper - lower)]
-    cols = np.concatenate(cols, axis=-1)[..., _DIAG + _UPPER, :]
-    return np.concatenate([cols.real, cols[..., 3:, :].imag], axis=-2)
 
 
 def _coordinates(rho: np.ndarray) -> np.ndarray:
@@ -390,6 +355,37 @@ def _from_coordinates(x: np.ndarray) -> np.ndarray:
     return unvec(v)
 
 
+#: the Hermitian matrix X_c of each unit coordinate c, shape (9, 3, 3)
+_BASIS = _from_coordinates(np.eye(9))
+
+
+def _generator_form(liou: Liouvillian) -> np.ndarray:
+    """The generator L0 as the real 9x9 matrix that acts on the coordinates
+    of a Hermitian matrix: [[D, 0, 0], [0, Br, -Bi], [0, Bi, Br]], for D the
+    population block and B = Br + i Bi the k = 1 and k = 2 blocks, set
+    block-diagonally on (rho_{1,0}, rho_{0,-1}, rho_{1,-1}).  Each entry is
+    a block entry, its real or imaginary part, or the negative of one, so
+    the form is exact."""
+    blocks = np.zeros(liou.spec.shape + (3, 3), dtype=complex)
+    blocks[..., :2, :2] = liou.sector_blocks[1]
+    blocks[..., 2:, 2:] = liou.sector_blocks[2]
+    gen = np.zeros(liou.spec.shape + (9, 9))
+    gen[..., :3, :3] = liou.diag_block
+    gen[..., 3:6, 3:6] = gen[..., 6:, 6:] = blocks.real
+    gen[..., 3:6, 6:] = -blocks.imag
+    gen[..., 6:, 3:6] = blocks.imag
+    return gen
+
+
+def _signal_form(h: np.ndarray) -> np.ndarray:
+    """-i[h, .] as the real 9x9 matrix that acts on coordinates: column c
+    holds the coordinates of -i[h, X_c].  Each entry of h X_c and of X_c h is
+    an entry of h times 0, +-1 or +-i, and where both are nonzero they are
+    complex conjugates or diagonal entries of h: the form of a strictly
+    off-diagonal Hermitian h, as :func:`build_hext` makes, is exact."""
+    return _coordinates(-1j * (h @ _BASIS - _BASIS @ h)).T
+
+
 def full_steady_state(lc: LimitCycleSpec, signal: SignalSpec, epsilon) -> np.ndarray:
     """Exact stationary state of the driven generator at finite epsilon; an
     array of strengths gives the states stacked over its shape (see
@@ -399,8 +395,8 @@ def full_steady_state(lc: LimitCycleSpec, signal: SignalSpec, epsilon) -> np.nda
 
 def _anchored(gen: np.ndarray) -> np.ndarray:
     """L - P from the real form ``gen`` of a generator L (see
-    :func:`_real_form`), P = vec(I/3) tr(.): for a trace-preserving L, L - P
-    is nonsingular exactly when L has a unique stationary state x, and
+    :func:`_generator_form`), P = vec(I/3) tr(.): for a trace-preserving L,
+    L - P is nonsingular exactly when L has a unique stationary state x, and
     (L - P) x = -vec(I/3); on traceless input (L - P)^-1 inverts L.  Any
     trace-one anchor would do, and I/3 needs no target state."""
     return gen - _PROJECTOR
@@ -426,7 +422,8 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
     states stacked over its shape).  The state is Hermitian and every
     generator keeps matrices Hermitian, so the solve runs on the nine real
     coordinates of a Hermitian matrix (the populations and the real and
-    imaginary parts of the three upper coherences; :func:`_real_form`).
+    imaginary parts of the three upper coherences), where L0 and L_ext are
+    the real 9x9 matrices of :func:`_generator_form` and :func:`_signal_form`.
     With the anchor P of :func:`_anchored`, each state solves
     (L0 + eps L_ext - P) x = -vec(I/3): one stacked real 9x9 inverse, then
     one refinement step.  Its residual is summed from L0, L_ext and the
@@ -458,6 +455,7 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
     that does not preserve the trace) a degenerate kernel.  A strength or
     tone that is not finite raises :class:`InvalidValueError`.
     """
+    require_single(liou.spec, "the exact driven steady state")
     eps = np.asarray(epsilon, dtype=float)
     bad = ~np.isfinite(eps)
     if bad.any():
@@ -468,7 +466,7 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
     if bad:
         raise InvalidValueError(f"signal tones must be finite: {', '.join(bad)}")
     flat = eps.reshape(-1)
-    l0, l1 = _real_form(liou.full), _real_form(hamiltonian_superop(h))
+    l0, l1 = _generator_form(liou), _signal_form(h)
     anchored = _anchored(l0)
     inv = _inverses(anchored + flat[:, None, None] * l1)
     x = -(inv @ _ANCHOR)
@@ -550,11 +548,11 @@ def _product_error(p, ah, al, bh, bl):
 
 def _compensated_residual(x, l0, l1, eps) -> np.ndarray:
     """-vec(I/3) - (L0 + eps L1 - P) x in real coordinates, for a stack x
-    (n, 9) and the real forms ``l0`` and ``l1`` (see :func:`_real_form`),
-    every product and sum error-free and only the sum of their errors
-    rounded (Dot2 of Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 1955
-    (2005), its sums taken pairwise): as accurate as a sum in twice the
-    working precision.
+    (n, 9) and the real forms ``l0`` and ``l1`` (:func:`_generator_form`,
+    :func:`_signal_form`), every product and sum error-free and only the sum
+    of their errors rounded (Dot2 of Ogita, Rump and Oishi, SIAM J. Sci.
+    Comput. 26, 1955 (2005), its sums taken pairwise): as accurate as a sum
+    in twice the working precision.
 
     The residual is M z, M = [-L0 | P | -L1 | -vec(I/3)] and
     z = (x, x, eps x, 1); eps x = y + dy exactly, and -L1 dy, of the order
@@ -598,52 +596,3 @@ def p_max(rho: np.ndarray, rho0: np.ndarray):
     """Largest change of any individual population; a float for one state,
     an array for a stack of states of shape (..., 3, 3)."""
     return _float_or_array(np.abs(_population_change(rho, rho0)).max(axis=-1))
-
-
-@dataclass(frozen=True)
-class Eigencoherence:
-    """One eigenmode of the coherence dynamics and how strongly it is driven."""
-
-    decay: complex
-    mode: np.ndarray
-    drive: complex
-
-
-def eigencoherences(lc: LimitCycleSpec, signal: SignalSpec) -> list[Eigencoherence]:
-    """Eigenmode decomposition of the first-order response.
-
-    For each coherence sector the block is eigendecomposed; the drive
-    coefficients are projections of the signal action on the target state
-    onto the (dual) eigenbasis, so that rho1 = -sum_l mode_l drive_l/decay_l
-    always reconstructs.  When the blocks are normal the eigenmodes are
-    orthonormal and ||rho1||^2 = sum_l |drive_l/decay_l|^2.  Blocks with an
-    ill-conditioned eigenbasis raise :class:`NonDiagonalizableError`; the
-    threshold rule itself stays well defined in that case.
-    """
-    require_single(lc, "eigencoherences")
-    liou = build_liouvillian(lc)
-    rho0 = steady_state(liou)
-    drive_mat = _lext_apply(build_hext(signal), rho0)
-    out: list[Eigencoherence] = []
-    for k in (1, 2, -1, -2):
-        slots = SECTOR_SLOTS[k]
-        block = sector_block(liou, k)
-        evals, vecs = np.linalg.eig(block)
-        if np.linalg.cond(vecs) >= 1e8:
-            raise NonDiagonalizableError(
-                f"coherence block of sector {k} has an ill-conditioned eigenbasis"
-            )
-        rhs = np.array([drive_mat[s] for s in slots])
-        coeffs = np.linalg.solve(vecs, rhs)
-        for idx in range(len(evals)):
-            mode = np.zeros((3, 3), dtype=complex)
-            for s, x in zip(slots, vecs[:, idx]):
-                mode[s] = x
-            out.append(
-                Eigencoherence(
-                    decay=complex(evals[idx]),
-                    mode=mode,
-                    drive=complex(coeffs[idx]),
-                )
-            )
-    return out

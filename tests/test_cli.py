@@ -30,7 +30,7 @@ from spinsync.signals import (
 )
 from spinsync.spin import SQRT2
 
-from conftest import exact_driven_state
+from conftest import exact_driven_state, kronecker_build, kronecker_commutator
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -656,6 +656,16 @@ class TestOptimizeAndBound:
             "or 'vdp_general'\n"
         )
 
+    # a signal key past the family was dropped, and the run exited 0
+    def test_optimize_refuses_unread_signal_keys(self, capsys):
+        argv = ["optimize", "--set", "scenario.name=vdp", "--set", "scenario.gamma_g=1"]
+        argv += ["--set", "scenario.gamma_d=3", "--set", "signal.family=vdp_general"]
+        code, out, err = run_cli(capsys, *argv, "--set", "signal.bogus=0.3")
+        assert (code, out) == (2, "")
+        assert err == (
+            "ConfigError: optimize does not read signal.bogus; it reads signal.family\n"
+        )
+
     def test_bound_cli_with_params(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -992,13 +1002,13 @@ class TestGeneratorBuilds:
         assert code == 0
         rows = read_csv(out)
         assert len(rows) == 151
-        liou = lindblad.build_liouvillian(catalog.equatorial_limit_cycle(1.0, ratio))
-        l1 = lindblad.hamiltonian_superop(build_hext(semiclassical(0.0)))
-        pops0 = lindblad.steady_state(liou).diagonal().real
+        lc = catalog.equatorial_limit_cycle(1.0, ratio)
+        gen, l1 = kronecker_build(lc), kronecker_commutator(build_hext(semiclassical(0.0)))
+        pops0 = lindblad.steady_state(lindblad.build_liouvillian(lc)).diagonal().real
         dps = 40 + 3 * round(math.log10(ratio))
         for row in rows[1::15]:
             eps = float(row["epsilon"])
-            pops = exact_driven_state(liou.full, l1, eps, dps).diagonal().real - pops0
+            pops = exact_driven_state(gen, l1, eps, dps).diagonal().real - pops0
             assert abs(float(row["p_avg"]) - (pops[0] - pops[2])) <= 1e-13
             assert abs(float(row["p_max"]) - np.abs(pops).max()) <= 1e-13
 
@@ -1640,7 +1650,11 @@ class TestUserErrors:
             for obj in vars(spinsync).values()
             if isinstance(obj, type) and issubclass(obj, Exception)
         ]
-        assert len(errors) >= 8
+        assert {e.__name__ for e in errors} == {
+            "SpinsyncError", "InvalidValueError", "MixedSectorError",
+            "DegenerateLimitCycleError", "SingularCoherenceBlockError",
+            "ZeroResponseError", "DegenerateSteadyStateError",
+        }
         assert all(issubclass(e, SpinsyncError) for e in errors)
         assert issubclass(SpinsyncError, ValueError)
         with pytest.raises(SpinsyncError):
@@ -1876,6 +1890,20 @@ class TestUserErrors:
             (
                 ["figure", "fig8app", "--set", "figure.r_values=[NaN]"],
                 "figure.r_values must be finite, got nan",
+            ),
+            # finite bounds whose difference overflows made the axis
+            # [nan, inf, 1e308], with numpy's RuntimeWarnings
+            (
+                ["sync", "--set", 'sweep=[{"name": "detuning", "min": -1e308, '
+                 '"max": 1e308, "points": 3}]'],
+                "sweep axis 'detuning' from -1e+308 to 1e+308: max - min overflows",
+            ),
+            # optimize reads signal.family alone; the rest was dropped
+            (
+                ["optimize", "--set", "signal.family=vdp_general", "--set",
+                 "signal.bogus=0.3"],
+                "optimize does not read signal.phase, signal.bogus; it reads "
+                "signal.family",
             ),
         ],
     )

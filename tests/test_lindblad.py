@@ -17,46 +17,23 @@ from spinsync.lindblad import (
     DegenerateLimitCycleError,
     LimitCycleSpec,
     MixedSectorError,
-    apply_liouvillian,
     build_liouvillian,
-    dissipator_apply,
-    dissipator_superop,
-    hamiltonian_superop,
-    sector_block,
     sector_of,
     steady_state,
     unvec,
     vec,
 )
+from spinsync.perturbation import _TRACE_ROW, _generator_form
 from spinsync.spin import SM, SP, SQRT2, SX, SZ, rotation_z
 
-from conftest import random_hermitian
+from conftest import kronecker_build
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def _kronecker_dissipator(op):
-    """Oracle: D[O] as a sum of np.kron superoperators."""
-    eye, odo = np.eye(3, dtype=complex), op.conj().T @ op
-    return np.kron(op.conj(), op) - 0.5 * np.kron(eye, odo) - 0.5 * np.kron(odo.T, eye)
-
-
-def _kronecker_build(spec):
-    """Oracle: the 9x9 generator of one cycle as a sum of Kronecker-product
-    superoperators."""
-    full = np.zeros((9, 9), dtype=complex)
-    for op, rate in spec.dissipators:
-        if float(rate) > 0.0:
-            full += float(rate) * _kronecker_dissipator(np.asarray(op, dtype=complex))
-    if spec.detuning != 0.0:
-        eye, sz = np.eye(3, dtype=complex), SZ.astype(complex)
-        full += spec.detuning * (-1j * (np.kron(eye, sz) - np.kron(sz.T, eye)))
-    return full
-
-
 def _kronecker_term_sizes(spec):
     """The sum, at each entry of the 9x9 generator, of the moduli of the
-    products that :func:`_kronecker_build` adds there: a bound on what its
+    products that :func:`kronecker_build` adds there: a bound on what its
     rounding errors can scale with."""
     eye, sizes = np.eye(3), np.zeros((9, 9))
     for op, rate in spec.dissipators:
@@ -66,6 +43,14 @@ def _kronecker_term_sizes(spec):
             np.kron(mag, mag) + 0.5 * np.kron(eye, odo) + 0.5 * np.kron(odo.T, eye)
         )
     return sizes + abs(spec.detuning) * np.abs(np.kron(eye, SZ) - np.kron(SZ.T, eye))
+
+
+def _sliced(mat, k):
+    """The block of a 9x9 superoperator on the slots of sector k (0 for the
+    populations)."""
+    slots = SECTOR_SLOTS[k] if k else ((0, 0), (1, 1), (2, 2))
+    idx = [i + 3 * j for i, j in slots]
+    return mat[np.ix_(idx, idx)]
 
 
 def random_sector_spec(rng, detuning=None):
@@ -109,25 +94,16 @@ class TestSectorOf:
             sector_of(np.diag([1.0, math.nan, 0.0]))
 
 
-class TestDissipatorApply:
+class TestDissipator:
+    """One dissipator D[O] as the blocks of a cycle of unit rate."""
+
     def test_gain_on_ground_state(self):
-        rho = np.diag([0.0, 0.0, 1.0]).astype(complex)
-        expected = 2.0 * np.diag([0.0, 1.0, -1.0])
-        assert np.allclose(dissipator_apply(SP @ SZ, rho), expected)
+        pops = build_liouvillian(LimitCycleSpec(((SP @ SZ, 1.0),))).diag_block
+        assert np.allclose(pops @ [0.0, 0.0, 1.0], [0.0, 2.0, -2.0])
 
     def test_damping_annihilates_equatorial_state(self):
-        rho = np.diag([0.0, 1.0, 0.0]).astype(complex)
-        assert np.allclose(dissipator_apply(SM @ SZ, rho), 0.0)
-
-    @given(seed=SEEDS)
-    @settings(max_examples=30, deadline=None)
-    def test_trace_free(self, seed):
-        rng = np.random.default_rng(seed)
-        op = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        rho = random_hermitian(rng)
-        out = dissipator_apply(op, rho)
-        assert abs(out.trace()) < 1e-12
-        assert np.abs(out - out.conj().T).max() < 1e-12
+        pops = build_liouvillian(LimitCycleSpec(((SM @ SZ, 1.0),))).diag_block
+        assert np.allclose(pops @ [0.0, 1.0, 0.0], 0.0)
 
 
 class TestBuildLiouvillian:
@@ -150,33 +126,34 @@ class TestBuildLiouvillian:
         assert block[0, 0] == pytest.approx(-5.0)
         assert block[1, 1] == pytest.approx(-1.5)
 
+    # the real form acts on the coordinates of a Hermitian matrix, so it
+    # keeps matrices Hermitian by construction; the trace of the image is
+    # the trace row times the form
     @given(seed=SEEDS)
     @settings(max_examples=25, deadline=None)
     def test_trace_and_hermiticity_preserved(self, seed):
         rng = np.random.default_rng(seed)
-        liou = build_liouvillian(random_sector_spec(rng))
-        for _ in range(4):
-            rho = random_hermitian(rng)
-            out = apply_liouvillian(liou, rho)
-            assert abs(out.trace()) < 1e-13 * max(1.0, np.abs(out).max())
-            assert np.abs(out - out.conj().T).max() < 1e-12
+        gen = _generator_form(build_liouvillian(random_sector_spec(rng)))
+        assert np.abs(_TRACE_ROW @ gen).max() < 1e-14 * max(1.0, np.abs(gen).max())
 
+    # the blocks are the whole generator: the Kronecker sum has no entry
+    # between two sectors, and neither has the real form the solves use
     @given(seed=SEEDS)
     @settings(max_examples=25, deadline=None)
     def test_sector_preservation(self, seed):
-        rng = np.random.default_rng(seed)
-        liou = build_liouvillian(random_sector_spec(rng))
-        scale = np.abs(liou.full).max()
-        slot_index = {}
+        spec = random_sector_spec(np.random.default_rng(seed))
+        kron = kronecker_build(spec)
+        slot_sector = np.zeros(9, dtype=int)
         for k, slots in SECTOR_SLOTS.items():
             for i, j in slots:
-                slot_index[i + 3 * j] = k
-        for i in range(3):
-            slot_index[i + 3 * i] = 0
-        for row in range(9):
-            for col in range(9):
-                if slot_index[row] != slot_index[col]:
-                    assert abs(liou.full[row, col]) < 1e-14 * scale
+                slot_sector[i + 3 * j] = k
+        cross = slot_sector[:, None] != slot_sector[None, :]
+        assert (np.abs(kron[cross]) < 1e-14 * np.abs(kron).max()).all()
+        # coordinates: populations, then the real and the imaginary parts of
+        # the k = 1, 1, 2 coherences
+        coordinate_sector = np.array([0, 0, 0, 1, 1, 2, 1, 1, 2])
+        cross = coordinate_sector[:, None] != coordinate_sector[None, :]
+        assert (_generator_form(build_liouvillian(spec))[cross] == 0.0).all()
 
     @given(seed=SEEDS, alpha=st.floats(min_value=0.0, max_value=6.28))
     @settings(max_examples=25, deadline=None)
@@ -188,19 +165,20 @@ class TestBuildLiouvillian:
             tuple((rot @ op @ rot.conj().T, rate) for op, rate in spec.dissipators),
             spec.detuning,
         )
-        a = build_liouvillian(spec).full
-        b = build_liouvillian(conjugated).full
-        assert np.abs(a - b).max() < 1e-13 * max(1.0, np.abs(a).max())
+        a, b = build_liouvillian(spec), build_liouvillian(conjugated)
+        pairs = [(a.diag_block, b.diag_block)]
+        pairs += [(a.sector_blocks[k], b.sector_blocks[k]) for k in (1, 2)]
+        scale = max(1.0, *(np.abs(one).max() for one, _ in pairs))
+        for one, other in pairs:
+            assert np.abs(one - other).max() < 1e-13 * scale
 
     @given(seed=SEEDS)
     @settings(max_examples=25, deadline=None)
     def test_negative_sector_is_conjugate(self, seed):
-        rng = np.random.default_rng(seed)
-        liou = build_liouvillian(random_sector_spec(rng))
+        spec = random_sector_spec(np.random.default_rng(seed))
+        liou, kron = build_liouvillian(spec), kronecker_build(spec)
         for k in (1, 2):
-            assert np.allclose(
-                sector_block(liou, -k), sector_block(liou, k).conj()
-            )
+            assert np.allclose(_sliced(kron, -k), liou.sector_blocks[k].conj())
 
     @given(
         seed=SEEDS,
@@ -217,42 +195,17 @@ class TestBuildLiouvillian:
             detuning,
         )
         liou = build_liouvillian(spec)
-        kron = _kronecker_build(spec)
-        assert liou.full.tobytes() == kron.tobytes()
-
-        def sliced(mat, k):
-            slots = SECTOR_SLOTS[k] if k else ((0, 0), (1, 1), (2, 2))
-            idx = [i + 3 * j for i, j in slots]
-            return mat[np.ix_(idx, idx)]
-
-        assert liou.diag_block.tobytes() == sliced(kron, 0).real.tobytes()
+        kron = kronecker_build(spec)
+        assert liou.diag_block.tobytes() == _sliced(kron, 0).real.tobytes()
         for k in (1, 2):
-            assert sector_block(liou, k).tobytes() == sliced(kron, k).tobytes()
+            assert liou.sector_blocks[k].tobytes() == _sliced(kron, k).tobytes()
         # the k < 0 blocks are the conjugates of the k > 0 blocks, while the
         # oracle sums other products there, which can cancel: each entry
         # (at most 10 rounded terms) is bounded by the moduli of its terms
         sizes = _kronecker_term_sizes(spec)
-        for k in (-1, -2):
-            err = np.abs(sector_block(liou, k) - sliced(kron, k))
-            assert (err <= 10 * np.finfo(float).eps * sliced(sizes, k)).all()
-
-    # the four catalog cycles, whose operators are real
-    @given(
-        cycle=st.sampled_from(range(4)),
-        log_ratio=st.floats(-6.0, 12.0),
-        detuning=st.floats(-20.0, 20.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_catalog_full_equals_kronecker_bitwise(self, cycle, log_ratio, detuning):
-        ratio = 10.0**log_ratio
-        spec = [
-            equatorial_limit_cycle(1.0, ratio, detuning),
-            vdp_limit_cycle(1.0, ratio, detuning),
-            asymmetric_equatorial_limit_cycle(1.0, ratio, 0.5, detuning),
-            cooperativity_limit_cycle(ratio, 1.0, 1.0, detuning),
-        ][cycle]
-        full = build_liouvillian(spec).full
-        assert full.tobytes() == _kronecker_build(spec).tobytes()
+        for k in (1, 2):
+            err = np.abs(liou.sector_blocks[k].conj() - _sliced(kron, -k))
+            assert (err <= 10 * np.finfo(float).eps * _sliced(sizes, -k)).all()
 
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):
@@ -488,8 +441,9 @@ class TestSteadyState:
             cooperativity_limit_cycle(1.0, 1.0, 1.0, 0.5),
         ):
             liou = build_liouvillian(lc)
-            for k in (1, 2, -1, -2):
-                evals = np.linalg.eigvals(sector_block(liou, k))
+            # the k < 0 blocks are the conjugates, with the same decay rates
+            for k in (1, 2):
+                evals = np.linalg.eigvals(liou.sector_blocks[k])
                 assert evals.real.max() < 0.0
 
 
@@ -510,34 +464,6 @@ class TestSpecIdentity:
             assert obj != other
             assert hash(obj) == hash(obj)
             assert {obj: 1, other: 2}[obj] == 1
-
-
-class TestDissipatorSuperop:
-    def test_equals_kronecker_form_bitwise(self, rng):
-        for _ in range(200):
-            op = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            assert dissipator_superop(op).tobytes() == _kronecker_dissipator(op).tobytes()
-
-    def test_applies_the_dissipator(self, rng):
-        op = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        rho = random_hermitian(rng, trace_one=True)
-        expected = vec(dissipator_apply(op, rho))
-        got = dissipator_superop(op) @ vec(rho)
-        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
-
-
-class TestHamiltonianSuperop:
-    def test_equals_kronecker_form_bitwise(self, rng):
-        eye = np.eye(3, dtype=complex)
-        for _ in range(200):
-            h = random_hermitian(rng)
-            kronecker = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-            assert hamiltonian_superop(h).tobytes() == kronecker.tobytes()
-
-    def test_applies_the_commutator(self, rng):
-        h, rho = random_hermitian(rng), random_hermitian(rng, trace_one=True)
-        expected = vec(-1j * (h @ rho - rho @ h))
-        np.testing.assert_allclose(hamiltonian_superop(h) @ vec(rho), expected, atol=1e-14)
 
 
 class TestVec:

@@ -25,14 +25,13 @@ from spinsync.errors import InvalidValueError
 from spinsync.lindblad import (
     SECTOR_SLOTS,
     LimitCycleSpec,
+    Liouvillian,
     build_liouvillian,
-    hamiltonian_superop,
     steady_state,
     vec,
 )
 from spinsync.perturbation import (
     DegenerateSteadyStateError,
-    NonDiagonalizableError,
     SingularCoherenceBlockError,
     SyncResult,
     ZeroResponseError,
@@ -40,12 +39,10 @@ from spinsync.perturbation import (
     _norms,
     _response_maps,
     coherence_response,
-    eigencoherences,
     epsilon_for_threshold,
     first_order,
     full_steady_state,
     hs_norm,
-    kth_order,
     p_avg,
     p_max,
     perturbation_result,
@@ -56,7 +53,7 @@ from spinsync.perturbation import (
 from spinsync.signals import SignalSpec, build_hext, semiclassical
 from spinsync.spin import SQRT2, SZ, phase_distribution_terms
 
-from conftest import exact_driven_state
+from conftest import exact_driven_state, kronecker_build, kronecker_commutator, real_form
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -283,7 +280,7 @@ class TestHigherOrders:
     def test_symmetric_population_transfer(self):
         # balanced cycle and tones push population evenly to the extremes
         lc = equatorial_limit_cycle(1.0, 1.0)
-        rho2 = kth_order(lc, semiclassical(0.0), 2)
+        rho2 = perturbative_orders(lc, semiclassical(0.0), 2)[2]
         diag = rho2.diagonal().real
         assert diag[0] == pytest.approx(diag[2], abs=1e-13)
         assert diag[0] > 0.0
@@ -375,14 +372,11 @@ class TestFullSteadyState:
         assert np.abs(rho - rho0).max() < 1e-13
 
     def test_physicality_and_residual(self):
-        from spinsync.lindblad import hamiltonian_superop, vec
-
         for lc in CATALOG:
             rho = full_steady_state(lc, semiclassical(0.0), 0.05)
             assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(rho).min() > -1e-11
-            liou = build_liouvillian(lc)
-            gen = liou.full + 0.05 * hamiltonian_superop(
+            gen = kronecker_build(lc) + 0.05 * kronecker_commutator(
                 build_hext(semiclassical(0.0))
             )
             assert np.linalg.norm(gen @ vec(rho)) < 1e-11
@@ -415,8 +409,9 @@ DRIVES = [semiclassical(0.0), SignalSpec(0.6 + 0.2j, 0.5 - 0.3j, 0.4j)]
 
 def _driven_state_alone(liou, h, eps, dps=50):
     """Reference: the exact driven state of one strength, from a ``dps``-digit
-    solve of the generator's float entries."""
-    return exact_driven_state(liou.full, hamiltonian_superop(h), eps, dps)
+    solve of the float entries of the Kronecker generator."""
+    gen, l1 = kronecker_build(liou.spec), kronecker_commutator(h)
+    return exact_driven_state(gen, l1, eps, dps)
 
 
 # each CATALOG scenario with its characteristic rate ratio set to ``ratio``
@@ -477,7 +472,8 @@ class TestStackedDrivenState:
         liou, h = build_liouvillian(cycle(10.0**log_ratio)), build_hext(signal)
         strengths = 10.0 ** np.array(log_strengths)
         stack = _driven_steady_state(liou, h, strengths)
-        gen = liou.full + strengths[:, None, None] * hamiltonian_superop(h)
+        l1 = kronecker_commutator(h)
+        gen = kronecker_build(liou.spec) + strengths[:, None, None] * l1
         resid = np.linalg.norm(gen @ vec(stack)[..., None], axis=(-2, -1))
         assert np.all(resid <= 1e-15 * np.linalg.norm(gen, axis=(-2, -1)))
         assert np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0).max() <= 1e-15
@@ -526,8 +522,8 @@ class TestStackedDrivenState:
         import mpmath
 
         liou, h = build_liouvillian(lc), build_hext(DRIVES[1])
-        l0 = perturbation._real_form(liou.full)
-        l1 = perturbation._real_form(hamiltonian_superop(h))
+        l0 = real_form(kronecker_build(lc))
+        l1 = real_form(kronecker_commutator(h))
         strengths = np.array([1e-3, 0.7, 1e3])
         x = perturbation._coordinates(_driven_steady_state(liou, h, strengths))
         got = perturbation._compensated_residual(x, l0, l1, strengths)
@@ -580,10 +576,16 @@ class TestStackedDrivenState:
     # (L - vec(I/3) tr(.)) x = -vec(I/3), a diagonal in closed form)
     @pytest.mark.parametrize("smallest", [0.0, 1.0])
     def test_diagonal_generator(self, smallest):
-        liou = build_liouvillian(equatorial_limit_cycle(1.0, 1.0))
-        liou.__dict__["full"] = -np.diag(np.arange(9.0) + smallest).astype(complex)
+        # decay rates k + smallest at the vec positions k = i + 3 j
+        rates = np.arange(9.0) + smallest
+        liou = Liouvillian(
+            equatorial_limit_cycle(1.0, 1.0),
+            -np.diag(rates[[0, 4, 8]]),
+            {1: -np.diag(rates[[3, 7]]) + 0j, 2: -rates[[6]][:, None] + 0j},
+        )
         h = np.zeros((3, 3), dtype=complex)
-        assert np.linalg.svd(liou.full, compute_uv=False)[-1] == smallest
+        gen = perturbation._generator_form(liou)
+        assert np.linalg.svd(gen, compute_uv=False)[-1] == smallest
         stack = _driven_steady_state(liou, h, np.array([0.0, 0.5, 2.0]))
         if smallest == 0.0:
             expected = np.diag([1.0, 0.0, 0.0])
@@ -606,16 +608,15 @@ class TestStackedDrivenState:
             _driven_steady_state(liou, h, np.array([0.5, 1.0, 0.0, 2.0]))
 
     def test_traceless_cell_named(self):
-        # a generator whose kernel is S_z alone, with a drive that mixes the
-        # trace in: only the undriven cell's stationary direction is traceless
-        liou = build_liouvillian(equatorial_limit_cycle(1.0, 1.0))
-        h = build_hext(semiclassical(0.0))
-        unit = [x / np.linalg.norm(x) for x in (vec(SZ), vec(np.eye(3)))]
-        push = hamiltonian_superop(h) @ unit[0]
-        push = push / np.linalg.norm(push)
-        liou.__dict__["full"] = (
-            np.eye(9) - np.outer(unit[0], unit[0]) + np.outer(unit[1], push.conj())
+        # a generator whose kernel is S_z alone and that does not preserve
+        # the trace (the middle population doubles): only the undriven
+        # cell's stationary direction is traceless
+        liou = Liouvillian(
+            equatorial_limit_cycle(1.0, 1.0),
+            np.array([[0.5, 0.0, 0.5], [0.0, 2.0, 0.0], [0.5, 0.0, 0.5]]),
+            {1: np.eye(2) + 0j, 2: np.eye(1) + 0j},
         )
+        h = build_hext(semiclassical(0.0))
         with pytest.raises(
             DegenerateSteadyStateError,
             match=r"traceless at epsilon, got \[0.0\] at stack index \[1\]$",
@@ -655,10 +656,36 @@ class TestStackedDrivenState:
 
 
 class TestRealForm:
+    # the four catalog cycles, whose operators are real, each with a random
+    # signal: both real forms equal the Kronecker oracle's by value (the
+    # signs of zero entries may differ)
+    @given(
+        cycle=st.sampled_from(range(4)),
+        log_ratio=st.floats(-6.0, 15.0),
+        detuning=st.floats(-20.0, 20.0),
+        seed=SEEDS,
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_forms_equal_kronecker_oracle(self, cycle, log_ratio, detuning, seed):
+        ratio = 10.0**log_ratio
+        spec = [
+            equatorial_limit_cycle(1.0, ratio, detuning),
+            vdp_limit_cycle(1.0, ratio, detuning),
+            asymmetric_equatorial_limit_cycle(1.0, ratio, 0.5, detuning),
+            cooperativity_limit_cycle(ratio, 1.0, 1.0, detuning),
+        ][cycle]
+        form = perturbation._generator_form(build_liouvillian(spec))
+        assert np.array_equal(form, real_form(kronecker_build(spec)))
+        rng = np.random.default_rng(seed)
+        parts = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(2, 3))
+        h = build_hext(SignalSpec(*(parts[0] + 1j * parts[1])))
+        form = perturbation._signal_form(h)
+        assert np.array_equal(form, real_form(kronecker_commutator(h)))
+
     # each entry of the real form of every catalog generator and of both
-    # drives' superoperators is, in exact rational arithmetic, the coordinate
-    # of the operator applied to the matrix of one unit coordinate; that
-    # matrix is exactly Hermitian, and so is the operator's image of it
+    # drives' commutators is, in exact rational arithmetic, the coordinate
+    # of the Kronecker operator applied to the matrix of one unit
+    # coordinate; that matrix is exactly Hermitian, and so is its image
     @pytest.mark.parametrize("signal", DRIVES, ids=["semiclassical", "squeezed"])
     @pytest.mark.parametrize("lc", CATALOG, ids=CATALOG_IDS)
     def test_entries_exact(self, lc, signal):
@@ -671,8 +698,11 @@ class TestRealForm:
             return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
         mirror = vec(np.arange(9).reshape(3, 3)).real.astype(int)  # (i, j) -> (j, i)
-        for op in (build_liouvillian(lc).full, hamiltonian_superop(build_hext(signal))):
-            form = perturbation._real_form(op)
+        h = build_hext(signal)
+        for op, form in (
+            (kronecker_build(lc), perturbation._generator_form(build_liouvillian(lc))),
+            (kronecker_commutator(h), perturbation._signal_form(h)),
+        ):
             for c, unit in enumerate(np.eye(9)):
                 basis = vec(perturbation._from_coordinates(unit))
                 image = [
@@ -719,43 +749,6 @@ class TestDeformationMeasures:
         assert p_max(rho, rho0) == pytest.approx(2 * shift)
 
 
-class TestEigencoherences:
-    def test_equatorial_decay_rates(self):
-        gg, gd, delta = 1.0, 3.0, 0.7
-        modes = eigencoherences(
-            equatorial_limit_cycle(gg, gd, delta), semiclassical(0.0)
-        )
-        single_quantum = sorted(
-            (m.decay for m in modes[:2]), key=lambda z: z.real
-        )
-        assert single_quantum[0] == pytest.approx(-gd - 1j * delta)
-        assert single_quantum[1] == pytest.approx(-gg - 1j * delta)
-
-    def test_reconstruction(self):
-        for lc in CATALOG:
-            spec = SignalSpec(0.4 + 0.2j, 0.7, 0.3j)
-            modes = eigencoherences(lc, spec)
-            recon = -sum(m.mode * (m.drive / m.decay) for m in modes)
-            assert np.abs(recon - first_order(lc, spec)).max() < 1e-10
-
-    def test_norm_identity_for_orthonormal_modes(self):
-        # the equatorial blocks are diagonal, so the eigenbasis is orthonormal
-        lc = equatorial_limit_cycle(1.0, 4.0, 0.5)
-        spec = semiclassical(0.3)
-        modes = eigencoherences(lc, spec)
-        total = sum(abs(m.drive / m.decay) ** 2 for m in modes)
-        assert total == pytest.approx(hs_norm(first_order(lc, spec)) ** 2)
-
-    def test_zero_signal_drives_nothing(self):
-        modes = eigencoherences(equatorial_limit_cycle(1.0, 2.0), SignalSpec(0, 0, 0))
-        assert all(m.drive == 0 for m in modes)
-
-    def test_defective_block_rejected(self):
-        # equal diagonal entries with the gain cross-coupling form a Jordan block
-        with pytest.raises(NonDiagonalizableError):
-            eigencoherences(vdp_limit_cycle(1.0, 0.5), semiclassical(0.0))
-
-
 # a (2, 3) stack: two damping rates against three detunings
 STACK = vdp_limit_cycle(1.0, np.array([[5.0], [50.0]]), np.array([0.0, 0.3, -1.0]))
 STACK_SIGNAL = SignalSpec(0.6 + 0.2j, 0.5 - 0.3j, 0.4j)
@@ -799,22 +792,18 @@ class TestStackedSpecs:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda lc: build_liouvillian(lc).full,
             lambda lc: perturbation_result(lc, STACK_SIGNAL),
             lambda lc: arnold_tongue(lc, STACK_SIGNAL, np.zeros(3), np.ones(2)),
             lambda lc: full_steady_state(lc, STACK_SIGNAL, 0.01),
             lambda lc: perturbative_orders(lc, STACK_SIGNAL, 2),
-            lambda lc: eigencoherences(lc, STACK_SIGNAL),
             lambda lc: optimize_signal(lc, "vdp_general"),
             lambda lc: pmax_forcing_curve(lc, STACK_SIGNAL, np.array([0.1, 1.0])),
         ],
         ids=[
-            "full",
             "perturbation_result",
             "arnold_tongue",
             "full_steady_state",
             "perturbative_orders",
-            "eigencoherences",
             "optimize_signal",
             "pmax_forcing_curve",
         ],

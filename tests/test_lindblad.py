@@ -23,10 +23,10 @@ from spinsync.lindblad import (
     unvec,
     vec,
 )
-from spinsync.perturbation import _TRACE_ROW, _generator_form
+from spinsync.perturbation import _TRACE_ROW, _coordinates, _generator_form
 from spinsync.spin import SM, SP, SQRT2, SX, SZ, rotation_z
 
-from conftest import kronecker_build
+from conftest import kronecker_build, random_hermitian
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -53,14 +53,20 @@ def _sliced(mat, k):
     return mat[np.ix_(idx, idx)]
 
 
+def random_sector_op(rng):
+    """A complex operator on one random diagonal k = -2 .. 2."""
+    k = int(rng.integers(-2, 3))
+    op = np.zeros((3, 3), complex)
+    for i in range(3):
+        if 0 <= i + k < 3:
+            op[i, i + k] = rng.normal() + 1j * rng.normal()
+    return op
+
+
 def random_sector_spec(rng, detuning=None):
     dissipators = []
     for _ in range(rng.integers(2, 4)):
-        k = int(rng.integers(-2, 3))
-        op = np.zeros((3, 3), complex)
-        for i in range(3):
-            if 0 <= i + k < 3:
-                op[i, i + k] = rng.normal() + 1j * rng.normal()
+        op = random_sector_op(rng)
         if not op.any():
             continue
         dissipators.append((op, float(rng.uniform(0.2, 2.0))))
@@ -104,6 +110,29 @@ class TestDissipator:
     def test_damping_annihilates_equatorial_state(self):
         pops = build_liouvillian(LimitCycleSpec(((SM @ SZ, 1.0),))).diag_block
         assert np.allclose(pops @ [0.0, 1.0, 0.0], 0.0)
+
+    # D[O] keeps the trace for an operator on any one diagonal
+    @given(seed=SEEDS)
+    @settings(max_examples=30, deadline=None)
+    def test_trace_free(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = LimitCycleSpec(((random_sector_op(rng), 1.0),))
+        gen = _generator_form(build_liouvillian(spec))
+        assert np.abs(_TRACE_ROW @ gen).max() < 1e-14 * np.abs(gen).max()
+
+    # the real form of a one-dissipator cycle applies
+    # rate (O rho O^+ - {O^+ O, rho} / 2) to the coordinates of rho
+    @given(seed=SEEDS)
+    @settings(max_examples=30, deadline=None)
+    def test_applies_the_dissipator(self, seed):
+        rng = np.random.default_rng(seed)
+        op, rate = random_sector_op(rng), float(rng.uniform(0.2, 2.0))
+        rho = random_hermitian(rng, trace_one=True)
+        odo = op.conj().T @ op
+        expected = rate * (op @ rho @ op.conj().T - 0.5 * (odo @ rho + rho @ odo))
+        gen = _generator_form(build_liouvillian(LimitCycleSpec(((op, rate),))))
+        err = np.abs(gen @ _coordinates(rho) - _coordinates(expected)).max()
+        assert err <= 1e-14 * rate * np.abs(odo).max() * np.abs(rho).max()
 
 
 class TestBuildLiouvillian:

@@ -53,7 +53,13 @@ from spinsync.perturbation import (
 from spinsync.signals import SignalSpec, build_hext, semiclassical
 from spinsync.spin import SQRT2, SZ, phase_distribution_terms
 
-from conftest import exact_driven_state, kronecker_build, kronecker_commutator, real_form
+from conftest import (
+    exact_driven_state,
+    kronecker_build,
+    kronecker_commutator,
+    random_hermitian,
+    real_form,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -716,6 +722,22 @@ class TestRealForm:
                 want += [image[p][1] for p in (3, 7, 6)]
                 assert [Fraction(v) for v in form[:, c]] == want
 
+    # the Kronecker oracle's form of -i[h, .] for any Hermitian h, with
+    # diagonal entries too, is the signal form bit for bit
+    def test_signal_form_equals_kronecker_oracle(self, rng):
+        for _ in range(200):
+            h = random_hermitian(rng)
+            form = perturbation._signal_form(h)
+            assert np.array_equal(form, real_form(kronecker_commutator(h)))
+
+    def test_signal_form_applies_the_commutator(self, rng):
+        for _ in range(20):
+            h, rho = random_hermitian(rng), random_hermitian(rng, trace_one=True)
+            expected = perturbation._coordinates(-1j * (h @ rho - rho @ h))
+            got = perturbation._signal_form(h) @ perturbation._coordinates(rho)
+            err = np.abs(got - expected).max()
+            assert err <= 1e-14 * np.abs(h).max() * np.abs(rho).max()
+
     def test_coordinates_round_trip(self, rng):
         x = rng.normal(size=(5, 9)) * 10.0 ** rng.integers(-300, 300, size=(5, 9))
         rho = perturbation._from_coordinates(x)
@@ -725,6 +747,76 @@ class TestRealForm:
         assert np.array_equal(rho[:, 0, 1], x[:, 3] + 1j * x[:, 6])
         assert np.array_equal(rho[:, 1, 2], x[:, 4] + 1j * x[:, 7])
         assert np.array_equal(rho[:, 0, 2], x[:, 5] + 1j * x[:, 8])
+
+
+def _coherence_modes(lc, signal):
+    """The first-order response mode by mode: for each coherence sector k,
+    the eigenvalues (decays) and eigenvectors (modes) of its block, and the
+    coefficients of the drive -i[h, rho0] on the sector's slots in that
+    eigenbasis, so that rho1 = -sum(mode * drive / decay).  Also returns the
+    largest condition number of an eigenbasis."""
+    liou = build_liouvillian(lc)
+    rho0, h = steady_state(liou), build_hext(signal)
+    drive = -1j * (h @ rho0 - rho0 @ h)
+    modes, cond = [], 1.0
+    for k in (1, 2, -1, -2):
+        block = liou.sector_blocks[abs(k)]
+        decays, vecs = np.linalg.eig(block if k > 0 else block.conj())
+        cond = max(cond, np.linalg.cond(vecs))
+        coeffs = np.linalg.solve(vecs, [drive[s] for s in SECTOR_SLOTS[k]])
+        for decay, column, coeff in zip(decays, vecs.T, coeffs):
+            mode = np.zeros((3, 3), dtype=complex)
+            for s, x in zip(SECTOR_SLOTS[k], column):
+                mode[s] = x
+            modes.append((decay, mode, coeff))
+    return modes, cond
+
+
+# the eigendecomposition of the coherence blocks, against the first order
+# that solves the blocks directly
+class TestCoherenceModes:
+    def test_equatorial_decay_rates(self):
+        gg, gd, delta = 1.0, 3.0, 0.7
+        liou = build_liouvillian(equatorial_limit_cycle(gg, gd, delta))
+        decays = sorted(np.linalg.eigvals(liou.sector_blocks[1]), key=lambda z: z.real)
+        assert decays[0] == pytest.approx(-gd - 1j * delta)
+        assert decays[1] == pytest.approx(-gg - 1j * delta)
+
+    def test_reconstruction(self):
+        for lc in CATALOG:
+            modes, _ = _coherence_modes(lc, SignalSpec(0.4 + 0.2j, 0.7, 0.3j))
+            recon = -sum(mode * (drive / decay) for decay, mode, drive in modes)
+            first = first_order(lc, SignalSpec(0.4 + 0.2j, 0.7, 0.3j))
+            assert np.abs(recon - first).max() < 1e-10
+
+    def test_norm_identity_for_orthonormal_modes(self):
+        # the equatorial blocks are diagonal, so the eigenbasis is orthonormal
+        lc, signal = equatorial_limit_cycle(1.0, 4.0, 0.5), semiclassical(0.3)
+        modes, cond = _coherence_modes(lc, signal)
+        assert cond == pytest.approx(1.0)
+        total = sum(abs(drive / decay) ** 2 for decay, _, drive in modes)
+        assert total == pytest.approx(hs_norm(first_order(lc, signal)) ** 2)
+
+    def test_zero_signal_drives_nothing(self):
+        lc = equatorial_limit_cycle(1.0, 2.0)
+        modes, _ = _coherence_modes(lc, SignalSpec(0, 0, 0))
+        assert all(drive == 0 for _, _, drive in modes)
+        assert not first_order(lc, SignalSpec(0, 0, 0)).any()
+
+    def test_defective_block_solved(self):
+        # equal diagonal entries with the gain cross-coupling form a Jordan
+        # block, which has no eigenbasis; the first order solves the block
+        lc, signal = vdp_limit_cycle(1.0, 0.5), semiclassical(0.0)
+        _, cond = _coherence_modes(lc, signal)
+        assert cond >= 1e8
+        liou = build_liouvillian(lc)
+        rho0, h = steady_state(liou), build_hext(signal)
+        drive = -1j * (h @ rho0 - rho0 @ h)
+        rho1 = first_order(lc, signal)
+        for k in (1, 2):
+            slots = tuple(zip(*SECTOR_SLOTS[k]))
+            resid = liou.sector_blocks[k] @ rho1[slots] + drive[slots]
+            assert np.abs(resid).max() <= 1e-15 * np.abs(drive).max()
 
 
 class TestDeformationMeasures:

@@ -51,7 +51,7 @@ from .perturbation import (
     sync_from_coherences,
     sync_measure,
 )
-from .signals import SignalSpec, build_hext, from_equatorial_angles
+from .signals import SignalSpec, build_hext, from_equatorial_angles, require_finite
 from .spin import (
     COS1_WEIGHT,
     COS2_WEIGHT,
@@ -354,6 +354,7 @@ def align_squeeze_phase(lc: LimitCycleSpec, signal: SignalSpec) -> SignalSpec:
     Signals without a squeezing tone, or cycles it cannot couple to, are
     returned with the squeezing phase reset to zero.
     """
+    require_finite(signal)
     if signal.tm11 == 0:
         return signal
     _, map1, map2 = coherence_response(lc)
@@ -491,8 +492,10 @@ def stationary_squeeze_ratio(r_10, r_0m1, map2):
     coherences; inf where their sum vanishes, nan where both do."""
     amp1 = COS1_WEIGHT * np.abs(r_10 + r_0m1)
     base = 2.0 * (np.square(np.abs(r_10)) + np.square(np.abs(r_0m1)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return COS2_WEIGHT * base / (SQRT2 * amp1 * np.abs(map2))
+    num, den = np.broadcast_arrays(COS2_WEIGHT * base, SQRT2 * amp1 * np.abs(map2))
+    # num / 0 for the rows that divide by zero: inf, or nan where num is 0 too
+    out = np.where(num > 0.0, np.inf, np.nan)
+    return np.divide(num, den, out=out, where=den != 0.0)[()]
 
 
 #: largest squeezing ratio of the ``vdp_general`` family in :func:`optimize_signal`
@@ -695,6 +698,7 @@ def arnold_tongue(
     replaced by the array ``detunings``: one generator build of that stack
     and one measure call on its coherences serve the whole grid."""
     require_single(lc, "arnold_tongue")
+    require_finite(signal)
     detunings = np.asarray(detunings, dtype=float)
     pops, map1, map2 = _response_maps(build_liouvillian(lc.with_detuning(detunings)))
     coherences = _apply_maps(map1, map2, signal)

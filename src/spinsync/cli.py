@@ -576,8 +576,7 @@ def cmd_sync(args) -> int:
         "rho1_1m1": r1m1,
     }
     # a column that does not vary over an axis is repeated along it
-    shape = tuple(len(values) for _, values in axes)
-    columns = {k: np.broadcast_to(v, shape) for k, v in columns.items()}
+    columns = dict(zip(columns, np.broadcast_arrays(*columns.values())))
     if args.format == "json":
         if axes:
             fields = {"rows": _Rows(list(columns.values()), list(columns))}

@@ -34,7 +34,7 @@ from .lindblad import (
     unvec,
     vec,
 )
-from .signals import SignalSpec, build_hext
+from .signals import SignalSpec, build_hext, require_finite
 from .spin import (
     COS1_WEIGHT,
     COS2_WEIGHT,
@@ -87,44 +87,109 @@ class SyncResult:
     zero_response: bool = False
 
 
-def _solve_sectors(blocks: np.ndarray, rhs: np.ndarray, detuning) -> np.ndarray:
-    """Solve a stack of coherence blocks, shape (..., m, m), against ``rhs``
-    (broadcast to (..., m, K)), after a numerical-rank test of every block;
-    a singular one is named by its cells and its ``detuning``.
-
-    The test is smallest singular value <= m u times the largest, with
-    every row divided by its largest modulus, so it does not see how far
-    apart the rates are: a block whose rows decay at 1 and 1e300 passes,
-    while a zero row (an undamped mode) stays zero and fails.
-    """
-    rows = np.abs(blocks).max(axis=-1, keepdims=True)
-    svals = np.linalg.svd(blocks / np.where(rows > 0.0, rows, 1.0), compute_uv=False)
-    singular = svals[..., -1] <= svals.shape[-1] * np.finfo(float).eps * svals[..., 0]
+def _refuse_undamped(singular: np.ndarray, sector: int, detuning) -> None:
+    """Raise :class:`SingularCoherenceBlockError` if a block of coherence
+    ``sector`` failed its rank test (mask ``singular``), naming the failing
+    cells and their ``detuning``."""
     if singular.any():
-        sector = 3 - blocks.shape[-1]  # sector k acts on 3 - k slots
         at = np.broadcast_to(detuning, singular.shape)[singular].tolist()
         raise SingularCoherenceBlockError(
             f"driven coherence sector {sector} has an (almost) undamped mode "
             f"at detuning {at}" + _where(singular)
         )
-    rhs = np.broadcast_to(rhs, blocks.shape[:-1] + rhs.shape[-1:])
-    return np.linalg.solve(blocks, rhs)
+
+
+#: the signs of the adjugate [[d, -b], [-c, a]] of [[a, b], [c, d]]
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
+
+
+def _solve_sector1(blocks: np.ndarray, scale: np.ndarray, detuning) -> np.ndarray:
+    """B^-1 diag(scale) for a stack of k = 1 blocks B, shape (..., 2, 2), and
+    real column scales of shape (..., 2), after a numerical-rank test of
+    every block; a singular one is named by its cells and its ``detuning``.
+
+    The rank test is LAPACK's: smallest singular value <= 2 u times the
+    largest, of N = R^-1 B, every row divided by its largest modulus r, so it
+    does not see how far apart the rates are: a block whose rows decay at 1
+    and 1e300 passes, while a zero row (an undamped mode) stays zero and
+    fails.  The solve is closed form and elementwise, in real arithmetic, so
+    a cell rounds alike alone and in any stack:
+    B^-1 diag(scale) = adj(N) diag(scale / r) / det N, with det N = +-p u22
+    from one elimination step with partial pivoting (pivot p, the larger
+    entry of N's first column).  Entries of N are at most 1 and a block that
+    passes has |det N| = sigma_1 sigma_2 >= 2 u sigma_1^2, so no step under-
+    or overflows.  Against an exact solve it is as accurate as LAPACK's solve
+    on N: each column within 2 cond(N) u of its largest entry.
+    """
+    size = np.abs(blocks)
+    rows = np.maximum(size[..., 0], size[..., 1])
+    norm = blocks / np.where(rows > 0.0, rows, 1.0)[..., None]
+    svals = np.linalg.svd(norm, compute_uv=False)
+    singular = svals[..., 1] <= 2.0 * np.finfo(float).eps * svals[..., 0]
+    _refuse_undamped(singular, 1, detuning)
+    # the parts of N = [[a, b], [c, d]] over the cells: (a.r, a.i, b.r, b.i),
+    # then (c.r, ..., d.i), shape (2, 4, cells)
+    parts = norm.reshape(-1, 4).view(float).T.reshape(2, 4, -1)
+    moduli = np.abs(norm).reshape(-1, 4)
+    swap = moduli[:, 2] > moduli[:, 0]
+    # the pivot row (p, pb) first: l = q / p, u22 = qb - l pb, det = +-p u22
+    (pr, pi, pbr, pbi), (qr, qi, qbr, qbi) = np.where(swap, parts[::-1], parts)
+    mod = pr * pr + pi * pi
+    lr, li = (qr * pr + qi * pi) / mod, (qi * pr - qr * pi) / mod
+    ur, ui = qbr - (lr * pbr - li * pbi), qbi - (lr * pbi + li * pbr)
+    dr, di = pr * ur - pi * ui, pr * ui + pi * ur
+    # 1 / det N = conj(det) / |det|^2, negated for a swap
+    mod = dr * dr + di * di
+    np.negative(mod, out=mod, where=swap)
+    wr, wi = dr / mod, -di / mod
+    # the adjugate's entries as [[d, -c], [-b, a]]: indexed (column, row, cell)
+    flat = parts.reshape(8, -1)
+    ar = flat[6::-2].reshape(2, 2, -1) * _ADJUGATE_SIGNS
+    ai = flat[7::-2].reshape(2, 2, -1) * _ADJUGATE_SIGNS
+    col = (scale / rows).reshape(-1, 2).T[:, None]
+    out = np.empty((len(swap), 2, 2), dtype=complex)
+    out.real = ((ar * wr - ai * wi) * col).T
+    out.imag = ((ar * wi + ai * wr) * col).T
+    return out.reshape(blocks.shape)
+
+
+def _sector2_response(blocks: np.ndarray, pops: np.ndarray, detuning) -> np.ndarray:
+    """map2 = 2i (p_-1 - p_+1) / b for the 1x1 k = 2 blocks b, shape
+    (..., 1, 1), and the populations ``pops`` (..., 3): 0 where the extremal
+    populations agree, and a zero block refused where they differ (the rank
+    test of a row-normalized 1x1 block fails exactly there).  The quotient
+    is taken as i conj(n) / |n|^2 times 2^-e, for n = 2^-e b scaled by the
+    power of two of its larger part, which is exact and keeps every step
+    in range."""
+    gap = pops[..., 2] - pops[..., 0]
+    block = np.where(gap != 0.0, blocks[..., 0, 0], 1.0)
+    _refuse_undamped(block == 0.0, 2, detuning)
+    shift = np.frexp(np.maximum(np.abs(block.real), np.abs(block.imag)))[1]
+    nr, ni = np.ldexp(block.real, -shift), np.ldexp(block.imag, -shift)
+    ratio = 2.0 * gap / (nr * nr + ni * ni)
+    out = np.empty(gap.shape, dtype=complex)
+    out.real, out.imag = np.ldexp(ratio * ni, -shift), np.ldexp(ratio * nr, -shift)
+    return out
 
 
 def _response_maps(liou: Liouvillian):
     """The first-order kernel of a built generator, stacked over the shape
     of its spec: the populations of rho0, shape (..., 3), and the maps from
     the tones to the first-order coherences (see :func:`coherence_response`),
-    ``map1`` of shape (..., 2, 2) and ``map2`` of shape (...)."""
+    ``map1`` of shape (..., 2, 2) and ``map2`` of shape (...).
+
+    The k = 1 block B solves B map1 = i sqrt(2) diag(p_0 - p_+1, p_-1 - p_0)
+    and the k = 2 block b gives map2 = 2i (p_-1 - p_+1) / b.  One LAPACK call
+    serves a whole stack: the SVD of the row-normalized k = 1 blocks, the
+    rank test that refuses an undamped mode.  It stays because it is the
+    tested decision; a closed form of the singular values cancels where
+    they are close.  The solves are closed form (:func:`_solve_sector1`,
+    :func:`_sector2_response`), and so is the k = 2 rank test, a zero block.
+    """
     pops = _populations(liou)
-    drive1 = -1j * SQRT2 * np.diff(pops)[..., None] * np.eye(2)
-    map1 = -_solve_sectors(liou.sector_blocks[1], drive1, liou.spec.detuning)
-    # sector-2 response only where the extremal populations differ (else a unit block)
-    differ = pops[..., 2] != pops[..., 0]
-    blocks2 = np.where(differ[..., None, None], liou.sector_blocks[2], 1.0)
-    inv = _solve_sectors(blocks2, np.ones((1, 1), dtype=complex), liou.spec.detuning)
-    map2 = np.where(differ, 2j * (pops[..., 2] - pops[..., 0]) * inv[..., 0, 0], 0j)
-    return pops, map1, map2
+    detuning = liou.spec.detuning
+    map1 = 1j * _solve_sector1(liou.sector_blocks[1], SQRT2 * np.diff(pops), detuning)
+    return pops, map1, _sector2_response(liou.sector_blocks[2], pops, detuning)
 
 
 def _apply_maps(map1: np.ndarray, map2, signal: SignalSpec):
@@ -173,6 +238,7 @@ def coherence_response(lc: LimitCycleSpec):
 
 def _leading_orders(lc: LimitCycleSpec, signal: SignalSpec):
     """The populations of rho0 and the first-order coherences of the signal."""
+    require_finite(signal)
     pops, map1, map2 = _response_maps(build_liouvillian(lc))
     return pops, _apply_maps(map1, map2, signal)
 
@@ -312,6 +378,7 @@ def perturbative_orders(
     if kmax < 0:
         raise InvalidValueError("kmax must be nonnegative")
     require_single(lc, "perturbative_orders")
+    require_finite(signal)
     liou = build_liouvillian(lc)
     pops, map1, map2 = _response_maps(liou)
     orders = [_target_state(pops), _rho1(_apply_maps(map1, map2, signal))]
@@ -460,11 +527,7 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
     bad = ~np.isfinite(eps)
     if bad.any():
         raise InvalidValueError("epsilon must be finite" + _where(bad, eps))
-    # the tones where build_hext puts them
-    tones = {"t01": h[0, 1], "tm10": h[1, 2], "tm11": h[0, 2]}
-    bad = [name for name, tone in tones.items() if not np.isfinite(tone)]
-    if bad:
-        raise InvalidValueError(f"signal tones must be finite: {', '.join(bad)}")
+    require_finite(SignalSpec(h[0, 1], h[1, 2], h[0, 2]))  # where build_hext puts them
     flat = eps.reshape(-1)
     l0, l1 = _generator_form(liou), _signal_form(h)
     anchored = _anchored(l0)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidValueError
 from .spin import SQRT2
 
 
@@ -55,6 +56,18 @@ class VdpSignalParams:
     zeta: float
     chi: float
     tau_ratio: float = 0.0
+
+
+def require_finite(spec: SignalSpec) -> None:
+    """Raise :class:`InvalidValueError` naming every tone of ``spec`` that is
+    not finite; a tone may be an array, which fails if any entry does."""
+    bad = [
+        name
+        for name in ("t01", "tm10", "tm11")
+        if not np.isfinite(getattr(spec, name)).all()
+    ]
+    if bad:
+        raise InvalidValueError(f"signal tones must be finite: {', '.join(bad)}")
 
 
 def build_hext(spec: SignalSpec) -> np.ndarray:

@@ -264,8 +264,8 @@ def _max_shifted_phase(a1, p1, a2, p2):
             rows = rows[climbs]
             u[rows] = ur[climbs] + step[climbs]
         vm = g_minus / (u + gap)
-        with np.errstate(divide="ignore", invalid="ignore"):  # hard rows: 0 / 0
-            vp = np.where(hard, np.sqrt(1.0 - vm * vm), g_plus / u)
+        vp = g_plus / np.where(hard, 1.0, u)  # hard rows: u = g_plus = 0
+        vp[hard] = np.sqrt(1.0 - vm[hard] * vm[hard])
         best = np.arctan2(vm, vp) - half - p1
         peak[general] = PhaseDistributionTerms(a1, p1, a2, p2).evaluate(best)
         phi[general] = best % tau

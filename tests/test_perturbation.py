@@ -12,6 +12,7 @@ from spinsync import perturbation
 from spinsync.catalog import (
     SMAX_SPIN_COEFF,
     BoundParams,
+    align_squeeze_phase,
     arnold_tongue,
     asymmetric_equatorial_limit_cycle,
     bound_terms,
@@ -139,6 +140,161 @@ class TestFirstOrder:
         assert rho1[0, 1] == pytest.approx(pair[0])
         assert rho1[1, 2] == pytest.approx(pair[1])
         assert rho1[0, 2] == pytest.approx(map2 * spec.tm11)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda lc, s: first_order(lc, s),
+            lambda lc, s: sync_measure(lc, s),
+            lambda lc, s: perturbation_result(lc, s),
+            lambda lc, s: perturbative_orders(lc, s, 2),
+            lambda lc, s: align_squeeze_phase(lc, s),
+            lambda lc, s: arnold_tongue(lc, s, np.zeros(3), np.ones(2)),
+            lambda lc, s: full_steady_state(lc, s, 0.1),
+        ],
+        ids=[
+            "first_order",
+            "sync_measure",
+            "perturbation_result",
+            "perturbative_orders",
+            "align_squeeze_phase",
+            "arnold_tongue",
+            "full_steady_state",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "signal, name",
+        [(SignalSpec(math.nan, 1.0), "t01"), (SignalSpec(1.0, 1.0, math.inf), "tm11")],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_tones_refused(self, call, signal, name):
+        message = f"signal tones must be finite: {name}$"
+        with pytest.raises(InvalidValueError, match=message):
+            call(vdp_limit_cycle(1.0, 5.0), signal)
+
+    @pytest.mark.parametrize(
+        "call", [first_order, sync_measure, align_squeeze_phase],
+        ids=["first_order", "sync_measure", "align_squeeze_phase"],
+    )
+    def test_non_finite_array_tone_refused(self, call):
+        signal = SignalSpec(np.array([0.5, 1.0]), np.array([1.0, math.nan]), 1.0)
+        message = "signal tones must be finite: tm10$"
+        with pytest.raises(InvalidValueError, match=message):
+            call(vdp_limit_cycle(1.0, 5.0), signal)
+
+
+def _random_blocks(rng, count):
+    """``count`` random complex 2x2 blocks U diag(1, 1/cond) V^H, cond from 1 to
+    1e12, their rows scaled by 1e-300 to 1e300 (every fourth left unscaled),
+    with real column scales that keep B^-1 diag(scale) in range."""
+    def unitary():
+        gauss = rng.normal(size=(2, count, 2, 2))
+        return np.linalg.qr(gauss[0] + 1j * gauss[1])[0]
+
+    cond = 10.0 ** rng.uniform(0.0, 12.0, size=count)
+    sigma = np.zeros((count, 2, 2))
+    sigma[:, 0, 0], sigma[:, 1, 1] = 1.0, 1.0 / cond
+    rows = 10.0 ** rng.uniform(-300.0, 300.0, size=(count, 2))
+    rows[::4] = 1.0
+    blocks = rows[..., None] * (unitary() @ sigma @ unitary())
+    return blocks, rng.normal(size=(count, 2)) * np.sqrt(rows)
+
+
+class TestClosedFormSectors:
+    """The k = 1 solve and the k = 2 quotient of ``_response_maps``, which are
+    closed form, against an exact oracle and through the rank tests."""
+
+    def test_sector1_solve_against_oracle(self):
+        mpmath = pytest.importorskip("mpmath")
+        blocks, scale = _random_blocks(np.random.default_rng(28), 300)
+        got = perturbation._solve_sector1(blocks, scale, 0.0)
+        worst = 0.0
+        for block, cols, x in zip(blocks, scale, got):
+            with mpmath.workdps(60):
+                b = [[mpmath.mpc(complex(z)) for z in row] for row in block]
+                det = b[0][0] * b[1][1] - b[0][1] * b[1][0]
+                adj = [[b[1][1], -b[0][1]], [-b[1][0], b[0][0]]]
+                exact = np.array(
+                    [[complex(adj[i][j] * float(cols[j]) / det) for j in range(2)]
+                     for i in range(2)]
+                )
+                # cond_2 of the row-normalized block N = R^-1 B
+                rows = [max(abs(b[i][0]), abs(b[i][1])) for i in range(2)]
+                n = mpmath.matrix(
+                    [[b[i][j] / rows[i] for j in range(2)] for i in range(2)]
+                )
+                svals = mpmath.svd_c(n, compute_uv=False)
+                cond = float(max(svals) / min(svals))
+            # each column's error relative to its largest entry, in units of
+            # cond u: 0.88 here, where np.linalg.solve on N reaches 1.18 (1.52
+            # and 1.56 on 3000 other draws); on B, whose rows span up to 600
+            # decades, LAPACK's error is unbounded
+            err = np.abs(x - exact).max(axis=0) / np.abs(exact).max(axis=0)
+            worst = max(worst, err.max() / (cond * np.finfo(float).eps))
+        assert worst <= 2.0
+
+    def test_zero_sector2_block_refused(self):
+        lc = vdp_limit_cycle(1.0, 5.0, np.array([0.0, 0.3, -1.0]))
+        liou = build_liouvillian(lc)
+        blocks2 = liou.sector_blocks[2].copy()
+        blocks2[1] = 0.0
+        broken = dataclasses.replace(
+            liou, sector_blocks={1: liou.sector_blocks[1], 2: blocks2}
+        )
+        with pytest.raises(
+            SingularCoherenceBlockError,
+            match=r"^driven coherence sector 2 has an \(almost\) undamped mode "
+            r"at detuning \[0\.3\] at stack index \[1\]$",
+        ):
+            _response_maps(broken)
+
+    def test_zero_sector2_block_without_population_gap(self):
+        # equal extremal populations leave sector 2 undriven: map2 = 0
+        liou = build_liouvillian(equatorial_limit_cycle(1.0, 1.0))
+        blocks = {1: liou.sector_blocks[1], 2: np.zeros_like(liou.sector_blocks[2])}
+        pops, _, map2 = _response_maps(dataclasses.replace(liou, sector_blocks=blocks))
+        assert pops[0] == pops[2]
+        assert map2 == 0.0
+
+    def test_sector2_quotient_near_overflow(self):
+        # |b| overflows although both parts are finite: the quotient is
+        # scaled by a power of two, so it neither warns nor loses the value
+        # (a subnormal one, of about 2^-1022 / 4)
+        liou = build_liouvillian(vdp_limit_cycle(1.0, 5.0))
+        blocks = {1: liou.sector_blocks[1], 2: np.full((1, 1), -1.5e308 - 1.5e308j)}
+        pops, _, map2 = _response_maps(dataclasses.replace(liou, sector_blocks=blocks))
+        exact = 2j * (pops[2] - pops[0]) / (-1.5 - 1.5j) * 1e-308
+        assert map2 == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "block",
+        [np.array([[-1.0, -1.0], [-2.0, -2.0]]), np.array([[-1e300, 0.0], [0.0, 0.0]])],
+        ids=["rank_one", "zero_row"],
+    )
+    def test_undamped_sector1_block_refused(self, block):
+        liou = build_liouvillian(vdp_limit_cycle(1.0, 5.0, 0.3))
+        broken = dataclasses.replace(
+            liou, sector_blocks={1: block + 0j, 2: liou.sector_blocks[2]}
+        )
+        with pytest.raises(
+            SingularCoherenceBlockError,
+            match=r"^driven coherence sector 1 has an \(almost\) undamped mode "
+            r"at detuning \[0\.3\]$",
+        ):
+            _response_maps(broken)
+
+    @pytest.mark.parametrize("lc", CATALOG, ids=CATALOG_IDS)
+    def test_sweep_stack_equals_cells_bitwise(self, lc):
+        # a 48-cell sync sweep: 8 rate ratios over 18 decades by 6 detunings
+        ops = [op for op, _ in lc.dissipators]
+        rates = [rate * np.logspace(-6.0, 12.0, 8)[:, None] ** (k % 2)
+                 for k, (_, rate) in enumerate(lc.dissipators)]
+        stack = LimitCycleSpec(tuple(zip(ops, rates)), np.linspace(-15.0, 19.0, 6))
+        stacked = _response_maps(build_liouvillian(stack))
+        assert stacked[1].shape == (8, 6, 2, 2)
+        for index, cell in _cells(stack):
+            for got, one in zip(stacked, _response_maps(build_liouvillian(cell))):
+                assert got[index].tobytes() == one.tobytes()
 
 
 class TestEpsilonRule:

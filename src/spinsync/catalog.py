@@ -33,25 +33,24 @@ from .errors import InvalidValueError
 from .lindblad import (
     LimitCycleSpec,
     Liouvillian,
+    _populations,
     _where,
     build_liouvillian,
     require_single,
 )
-from .lindblad import steady_state
 from .perturbation import (
     SyncResult,
     _apply_maps,
-    _driven_steady_state,
     _float_or_array,
     _peak_and_strength,
+    _population_shifts,
     _response_maps,
     coherence_response,
     hs_norm,
-    p_max,
     sync_from_coherences,
     sync_measure,
 )
-from .signals import SignalSpec, build_hext, from_equatorial_angles, require_finite
+from .signals import SignalSpec, from_equatorial_angles, require_finite
 from .spin import (
     COS1_WEIGHT,
     COS2_WEIGHT,
@@ -758,16 +757,11 @@ def pmax_forcing_curve(
 def _pmax_curves(
     liou: Liouvillian, signals: list[SignalSpec], strengths: np.ndarray
 ) -> np.ndarray:
-    """:func:`pmax_forcing_curve` of each signal on one built generator: one
-    target state and one stacked exact solve per curve, shape
+    """:func:`pmax_forcing_curve` of each signal on one built generator: the
+    populations of rho0 once and one stacked exact solve per curve, shape
     (len(signals), len(strengths))."""
-    rho0 = steady_state(liou)
-    return np.array(
-        [
-            p_max(_driven_steady_state(liou, build_hext(signal), strengths), rho0)
-            for signal in signals
-        ]
-    )
+    shifts = _population_shifts(liou, _populations(liou), signals, strengths)
+    return np.abs(shifts).max(axis=-1)
 
 
 def detect_interior_peak(

@@ -38,24 +38,21 @@ from .catalog import (
     vdp_optimal_squeeze_ratio,
 )
 from .errors import SpinsyncError
-from .lindblad import LimitCycleSpec, _target_state, build_liouvillian, steady_state
+from .lindblad import LimitCycleSpec, build_liouvillian, steady_state
 from .perturbation import (
     _apply_maps,
-    _driven_steady_state,
     _measure,
     _norms,
     _perturbation_result,
+    _population_shifts,
     _response_maps,
     _strength,
     hs_norm,
-    p_avg,
-    p_max,
     sync_from_coherences,
 )
 from .signals import (
     SignalSpec,
     VdpSignalParams,
-    build_hext,
     from_equatorial_angles,
     from_vdp_params,
     semiclassical,
@@ -749,17 +746,15 @@ def _figure_forcing(*, gamma_g=1.0, gamma_ratio, eta=0.1):
     sig = semiclassical(0.0)
     pops, map1, map2 = _response_maps(liou)
     eps_eta = float(_strength(*_norms(pops, _apply_maps(map1, map2, sig)), eta))
-    rho0 = _target_state(pops)
-    h = build_hext(sig)
     strengths = np.linspace(0.0, 1.5 * gamma_g, 151)
     # the undriven row is rho0 itself; the driven rows are one stacked solve
     driven = strengths > 0
-    states = np.repeat(rho0[None], len(strengths), axis=0)
-    states[driven] = _driven_steady_state(liou, h, strengths[driven])
+    shift = np.zeros(strengths.shape + (3,))
+    shift[driven] = _population_shifts(liou, pops, [sig], strengths[driven])[0]
     columns = {
         "epsilon": strengths,
-        "p_avg": p_avg(states, rho0),
-        "p_max": p_max(states, rho0),
+        "p_avg": shift[:, 0] - shift[:, 2],
+        "p_max": np.abs(shift).max(axis=-1),
         "epsilon_max": np.broadcast_to(eps_eta, strengths.shape),
         "forcing": strengths > eps_eta,
     }

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -424,6 +425,11 @@ def _from_coordinates(x: np.ndarray) -> np.ndarray:
 
 #: the Hermitian matrix X_c of each unit coordinate c, shape (9, 3, 3)
 _BASIS = _from_coordinates(np.eye(9))
+#: the real form of -i[X_a, .] (see :func:`_signal_form`) of each unit
+#: coordinate a, flattened to row a: each entry is 0, +-1 or +-2
+_COMMUTATOR_TABLE = np.swapaxes(
+    _coordinates(-1j * (_BASIS[:, None] @ _BASIS - _BASIS @ _BASIS[:, None])), 1, 2
+).reshape(9, 81)
 
 
 def _generator_form(liou: Liouvillian) -> np.ndarray:
@@ -446,11 +452,15 @@ def _generator_form(liou: Liouvillian) -> np.ndarray:
 
 def _signal_form(h: np.ndarray) -> np.ndarray:
     """-i[h, .] as the real 9x9 matrix that acts on coordinates: column c
-    holds the coordinates of -i[h, X_c].  Each entry of h X_c and of X_c h is
-    an entry of h times 0, +-1 or +-i, and where both are nonzero they are
-    complex conjugates or diagonal entries of h: the form of a strictly
-    off-diagonal Hermitian h, as :func:`build_hext` makes, is exact."""
-    return _coordinates(-1j * (h @ _BASIS - _BASIS @ h)).T
+    holds the coordinates of -i[h, X_c].  It is linear in h, so it is the
+    coordinates of a Hermitian h contracted with the forms of the unit
+    coordinates (``_COMMUTATOR_TABLE``).  Each entry of -i[h, X_c] is a
+    coordinate of h times 0, +-1 or +-2, or the difference of two diagonal
+    entries of h, so each entry of the product is one such term or one
+    rounded difference of two: the form is exact where h is strictly
+    off-diagonal, as :func:`build_hext` makes it, and equals -i[h, X_c]
+    formed directly bit for bit up to the sign of a zero."""
+    return (_coordinates(h) @ _COMMUTATOR_TABLE).reshape(9, 9)
 
 
 def full_steady_state(lc: LimitCycleSpec, signal: SignalSpec, epsilon) -> np.ndarray:
@@ -496,10 +506,14 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
     one refinement step.  Its residual is summed from L0, L_ext and the
     anchor in ``np.longdouble`` where that type is wider than double
     (x86-64), and error-free in plain double elsewhere (macOS on arm64,
-    Windows; :func:`_compensated_residual`).  The state is rebuilt from its
-    coordinates, so it is exactly Hermitian.  On one x86-64 core a call on
-    fig8app's 121 strengths takes about 0.5 ms with the extended sum and
-    0.7 ms with the error-free one (fig3a's 150: 0.57 and 0.8 ms).  All n
+    Windows; :func:`_compensated_residual`).  That solve is
+    :func:`_driven_coordinates`, which returns the coordinates x.  The
+    forcing figures read their populations from x
+    (:func:`_population_shifts`), so only :func:`full_steady_state`, through
+    this function, builds 3x3 states from x, exactly Hermitian.  On one
+    x86-64 core a curve takes about 0.46 ms on fig8app's 121 strengths with
+    the extended sum and 0.65 ms with the error-free one (fig3a's 150: 0.53
+    and 0.75 ms), with the generator's forms built once per cycle.  All n
     inverses are held at once: stack one forcing curve per call.
 
     Accuracy, on the catalog cycles at rate ratios 1e-6 to 1e100 and
@@ -522,18 +536,43 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
     that does not preserve the trace) a degenerate kernel.  A strength or
     tone that is not finite raises :class:`InvalidValueError`.
     """
+    return _from_coordinates(_driven_coordinates(_cycle_forms(liou), h, epsilon))
+
+
+class _CycleForms(NamedTuple):
+    """What the forcing curves of one cycle share in the driven solve: the
+    real form ``gen`` of L0 (:func:`_generator_form`), ``anchored`` = L0 - P
+    (:func:`_anchored`) and its entrywise modulus ``size``, a factor of the
+    Skeel bound."""
+
+    gen: np.ndarray
+    anchored: np.ndarray
+    size: np.ndarray
+
+
+def _cycle_forms(liou: Liouvillian) -> _CycleForms:
+    """The :class:`_CycleForms` of a built generator of one cycle."""
     require_single(liou.spec, "the exact driven steady state")
+    gen = _generator_form(liou)
+    anchored = _anchored(gen)
+    return _CycleForms(gen, anchored, np.abs(anchored))
+
+
+def _driven_coordinates(cycle: _CycleForms, h: np.ndarray, epsilon) -> np.ndarray:
+    """The coordinates, shape (..., 9) over the shape of ``epsilon``, of the
+    exact driven states of :func:`_driven_steady_state`, for the forms
+    ``cycle`` of :func:`_cycle_forms` and the signal Hamiltonian ``h``."""
     eps = np.asarray(epsilon, dtype=float)
     bad = ~np.isfinite(eps)
     if bad.any():
         raise InvalidValueError("epsilon must be finite" + _where(bad, eps))
-    require_finite(SignalSpec(h[0, 1], h[1, 2], h[0, 2]))  # where build_hext puts them
+    if not np.isfinite(h).all():  # name the tones, where build_hext puts them
+        require_finite(SignalSpec(h[0, 1], h[1, 2], h[0, 2]))
     flat = eps.reshape(-1)
-    l0, l1 = _generator_form(liou), _signal_form(h)
-    anchored = _anchored(l0)
-    inv = _inverses(anchored + flat[:, None, None] * l1)
+    l0, l1 = cycle.gen, _signal_form(h)
+    inv = _inverses(cycle.anchored + flat[:, None, None] * l1)
     x = -(inv @ _ANCHOR)
-    bad = ~_well_posed(inv, anchored, l1, flat, x).reshape(eps.shape)
+    bad = ~_well_posed(inv, cycle.size, np.abs(l1), flat, x).reshape(eps.shape)
     if bad.any():
         svals, vt = np.linalg.svd(l0 + flat[bad.reshape(-1), None, None] * l1)[1:]
         kernel, traceless = np.zeros_like(bad), np.zeros_like(bad)
@@ -556,27 +595,28 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
     else:
         resid = _compensated_residual(x, l0, l1, flat)
     x = x + (inv @ resid[..., None])[..., 0]
-    return _from_coordinates(x.reshape(eps.shape + (9,)))
+    return x.reshape(eps.shape + (9,))
 
 
-def _well_posed(inv, anchored, l1, eps, x) -> np.ndarray:
+def _well_posed(inv, size0, size1, eps, x) -> np.ndarray:
     """Where Skeel's cond of the anchored systems, of inverses ``inv`` and
     solutions ``x``, stays below 0.1 / u; false for an exactly singular (nan)
-    one.  cond ||x||_inf is |A^-1| (|A| |x| + |b|), with |b| = vec(I/3).  |x|
-    and then the two factors of that product are each divided by the power
-    of two of their largest entry, and the limit with them: that is exact,
-    and it keeps every product in range.
+    one.  ``size0`` and ``size1`` are |L0 - P| and |L_ext|.  cond ||x||_inf
+    is |A^-1| (|A| |x| + |b|), with |b| = vec(I/3).  |x| and then the two
+    factors of that product are each divided by the power of two of their
+    largest entry, and the limit with them: that is exact, and it keeps
+    every product in range.
     """
     size = np.abs(x)
     shift = np.frexp(size.max(axis=-1))[1]
     size = np.ldexp(size, -shift[:, None])
-    bound = size @ np.abs(anchored).T + eps[:, None] * (size @ np.abs(l1).T)
+    bound = size @ size0.T + eps[:, None] * (size @ size1.T)
     bound += np.ldexp(_ANCHOR, -shift[:, None])
-    inv = np.abs(inv)
-    inv_shift = np.frexp(inv.max(axis=(-2, -1)))[1]
+    mag = np.abs(inv)
+    inv_shift = np.frexp(mag.max(axis=(-2, -1)))[1]
     bound_shift = np.frexp(bound.max(axis=-1))[1]
-    inv = np.ldexp(inv, -inv_shift[:, None, None])
-    skeel = (inv @ np.ldexp(bound, -bound_shift[:, None])[..., None]).max(axis=(-2, -1))
+    np.ldexp(mag, -inv_shift[:, None, None], out=mag)
+    skeel = (mag @ np.ldexp(bound, -bound_shift[:, None])[..., None]).max(axis=(-2, -1))
     limit = 0.1 / np.finfo(float).eps * size.max(axis=-1)
     return skeel < np.ldexp(limit, -(inv_shift + bound_shift))
 
@@ -639,6 +679,21 @@ def _compensated_residual(x, l0, l1, eps) -> np.ndarray:
         terms = np.concatenate([total, terms[2 * half :]])
         err += e.sum(axis=0)
     return (terms[0] + err).T
+
+
+def _population_shifts(liou: Liouvillian, pops, signals, strengths) -> np.ndarray:
+    """The populations of the exact driven states of each signal in
+    ``signals`` on one built generator, minus ``pops`` (rho0's): shape
+    (len(signals), ..., 3) over the shape of ``strengths``.  One stacked
+    solve per curve, on the generator's forms built once; the coordinates
+    are read as they are, and no 3x3 state is built."""
+    cycle = _cycle_forms(liou)
+    return np.array(
+        [
+            _driven_coordinates(cycle, build_hext(signal), strengths)[..., :3] - pops
+            for signal in signals
+        ]
+    )
 
 
 def _population_change(rho, rho0) -> np.ndarray:

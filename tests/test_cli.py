@@ -746,6 +746,30 @@ class TestFigures:
         assert col["p_max"][0].tobytes() == np.float64(0.0).tobytes()
         assert (col["p_max"][1:] > 0.0).all()
 
+    # the columns the forcing figures read from the driven solve's
+    # coordinates are p_avg and p_max of full_steady_state's states, bit for
+    # bit
+    @pytest.mark.parametrize("fig_id, ratio", [("fig3a", 1.0), ("fig3b", 10.0)])
+    def test_fig3_columns_equal_full_states(self, fig_id, ratio):
+        (_, header, columns), = cli.figure_datasets(fig_id, {})
+        col = dict(zip(header, columns))
+        lc = catalog.equatorial_limit_cycle(1.0, ratio)
+        rho0 = lindblad.steady_state(lindblad.build_liouvillian(lc))
+        eps = col["epsilon"][1:]
+        states = perturbation.full_steady_state(lc, semiclassical(0.0), eps)
+        assert col["p_avg"][1:].tobytes() == perturbation.p_avg(states, rho0).tobytes()
+        assert col["p_max"][1:].tobytes() == perturbation.p_max(states, rho0).tobytes()
+
+    def test_fig8app_columns_equal_full_states(self):
+        (_, header, columns), = cli.figure_datasets("fig8app", {})
+        col = dict(zip(header, columns))
+        lc = vdp_limit_cycle(1.0, 100.0)
+        rho0 = lindblad.steady_state(lindblad.build_liouvillian(lc))
+        for r, eps, curve in zip(col["r"][:, 0], col["epsilon"], col["p_max"]):
+            signal = SignalSpec(r, 1.0 / SQRT2, 0j)
+            states = perturbation.full_steady_state(lc, signal, eps)
+            assert curve.tobytes() == perturbation.p_max(states, rho0).tobytes()
+
     def test_fig3_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(capsys, "figure", "fig3a", "--out", str(a))[0] == 0
@@ -952,11 +976,13 @@ class TestGeneratorBuilds:
         assert (len(builds), len(kernels), len(optima)) == (1, 1, 1)
         assert optima[0][1].shape == (13, 2, 2)
 
+    # the exact driven solve that the figures and full_steady_state share,
+    # called from perturbation alone; its arguments are the cycle's forms,
+    # the signal Hamiltonian and the strengths
     @pytest.fixture
     def driven(self, monkeypatch):
-        modules = (perturbation, catalog, cli)
-        name = "_driven_steady_state"
-        return _count_calls(monkeypatch, perturbation, name, modules)
+        name = "_driven_coordinates"
+        return _count_calls(monkeypatch, perturbation, name, (perturbation,))
 
     @pytest.fixture
     def factorizations(self, monkeypatch):
@@ -985,6 +1011,8 @@ class TestGeneratorBuilds:
         assert code == 0
         assert len(builds) == 1
         assert [np.shape(args[2]) for args in driven] == [(points,)] * curves
+        # the curves of a figure share one set of the cycle's forms
+        assert len({id(args[0]) for args in driven}) == 1
         # one stacked inverse of the anchored 9x9 operators per curve and no
         # 9x9 SVD: the only SVDs are the rank tests of the sector blocks
         full = [call[:2] for call in factorizations if call[1][-2:] == (9, 9)]
@@ -1017,6 +1045,7 @@ class TestGeneratorBuilds:
         sweep = catalog.pmax_failure_sweep([0.5, 2.5], strengths, 1.0, 100.0)
         assert len(builds) == 1
         assert len(driven) == 2
+        assert driven[0][0] is driven[1][0]
         lc = vdp_limit_cycle(1.0, 100.0)
         for r, data in sweep.items():
             signal = SignalSpec(r + 0j, 1.0 / SQRT2 + 0j, 0j)

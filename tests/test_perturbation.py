@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinsync import perturbation
+from spinsync import catalog, perturbation
 from spinsync.catalog import (
     SMAX_SPIN_COEFF,
     BoundParams,
@@ -817,6 +817,26 @@ class TestStackedDrivenState:
                 assert value == one
 
 
+    # the populations the forcing figures read from the solve's coordinates
+    # (fig3a and fig3b through _population_shifts, fig8app through
+    # _pmax_curves), with no 3x3 state built, are p_avg and p_max of
+    # full_steady_state's states bit for bit
+    @pytest.mark.parametrize("signal", DRIVES, ids=["semiclassical", "squeezed"])
+    @pytest.mark.parametrize("lc", CATALOG, ids=CATALOG_IDS)
+    def test_figure_populations_equal_full_states(self, lc, signal):
+        strengths = np.r_[0.0, np.logspace(-4.0, 3.0, 43)]
+        liou = build_liouvillian(lc)
+        rho0 = steady_state(liou)
+        states = full_steady_state(lc, signal, strengths)
+        shift = perturbation._population_shifts(
+            liou, rho0.diagonal().real, [signal], strengths
+        )[0]
+        assert (shift[:, 0] - shift[:, 2]).tobytes() == p_avg(states, rho0).tobytes()
+        want = p_max(states, rho0).tobytes()
+        assert np.abs(shift).max(axis=-1).tobytes() == want
+        assert catalog._pmax_curves(liou, [signal], strengths)[0].tobytes() == want
+
+
 class TestRealForm:
     # the four catalog cycles, whose operators are real, each with a random
     # signal: both real forms equal the Kronecker oracle's by value (the
@@ -885,6 +905,32 @@ class TestRealForm:
             h = random_hermitian(rng)
             form = perturbation._signal_form(h)
             assert np.array_equal(form, real_form(kronecker_commutator(h)))
+
+    # the table form of -i[h, .] is -i[h, X_c] formed directly, bit for bit
+    # up to the sign of a zero (adding +0.0 makes every zero +0), for any
+    # Hermitian h, diagonal included, with parts from 1e-300 to 1e300
+    @given(
+        parts=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.builds(
+                    lambda mantissa, exponent, sign: sign * mantissa * 10.0**exponent,
+                    st.floats(1.0, 9.999999999999998),
+                    st.integers(-300, 299),
+                    st.sampled_from([1.0, -1.0]),
+                ),
+            ),
+            min_size=9,
+            max_size=9,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_signal_table_equals_direct_commutator(self, parts):
+        h = perturbation._from_coordinates(np.array(parts))
+        basis = perturbation._BASIS
+        direct = perturbation._coordinates(-1j * (h @ basis - basis @ h)).T
+        form = perturbation._signal_form(h)
+        assert (form + 0.0).tobytes() == (direct + 0.0).tobytes()
 
     def test_signal_form_applies_the_commutator(self, rng):
         for _ in range(20):

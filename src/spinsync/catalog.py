@@ -475,7 +475,13 @@ def bound_terms(
 @dataclass(frozen=True)
 class OptimumReport:
     """Arg-optimum of a signal family on a fixed limit cycle; for a stack of
-    cycles the value, each parameter and each tone are arrays of its shape."""
+    cycles the value, each parameter and each tone are arrays of its shape.
+
+    ``tau_ratio`` of ``vdp_general`` is unbounded, so its value is the
+    ceiling smax(eta) ||rho0|| wherever map1 is nonsingular and map2 != 0;
+    it is the single-quantum optimum, with tau_ratio = 0, where map2 = 0 or
+    the optimal ratio passes the double range (see :func:`optimize_signal`).
+    """
 
     family: str
     params: dict[str, float | np.ndarray]
@@ -488,17 +494,14 @@ def stationary_squeeze_ratio(r_10, r_0m1, map2):
     """Squeezing ratio tau maximizing the aligned measure of the van der Pol
     signal at fixed single-quantum coherences: the measure is (a + b tau) /
     sqrt(c + d tau^2), peaked at tau = b c / (a d).  Broadcasts over numpy
-    coherences; inf where their sum vanishes, nan where both do."""
+    coherences; inf where their sum vanishes or the ratio passes the double
+    range, nan where both coherences vanish."""
     amp1 = COS1_WEIGHT * np.abs(r_10 + r_0m1)
     base = 2.0 * (np.square(np.abs(r_10)) + np.square(np.abs(r_0m1)))
     num, den = np.broadcast_arrays(COS2_WEIGHT * base, SQRT2 * amp1 * np.abs(map2))
-    # num / 0 for the rows that divide by zero: inf, or nan where num is 0 too
+    # divide only where num / den < 2^1023; elsewhere inf, or nan where num is 0
     out = np.where(num > 0.0, np.inf, np.nan)
-    return np.divide(num, den, out=out, where=den != 0.0)[()]
-
-
-#: largest squeezing ratio of the ``vdp_general`` family in :func:`optimize_signal`
-OPT_TAU_MAX = 2.0
+    return np.divide(num, den, out=out, where=den > num * 2.0**-1023)[()]
 
 
 def optimize_signal(
@@ -512,15 +515,15 @@ def optimize_signal(
     an aligned squeezing tone tau_ratio / sqrt 2.  Either way t^H E t = 1,
     with E = diag(1, 2) for ``vdp_general`` and the identity otherwise.
 
-    Interior case: with aligned harmonics the single-quantum part of the
-    measure is largest where map1 t is proportional to (1, 1), so the tones
-    solve map1 t* = (1, 1), and tau_ratio is
-    :func:`stationary_squeeze_ratio` at t* (0 for ``equatorial_angles`` or
-    without squeezing response).  Boundary case: when that ratio exceeds
-    ``OPT_TAU_MAX``, the optimum lies on tau_ratio = ``OPT_TAU_MAX`` with the
-    tones of :func:`_boundary_tones` (t* is the only maximum once tau is
-    profiled out).  zeta and chi are read off the tones with t01 real, chi in
-    [0, 2 pi).
+    With aligned harmonics the single-quantum part of the measure is largest
+    where map1 t is proportional to (1, 1), so the tones solve
+    map1 t* = (1, 1), and tau_ratio is :func:`stationary_squeeze_ratio` at
+    t* (0 for ``equatorial_angles``).  By Cauchy-Schwarz, ``vdp_general``
+    then reaches the ceiling smax(eta) ||rho0|| wherever map1 is nonsingular
+    and map2 != 0.  Without squeezing response (map2 = 0), or where tau_ratio
+    would pass the double range, tau_ratio is 0 and the value is the
+    single-quantum optimum.  zeta and chi are read off the tones with t01
+    real, chi in [0, 2 pi).
 
     Degenerate optima: an exactly singular map1 (``vdp_limit_cycle(g, g)``,
     where t01 does not couple) has a ridge of maxima, and t* is its
@@ -548,34 +551,28 @@ def _optimum(pops, map1, map2, family: str, eta: float) -> OptimumReport:
     map1, map2 = map1 * factor[..., None, None], map2 * factor
     vdp = family == "vdp_general"
     scale = SQRT2 if vdp else 1.0  # tm10 = sin(zeta) / scale
-    ellipse = np.array([1.0, scale**2])
     # the minimum-norm solution of map1 t = (1, 1); rtol = 0 cuts only exactly
     # zero singular values, so a map1 singular to rounding keeps its solution
     tones = np.linalg.pinv(map1, rtol=0.0).sum(axis=-1)
     # no first-order response: every tone gives 0, report zeta = 0
     tones = np.where(map1.any(axis=(-2, -1))[..., None], tones, [1.0, 0.0])
-    tones = _unit_tones(tones[..., None], ellipse)  # (..., 2, 1)
+    # scale exactly, by a power of two, to a largest modulus in [1/2, 1), so
+    # the norm of a nearly singular map1's tones does not overflow
+    exponent = np.frexp(np.abs(tones).max(axis=-1))[1]
+    tones = tones * np.ldexp(1.0, -exponent)[..., None]
+    tones = tones / np.sqrt(np.square(np.abs(tones)) @ [1.0, scale**2])[..., None]
+    # 0-d arrays for one cycle: numpy scalars can round a complex product
+    # apart from the array loops
+    t01, tm10 = tones[..., 0], tones[..., 1]
     tau = np.zeros(map2.shape)
     if vdp:
-        r_10, r_0m1 = np.moveaxis((map1 @ tones)[..., 0], -1, 0)
+        r_10, r_0m1 = np.moveaxis((map1 @ tones[..., None])[..., 0], -1, 0)
         ratio = stationary_squeeze_ratio(r_10, r_0m1, map2)
-        tau = np.where(map2 != 0, ratio, 0.0)
-        boundary = tau > OPT_TAU_MAX
-        if boundary.any():
-            tau[boundary] = OPT_TAU_MAX
-            tones = np.repeat(tones, 5, axis=-1)
-            squeeze = np.abs(map2[boundary]) * OPT_TAU_MAX
-            tones[boundary] = _unit_tones(
-                _boundary_tones(map1[boundary], squeeze, ellipse), ellipse
-            )
-    # every candidate of every cell at once: (..., 2, k) tones, k = 1 or 5
-    t01, tm10 = np.moveaxis(tones, -2, 0)
-    r_10, r_0m1, _ = _apply_maps(map1[..., None, :, :], map2, SignalSpec(t01, tm10))
-    squeezed = (np.abs(map2) * (tau / SQRT2))[..., None]
-    values = sync_from_coherences(pops[..., None, :], (r_10, r_0m1, squeezed), eta)
-    best = np.argmax(values, axis=-1)[..., None]
-    value = np.take_along_axis(values, best, axis=-1)[..., 0]
-    t01, tm10 = (np.take_along_axis(t, best, axis=-1)[..., 0] for t in (t01, tm10))
+        # map2 = 0, or a ratio past the double range: the single-quantum optimum
+        tau = np.where(np.isfinite(ratio), ratio, 0.0)
+    r_10, r_0m1, _ = _apply_maps(map1, map2, SignalSpec(t01, tm10))
+    squeezed = np.abs(map2) * (tau / SQRT2)
+    value = sync_from_coherences(pops, (r_10, r_0m1, squeezed), eta)
     zeta = np.arctan2(np.abs(tm10) * scale, np.abs(t01))
     # a phase just below 0 rounds to 2 pi under the first modulo
     phase = np.angle(t01 * np.conj(tm10)) % math.tau % math.tau
@@ -591,77 +588,10 @@ def _optimum(pops, map1, map2, family: str, eta: float) -> OptimumReport:
     return OptimumReport(
         family=family,
         params=params,
-        value=_float_or_array(value),
+        value=value,
         eta=eta,
         signal=signal,
     )
-
-
-def _unit_tones(tones, ellipse: np.ndarray):
-    """Tones (t01, tm10) down axis -2 of ``tones`` scaled to t^H E t = 1,
-    E = diag(``ellipse``)."""
-    return tones / np.sqrt(ellipse @ np.square(np.abs(tones)))[..., None, :]
-
-
-def _boundary_tones(map1: np.ndarray, squeeze, ellipse: np.ndarray):
-    """Candidate tones of the aligned measure's maximum at a fixed squeezing
-    amplitude, ``squeeze`` = |map2| tau, for a stack of maps ``map1`` of shape
-    (..., 2, 2): five candidates per cell, as the columns of a (..., 2, 5)
-    array.
-
-    Unnormalized tones t have the measure (C1 |w t| + K sqrt(t^H E t)) /
-    sqrt(t^H P t), with w = (1, 1) map1, K = C2 squeeze / sqrt 2 and
-    P = 2 map1^H map1 + squeeze^2 E, E = diag(``ellipse``).  Its stationary
-    directions are t = nu x + y with real nu, x = P^-1 w^H and y = P^-1 E x,
-    where nu solves the quartic
-
-        C1^2 g^2 (B nu^2 + 2 C nu + D) = K^2 (g nu^2 + (AD - BC) nu + (BD - C^2))^2
-
-    with A = w x, B = x^H E x, C = x^H E y, D = y^H E y and g = AC - B^2.
-    The candidates are t = x (nu -> inf) and nu x + y at the real parts of
-    all four roots (a double root may come out as a complex pair); the
-    caller keeps the one with the largest measure.  The roots are those of
-    ``np.roots``, the eigenvalues of the companion matrix, for every cell at
-    once.  A quartic with k leading zero coefficients has k roots at
-    infinity, whose candidate is x.
-    """
-    w = map1.sum(axis=-2)
-    gram = 2.0 * np.swapaxes(map1, -1, -2).conj() @ map1
-    gram = gram + squeeze[..., None, None] ** 2 * np.diag(ellipse)
-    x = np.linalg.solve(gram, w.conj()[..., None])[..., 0]
-    y = np.linalg.solve(gram, (ellipse * x)[..., None])[..., 0]
-    a = np.vecdot(w.conj(), x).real
-    b, c, d = (np.vecdot(u, ellipse * v).real for u, v in ((x, x), (x, y), (y, y)))
-    g, h, k = a * c - b * b, a * d - b * c, b * d - c * c
-    kk = (COS2_WEIGHT * squeeze) ** 2 / 2.0  # K^2
-    cc = (COS1_WEIGHT * g) ** 2  # C1^2 g^2
-    quartic = np.stack(
-        [
-            kk * g * g,
-            2.0 * kk * g * h,
-            kk * (h * h + 2.0 * g * k) - cc * b,
-            2.0 * (kk * h * k - cc * c),
-            kk * k * k - cc * d,
-        ],
-        axis=-1,
-    )
-    # np.roots drops leading zero coefficients: shift each quartic left by
-    # their count, which puts as many exact roots 0 in its companion matrix,
-    # and read those as the roots at infinity (a zero quartic has no root,
-    # as a constant one)
-    quartic[..., 4] = np.where(quartic.any(axis=-1), quartic[..., 4], 1.0)
-    infinite = np.argmax(quartic != 0.0, axis=-1)[..., None]
-    padded = np.concatenate([quartic, np.zeros_like(quartic)], axis=-1)
-    quartic = np.take_along_axis(padded, np.arange(5) + infinite, axis=-1)
-    companion = np.zeros(quartic.shape[:-1] + (4, 4))
-    companion[..., 0, :] = -quartic[..., 1:] / quartic[..., :1]
-    companion[..., 1:, :-1] = np.eye(3)
-    roots = np.linalg.eigvals(companion)
-    zero = roots == 0.0
-    at_infinity = (zero & (np.cumsum(zero, axis=-1) <= infinite))[..., None, :]
-    x, y = x[..., None], y[..., None]
-    candidates = np.where(at_infinity, x, roots.real[..., None, :] * x + y)
-    return np.concatenate([x, candidates], axis=-1)
 
 
 # ---------------------------------------------------------------------------

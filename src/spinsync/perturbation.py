@@ -459,8 +459,19 @@ def _signal_form(h: np.ndarray) -> np.ndarray:
     entries of h, so each entry of the product is one such term or one
     rounded difference of two: the form is exact where h is strictly
     off-diagonal, as :func:`build_hext` makes it, and equals -i[h, X_c]
-    formed directly bit for bit up to the sign of a zero."""
-    return (_coordinates(h) @ _COMMUTATOR_TABLE).reshape(9, 9)
+    formed directly bit for bit up to the sign of a zero.  A form that
+    overflows raises :class:`InvalidValueError` naming the tones, where
+    build_hext puts them, whose entries of h overflow when doubled."""
+    with np.errstate(over="ignore"):
+        form = (_coordinates(h) @ _COMMUTATOR_TABLE).reshape(9, 9)
+        if np.isfinite(form).all():
+            return form
+        tones = 2.0 * h[[0, 1, 0], [1, 2, 2]]
+    big = [name for name, tone in zip(("t01", "tm10", "tm11"), tones)
+           if not np.isfinite(tone)]
+    raise InvalidValueError(
+        f"signal tones overflow the driven generator: {', '.join(big)}"
+    )
 
 
 def full_steady_state(lc: LimitCycleSpec, signal: SignalSpec, epsilon) -> np.ndarray:

@@ -17,7 +17,6 @@ from spinsync.catalog import (
     VDP_SQUEEZE_INFINITE_TAU_LIMIT,
     VDP_SQUEEZE_LIMIT,
     BoundParams,
-    _boundary_tones,
     _optimum,
     align_squeeze_phase,
     arnold_tongue,
@@ -368,8 +367,9 @@ RANDOM_CYCLES = {
 
 def _grid_max(lc, family, report, eta=0.1):
     """Largest aligned measure of the signal family on a grid of (zeta, chi,
-    tau in [0, 2]): a global grid, dense near zeta = 0, and a fine grid
-    around the reported optimum (chi taken around the circle)."""
+    tau in [0, 1e4]): a global grid, dense near zeta = 0, and a fine grid
+    around the reported optimum (chi taken around the circle, tau relative
+    to the reported one)."""
     vdp = family == "vdp_general"
     zeta0, chi0 = report.params["zeta"], report.params["chi"]
     tau0 = report.params.get("tau_ratio", 0.0)
@@ -380,12 +380,14 @@ def _grid_max(lc, family, report, eta=0.1):
                 [np.linspace(0.0, 0.5 * math.pi, 121), np.geomspace(1e-5, 0.1, 61)]
             ),
             np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False),
-            np.linspace(0.0, 2.0, 21) if vdp else np.zeros(1),
+            np.r_[0.0, np.geomspace(1e-2, 1e4, 37)] if vdp else np.zeros(1),
         ),
         (
             np.clip(zeta0 + 0.05 * local, 0.0, 0.5 * math.pi),
             chi0 + 0.1 * local,
-            np.clip(tau0 + 0.05 * local, 0.0, 2.0) if vdp else np.zeros(1),
+            np.maximum(tau0 + 0.05 * max(tau0, 1.0) * local, 0.0)
+            if vdp
+            else np.zeros(1),
         ),
     ]
     rho0, map1, map2 = coherence_response(lc)
@@ -495,7 +497,7 @@ class TestOptimizer:
     def test_interior_optimum_closed_value(self, lc):
         # with map1 invertible, |r10 + r0m1| / ||(r10, r0m1)|| peaks at sqrt 2
         # on s ~ (1, 1), so the family values are eta ||rho0|| C1 and
-        # eta ||rho0|| sqrt(C1^2 + C2^2 / 2), the latter for tau* <= 2
+        # eta ||rho0|| sqrt(C1^2 + C2^2 / 2), the latter wherever map2 != 0
         rho0 = steady_state(build_liouvillian(lc))
         norm0 = np.linalg.norm(rho0)
         report = optimize_signal(lc, "equatorial_angles")
@@ -565,6 +567,45 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             optimize_signal(equatorial_limit_cycle(1.0, 1.0), "fourier")
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scenario=st.sampled_from(sorted(RANDOM_CYCLES)),
+        exponents=st.lists(
+            st.floats(min_value=-2.0, max_value=4.0), min_size=3, max_size=3
+        ),
+        detuning=st.sampled_from([0.0, 0.3, -2.0, 25.0]),
+    )
+    def test_vdp_general_reaches_the_ceiling(self, scenario, exponents, detuning):
+        # with map1 t* = (1, 1) and tau_ratio unbounded, Cauchy-Schwarz is
+        # saturated: the cycle enters only through ||rho0||
+        lc = RANDOM_CYCLES[scenario](exponents, detuning)
+        rho0, map1, map2 = coherence_response(lc)
+        if np.linalg.det(map1) == 0.0 or map2 == 0.0:
+            return
+        report = optimize_signal(lc, "vdp_general")
+        ceiling = smax(0.1) * np.linalg.norm(rho0)
+        assert abs(report.value - ceiling) <= 1e-15 * ceiling
+
+    @pytest.mark.parametrize("gamma_dp", [1e-3, 0.1, 1e-300])
+    def test_vdp_general_equals_the_tightness_construction(self, gamma_dp):
+        # ||rho0|| of the asymmetric equatorial cycle is sqrt(g^2 + g'^2) / (g + g')
+        lc = asymmetric_equatorial_limit_cycle(1.0, 1.0, gamma_dp)
+        report = optimize_signal(lc, "vdp_general")
+        closed = tightness_sync_closed(1.0, gamma_dp)
+        assert report.value == pytest.approx(closed, rel=1e-15, abs=0.0)
+
+    # tones of a nearly singular map1 that overflowed their norm, and a
+    # squeezing ratio past the double range: no warning, no squeezing tone
+    @pytest.mark.parametrize("gamma_g", [1e300, 1e3])
+    @pytest.mark.parametrize("family", ["equatorial_angles", "vdp_general"])
+    def test_extreme_cycles_finite(self, gamma_g, family):
+        lc = asymmetric_equatorial_limit_cycle(gamma_g, 1.0, 3e-308)
+        report = optimize_signal(lc, family)
+        assert math.isfinite(report.value) and report.value > 0.0
+        tones = [report.signal.t01, report.signal.tm10, report.signal.tm11]
+        assert np.isfinite(tones).all()
+        assert report.params.get("tau_ratio", 0.0) == 0.0
+
 
 def _stacked_maps(cycles):
     """The populations and response maps of single cycles, stacked."""
@@ -600,8 +641,8 @@ class TestStackedOptimum:
         values = report.value.ravel()
         params = {k: v.ravel() for k, v in report.params.items()}
         tau = params.get("tau_ratio", np.zeros(240))
-        if family == "vdp_general":  # interior and boundary cells in one stack
-            assert 0 < np.count_nonzero(tau == 2.0) < 240
+        if family == "vdp_general":  # ratios on both sides of 2 in one stack
+            assert 0 < np.count_nonzero(tau > 2.0) < 240
         for i, lc in enumerate(cycles):
             single = optimize_signal(lc, family)
             assert abs(values[i] - single.value) <= 1e-15 * single.value
@@ -617,16 +658,19 @@ class TestStackedOptimum:
 
     def test_degenerate_cells_in_a_stack(self):
         # a ridge of maxima (map1 singular), no response, an ordinary cycle,
-        # and a squeezing response 1e-200 times that cycle's: K^2 underflows,
-        # so the boundary quartic has two leading zero coefficients
+        # a squeezing response 1e-200 times that cycle's, whose ratio tau is
+        # 1e200 times larger, and one 1e-310 times it, whose ratio passes the
+        # double range
         cycles = [
             vdp_limit_cycle(1.5, 1.5),
             LimitCycleSpec(((SP, 1.0), (SM, 1.0))),
             vdp_limit_cycle(1.0, 100.0),
             vdp_limit_cycle(1.0, 100.0),
+            vdp_limit_cycle(1.0, 100.0),
         ]
         pops, map1, map2 = _stacked_maps(cycles)
         map2[3] *= 1e-200
+        map2[4] *= 1e-310
         report = _optimum(pops, map1, map2, "vdp_general", 0.1)
         ridge = optimize_signal(cycles[0], "vdp_general")
         assert report.params["zeta"][0] == 0.5 * math.pi
@@ -634,17 +678,17 @@ class TestStackedOptimum:
         assert abs(report.value[0] - ridge.value) <= 1e-15 * ridge.value
         assert report.value[1] == 0.0
         assert [report.params[k][1] for k in ("zeta", "chi", "tau_ratio")] == [0.0] * 3
-        assert report.params["tau_ratio"][3] == 2.0
-        # a vanishing squeezing tone leaves the single-quantum optimum C1
         norm0 = np.linalg.norm(pops[3])
+        # a tiny squeezing response still reaches the ceiling, at a huge ratio
+        tau = report.params["tau_ratio"]
+        assert 1e199 < tau[3] < math.inf
+        assert report.value[3] == pytest.approx(smax(0.1) * norm0, rel=1e-15)
+        assert report.value[2] == pytest.approx(report.value[3], rel=1e-15)
+        # past the double range: no squeezing tone, the single-quantum optimum C1
+        assert tau[4] == 0.0
         closed = 0.1 * norm0 * COS1_WEIGHT
-        assert report.value[3] == pytest.approx(closed, rel=1e-13, abs=0.0)
-        # the two roots at infinity are candidate x, as np.roots drops them
-        squeeze = np.abs(map2[3:] / np.abs(map1[3]).max()) * 2.0
-        tones = _boundary_tones(map1[3:] / np.abs(map1[3]).max(), squeeze, [1.0, 2.0])
-        assert tones.shape == (1, 2, 5)
-        assert np.array_equal(tones[..., 1:3], tones[..., :1].repeat(2, axis=-1))
-        assert np.isfinite(tones).all()
+        assert report.value[4] == pytest.approx(closed, rel=1e-13, abs=0.0)
+        assert np.isfinite(report.signal.tm11).all()
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -769,6 +813,11 @@ class TestClosedFormHelpers:
         for k in range(coh.shape[1]):
             one = stationary_squeeze_ratio(*(np.complex128(x) for x in coh[:, k]))
             assert one.tobytes() == stacked[k].tobytes()
+
+    def test_squeeze_ratio_past_the_double_range_is_inf(self):
+        # 4.2 / 1e-320 overflows: inf without an overflow warning
+        ratio = stationary_squeeze_ratio(np.array([1.0, 1.0]), 1.0, [1e-320, 1e-300])
+        assert ratio[0] == math.inf and math.isfinite(ratio[1])
 
 
 # rate ratios gamma_d / gamma_g from 1e-6 to 1e15 in half decades

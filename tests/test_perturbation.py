@@ -785,12 +785,24 @@ class TestStackedDrivenState:
         ):
             _driven_steady_state(liou, h, np.array([0.3, 0.0, 1.0]))
 
-    # a nan reached the degeneracy SVD, which raised LinAlgError
+    # a nan or an overflowed form reached the degeneracy SVD, which raised
+    # LinAlgError
     @pytest.mark.parametrize(
         "signal, epsilon, message",
         [
             (SignalSpec(math.nan, 1.0), 0.1, "signal tones must be finite: t01"),
             (SignalSpec(1.0, 1.0, math.inf), 0.1, "signal tones must be finite: tm11"),
+            # finite tones whose signal form overflows
+            (
+                SignalSpec(1e308, 1.0),
+                0.1,
+                "signal tones overflow the driven generator: t01$",
+            ),
+            (
+                SignalSpec(1.0, 1e308j, 5e307),
+                np.array([0.1, 0.2]),
+                "signal tones overflow the driven generator: tm10, tm11$",
+            ),
             (semiclassical(0.0), math.nan, r"epsilon must be finite, got \[nan\]$"),
             (
                 semiclassical(0.0),
@@ -803,6 +815,12 @@ class TestStackedDrivenState:
         lc = equatorial_limit_cycle(1.0, 2.0)
         with pytest.raises(InvalidValueError, match=message):
             full_steady_state(lc, signal, epsilon)
+
+    def test_overflowing_signal_form_named_by_the_orders(self):
+        lc, signal = equatorial_limit_cycle(1.0, 2.0), SignalSpec(1e308, 1.0)
+        message = "signal tones overflow the driven generator: t01$"
+        with pytest.raises(InvalidValueError, match=message):
+            perturbative_orders(lc, signal, 2)
 
     @pytest.mark.parametrize("lc", CATALOG, ids=CATALOG_IDS)
     def test_deformation_measures_per_state(self, lc):

@@ -575,6 +575,8 @@ class TestOptimizer:
         ),
         detuning=st.sampled_from([0.0, 0.3, -2.0, 25.0]),
     )
+    # vdp_limit_cycle(1, 1 + 2 ulp): map1 is singular to rounding only
+    @example("vdp", [math.log10(1 + 4e-16), 0.0, 0.0], 0.0)
     def test_vdp_general_reaches_the_ceiling(self, scenario, exponents, detuning):
         # with map1 t* = (1, 1) and tau_ratio unbounded, Cauchy-Schwarz is
         # saturated: the cycle enters only through ||rho0||

@@ -2,8 +2,8 @@
 
 Library layout:
 
-- :mod:`spinsync.spin` -- spin-1 operators, coherent states, Husimi function
-  and the two-harmonic phase distribution.
+- :mod:`spinsync.spin` -- spin-1 ladder operators, the Husimi function and
+  the two-harmonic phase distribution with its peak search.
 - :mod:`spinsync.lindblad` -- rotationally invariant limit-cycle generators,
   sector decomposition and steady states.
 - :mod:`spinsync.signals` -- three-tone signal Hamiltonians.
@@ -33,13 +33,11 @@ from .catalog import (
     equatorial_limit_cycle,
     equatorial_optimal_angles,
     equatorial_sync_closed,
-    make_limit_cycle,
     optimize_signal,
     smax,
     tightness_scenario,
     vdp_limit_cycle,
     vdp_oscillator_equivalence,
-    vdp_squeeze_sync_closed,
 )
 from .errors import InvalidValueError, SpinsyncError
 from .lindblad import (
@@ -48,7 +46,6 @@ from .lindblad import (
     Liouvillian,
     MixedSectorError,
     build_liouvillian,
-    sector_of,
     steady_state,
 )
 from .perturbation import (
@@ -78,15 +75,10 @@ from .signals import (
     semiclassical,
 )
 from .spin import (
-    CoherentState,
     PhaseDistributionTerms,
-    coherent_state,
     husimi_q,
     max_shifted_phase,
-    oscillator_phase_terms,
     phase_distribution_terms,
-    rotation_z,
-    spin_operators,
 )
 
 __version__ = "0.1.0"

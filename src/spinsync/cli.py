@@ -733,8 +733,10 @@ def cmd_validate(args) -> int:
 def _figure_fig2(*, gamma_g=1.0, gamma_d=100.0, eta=0.1):
     lc = catalog.equatorial_limit_cycle(gamma_g, gamma_d)
     detunings = np.linspace(-20.0 * gamma_g, 20.0 * gamma_g, 161)
-    edge = detunings.max() ** 2
-    eps_hi = eta / math.sqrt(1.0 / (gamma_d**2 + edge) + 1.0 / (gamma_g**2 + edge))
+    d_max = detunings.max()
+    eps_hi = eta / math.hypot(
+        1.0 / math.hypot(gamma_d, d_max), 1.0 / math.hypot(gamma_g, d_max)
+    )
     strengths = np.linspace(0.0, 1.05 * eps_hi, 211)
     grid = arnold_tongue(lc, semiclassical(0.0), detunings, strengths, eta)
     return [("", *_table(_tongue_columns(grid, detunings, strengths)))]

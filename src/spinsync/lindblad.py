@@ -170,18 +170,14 @@ class Liouvillian:
     sector_blocks: dict[int, np.ndarray]
 
 
-def sector_of(op: np.ndarray, rel_tol: float = 1e-14) -> int:
-    """Coherence sector of a single-diagonal operator.
+def _sector_and_scale(op: np.ndarray) -> tuple[int, float]:
+    """The coherence sector of a single-diagonal operator and the largest
+    modulus of an entry of ``op``.
 
-    Raises :class:`MixedSectorError` if nonzero entries (relative to the
-    largest) occupy two or more diagonals, and ``ValueError`` for the zero
+    Raises :class:`MixedSectorError` if entries above 1e-14 times the
+    largest occupy two or more diagonals, and ``ValueError`` for the zero
     matrix or a non-finite entry.
     """
-    return _sector_and_scale(op, rel_tol)[0]
-
-
-def _sector_and_scale(op: np.ndarray, rel_tol: float = 1e-14) -> tuple[int, float]:
-    """:func:`sector_of` and the largest modulus of an entry of ``op``."""
     op = np.asarray(op, dtype=complex)
     if op.shape != (3, 3):
         raise InvalidValueError(f"expected a 3x3 operator, got shape {op.shape}")
@@ -191,7 +187,7 @@ def _sector_and_scale(op: np.ndarray, rel_tol: float = 1e-14) -> tuple[int, floa
         raise InvalidValueError("operator entries must be finite")
     if scale == 0.0:
         raise InvalidValueError("zero operator has no sector")
-    sectors = _SECTOR_OF_ENTRY[mag > rel_tol * scale]
+    sectors = _SECTOR_OF_ENTRY[mag > 1e-14 * scale]
     lo, hi = sectors.min(), sectors.max()
     if lo != hi:
         raise MixedSectorError(

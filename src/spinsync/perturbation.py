@@ -249,10 +249,9 @@ def first_order(lc: LimitCycleSpec, signal: SignalSpec) -> np.ndarray:
     return _rho1(_leading_orders(lc, signal)[1])
 
 
-def _norms(populations, coherences):
-    """||rho0|| from its populations and ||rho1|| from its coherences
-    ``(r10, r0m1, r1m1)``, which broadcast against each other (and the
-    stack of the populations, of shape (..., 3))."""
+def _scaled_norms(populations, coherences):
+    """||rho0||, ||rho1|| / 2^e and e, for ``e`` the exponent of the largest
+    modulus of the coherences ``(r10, r0m1, r1m1)`` (see :func:`_norms`)."""
     # ufuncs round a scalar as one cell of a stack, where builtin abs (hypot)
     # and ** (pow) on a scalar can differ in the last bit
     moduli = [np.abs(r) for r in coherences]
@@ -260,8 +259,16 @@ def _norms(populations, coherences):
     # modulus, so that no square under- or overflows
     exponent = np.frexp(np.maximum(np.maximum(*moduli[:2]), moduli[2]))[1]
     sq_10, sq_0m1, sq_1m1 = (np.square(np.ldexp(m, -exponent)) for m in moduli)
-    norm1 = np.ldexp(np.sqrt(2.0 * (sq_10 + sq_0m1 + sq_1m1)), exponent)
-    return np.sqrt(np.vecdot(populations, populations)), norm1
+    norm1 = np.sqrt(2.0 * (sq_10 + sq_0m1 + sq_1m1))
+    return np.sqrt(np.vecdot(populations, populations)), norm1, exponent
+
+
+def _norms(populations, coherences):
+    """||rho0|| from its populations and ||rho1|| from its coherences
+    ``(r10, r0m1, r1m1)``, which broadcast against each other (and the
+    stack of the populations, of shape (..., 3))."""
+    norm0, norm1, exponent = _scaled_norms(populations, coherences)
+    return norm0, np.ldexp(norm1, exponent)
 
 
 def sync_from_coherences(populations, coherences, eta: float = 0.1):
@@ -272,7 +279,10 @@ def sync_from_coherences(populations, coherences, eta: float = 0.1):
     """
     r_10, r_0m1, r_1m1 = coherences
     amp = COS1_WEIGHT * np.abs(r_10 + r_0m1) + COS2_WEIGHT * np.abs(r_1m1)
-    norm0, norm1 = _norms(populations, coherences)
+    # amp and ||rho1|| divided by the same power of two, which is exact, so
+    # that the value does not vanish where only ||rho1|| overflows
+    norm0, norm1, exponent = _scaled_norms(populations, coherences)
+    amp = np.ldexp(amp, -exponent)
     # a vanishing rho1 has amp = 0, which an infinite norm maps to 0
     val = eta * norm0 * amp / np.where(norm1 > 0.0, norm1, np.inf)
     return _float_or_array(val)
@@ -321,13 +331,26 @@ def _perturbation_result(pops, coherences, eta: float) -> PerturbationResult:
 
 
 def _peak_and_strength(populations, coherences, eta: float):
-    """Terms, ``(peak, phi_star)`` and permitted strength (inf for a vanishing
-    response) of the measure; see :func:`_measure`."""
+    """Terms, ``(peak, phi_star)``, permitted strength (inf for a vanishing
+    response) and value (0 there) of the measure; see :func:`_measure`.
+
+    The value is the product of the peak and of the strength formed from
+    ||rho1||, both divided by the same power of two 2^e (e of
+    :func:`_scaled_norms`).  That division is exact, so the value keeps its
+    bits wherever the strength and ||rho1|| are normal doubles, and it does
+    not vanish where only they under- or overflow (tones near the largest
+    double)."""
     r10, r0m1, r1m1 = np.broadcast_arrays(*coherences)
     terms = _phase_terms(r10 + r0m1, r1m1)
-    eps = _strength(*_norms(populations, (r10, r0m1, r1m1)), float(eta))
-    peak = _max_shifted_phase(terms.amp1, terms.phase1, terms.amp2, terms.phase2)
-    return terms, peak, eps
+    norm0, norm1, exponent = _scaled_norms(populations, (r10, r0m1, r1m1))
+    scaled = _strength(norm0, norm1, float(eta))
+    peak, phi = _max_shifted_phase(terms.amp1, terms.phase1, terms.amp2, terms.phase2)
+    eps = np.ldexp(scaled, -exponent)
+    finite = ~np.isinf(eps)
+    value = np.multiply(
+        scaled, np.ldexp(peak, -exponent), out=np.zeros(finite.shape), where=finite
+    )
+    return terms, (peak, phi), eps, value
 
 
 def _measure(populations, coherences, eta: float) -> SyncResult:
@@ -337,9 +360,8 @@ def _measure(populations, coherences, eta: float) -> SyncResult:
     Returns a :class:`SyncResult` whose fields, terms included, are arrays of
     the broadcast shape; see :func:`sync_measure`.
     """
-    terms, (peak, phi), eps = _peak_and_strength(populations, coherences, eta)
+    terms, (peak, phi), eps, value = _peak_and_strength(populations, coherences, eta)
     zero = np.isinf(eps)
-    value = np.multiply(eps, peak, out=np.zeros(zero.shape), where=~zero)
     return SyncResult(value, np.where(zero, np.nan, phi), terms, eps, float(eta), zero)
 
 
@@ -474,13 +496,6 @@ def _signal_form(h: np.ndarray) -> np.ndarray:
     )
 
 
-def full_steady_state(lc: LimitCycleSpec, signal: SignalSpec, epsilon) -> np.ndarray:
-    """Exact stationary state of the driven generator at finite epsilon; an
-    array of strengths gives the states stacked over its shape (see
-    :func:`_driven_steady_state`)."""
-    return _driven_steady_state(build_liouvillian(lc), build_hext(signal), epsilon)
-
-
 def _anchored(gen: np.ndarray) -> np.ndarray:
     """L - P from the real form ``gen`` of a generator L (see
     :func:`_generator_form`), P = vec(I/3) tr(.): for a trace-preserving L,
@@ -503,8 +518,8 @@ def _inverses(stack: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarray:
-    """:func:`full_steady_state` on a built generator and signal Hamiltonian.
+def full_steady_state(lc: LimitCycleSpec, signal: SignalSpec, epsilon) -> np.ndarray:
+    """Exact stationary state of the driven generator at finite epsilon.
 
     ``epsilon`` is a strength (one 3x3 state) or an array of strengths (the
     states stacked over its shape).  The state is Hermitian and every
@@ -520,12 +535,12 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
     Windows; :func:`_compensated_residual`).  That solve is
     :func:`_driven_coordinates`, which returns the coordinates x.  The
     forcing figures read their populations from x
-    (:func:`_population_shifts`), so only :func:`full_steady_state`, through
-    this function, builds 3x3 states from x, exactly Hermitian.  On one
-    x86-64 core a curve takes about 0.46 ms on fig8app's 121 strengths with
-    the extended sum and 0.65 ms with the error-free one (fig3a's 150: 0.53
-    and 0.75 ms), with the generator's forms built once per cycle.  All n
-    inverses are held at once: stack one forcing curve per call.
+    (:func:`_population_shifts`), so only this function builds 3x3 states
+    from x, exactly Hermitian.  On one x86-64 core a curve takes about
+    0.46 ms on fig8app's 121 strengths with the extended sum and 0.65 ms with
+    the error-free one (fig3a's 150: 0.53 and 0.75 ms), with the generator's
+    forms built once per cycle.  All n inverses are held at once: stack one
+    forcing curve per call.
 
     Accuracy, on the catalog cycles at rate ratios 1e-6 to 1e100 and
     strengths 1e-4 to 1e4 against a high-precision solve: within 1e-14 on
@@ -547,7 +562,8 @@ def _driven_steady_state(liou: Liouvillian, h: np.ndarray, epsilon) -> np.ndarra
     that does not preserve the trace) a degenerate kernel.  A strength or
     tone that is not finite raises :class:`InvalidValueError`.
     """
-    return _from_coordinates(_driven_coordinates(_cycle_forms(liou), h, epsilon))
+    cycle = _cycle_forms(build_liouvillian(lc))
+    return _from_coordinates(_driven_coordinates(cycle, build_hext(signal), epsilon))
 
 
 class _CycleForms(NamedTuple):
@@ -571,7 +587,7 @@ def _cycle_forms(liou: Liouvillian) -> _CycleForms:
 
 def _driven_coordinates(cycle: _CycleForms, h: np.ndarray, epsilon) -> np.ndarray:
     """The coordinates, shape (..., 9) over the shape of ``epsilon``, of the
-    exact driven states of :func:`_driven_steady_state`, for the forms
+    exact driven states of :func:`full_steady_state`, for the forms
     ``cycle`` of :func:`_cycle_forms` and the signal Hamiltonian ``h``."""
     eps = np.asarray(epsilon, dtype=float)
     bad = ~np.isfinite(eps)

@@ -36,12 +36,6 @@ class SignalSpec:
             self.t01 * factor, self.tm10 * factor, self.tm11 * factor
         )
 
-    def rotated(self, alpha: float) -> "SignalSpec":
-        """Shift the signal phase: single-quantum tones by e^{i alpha},
-        the squeezing tone by e^{2 i alpha}."""
-        w = np.exp(1j * alpha)
-        return SignalSpec(self.t01 * w, self.tm10 * w, self.tm11 * w * w)
-
 
 @dataclass(frozen=True)
 class VdpSignalParams:

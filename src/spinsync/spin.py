@@ -4,7 +4,7 @@ The matrix basis is fixed once and for all: the S_z eigenstates are ordered
 (m=+1, m=0, m=-1), mapped to row/column indices (0, 1, 2).  Every matrix in
 this package uses that ordering.  It doubles as a truncated harmonic-oscillator
 ladder via n=2 <-> m=+1, n=1 <-> m=0, n=0 <-> m=-1, which is what
-``oscillator_phase_terms`` relies on.
+``OSC_COS1_WEIGHT`` and ``catalog.truncated_oscillator_ops`` rely on.
 
 Phase-space conventions
 -----------------------
@@ -34,14 +34,9 @@ from .errors import InvalidValueError
 
 SQRT2 = float(np.sqrt(2.0))
 
-#: matrix index of each S_z eigenvalue m
-BASIS_INDEX = {+1: 0, 0: 1, -1: 2}
-
 SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 SP = np.array([[0.0, SQRT2, 0.0], [0.0, 0.0, SQRT2], [0.0, 0.0, 0.0]], dtype=complex)
 SM = SP.conj().T
-SX = 0.5 * (SP + SM)
-SY = -0.5j * (SP - SM)
 
 #: weight of the cos(phi) harmonic in the spin phase distribution
 COS1_WEIGHT = 3.0 / (8.0 * SQRT2)
@@ -51,39 +46,14 @@ COS2_WEIGHT = 1.0 / (2.0 * np.pi)
 OSC_COS1_WEIGHT = 1.0 / (2.0 * np.pi)
 
 
-def spin_operators() -> dict[str, np.ndarray]:
-    """Fresh copies of the spin-1 matrices S_z, S_+, S_-, S_x, S_y."""
-    return {
-        "sz": SZ.copy(),
-        "sp": SP.copy(),
-        "sm": SM.copy(),
-        "sx": SX.copy(),
-        "sy": SY.copy(),
-    }
-
-
-def rotation_z(alpha: float) -> np.ndarray:
-    """Rotation exp(-i alpha S_z) about the quantization axis."""
-    return np.diag(np.exp(-1j * alpha * np.array([1.0, 0.0, -1.0])))
-
-
-def _require_hermitian(rho: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _require_hermitian(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise InvalidValueError(f"expected a 3x3 matrix, got shape {rho.shape}")
     scale = max(1.0, float(np.abs(rho).max()))
-    if np.abs(rho - rho.conj().T).max() > tol * scale:
+    if np.abs(rho - rho.conj().T).max() > 1e-12 * scale:
         raise InvalidValueError("matrix is not Hermitian")
     return rho
-
-
-@dataclass(frozen=True)
-class CoherentState:
-    """Spin-coherent state |theta, phi> with its basis amplitudes."""
-
-    theta: float
-    phi: float
-    amplitudes: np.ndarray
 
 
 def _coherent_amplitudes(theta, phi) -> np.ndarray:
@@ -99,15 +69,6 @@ def _coherent_amplitudes(theta, phi) -> np.ndarray:
         ],
         axis=-1,
     )
-
-
-def coherent_state(theta: float, phi: float) -> CoherentState:
-    """Unit-norm spin-coherent state at polar angle theta and azimuth phi."""
-    theta = float(theta)
-    if not 0.0 <= theta <= np.pi:
-        raise InvalidValueError(f"theta must lie in [0, pi], got {theta}")
-    phi = float(phi) % (2.0 * np.pi)
-    return CoherentState(theta, phi, _coherent_amplitudes(theta, phi))
 
 
 def husimi_q(rho: np.ndarray, theta, phi):
@@ -143,21 +104,14 @@ class PhaseDistributionTerms:
         )
         return float(val) if val.ndim == 0 else val
 
-    def derivative(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        val = -self.amp1 * np.sin(phi + self.phase1) - 2.0 * self.amp2 * np.sin(
-            2.0 * phi + self.phase2
-        )
-        return float(val) if val.ndim == 0 else val
 
-
-def _phase_terms(single, double, weight1: float = COS1_WEIGHT):
+def _phase_terms(single, double):
     """:class:`PhaseDistributionTerms` of the sum of the single-quantum
     coherences and of the double-quantum coherence, which broadcast against
     each other; the fields are arrays of the broadcast shape.  A vanishing
     coherence has phase 0.  ``np.abs`` rounds one cell as a stack's cells."""
     return PhaseDistributionTerms(
-        amp1=weight1 * np.abs(single),
+        amp1=COS1_WEIGHT * np.abs(single),
         phase1=np.where(single != 0, np.angle(single), 0.0),
         amp2=COS2_WEIGHT * np.abs(double),
         phase2=np.where(double != 0, np.angle(double), 0.0),
@@ -179,17 +133,6 @@ def phase_distribution_terms(rho: np.ndarray) -> PhaseDistributionTerms:
     """
     rho = _require_hermitian(rho)
     return _scalar_terms(_phase_terms(rho[0, 1] + rho[1, 2], rho[0, 2]))
-
-
-def oscillator_phase_terms(rho: np.ndarray) -> PhaseDistributionTerms:
-    """Phase-distribution harmonics for the truncated-oscillator phase states.
-
-    ``rho`` is read in the truncated Fock basis (n = 2, 1, 0 at indices
-    0, 1, 2).  Differs from the spin case only in the cos(phi) weight.
-    """
-    rho = _require_hermitian(rho)
-    single = rho[1, 2] + rho[0, 1]
-    return _scalar_terms(_phase_terms(single, rho[0, 2], OSC_COS1_WEIGHT))
 
 
 #: iteration cap of the secular solve; rows take at most about 35 iterations,

@@ -8,7 +8,8 @@ checks are deterministic (seeded random sampling).
 The random-scenario checks (criteria 2 and 9) run on the CLI's stacked
 kernel: each random cycle is built once, the kernels ``(pops, map1, map2)``
 of all draws are stacked, and one ``_apply_maps`` and one ``_measure`` call
-evaluate the whole check.  The quadrature oracle takes all its states at once.
+evaluate the whole check; criterion 2's per-cycle ceiling is one
+``catalog._optimum`` call on the same stack.  The quadrature oracle takes all its states at once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .catalog import (
     VDP_SQUEEZE_LIMIT,
     BoundParams,
     _align_on_maps,
+    _optimum,
     asymmetric_equatorial_limit_cycle,
     blockade_sync,
     bound_terms,
@@ -310,6 +312,25 @@ def check_fundamental_bound() -> list[CheckResult]:
             f"<= {_fmt(smax(0.1))}",
             _fmt(worst),
             "abs 1e-9",
+        )
+    )
+
+    # where map1 is nonsingular and map2 != 0 every tone is reachable, so by
+    # Cauchy-Schwarz the unrestricted optimum is the cycle's own ceiling
+    full = (np.linalg.det(map1) != 0) & (map2 != 0)
+    pops = pops[full]
+    optimum = _optimum(pops, map1[full], map2[full], "vdp_general", 0.1).value
+    ceiling = smax(0.1) * np.sqrt(np.vecdot(pops, pops))
+    deviation = float(np.max(np.abs(optimum - ceiling) / ceiling))
+    out.append(
+        CheckResult(
+            2,
+            f"vdp_general optimum vs smax ||rho0|| on the {full.sum()} draws "
+            "with nonsingular map1 and map2 != 0",
+            deviation <= 1e-15,
+            "0",
+            _fmt(deviation),
+            "rel 1e-15",
         )
     )
     return out

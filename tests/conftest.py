@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from spinsync.spin import SZ
+from spinsync.signals import SignalSpec
+from spinsync.spin import COS2_WEIGHT, OSC_COS1_WEIGHT, SM, SP, SZ, PhaseDistributionTerms
+
+SX = 0.5 * (SP + SM)
+SY = -0.5j * (SP - SM)
 
 
 def random_hermitian(rng, trace_one=False):
@@ -21,6 +27,49 @@ def random_density(rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def rotation_z(alpha):
+    """Oracle: the rotation exp(-i alpha S_z) about the quantization axis."""
+    return np.diag(np.exp(-1j * alpha * np.array([1.0, 0.0, -1.0])))
+
+
+def rotated(signal, alpha):
+    """Oracle: ``signal`` with its phase shifted, the single-quantum tones by
+    e^{i alpha} and the squeezing tone by e^{2 i alpha}."""
+    w = np.exp(1j * alpha)
+    return SignalSpec(signal.t01 * w, signal.tm10 * w, signal.tm11 * w * w)
+
+
+def shifted_phase_slope(terms, phi):
+    """Oracle: dS/dphi of the two-harmonic distribution ``terms``."""
+    return -terms.amp1 * np.sin(phi + terms.phase1) - 2.0 * terms.amp2 * np.sin(
+        2.0 * phi + terms.phase2
+    )
+
+
+def oscillator_phase_terms(rho):
+    """Oracle: the phase-distribution harmonics for the truncated-oscillator
+    phase states, ``rho`` read in the Fock basis n = 2, 1, 0 at indices 0, 1,
+    2; only the cos(phi) weight differs from the spin phase space."""
+    single, double = rho[1, 2] + rho[0, 1], rho[0, 2]
+    return PhaseDistributionTerms(
+        OSC_COS1_WEIGHT * abs(single),
+        float(np.angle(single)) if single != 0 else 0.0,
+        COS2_WEIGHT * abs(double),
+        float(np.angle(double)) if double != 0 else 0.0,
+    )
+
+
+def vdp_squeeze_sync_closed(tau_ratio, gamma_g, gamma_d, delta=0.0, eta=0.1):
+    """Oracle: the measure of the van der Pol cycle driven by equal
+    single-quantum tones plus a squeezing tone of relative amplitude
+    tau_ratio, in its deep-quantum asymptotic form (gamma_d >> gamma_g,
+    delta), evaluated as written at the given rates."""
+    u = math.sqrt(9.0 * gamma_g**2 + 4.0 * delta**2)
+    num = 3.0 * math.pi * gamma_d + 8.0 * tau_ratio * u
+    den = math.sqrt(gamma_d**2 + 2.0 * tau_ratio**2 * u**2)
+    return eta * (math.sqrt(5.0) / (48.0 * math.pi)) * num / den
 
 
 def kronecker_dissipator(op):

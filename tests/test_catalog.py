@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spinsync.catalog import (
     EQUATORIAL_OPTIMAL_VALUE,
+    SCENARIOS,
     OPTIMAL_COHERENCE_RATIO,
     SMAX_OSC_COEFF,
     SMAX_SPIN_COEFF,
@@ -31,7 +32,6 @@ from spinsync.catalog import (
     equatorial_optimal_angles,
     equatorial_response_geometry,
     equatorial_sync_closed,
-    make_limit_cycle,
     optimize_signal,
     pmax_failure_sweep,
     smax,
@@ -44,11 +44,11 @@ from spinsync.catalog import (
     vdp_optimal_params,
     vdp_optimal_squeeze_ratio,
     vdp_oscillator_equivalence,
-    vdp_squeeze_sync_closed,
 )
 from spinsync.errors import InvalidValueError
 from spinsync.lindblad import LimitCycleSpec, build_liouvillian, steady_state
 from spinsync.perturbation import (
+    _apply_maps,
     _response_maps,
     coherence_response,
     first_order,
@@ -57,15 +57,13 @@ from spinsync.perturbation import (
 from spinsync.signals import SignalSpec, from_equatorial_angles, semiclassical
 from spinsync.spin import COS1_WEIGHT, COS2_WEIGHT, SM, SP, SQRT2
 
+from conftest import vdp_squeeze_sync_closed
+
 
 class TestScenarios:
     def test_dispatcher(self):
-        lc = make_limit_cycle("equatorial", gamma_g=1.0, gamma_d=2.0)
+        lc = SCENARIOS["equatorial"](gamma_g=1.0, gamma_d=2.0)
         assert len(lc.dissipators) == 2
-
-    def test_unknown_scenario(self):
-        with pytest.raises(ValueError):
-            make_limit_cycle("pendulum")
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
@@ -1044,6 +1042,32 @@ class TestScaleInvariance:
             _measure_and_tongue(lc, scaled, detunings, np.ldexp(strengths, -k)),
             -k,
         )
+
+    # tones up to the top of the double range, where ||rho1|| overflows while
+    # epsilon(eta) is only subnormal: S read 0 at 2^1024 on the equatorial
+    # cycle, and moved in its last bits from 2^1020 on the others
+    @pytest.mark.parametrize("scenario", sorted(RANDOM_CYCLES))
+    def test_measure_up_to_the_largest_tones(self, scenario):
+        lc = RANDOM_CYCLES[scenario]([1.0, 1.0, 1.0], 0.3)
+        tones = (0.6 + 0.2j, 0.5 - 0.3j, 0.4j)
+        signal = SignalSpec(*tones)
+        pops, map1, map2 = _response_maps(build_liouvillian(lc))
+        r10, r0m1, r1m1 = _apply_maps(map1, map2, signal)
+        # the largest k at which the tones and |r10| + |r0m1| stay finite
+        top = max(abs(r10) + abs(r0m1), abs(r1m1), *map(abs, tones))
+        ks = np.arange(-900, 1025 - math.frexp(top)[1])
+        scaled = SignalSpec(
+            *(np.ldexp(t.real, ks) + 1j * np.ldexp(t.imag, ks) for t in tones)
+        )
+        res, res_k = sync_measure(lc, signal), sync_measure(lc, scaled)
+        assert res_k.value.tobytes() == np.full(ks.shape, res.value).tobytes()
+        assert (
+            res_k.locked_phase.tobytes() == np.full(ks.shape, res.locked_phase).tobytes()
+        )
+        # the aligned-peak form, which divides by ||rho1|| the same way
+        aligned = sync_from_coherences(pops, (r10, r0m1, r1m1))
+        aligned_k = sync_from_coherences(pops, _apply_maps(map1, map2, scaled))
+        assert aligned_k.tobytes() == np.full(ks.shape, aligned).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(

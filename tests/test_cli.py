@@ -722,6 +722,26 @@ class TestFigures:
             )
             assert float(row["epsilon_max"]) == pytest.approx(formula, abs=1e-12)
 
+    # the top strength squared the rates: gamma_d = 1e300 raised an
+    # OverflowError, and gamma_g = 1e200, 1e-200 and 3e-308 warned of an
+    # overflow or a division by zero
+    @pytest.mark.parametrize(
+        "setting",
+        ["gamma_d=1e300", "gamma_d=1e-300", "gamma_g=1e200", "gamma_g=1e-200",
+         "gamma_g=3e-308"],
+    )
+    def test_fig2_at_extreme_rates(self, tmp_path, capsys, setting):
+        out_path = tmp_path / "fig2.csv"
+        argv = ["figure", "fig2", "--set", f"figure.{setting}", "--out", str(out_path)]
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        rows = read_csv(out_path.read_text())
+        strengths = [float(row["epsilon"]) for row in rows]
+        bounds = [float(row["epsilon_max"]) for row in rows]
+        assert all(map(math.isfinite, strengths + bounds))
+        # the grid reaches 5% past the largest boundary, at the edge detuning
+        assert max(strengths) == pytest.approx(1.05 * max(bounds), rel=1e-12)
+
     def test_fig7_peaks_at_geometric_mean(self, tmp_path, capsys):
         out_path = tmp_path / "fig7.csv"
         code, _, _ = run_cli(capsys, "figure", "fig7", "--out", str(out_path))

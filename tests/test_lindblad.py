@@ -17,16 +17,16 @@ from spinsync.lindblad import (
     DegenerateLimitCycleError,
     LimitCycleSpec,
     MixedSectorError,
+    _sector_and_scale,
     build_liouvillian,
-    sector_of,
     steady_state,
     unvec,
     vec,
 )
 from spinsync.perturbation import _TRACE_ROW, _coordinates, _generator_form
-from spinsync.spin import SM, SP, SQRT2, SX, SZ, rotation_z
+from spinsync.spin import SM, SP, SQRT2, SZ
 
-from conftest import kronecker_build, random_hermitian
+from conftest import SX, kronecker_build, random_hermitian, rotation_z
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -79,25 +79,25 @@ def random_sector_spec(rng, detuning=None):
 
 class TestSectorOf:
     def test_gain_operator(self):
-        assert sector_of(SP @ SZ) == 1
+        assert _sector_and_scale(SP @ SZ) == (1, SQRT2)
 
     def test_double_lowering(self):
-        assert sector_of(SM @ SM) == -2
+        assert _sector_and_scale(SM @ SM)[0] == -2
 
     def test_dephasing_is_sector_zero(self):
-        assert sector_of(SZ) == 0
+        assert _sector_and_scale(SZ) == (0, 1.0)
 
     def test_transverse_operator_rejected(self):
         with pytest.raises(MixedSectorError):
-            sector_of(SX)
+            _sector_and_scale(SX)
 
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError):
-            sector_of(np.zeros((3, 3)))
+            _sector_and_scale(np.zeros((3, 3)))
 
     def test_non_finite_operator_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            sector_of(np.diag([1.0, math.nan, 0.0]))
+            _sector_and_scale(np.diag([1.0, math.nan, 0.0]))
 
 
 class TestDissipator:

@@ -36,7 +36,6 @@ from spinsync.perturbation import (
     SingularCoherenceBlockError,
     SyncResult,
     ZeroResponseError,
-    _driven_steady_state,
     _norms,
     _response_maps,
     coherence_response,
@@ -60,6 +59,7 @@ from conftest import (
     kronecker_commutator,
     random_hermitian,
     real_form,
+    rotated,
 )
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -425,7 +425,7 @@ class TestSyncMeasure:
         spec = SignalSpec(0.4, 0.6, 0.2)
         alpha = 1.1
         a = sync_measure(lc, spec)
-        b = sync_measure(lc, spec.rotated(alpha))
+        b = sync_measure(lc, rotated(spec, alpha))
         assert b.value == pytest.approx(a.value, abs=1e-13)
         shift = (a.locked_phase - b.locked_phase - alpha) % (2 * math.pi)
         assert min(shift, 2 * math.pi - shift) < 1e-9
@@ -517,12 +517,11 @@ class TestAnchoredOrders:
         orders = perturbative_orders(lc, signal, 4)
         for got, want in zip(orders, _orders_by_lstsq(lc, signal, 4)):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        liou, h = build_liouvillian(lc), build_hext(signal)
         # scale^k bounds the size of rho_k for k <= 4
         scale = max(np.abs(rho).max() ** (1 / k) for k, rho in enumerate(orders[1:], 1))
         for eps in 10.0 ** np.array([-2.5, -3.0]) / scale:
             partial = sum(eps**k * rho for k, rho in enumerate(orders))
-            rho = _driven_steady_state(liou, h, eps)
+            rho = full_steady_state(lc, signal, eps)
             assert np.abs(rho - partial).max() <= 1e-15 + 10.0 * (scale * eps) ** 5
 
 
@@ -567,6 +566,13 @@ class TestFullSteadyState:
 
 STRENGTHS = np.logspace(-3.0, 3.0, 25)
 DRIVES = [semiclassical(0.0), SignalSpec(0.6 + 0.2j, 0.5 - 0.3j, 0.4j)]
+
+
+def _driven_state(liou, h, epsilon):
+    """:func:`full_steady_state` on a built, possibly hand-made, generator and
+    a signal Hamiltonian."""
+    cycle = perturbation._cycle_forms(liou)
+    return perturbation._from_coordinates(perturbation._driven_coordinates(cycle, h, epsilon))
 
 
 def _driven_state_alone(liou, h, eps, dps=50):
@@ -633,7 +639,7 @@ class TestStackedDrivenState:
     ):
         liou, h = build_liouvillian(cycle(10.0**log_ratio)), build_hext(signal)
         strengths = 10.0 ** np.array(log_strengths)
-        stack = _driven_steady_state(liou, h, strengths)
+        stack = full_steady_state(liou.spec, signal, strengths)
         l1 = kronecker_commutator(h)
         gen = kronecker_build(liou.spec) + strengths[:, None, None] * l1
         resid = np.linalg.norm(gen @ vec(stack)[..., None], axis=(-2, -1))
@@ -671,7 +677,7 @@ class TestStackedDrivenState:
         with unittest.mock.patch.multiple(
             perturbation, _EXTENDED=float, _compensated_residual=compensated
         ):
-            stack = _driven_steady_state(liou, h, strengths)
+            stack = full_steady_state(liou.spec, signal, strengths)
         assert compensated.call_count == 1
         refs = _reference_states(liou, h, log_ratio, strengths)
         assert np.abs(stack - refs).max() <= REFERENCE_BOUND
@@ -683,11 +689,11 @@ class TestStackedDrivenState:
     def test_compensated_residual_is_error_free(self, lc):
         import mpmath
 
-        liou, h = build_liouvillian(lc), build_hext(DRIVES[1])
+        h = build_hext(DRIVES[1])
         l0 = real_form(kronecker_build(lc))
         l1 = real_form(kronecker_commutator(h))
         strengths = np.array([1e-3, 0.7, 1e3])
-        x = perturbation._coordinates(_driven_steady_state(liou, h, strengths))
+        x = perturbation._coordinates(full_steady_state(lc, DRIVES[1], strengths))
         got = perturbation._compensated_residual(x, l0, l1, strengths)
         third, populations = 1.0 / 3.0, range(3)
         with mpmath.workdps(80):
@@ -748,7 +754,7 @@ class TestStackedDrivenState:
         h = np.zeros((3, 3), dtype=complex)
         gen = perturbation._generator_form(liou)
         assert np.linalg.svd(gen, compute_uv=False)[-1] == smallest
-        stack = _driven_steady_state(liou, h, np.array([0.0, 0.5, 2.0]))
+        stack = _driven_state(liou, h, np.array([0.0, 0.5, 2.0]))
         if smallest == 0.0:
             expected = np.diag([1.0, 0.0, 0.0])
         else:
@@ -760,14 +766,13 @@ class TestStackedDrivenState:
 
     def test_degenerate_cell_named(self):
         # pure dephasing leaves every population stationary until driven
-        liou = build_liouvillian(LimitCycleSpec(((SZ, 1.0),)))
-        h = build_hext(semiclassical(0.0))
-        assert _driven_steady_state(liou, h, 0.5) == pytest.approx(np.eye(3) / 3)
+        spec, signal = LimitCycleSpec(((SZ, 1.0),)), semiclassical(0.0)
+        assert full_steady_state(spec, signal, 0.5) == pytest.approx(np.eye(3) / 3)
         with pytest.raises(
             DegenerateSteadyStateError,
             match=r"degenerate kernel at epsilon, got \[0.0\] at stack index \[2\]$",
         ):
-            _driven_steady_state(liou, h, np.array([0.5, 1.0, 0.0, 2.0]))
+            full_steady_state(spec, signal, np.array([0.5, 1.0, 0.0, 2.0]))
 
     def test_traceless_cell_named(self):
         # a generator whose kernel is S_z alone and that does not preserve
@@ -783,7 +788,7 @@ class TestStackedDrivenState:
             DegenerateSteadyStateError,
             match=r"traceless at epsilon, got \[0.0\] at stack index \[1\]$",
         ):
-            _driven_steady_state(liou, h, np.array([0.3, 0.0, 1.0]))
+            _driven_state(liou, h, np.array([0.3, 0.0, 1.0]))
 
     # a nan or an overflowed form reached the degeneracy SVD, which raised
     # LinAlgError

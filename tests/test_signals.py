@@ -13,7 +13,9 @@ from spinsync.signals import (
     from_vdp_params,
     semiclassical,
 )
-from spinsync.spin import SQRT2, SX, SY
+from spinsync.spin import SQRT2
+
+from conftest import SX, SY
 
 TONES = st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)
 
@@ -108,9 +110,3 @@ class TestHelpers:
     def test_scaled(self):
         spec = SignalSpec(1.0, 2.0, 3.0).scaled(2j)
         assert spec == SignalSpec(2j, 4j, 6j)
-
-    def test_rotated_doubles_squeeze_phase(self):
-        alpha = 0.4
-        spec = SignalSpec(1.0, 1.0, 1.0).rotated(alpha)
-        assert np.angle(spec.t01) == pytest.approx(alpha)
-        assert np.angle(spec.tm11) == pytest.approx(2 * alpha)

@@ -629,9 +629,9 @@ def _tongue_grid(
         raise InvalidValueError(
             "tongue strengths must be non-negative and finite" + _where(bad, strengths)
         )
-    _, (peak, _), eps_max, _ = _peak_and_strength(pops, coherences, eta)
+    _, (peak, _), eps_max, (scaled, _) = _peak_and_strength(pops, coherences, eta)
     # the measure is linear in the strength, and 0 where the response vanishes
-    peak = np.where(np.isinf(eps_max), 0.0, peak)
+    peak = np.where(np.isinf(scaled), 0.0, peak)
     value = strengths[:, None] * peak[None, :]
     masked = strengths[:, None] > eps_max[None, :]
     value = np.where(masked, np.nan, value)

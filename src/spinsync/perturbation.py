@@ -331,26 +331,17 @@ def _perturbation_result(pops, coherences, eta: float) -> PerturbationResult:
 
 
 def _peak_and_strength(populations, coherences, eta: float):
-    """Terms, ``(peak, phi_star)``, permitted strength (inf for a vanishing
-    response) and value (0 there) of the measure; see :func:`_measure`.
-
-    The value is the product of the peak and of the strength formed from
-    ||rho1||, both divided by the same power of two 2^e (e of
-    :func:`_scaled_norms`).  That division is exact, so the value keeps its
-    bits wherever the strength and ||rho1|| are normal doubles, and it does
-    not vanish where only they under- or overflow (tones near the largest
-    double)."""
+    """Terms, ``(peak, phi_star)`` and permitted strength (inf for a vanishing
+    response) of the measure, with that strength formed from ||rho1|| / 2^e
+    and e (see :func:`_scaled_norms`); see :func:`_measure`."""
     r10, r0m1, r1m1 = np.broadcast_arrays(*coherences)
     terms = _phase_terms(r10 + r0m1, r1m1)
     norm0, norm1, exponent = _scaled_norms(populations, (r10, r0m1, r1m1))
     scaled = _strength(norm0, norm1, float(eta))
-    peak, phi = _max_shifted_phase(terms.amp1, terms.phase1, terms.amp2, terms.phase2)
-    eps = np.ldexp(scaled, -exponent)
-    finite = ~np.isinf(eps)
-    value = np.multiply(
-        scaled, np.ldexp(peak, -exponent), out=np.zeros(finite.shape), where=finite
-    )
-    return terms, (peak, phi), eps, value
+    peak = _max_shifted_phase(terms.amp1, terms.phase1, terms.amp2, terms.phase2)
+    with np.errstate(over="ignore"):  # a subnormal rho1: the strength is inf
+        eps = np.ldexp(scaled, -exponent)
+    return terms, peak, eps, (scaled, exponent)
 
 
 def _measure(populations, coherences, eta: float) -> SyncResult:
@@ -358,10 +349,20 @@ def _measure(populations, coherences, eta: float) -> SyncResult:
     which broadcast against each other, for the populations of rho0.
 
     Returns a :class:`SyncResult` whose fields, terms included, are arrays of
-    the broadcast shape; see :func:`sync_measure`.
+    the broadcast shape; see :func:`sync_measure`.  The value is the product
+    of the peak and of the strength, both divided by the same power of two
+    2^e.  That division is exact, so the value keeps its bits wherever the
+    strength and ||rho1|| are normal doubles, and it stays finite and nonzero
+    where only they under- or overflow (tones near the largest double, or a
+    subnormal rho1, whose strength overflows to inf).
     """
-    terms, (peak, phi), eps, value = _peak_and_strength(populations, coherences, eta)
-    zero = np.isinf(eps)
+    terms, (peak, phi), eps, (scaled, exponent) = _peak_and_strength(
+        populations, coherences, eta
+    )
+    zero = np.isinf(scaled)  # rho1 vanishes
+    value = np.multiply(
+        scaled, np.ldexp(peak, -exponent), out=np.zeros(zero.shape), where=~zero
+    )
     return SyncResult(value, np.where(zero, np.nan, phi), terms, eps, float(eta), zero)
 
 
@@ -374,8 +375,10 @@ def sync_measure(
     distribution of rho1; it is invariant under rescaling the tones by any
     nonzero complex factor.  A signal that does not couple at first order is
     reported with value 0 and the ``zero_response`` flag set (epsilon is then
-    unbounded and returned as inf).  A stacked spec or array-valued tones
-    give the fields as arrays of their broadcast shape.
+    unbounded and returned as inf).  Where rho1 is subnormal, epsilon
+    overflows to inf as well, and the value stays finite with the flag
+    unset.  A stacked spec or array-valued tones give the fields as arrays
+    of their broadcast shape.
     """
     res = _measure(*_leading_orders(lc, signal), eta)
     if np.ndim(res.value):  # a stacked spec or signal: the fields are arrays

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinsync.signals import SignalSpec
-from spinsync.spin import COS2_WEIGHT, OSC_COS1_WEIGHT, SM, SP, SZ, PhaseDistributionTerms
+from spinsync.spin import SM, SP, SZ
 
 SX = 0.5 * (SP + SM)
 SY = -0.5j * (SP - SM)
@@ -45,19 +45,6 @@ def shifted_phase_slope(terms, phi):
     """Oracle: dS/dphi of the two-harmonic distribution ``terms``."""
     return -terms.amp1 * np.sin(phi + terms.phase1) - 2.0 * terms.amp2 * np.sin(
         2.0 * phi + terms.phase2
-    )
-
-
-def oscillator_phase_terms(rho):
-    """Oracle: the phase-distribution harmonics for the truncated-oscillator
-    phase states, ``rho`` read in the Fock basis n = 2, 1, 0 at indices 0, 1,
-    2; only the cos(phi) weight differs from the spin phase space."""
-    single, double = rho[1, 2] + rho[0, 1], rho[0, 2]
-    return PhaseDistributionTerms(
-        OSC_COS1_WEIGHT * abs(single),
-        float(np.angle(single)) if single != 0 else 0.0,
-        COS2_WEIGHT * abs(double),
-        float(np.angle(double)) if double != 0 else 0.0,
     )
 
 

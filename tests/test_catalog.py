@@ -1069,6 +1069,27 @@ class TestScaleInvariance:
         aligned_k = sync_from_coherences(pops, _apply_maps(map1, map2, scaled))
         assert aligned_k.tobytes() == np.full(ks.shape, aligned).tobytes()
 
+    # tones so small that rho1 is subnormal and epsilon(eta) overflows to inf:
+    # S read 0 with the zero_response flag, and the tongue's value 0 unmasked
+    @pytest.mark.parametrize("scenario", sorted(RANDOM_CYCLES))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_measure_at_a_subnormal_response(self, scenario):
+        lc = RANDOM_CYCLES[scenario]([1.0, 1.0, 1.0], 0.3)
+        tones = (0.6 + 0.2j, 0.5 - 0.3j, 0.4j)
+        res = sync_measure(lc, SignalSpec(*tones))
+        # down to where a subnormal rho1 keeps about 30 of its 53 bits
+        ks = np.arange(-1045, -1000)
+        scaled = SignalSpec(
+            *(np.ldexp(t.real, ks) + 1j * np.ldexp(t.imag, ks) for t in tones)
+        )
+        res_k = sync_measure(lc, scaled)
+        assert np.isinf(res_k.epsilon).any()
+        assert not res_k.zero_response.any()
+        assert np.allclose(res_k.value, res.value, rtol=1e-6, atol=0.0)
+        grid = arnold_tongue(lc, scaled, [0.3], [1.0])
+        assert not grid.masked.any()
+        assert (grid.value > 0.0).all()
+
     @settings(max_examples=60, deadline=None)
     @given(
         **CYCLE_DRAWS,

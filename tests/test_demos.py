@@ -1,4 +1,5 @@
-"""Each demo script runs to completion (without matplotlib it skips its figure)."""
+"""Each demo script runs to completion, with RuntimeWarnings as errors
+(without matplotlib it skips its figure)."""
 
 import os
 import subprocess
@@ -22,6 +23,8 @@ def test_demo_runs(script, tmp_path):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     env["MPLBACKEND"] = "Agg"
+    # a warning leaked by the numerics fails the demo
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     proc = subprocess.run(
         [sys.executable, str(script)],
         cwd=tmp_path,

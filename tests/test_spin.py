@@ -9,6 +9,7 @@ from spinsync.errors import InvalidValueError
 from spinsync.spin import (
     COS1_WEIGHT,
     COS2_WEIGHT,
+    OSC_COS1_WEIGHT,
     SM,
     SP,
     SQRT2,
@@ -25,7 +26,6 @@ from spinsync.validate import shifted_phase_by_quadrature
 from conftest import (
     SX,
     SY,
-    oscillator_phase_terms,
     random_density,
     random_hermitian,
     rotation_z,
@@ -388,21 +388,8 @@ def _oracle_peak(terms: PhaseDistributionTerms) -> float:
 
 
 class TestOscillatorTerms:
-    def test_diagonal_is_uniform(self):
-        terms = oscillator_phase_terms(np.diag([0.1, 0.6, 0.3]).astype(complex))
-        assert terms.amp1 == 0.0
-        assert terms.amp2 == 0.0
-
-    def test_weight_ratio_between_phase_spaces(self, rng):
-        rho = random_hermitian(rng, trace_one=True)
-        spin_terms = phase_distribution_terms(rho)
-        osc_terms = oscillator_phase_terms(rho)
-        assert spin_terms.amp2 == pytest.approx(osc_terms.amp2)
-        if osc_terms.amp1 > 0:
-            ratio = spin_terms.amp1 / osc_terms.amp1
-            assert ratio == pytest.approx(3 * np.pi / (4 * SQRT2))
-
-    def test_double_quantum_readoff(self):
-        rho = np.diag([0.4, 0.3, 0.3]).astype(complex)
-        rho[0, 2] = rho[2, 0] = 0.25
-        assert oscillator_phase_terms(rho).amp2 == pytest.approx(0.25 / (2 * np.pi))
+    def test_weight_ratio_between_phase_spaces(self):
+        # the spin and truncated-oscillator phase states differ only in the
+        # weight of cos(phi)
+        ratio = COS1_WEIGHT / OSC_COS1_WEIGHT
+        assert ratio == pytest.approx(3 * np.pi / (4 * SQRT2), rel=1e-15)

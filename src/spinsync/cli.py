@@ -42,11 +42,11 @@ from .lindblad import LimitCycleSpec, build_liouvillian, steady_state
 from .perturbation import (
     _apply_maps,
     _measure,
-    _norms,
     _perturbation_result,
     _population_shifts,
     _response_maps,
-    _strength,
+    _scaled_norms,
+    _scaled_strength,
     hs_norm,
     sync_from_coherences,
 )
@@ -397,26 +397,54 @@ def _table(columns: dict) -> tuple[list[str], list[np.ndarray]]:
     return header, values
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, texts) -> None:
+    """Write each string of ``texts`` in turn to the file ``path``, or to
+    stdout when it is None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(texts)
+
+
+#: rows per block of a CSV table: for a tongue's six columns, a block's list
+#: of cells and separators and its text each stay under glibc's default
+#: 128 KiB mmap threshold
+_CSV_BLOCK = 1024
 
 
 def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -> None:
-    # the header line, then each row's cells each followed by its separator,
-    # all in one list: the table is one join. The list is made at its full
-    # length, since copying a list this long costs as much as the join.
-    step = 2 * len(columns)
-    rows = columns[0].size if columns else 0
-    body = [","] * (2 + step * rows)
-    body[0], body[1] = ",".join(header), "\n"
-    for i, column in enumerate(columns):
-        body[2 + 2 * i :: step] = _cells(column)
-    body[1 + step :: step] = ["\n"] * rows
-    _write_text(path, "".join(body))
+    # Each column is spelled once, before the output is opened; the rows are
+    # then joined and written a block at a time. A whole long table's list
+    # and text, about 3 MB each for a tongue, went back to the OS when freed,
+    # so every command faulted their pages in again; a block's list and text
+    # stay on the heap and are reused.
+    cells = [_cells(column) for column in columns]
+    _write_text(path, _csv_blocks(",".join(header), cells))
+
+
+def _csv_blocks(header: str, cells: list[list[str]]):
+    """The text of a CSV table, _CSV_BLOCK rows at a time and the header
+    line leading the first block, from the spelled cells of its columns.
+    Each block is one join of one list that holds every cell followed by
+    its separator. The list is made once at its full length, since copying
+    a list costs as much as joining it; each later block refills its cells,
+    and a last, shorter block cuts it short. A table of one block is one
+    list and one join, with no slice copies."""
+    step = 2 * len(cells)
+    rows = len(cells[0]) if cells else 0
+    size = min(rows, _CSV_BLOCK)
+    body = [","] * (2 + step * size)
+    body[0], body[1] = header, "\n"
+    body[1 + step :: step] = ["\n"] * size
+    for start in range(0, max(rows, 1), _CSV_BLOCK):
+        stop = min(start + _CSV_BLOCK, rows)
+        del body[2 + step * (stop - start) :]
+        for i, spelled in enumerate(cells):
+            part = spelled if rows <= _CSV_BLOCK else spelled[start:stop]
+            body[2 + 2 * i :: step] = part
+        yield "".join(body)
+        body[0] = body[1] = ""
 
 
 class _Rows(NamedTuple):
@@ -505,7 +533,7 @@ def _json(obj, level: int = 0) -> str:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    _write_text(path, _json(payload) + "\n")
+    _write_text(path, [_json(payload) + "\n"])
 
 
 def _emit(args, payload: dict, columns: dict) -> None:
@@ -747,7 +775,8 @@ def _figure_forcing(*, gamma_g=1.0, gamma_ratio, eta=0.1):
     liou = build_liouvillian(catalog.equatorial_limit_cycle(gamma_g, gd))
     sig = semiclassical(0.0)
     pops, map1, map2 = _response_maps(liou)
-    eps_eta = float(_strength(*_norms(pops, _apply_maps(map1, map2, sig)), eta))
+    norms = _scaled_norms(pops, _apply_maps(map1, map2, sig))
+    eps_eta = float(_scaled_strength(*norms, eta)[0])
     strengths = np.linspace(0.0, 1.5 * gamma_g, 151)
     # the undriven row is rho0 itself; the driven rows are one stacked solve
     driven = strengths > 0

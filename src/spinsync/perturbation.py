@@ -251,7 +251,8 @@ def first_order(lc: LimitCycleSpec, signal: SignalSpec) -> np.ndarray:
 
 def _scaled_norms(populations, coherences):
     """||rho0||, ||rho1|| / 2^e and e, for ``e`` the exponent of the largest
-    modulus of the coherences ``(r10, r0m1, r1m1)`` (see :func:`_norms`)."""
+    modulus of the coherences ``(r10, r0m1, r1m1)``, which broadcast against
+    each other (and the stack of the populations, of shape (..., 3))."""
     # ufuncs round a scalar as one cell of a stack, where builtin abs (hypot)
     # and ** (pow) on a scalar can differ in the last bit
     moduli = [np.abs(r) for r in coherences]
@@ -261,14 +262,6 @@ def _scaled_norms(populations, coherences):
     sq_10, sq_0m1, sq_1m1 = (np.square(np.ldexp(m, -exponent)) for m in moduli)
     norm1 = np.sqrt(2.0 * (sq_10 + sq_0m1 + sq_1m1))
     return np.sqrt(np.vecdot(populations, populations)), norm1, exponent
-
-
-def _norms(populations, coherences):
-    """||rho0|| from its populations and ||rho1|| from its coherences
-    ``(r10, r0m1, r1m1)``, which broadcast against each other (and the
-    stack of the populations, of shape (..., 3))."""
-    norm0, norm1, exponent = _scaled_norms(populations, coherences)
-    return norm0, np.ldexp(norm1, exponent)
 
 
 def sync_from_coherences(populations, coherences, eta: float = 0.1):
@@ -296,18 +289,24 @@ def _strength(norm0: float, norm1, eta: float) -> np.ndarray:
     return np.divide(eta * norm0, norm1, out=inf, where=~zero)
 
 
+def _scaled_strength(norm0, norm1, exponent, eta: float):
+    """The permitted strength from ||rho0||, ||rho1|| / 2^e and e (see
+    :func:`_scaled_norms`), and that strength times 2^e, inf where rho1
+    vanishes.  The strength is formed by an exact division by 2^e, so it
+    is the quotient of the unscaled norms wherever that is a normal double,
+    and it does not vanish where only ||rho1|| overflows."""
+    scaled = _strength(norm0, norm1, float(eta))
+    with np.errstate(over="ignore"):  # a subnormal rho1: the strength is inf
+        return np.ldexp(scaled, -exponent), scaled
+
+
 def epsilon_for_threshold(rho0: np.ndarray, rho1: np.ndarray, eta: float) -> float:
     """Permitted signal strength eta * ||rho0|| / ||rho1||.
 
     Raises :class:`ZeroResponseError` when the first-order response
     vanishes, in which case the strength is unbounded and the caller decides.
     """
-    return _finite_strength(hs_norm(rho0), hs_norm(rho1), eta)
-
-
-def _finite_strength(norm0, norm1, eta: float) -> float:
-    """:func:`epsilon_for_threshold` from the norms of rho0 and rho1."""
-    eps = float(_strength(norm0, norm1, float(eta)))
+    eps = float(_strength(hs_norm(rho0), hs_norm(rho1), float(eta)))
     if eps == math.inf:
         raise ZeroResponseError("signal does not couple at first order")
     return eps
@@ -316,7 +315,12 @@ def _finite_strength(norm0, norm1, eta: float) -> float:
 def perturbation_result(
     lc: LimitCycleSpec, signal: SignalSpec, eta: float = 0.1
 ) -> PerturbationResult:
-    """Orders zero and one together with the permitted strength."""
+    """Orders zero and one together with the permitted strength.
+
+    Raises :class:`ZeroResponseError` when rho1 vanishes.  As in
+    :func:`sync_measure`, epsilon overflows to inf where rho1 is subnormal,
+    and ``norm1`` is inf where ||rho1|| overflows while epsilon stays
+    finite."""
     require_single(lc, "perturbation_result")
     return _perturbation_result(*_leading_orders(lc, signal), eta)
 
@@ -324,10 +328,16 @@ def perturbation_result(
 def _perturbation_result(pops, coherences, eta: float) -> PerturbationResult:
     """:func:`perturbation_result` from the populations of rho0 and the
     coherences of rho1, with the norms and the strength the measure uses."""
-    norm0, norm1 = _norms(pops, coherences)
-    eps = _finite_strength(norm0, norm1, eta)
+    norm0, norm1, exponent = _scaled_norms(pops, coherences)
+    if norm1 == 0.0:
+        raise ZeroResponseError("signal does not couple at first order")
+    eps = _scaled_strength(norm0, norm1, exponent, eta)[0]
+    with np.errstate(over="ignore"):  # ||rho1|| beyond the largest double
+        norm1 = np.ldexp(norm1, exponent)
     rho0, rho1 = _target_state(pops), _rho1(coherences)
-    return PerturbationResult(rho0, rho1, eps, float(eta), float(norm0), float(norm1))
+    return PerturbationResult(
+        rho0, rho1, float(eps), float(eta), float(norm0), float(norm1)
+    )
 
 
 def _peak_and_strength(populations, coherences, eta: float):
@@ -337,10 +347,8 @@ def _peak_and_strength(populations, coherences, eta: float):
     r10, r0m1, r1m1 = np.broadcast_arrays(*coherences)
     terms = _phase_terms(r10 + r0m1, r1m1)
     norm0, norm1, exponent = _scaled_norms(populations, (r10, r0m1, r1m1))
-    scaled = _strength(norm0, norm1, float(eta))
+    eps, scaled = _scaled_strength(norm0, norm1, exponent, eta)
     peak = _max_shifted_phase(terms.amp1, terms.phase1, terms.amp2, terms.phase2)
-    with np.errstate(over="ignore"):  # a subnormal rho1: the strength is inf
-        eps = np.ldexp(scaled, -exponent)
     return terms, peak, eps, (scaled, exponent)
 
 

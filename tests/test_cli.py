@@ -517,6 +517,28 @@ class TestPerturb:
         assert float(row["rho1_0m1_im"]) == pytest.approx(math.sqrt(2) / 2)
         assert float(row["norm0"]) == pytest.approx(1.0)
 
+    # the strength is formed from ||rho1|| / 2^e as the measure forms it, so
+    # it neither vanishes where ||rho1|| overflows nor overflows into a
+    # ZeroResponseError where rho1 is subnormal
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "tone, epsilon, norm1",
+        [("1e308", "4.97518595104992e-310", "inf"), ("1e-320", "inf", "2.01e-320")],
+    )
+    def test_epsilon_at_the_ends_of_the_double_range(
+        self, capsys, tone, epsilon, norm1
+    ):
+        sets = ["scenario.name=equatorial", "scenario.gamma_g=1", "scenario.gamma_d=10",
+                "signal.family=tones", f"signal.t01={tone}", f"signal.tm10={tone}"]
+        argv = [arg for key in sets for arg in ("--set", key)]
+        rows = {}
+        for command in ("perturb", "sync"):
+            code, out, err = run_cli(capsys, command, *argv)
+            assert code == 0, err
+            rows[command] = read_csv(out)[0]
+        assert rows["perturb"]["epsilon"] == rows["sync"]["epsilon"] == epsilon
+        assert rows["perturb"]["norm1"] == norm1
+
 
 class TestTongue:
     def test_requires_both_axes(self, tmp_path, capsys):
@@ -1415,6 +1437,27 @@ def edge_column() -> np.ndarray:
     return np.concatenate([column, -column])
 
 
+CSV_BLOCK = cli._CSV_BLOCK
+
+
+def one_detuning_tongue(rows: int) -> dict:
+    """The columns of an equatorial tongue at one detuning over ``rows``
+    strengths, about a third of its cells masked: its epsilon_max column
+    and, past one row, its detuning column are zero-stride views."""
+    lc = catalog.equatorial_limit_cycle(1.0, 300.0)
+    detunings, strengths = np.array([4.0]), np.linspace(0.0, 0.6, rows)
+    grid = arnold_tongue(lc, semiclassical(0.0), detunings, strengths)
+    return cli._tongue_columns(grid, detunings, strengths)
+
+
+def csv_blocks(text: str) -> list[str]:
+    """A CSV text cut as the writer writes it: _CSV_BLOCK rows at a time,
+    the header line leading the first block."""
+    lines = text.splitlines(keepends=True)
+    cuts = [0, *range(1 + CSV_BLOCK, len(lines), CSV_BLOCK), len(lines)]
+    return ["".join(lines[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
 @functools.cache
 def equatorial_tongue() -> np.ndarray:
     """The measure over a 161 x 201 tongue of the equatorial cycle at gamma_d
@@ -1563,6 +1606,46 @@ class TestColumnWriters:
         assert stdout_of(cli._write_csv, *cli._table(columns)) == expected
         if not len(next(iter(columns.values()))):
             assert expected == ",".join(columns) + "\n"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 1],
+        ids=str,
+    )
+    def test_csv_block_boundaries(self, tmp_path, rows):
+        columns = one_detuning_tongue(rows)
+        assert 0 in columns["epsilon_max"].strides
+        assert rows < 3 or 0 < columns["masked"].mean() < 1
+        expected = old_csv(*old_table(columns))
+        header, values = cli._table(columns)
+        assert stdout_of(cli._write_csv, header, values) == expected
+        cli._write_csv(str(tmp_path / "t.csv"), header, values)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+    def test_csv_writes_bounded_blocks(self, tmp_path, monkeypatch):
+        # a fig2-sized tongue, 161 x 211 cells: each write gets one block
+        ((_, header, columns),) = cli.figure_datasets("fig2", {})
+        assert columns[0].size == 161 * 211
+        writes = []
+
+        def spying_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+
+            def spy(text):
+                writes.append(text)
+                return write(text)
+
+            fh.write = spy
+            return fh
+
+        monkeypatch.setattr(cli, "open", spying_open, raising=False)
+        path = tmp_path / "fig2.csv"
+        cli._write_csv(str(path), header, columns)
+        text = stdout_of(cli._write_csv, header, columns)
+        assert path.read_bytes() == text.encode()
+        assert writes == csv_blocks(text)
+        assert len(writes) == -(-columns[0].size // CSV_BLOCK)
 
     def test_csv_tongue_with_masked_rows(self):
         lc = catalog.equatorial_limit_cycle(1.0, 300.0)

@@ -36,8 +36,8 @@ from spinsync.perturbation import (
     SingularCoherenceBlockError,
     SyncResult,
     ZeroResponseError,
-    _norms,
     _response_maps,
+    _scaled_norms,
     coherence_response,
     epsilon_for_threshold,
     first_order,
@@ -339,6 +339,10 @@ class TestEpsilonRule:
         spec = SignalSpec(*(complex(*rng.normal(size=2)) for _ in range(3)))
         assert perturbation_result(lc, spec).epsilon == sync_measure(lc, spec).epsilon
 
+    def test_vanishing_response_raises(self):
+        with pytest.raises(ZeroResponseError):
+            perturbation_result(equatorial_limit_cycle(1.0, 2.0), SignalSpec(0, 0, 1.0))
+
     def test_norm_band(self):
         for lc in CATALOG:
             res = perturbation_result(lc, semiclassical(0.0))
@@ -410,13 +414,13 @@ class TestSyncMeasure:
         pops = rng.dirichlet(np.ones(3))
         coh = rng.normal(size=(3, 20)) + 1j * rng.normal(size=(3, 20))
         values = sync_from_coherences(pops, coh)
-        norm1 = _norms(pops, coh)[1]
+        norms = _scaled_norms(pops, coh)[1:]
         b, c = coh[0], coh[2]
         coherence_terms = sync_from_coherences(np.ones(1), (b, b, c), 1.0)
         for k in range(coh.shape[1]):
             one = tuple(complex(x) for x in coh[:, k])
             assert sync_from_coherences(pops, one) == values[k]
-            assert _norms(pops, one)[1] == norm1[k]
+            assert _scaled_norms(pops, one)[1:] == (norms[0][k], norms[1][k])
             params = BoundParams(1.0, 0.0, one[0], one[2])
             assert bound_terms(params, 1.0)[1] == coherence_terms[k]
 

@@ -10,9 +10,13 @@ multiple inside x's rounding interval around y; of those multiples the one
 nearest y is kept.  This is the spelling ``repr`` prints.  The kernel lays
 out only the cells with digits that it certifies: magnitudes inside
 (_TINY, _HUGE) whose rounding bound and tie lie farther than ``_MARGIN``
-from y.  ``repr`` spells every other cell once per bit pattern: zeros, inf,
-nan, the magnitudes outside those bounds and the undecided cells.  All the
-cells go into one byte buffer, decoded once and split once.
+from y.  Zeros, infinities and nans take their row from a constant table of
+five.  ``repr`` spells the rest once per bit pattern: the magnitudes
+outside those bounds and the undecided cells.  Each cell is a 48-byte row
+of its characters and zero bytes.  ``reprs`` sets a separator in each row,
+deletes the zero bytes of a block at once, and decodes and splits it once.
+``repr_bytes(values)`` hands over the rows themselves, for a writer that
+lays them out in its own byte buffer.
 
 The kernel reads four tables, each built once per process on first use and
 read with one gather per block: ``_powers``, 10**(16 - k) for every k it
@@ -57,12 +61,19 @@ _K_MIN, _K_MAX = -282, 281
 
 # One output row of six 64-bit words: sign, the "0.000" of 1e-4 <= |x| < 0.1,
 # 17 digits with a possible '.' after each of the first 16, the '0' of
-# "123.0", the exponent, a separator and two bytes of padding.
-_ROW = np.frombuffer(b"-0.000" + b"0." * 16 + b"0" + b"0e+000 \0\0", dtype=np.uint8)
+# "123.0", the exponent and three bytes of padding, the first of which
+# ``_spell`` sets to its separator.
+_ROW = np.frombuffer(b"-0.000" + b"0." * 16 + b"0" + b"0e+000\0\0\0", dtype=np.uint8)
 _DIGITS = slice(6, 39, 2)
 _POINTS = slice(7, 39, 2)
 _EXPONENT = slice(42, 45)
 _CELL = np.dtype((np.void, len(_ROW)))  # a row as one value
+_SEPARATOR = 45
+# The rows of the values without digits, by 2 * isinf(x) + signbit(x), and
+# 4 for nan (of either sign and any payload).
+_NO_DIGITS = np.array(
+    [b"0.0", b"-0.0", b"inf", b"-inf", b"nan"], dtype=f"S{len(_ROW)}"
+).view(_CELL)
 # A row's layout depends on its form, sign and digit count. Forms 0..19 are
 # fixed notation at k = -4..15; 20..23 are scientific with a '+' or '-'
 # exponent of two or three digits, spelled here at these k.
@@ -223,7 +234,6 @@ def _templates() -> np.ndarray:
     keep[:, 39] = whole & (count <= k + 1)
     keep[:, 40:42] = keep[:, 43:45] = ~fixed[:, None]
     keep[:, 42] = ~fixed & (np.abs(k) >= 100)
-    keep[:, 45] = True
     rows = np.where(keep, _ROW, 0).astype(np.uint8)
     rows[:, 41] = np.where(k < 0, ord("-"), ord("+")) * keep[:, 41]
     rows[:, _DIGITS] = 0xFF * keep[:, _DIGITS]
@@ -255,18 +265,20 @@ def _layout(negative, digits, count, k) -> np.ndarray:
 
 def _repr_rows(values: np.ndarray) -> np.ndarray:
     """The row of each value spelled by repr, once per bit pattern: its at
-    most 24 characters, zero bytes up to the separator, and the padding."""
+    most 24 characters and zero bytes."""
     distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     text = b"".join(
-        repr(x).encode("ascii").ljust(45, b"\0") + _ROW[45:].tobytes()
+        repr(x).encode("ascii").ljust(len(_ROW), b"\0")
         for x in distinct.view(np.float64).tolist()
     )
     return np.frombuffer(text, dtype=_CELL)[inverse]
 
 
-def _spell(values: np.ndarray) -> list[str]:
-    """``repr`` of each value of one block: laid out by the kernel where it
-    certifies the digits, by repr once per bit pattern elsewhere."""
+def _rows(values: np.ndarray) -> np.ndarray:
+    """The row of each value of one block, its characters and zero bytes:
+    laid out by the kernel where it certifies the digits, taken from
+    _NO_DIGITS for zeros, infinities and nans, and spelled by repr once per
+    bit pattern elsewhere."""
     magnitude = np.abs(values)
     fit = (magnitude > _TINY) & (magnitude < _HUGE)
     rows = np.empty(len(values), dtype=_CELL)
@@ -276,33 +288,76 @@ def _spell(values: np.ndarray) -> list[str]:
         fit[fit] = ok  # an undecided cell is left to repr
     rest = np.flatnonzero(~fit)
     if rest.size:
-        rows[rest] = _repr_rows(values[rest])
+        v = values[rest]
+        infinite = np.isinf(v)
+        blank = ~(magnitude[rest] > 0.0) | infinite  # zeros, nans and infinities
+        key = np.where(np.isnan(v), 4, 2 * infinite + np.signbit(v))
+        rows[rest[blank]] = _NO_DIGITS[key[blank]]
+        if not blank.all():
+            rows[rest[~blank]] = _repr_rows(v[~blank])
+    return rows
+
+
+def _spell(values: np.ndarray) -> list[str]:
+    """``repr`` of each value of one block, from its row."""
+    rows = _rows(values).view(np.uint8).reshape(len(values), len(_ROW))
+    rows[:, _SEPARATOR] = ord(" ")
     # the dropped characters are zero bytes: delete them all at once
     cells = rows.tobytes().translate(None, b"\0").decode("ascii").split(" ")
     del cells[-1]  # after the last separator
     return cells
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A long array that repeats its values as its distinct values and the
+    index of each value among them; any other array as it is, and None."""
+    if len(values) < _KERNEL_MIN:
+        return values, None
+    # distinct by bit pattern, as -0.0 and 0.0 spell apart; only a column
+    # that repeats pays for the argsort giving each cell its value
+    bits = values.view(np.uint64)
+    ordered = np.sort(bits)
+    first = np.append(True, ordered[1:] != ordered[:-1])
+    if 2 * np.count_nonzero(first) > len(bits):
+        return values, None
+    inverse = np.empty(len(bits), dtype=np.intp)
+    inverse[np.argsort(bits)] = np.cumsum(first) - 1
+    return ordered[first].view(np.float64), inverse
+
+
+def _blocks(values: np.ndarray) -> list[np.ndarray]:
+    return np.array_split(values, -(-len(values) // _BLOCK))
+
+
 def reprs(values: np.ndarray) -> list[str]:
     """``repr`` of each value of a 1-D float64 array, in order; a long
     array that repeats its values is spelled once per distinct value."""
-    inverse = None
-    if len(values) >= _KERNEL_MIN:
-        # distinct by bit pattern, as -0.0 and 0.0 spell apart; only a
-        # column that repeats pays for the argsort giving each cell its value
-        bits = values.view(np.uint64)
-        ordered = np.sort(bits)
-        first = np.append(True, ordered[1:] != ordered[:-1])
-        if 2 * np.count_nonzero(first) <= len(bits):
-            inverse = np.empty(len(bits), dtype=np.intp)
-            inverse[np.argsort(bits)] = np.cumsum(first) - 1
-            values = ordered[first].view(np.float64)
+    values, inverse = _distinct(values)
     if len(values) < _KERNEL_MIN:
         cells = list(map(repr, values.tolist()))
     else:
         cells = []
-        for block in np.array_split(values, -(-len(values) // _BLOCK)):
+        for block in _blocks(values):
             cells += _spell(block)
     if inverse is None:
         return cells
     return np.array(cells, dtype=object)[inverse].tolist()
+
+
+def repr_bytes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``repr`` of each value of a 1-D float64 array as zero-padded ASCII:
+    a uint8 matrix of one row per spelled value, and the row of each value
+    in it, or None where value i has row i.  It spells what ``reprs`` spells,
+    each value once: a long array that repeats its values is spelled once
+    per distinct value, and a long column is spelled by the kernel, whose
+    rows keep its layout's zero bytes between the characters."""
+    values, inverse = _distinct(values)
+    if len(values) < _KERNEL_MIN:
+        rows = np.array(list(map(repr, values.tolist())), dtype=bytes)
+        return rows.view(np.uint8).reshape(len(rows), -1), inverse
+    rows = np.empty(len(values), dtype=_CELL)
+    start = 0
+    for block in _blocks(values):
+        rows[start : start + len(block)] = _rows(block)
+        start += len(block)
+    return rows.view(np.uint8).reshape(len(values), len(_ROW)), inverse

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import catalog, lindblad
-from ._floatrepr import reprs
+from ._floatrepr import _KERNEL_MIN, repr_bytes, reprs
 from .catalog import (
     SCENARIOS,
     TongueGrid,
@@ -331,7 +331,7 @@ def _sweep_axes(cfg: dict, allowed: tuple[str, ...]) -> list[tuple[str, np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# output writers: each column is spelled once, then joined into rows
+# output writers: each column is spelled once, then its cells are laid out in rows
 
 _BOOL_CELLS = np.array(["false", "true"], dtype=object)
 
@@ -344,12 +344,10 @@ def _cells(column: np.ndarray) -> list[str]:
     A column that repeats its values along zero-stride axes (a grid axis or
     a broadcast constant) is spelled once per element of its core, the
     column cut to length 1 along those axes."""
-    if 0 in column.strides:
-        cut = tuple(slice(0, 1) if s == 0 else slice(None) for s in column.strides)
-        core = column[cut]
-        if core.size < column.size:
-            cells = np.array(_cells(core), dtype=object).reshape(core.shape)
-            return np.broadcast_to(cells, column.shape).ravel().tolist()
+    core = _core(column)
+    if core is not None:
+        cells = np.array(_cells(core), dtype=object).reshape(core.shape)
+        return np.broadcast_to(cells, column.shape).ravel().tolist()
     kind = column.dtype.kind
     if kind == "f":
         return reprs(np.ascontiguousarray(column, dtype=np.float64).ravel())
@@ -357,6 +355,16 @@ def _cells(column: np.ndarray) -> list[str]:
     if kind == "b":
         return _BOOL_CELLS[column.view(np.uint8)].tolist()
     return list(map(str, column.tolist()))
+
+
+def _core(column: np.ndarray) -> np.ndarray | None:
+    """A column cut to length 1 along its zero-stride axes (a grid axis or a
+    broadcast constant), or None where that cuts nothing."""
+    if 0 in column.strides:
+        core = column[tuple(slice(0, 1) if s == 0 else slice(None) for s in column.strides)]
+        if core.size < column.size:
+            return core
+    return None
 
 
 def _json_cells(column: np.ndarray) -> list[str]:
@@ -407,44 +415,89 @@ def _write_text(path: str | None, texts) -> None:
             fh.writelines(texts)
 
 
-#: rows per block of a CSV table: for a tongue's six columns, a block's list
-#: of cells and separators and its text each stay under glibc's default
-#: 128 KiB mmap threshold
+def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -> None:
+    # Each column is spelled once, before the output is opened. A table of
+    # _KERNEL_MIN rows or more is then laid out as bytes a block at a time,
+    # with no string per cell; a shorter one is one join.
+    head = ",".join(header) + "\n"
+    if columns and columns[0].size >= _KERNEL_MIN:
+        spelled = [_cell_bytes(column) for column in columns]
+        if all(s is not None for s in spelled):
+            _write_text(path, _csv_blocks(head, spelled, columns[0].size))
+            return
+    cells = [_cells(column) for column in columns]
+    rows = len(cells[0]) if cells else 0
+    step = 2 * len(cells)
+    # every cell followed by its separator, in one list and one join
+    body = [","] * (1 + step * rows)
+    body[0] = head
+    body[step::step] = ["\n"] * rows
+    for i, spelled in enumerate(cells):
+        body[1 + 2 * i :: step] = spelled
+    _write_text(path, ["".join(body)])
+
+
+_BOOL_BYTES = np.array([b"false", b"true"]).view(np.uint8).reshape(2, -1)
+
+
+def _cell_bytes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """The CSV spelling of each value of a column of any shape, in row-major
+    order, as zero-padded UTF-8: a uint8 matrix of one row per spelled cell
+    and the row of each value in it, or None where value i has row i.  It
+    spells what ``_cells`` spells, each cell once: a column that repeats
+    its values along zero-stride axes once per element of its core, a long
+    float column once per distinct value, a bool column as two rows.  None
+    for a column with a NUL character in a cell, which a zero byte cannot
+    pad."""
+    core = _core(column)
+    if core is not None:
+        spelled = _cell_bytes(core)
+        if spelled is None:
+            return None
+        rows, index = spelled
+        if index is None:
+            index = np.arange(core.size)
+        return rows, np.broadcast_to(index.reshape(core.shape), column.shape).ravel()
+    kind = column.dtype.kind
+    if kind == "f":
+        return repr_bytes(np.ascontiguousarray(column, dtype=np.float64).ravel())
+    if kind == "b":
+        return _BOOL_BYTES, column.ravel().view(np.uint8)
+    encoded = [cell.encode() for cell in _cells(column)]
+    if any(b"\0" in cell for cell in encoded):
+        return None
+    rows = np.array(encoded, dtype=bytes)
+    return rows.view(np.uint8).reshape(len(rows), -1), None
+
+
+#: rows per block of a long CSV table
 _CSV_BLOCK = 1024
 
 
-def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -> None:
-    # Each column is spelled once, before the output is opened; the rows are
-    # then joined and written a block at a time. A whole long table's list
-    # and text, about 3 MB each for a tongue, went back to the OS when freed,
-    # so every command faulted their pages in again; a block's list and text
-    # stay on the heap and are reused.
-    cells = [_cells(column) for column in columns]
-    _write_text(path, _csv_blocks(",".join(header), cells))
-
-
-def _csv_blocks(header: str, cells: list[list[str]]):
-    """The text of a CSV table, _CSV_BLOCK rows at a time and the header
-    line leading the first block, from the spelled cells of its columns.
-    Each block is one join of one list that holds every cell followed by
-    its separator. The list is made once at its full length, since copying
-    a list costs as much as joining it; each later block refills its cells,
-    and a last, shorter block cuts it short. A table of one block is one
-    list and one join, with no slice copies."""
-    step = 2 * len(cells)
-    rows = len(cells[0]) if cells else 0
-    size = min(rows, _CSV_BLOCK)
-    body = [","] * (2 + step * size)
-    body[0], body[1] = header, "\n"
-    body[1 + step :: step] = ["\n"] * size
-    for start in range(0, max(rows, 1), _CSV_BLOCK):
-        stop = min(start + _CSV_BLOCK, rows)
-        del body[2 + step * (stop - start) :]
-        for i, spelled in enumerate(cells):
-            part = spelled if rows <= _CSV_BLOCK else spelled[start:stop]
-            body[2 + 2 * i :: step] = part
-        yield "".join(body)
-        body[0] = body[1] = ""
+def _csv_blocks(head: str, spelled: list, size: int):
+    """The text of a CSV table of ``size`` rows, _CSV_BLOCK rows at a time
+    and the header line ``head`` leading the first block, from the spelled
+    cells of its columns (see ``_cell_bytes``).  A block is one reused byte
+    matrix: each column fills a field as wide as its widest cell, the
+    separators after each field are set once, and the zero bytes are
+    deleted from the block's text."""
+    ends = np.cumsum([rows.shape[1] + 1 for rows, _ in spelled])
+    block = np.zeros((_CSV_BLOCK, ends[-1]), dtype=np.uint8)
+    block[:, ends - 1] = ord(",")
+    block[:, -1] = ord("\n")
+    # a cell as one value, so that a gather copies whole cells
+    fields = []
+    for (rows, index), end in zip(spelled, ends):
+        cell = np.dtype((np.void, rows.shape[1]))
+        field = block[:, end - 1 - rows.shape[1] : end - 1].view(cell)[:, 0]
+        fields.append((rows.view(cell).ravel(), index, field))
+    for start in range(0, size, _CSV_BLOCK):
+        stop = min(start + _CSV_BLOCK, size)
+        for cells, index, field in fields:
+            part = cells[start:stop] if index is None else np.take(cells, index[start:stop])
+            field[: stop - start] = part
+        yield head + block[: stop - start].tobytes().translate(None, b"\0").decode()
+        head = ""
 
 
 class _Rows(NamedTuple):

@@ -303,13 +303,20 @@ def _scaled_strength(norm0, norm1, exponent, eta: float):
 def epsilon_for_threshold(rho0: np.ndarray, rho1: np.ndarray, eta: float) -> float:
     """Permitted signal strength eta * ||rho0|| / ||rho1||.
 
-    Raises :class:`ZeroResponseError` when the first-order response
-    vanishes, in which case the strength is unbounded and the caller decides.
+    ||rho1|| is formed after an exact division of rho1 by the power of two
+    of its largest part, as in :func:`sync_measure`, so that no square
+    under- or overflows: the strength is inf where rho1 is subnormal and
+    does not vanish where only ||rho1|| overflows.  Raises
+    :class:`ZeroResponseError` when rho1 is zero, in which case the
+    strength is unbounded and the caller decides.
     """
-    eps = float(_strength(hs_norm(rho0), hs_norm(rho1), float(eta)))
-    if eps == math.inf:
+    parts = np.ascontiguousarray(rho1, dtype=complex).view(np.float64)
+    largest = np.max(np.abs(parts), initial=0.0)
+    if largest == 0.0:
         raise ZeroResponseError("signal does not couple at first order")
-    return eps
+    exponent = np.frexp(largest)[1]
+    norm1 = hs_norm(np.ldexp(parts, -exponent).view(complex))
+    return float(_scaled_strength(hs_norm(rho0), norm1, exponent, eta)[0])
 
 
 def perturbation_result(

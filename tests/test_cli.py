@@ -1437,6 +1437,66 @@ def edge_column() -> np.ndarray:
     return np.concatenate([column, -column])
 
 
+def same_lines(text: str, expected: str) -> None:
+    """Fail at the first line where ``text`` differs from ``expected``,
+    rather than through pytest's diff of two long tables, which takes
+    minutes."""
+    if text != expected:
+        got, want = text.splitlines(keepends=True), expected.splitlines(keepends=True)
+        pairs = enumerate(zip(got, want))
+        line = next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
+        pytest.fail(
+            f"line {line} of {len(got)} (expected {len(want)}): "
+            f"{got[line:line + 1]} != {want[line:line + 1]}"
+        )
+
+
+# magnitudes outside (1e-280, 1e280), which the kernel leaves to repr
+EXTREME_FLOATS = [1e-300, -2.5e-290, 2.0**-1060, 1e290, -3.1e305]
+
+
+@st.composite
+def long_tables(draw):
+    """Tables of _KERNEL_MIN to 3000 rows over a grid of two axes, as a long
+    tongue or sweep hands them over: broadcast axis and constant columns, a
+    bool mask whose cells are nan in a float column, a complex column and a
+    str column, in any order and maybe transposed. A float column is drawn
+    from a small pool, so that it repeats, or of every decimal exponent with
+    EDGE_FLOATS and EXTREME_FLOATS strewn in."""
+    outer = draw(st.integers(1, 40))
+    inner = draw(st.integers(-(-_floatrepr._KERNEL_MIN // outer), 3000 // outer))
+    shape = (outer, inner)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = draw(st.lists(FLOATS, min_size=1, max_size=4))
+
+    def floats(*shape):
+        if draw(st.booleans()):
+            return rng.choice(pool, shape)
+        values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-307, 308, shape)
+        strewn = rng.random(shape) < 0.1
+        values[strewn] = rng.choice(EDGE_FLOATS + EXTREME_FLOATS, strewn.sum())
+        return values
+
+    mask = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    measure = floats(*shape)
+    measure[mask] = math.nan
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = floats(*shape), floats(*shape)
+    words = np.array(draw(st.lists(TEXT, min_size=1, max_size=3)), dtype=str)
+    columns = {
+        "outer": np.broadcast_to(floats(outer, 1), shape),
+        "inner": np.broadcast_to(floats(inner), shape),
+        "S": measure,
+        "masked": mask,
+        "z": z,
+        "word": rng.choice(words, shape),
+        "constant": np.broadcast_to(floats(1, 1), shape),
+    }
+    transposed = draw(st.booleans())
+    names = draw(st.permutations(list(columns)))
+    return {name: columns[name].T if transposed else columns[name] for name in names}
+
+
 CSV_BLOCK = cli._CSV_BLOCK
 
 
@@ -1584,6 +1644,30 @@ class TestColumnWriters:
         assert _floatrepr._spell(column) == expected
         assert searched == []
 
+    def test_repr_spells_only_what_the_kernel_cannot(self, monkeypatch):
+        # zeros, infinities and nans strewn through finite values of every
+        # exponent take their rows from a table: repr spells only the
+        # magnitudes outside (_TINY, _HUGE) and the undecided cells
+        rng = np.random.default_rng(40)
+        n = 40000
+        finite = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-320, 309, n)
+        special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]
+        column = np.where(rng.random(n) < 0.3, rng.choice(special, n), finite)
+        left = []
+        repr_rows = _floatrepr._repr_rows
+
+        def spy(values):
+            left.append(values.copy())
+            return repr_rows(values)
+
+        monkeypatch.setattr(_floatrepr, "_repr_rows", spy)
+        cells = [cell for part in np.array_split(column, 5) for cell in _floatrepr._spell(part)]
+        assert cells == list(map(repr, column.tolist()))
+        left = np.abs(np.concatenate(left))
+        outside = (left <= _floatrepr._TINY) | (left >= _floatrepr._HUGE)
+        assert np.isfinite(left).all() and (left > 0).all()
+        assert outside.mean() > 0.9
+
     @pytest.mark.parametrize("fig_id", sorted(cli._FIGURES))
     def test_figure_tables_match_per_cell_writer(self, fig_id):
         # real grids: fig2's masked tongue, fig6's symmetric grid and
@@ -1621,6 +1705,34 @@ class TestColumnWriters:
         assert stdout_of(cli._write_csv, header, values) == expected
         cli._write_csv(str(tmp_path / "t.csv"), header, values)
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+    @settings(max_examples=40, deadline=None)
+    @given(long_tables())
+    def test_long_tables_match_per_cell_writer(self, tmp_path_factory, columns):
+        # written as bytes a block at a time, unless a str cell holds a NUL
+        expected = old_csv(*old_table(columns))
+        header, values = cli._table(columns)
+        words = np.ravel(columns["word"]).tolist()
+        as_bytes = [cli._cell_bytes(column) is not None for column in values]
+        assert all(as_bytes) or any("\0" in word for word in words)
+        same_lines(stdout_of(cli._write_csv, header, values), expected)
+        path = tmp_path_factory.getbasetemp() / "long.csv"
+        cli._write_csv(str(path), header, values)
+        same_lines(path.read_bytes().decode(), expected)
+
+    @pytest.mark.parametrize("word", ["é", "a\0b"], ids=["non-ASCII", "NUL"])
+    def test_long_str_columns(self, tmp_path, word):
+        # a UTF-8 character other than NUL has no zero byte, so a block is
+        # decoded whole; a NUL cell cannot be zero-padded and takes the list
+        # writer
+        n = 1500
+        columns = {"word": np.full(n, word), "x": np.linspace(-1.0, 1.0, n)}
+        expected = old_csv(*old_table(columns))
+        assert (cli._cell_bytes(columns["word"]) is None) == ("\0" in word)
+        header, values = cli._table(columns)
+        same_lines(stdout_of(cli._write_csv, header, values), expected)
+        cli._write_csv(str(tmp_path / "t.csv"), header, values)
+        same_lines((tmp_path / "t.csv").read_bytes().decode(), expected)
 
     def test_csv_writes_bounded_blocks(self, tmp_path, monkeypatch):
         # a fig2-sized tongue, 161 x 211 cells: each write gets one block
@@ -1684,13 +1796,13 @@ class TestColumnWriters:
         # a tongue's axis and boundary columns repeat 161 or 201 values over
         # its 32361 cells; only its measure columns are spelled cell by cell
         sizes = []
-        reprs = cli.reprs
+        repr_bytes = cli.repr_bytes
 
         def spy(values):
             sizes.append(np.size(values))
-            return reprs(values)
+            return repr_bytes(values)
 
-        monkeypatch.setattr(cli, "reprs", spy)
+        monkeypatch.setattr(cli, "repr_bytes", spy)
         axes = [
             {"name": "detuning", "min": -15.0, "max": 15.0, "points": 161},
             {"name": "epsilon", "min": 0.0, "max": 1.5, "points": 201},

@@ -328,6 +328,32 @@ class TestEpsilonRule:
         with pytest.raises(ZeroResponseError):
             epsilon_for_threshold(rho0, np.zeros((3, 3)), 0.1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "tone, eps", [(1e308, 4.97518595104992e-310), (1e-320, math.inf)]
+    )
+    def test_ends_of_the_double_range(self, tone, eps):
+        # rho1 is divided by the power of two of its largest part before its
+        # norm: no overflow where ||rho1|| exceeds the largest double, and a
+        # subnormal rho1 gives an infinite strength rather than an error,
+        # both as the measure gives them
+        lc = equatorial_limit_cycle(1.0, 10.0)
+        signal = SignalSpec(tone, tone, 0.0)
+        rho0 = steady_state(build_liouvillian(lc))
+        got = epsilon_for_threshold(rho0, first_order(lc, signal), 0.1)
+        assert got == eps == sync_measure(lc, signal, 0.1).epsilon
+
+    @given(seed=SEEDS, scale=st.floats(-140.0, 140.0))
+    @settings(max_examples=100, deadline=None)
+    def test_scaling_is_exact(self, seed, scale):
+        # where no square of a part of rho1 under- or overflows, the division
+        # by a power of two changes no bit
+        rng = np.random.default_rng(seed)
+        rho0 = random_hermitian(rng)
+        rho1 = random_hermitian(rng) * 10.0**scale
+        expected = 0.1 * hs_norm(rho0) / hs_norm(rho1)
+        assert epsilon_for_threshold(rho0, rho1, 0.1) == expected
+
     # perturb reads epsilon from the coherences as the measure does, not
     # from the norms of rebuilt 3x3 matrices, which round differently
     @given(seed=SEEDS, vdp=st.booleans())

@@ -13,10 +13,10 @@ out only the cells with digits that it certifies: magnitudes inside
 from y.  Zeros, infinities and nans take their row from a constant table of
 five.  ``repr`` spells the rest once per bit pattern: the magnitudes
 outside those bounds and the undecided cells.  Each cell is a 48-byte row
-of its characters and zero bytes.  ``reprs`` sets a separator in each row,
-deletes the zero bytes of a block at once, and decodes and splits it once.
-``repr_bytes(values)`` hands over the rows themselves, for a writer that
-lays them out in its own byte buffer.
+of its characters and zero bytes.  ``repr_bytes(values)`` hands over the
+rows, for a writer that lays them out in its own byte buffer; ``reprs``
+sets a separator in each row's last byte, deletes all the zero bytes at
+once, and decodes and splits the text once.
 
 The kernel reads four tables, each built once per process on first use and
 read with one gather per block: ``_powers``, 10**(16 - k) for every k it
@@ -61,14 +61,12 @@ _K_MIN, _K_MAX = -282, 281
 
 # One output row of six 64-bit words: sign, the "0.000" of 1e-4 <= |x| < 0.1,
 # 17 digits with a possible '.' after each of the first 16, the '0' of
-# "123.0", the exponent and three bytes of padding, the first of which
-# ``_spell`` sets to its separator.
+# "123.0", the exponent and three bytes of padding.
 _ROW = np.frombuffer(b"-0.000" + b"0." * 16 + b"0" + b"0e+000\0\0\0", dtype=np.uint8)
 _DIGITS = slice(6, 39, 2)
 _POINTS = slice(7, 39, 2)
 _EXPONENT = slice(42, 45)
 _CELL = np.dtype((np.void, len(_ROW)))  # a row as one value
-_SEPARATOR = 45
 # The rows of the values without digits, by 2 * isinf(x) + signbit(x), and
 # 4 for nan (of either sign and any payload).
 _NO_DIGITS = np.array(
@@ -298,16 +296,6 @@ def _rows(values: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _spell(values: np.ndarray) -> list[str]:
-    """``repr`` of each value of one block, from its row."""
-    rows = _rows(values).view(np.uint8).reshape(len(values), len(_ROW))
-    rows[:, _SEPARATOR] = ord(" ")
-    # the dropped characters are zero bytes: delete them all at once
-    cells = rows.tobytes().translate(None, b"\0").decode("ascii").split(" ")
-    del cells[-1]  # after the last separator
-    return cells
-
-
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """A long array that repeats its values as its distinct values and the
     index of each value among them; any other array as it is, and None."""
@@ -325,39 +313,36 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return ordered[first].view(np.float64), inverse
 
 
-def _blocks(values: np.ndarray) -> list[np.ndarray]:
-    return np.array_split(values, -(-len(values) // _BLOCK))
-
-
-def reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of each value of a 1-D float64 array, in order; a long
-    array that repeats its values is spelled once per distinct value."""
-    values, inverse = _distinct(values)
-    if len(values) < _KERNEL_MIN:
-        cells = list(map(repr, values.tolist()))
-    else:
-        cells = []
-        for block in _blocks(values):
-            cells += _spell(block)
-    if inverse is None:
-        return cells
-    return np.array(cells, dtype=object)[inverse].tolist()
-
-
 def repr_bytes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """``repr`` of each value of a 1-D float64 array as zero-padded ASCII:
     a uint8 matrix of one row per spelled value, and the row of each value
-    in it, or None where value i has row i.  It spells what ``reprs`` spells,
-    each value once: a long array that repeats its values is spelled once
-    per distinct value, and a long column is spelled by the kernel, whose
-    rows keep its layout's zero bytes between the characters."""
+    in it, or None where value i has row i.  A long array that repeats its
+    values is spelled once per distinct value, and a long column by the
+    kernel, whose rows keep its layout's zero bytes between the characters.
+    The last byte of every row is a zero, free for a separator."""
     values, inverse = _distinct(values)
     if len(values) < _KERNEL_MIN:
-        rows = np.array(list(map(repr, values.tolist())), dtype=bytes)
-        return rows.view(np.uint8).reshape(len(rows), -1), inverse
+        cells = list(map(repr, values.tolist()))
+        rows = np.array(cells, dtype=f"S{max(map(len, cells), default=0) + 1}")
+        return rows.view(np.uint8).reshape(len(rows), rows.itemsize), inverse
     rows = np.empty(len(values), dtype=_CELL)
     start = 0
-    for block in _blocks(values):
+    for block in np.array_split(values, -(-len(values) // _BLOCK)):
         rows[start : start + len(block)] = _rows(block)
         start += len(block)
     return rows.view(np.uint8).reshape(len(values), len(_ROW)), inverse
+
+
+def reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each value of a 1-D float64 array, in order: a short
+    array one value at a time, a long one from the rows of ``repr_bytes``."""
+    if len(values) < _KERNEL_MIN:
+        return list(map(repr, values.tolist()))
+    rows, inverse = repr_bytes(values)
+    rows[:, -1] = ord(" ")
+    # the dropped characters are zero bytes: delete them all at once
+    cells = rows.tobytes().translate(None, b"\0").decode("ascii").split(" ")
+    del cells[-1]  # after the last separator
+    if inverse is None:
+        return cells
+    return np.array(cells, dtype=object)[inverse].tolist()

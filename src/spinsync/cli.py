@@ -416,15 +416,16 @@ def _write_text(path: str | None, texts) -> None:
 
 
 def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -> None:
-    # Each column is spelled once, before the output is opened. A table of
-    # _KERNEL_MIN rows or more is then laid out as bytes a block at a time,
-    # with no string per cell; a shorter one is one join.
+    # Each column is spelled once, before the output is opened. Under
+    # _KERNEL_MIN rows repr spells every float either way, and laying its
+    # strings out as bytes took 11-49% longer than one join; from there on
+    # the kernel's rows go straight into each block of bytes, 2-40% faster
+    # (every table the benchmark writes and synthetic ones, BENCH_33.json).
     head = ",".join(header) + "\n"
     if columns and columns[0].size >= _KERNEL_MIN:
         spelled = [_cell_bytes(column) for column in columns]
-        if all(s is not None for s in spelled):
-            _write_text(path, _csv_blocks(head, spelled, columns[0].size))
-            return
+        _write_text(path, _csv_blocks(head, spelled, columns[0].size))
+        return
     cells = [_cells(column) for column in columns]
     rows = len(cells[0]) if cells else 0
     step = 2 * len(cells)
@@ -440,21 +441,17 @@ def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -
 _BOOL_BYTES = np.array([b"false", b"true"]).view(np.uint8).reshape(2, -1)
 
 
-def _cell_bytes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
+def _cell_bytes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The CSV spelling of each value of a column of any shape, in row-major
     order, as zero-padded UTF-8: a uint8 matrix of one row per spelled cell
     and the row of each value in it, or None where value i has row i.  It
     spells what ``_cells`` spells, each cell once: a column that repeats
     its values along zero-stride axes once per element of its core, a long
-    float column once per distinct value, a bool column as two rows.  None
-    for a column with a NUL character in a cell, which a zero byte cannot
-    pad."""
+    float column once per distinct value, a bool column as two rows.  A str
+    cell may not hold a NUL character, which a zero byte cannot pad."""
     core = _core(column)
     if core is not None:
-        spelled = _cell_bytes(core)
-        if spelled is None:
-            return None
-        rows, index = spelled
+        rows, index = _cell_bytes(core)
         if index is None:
             index = np.arange(core.size)
         return rows, np.broadcast_to(index.reshape(core.shape), column.shape).ravel()
@@ -463,11 +460,11 @@ def _cell_bytes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | No
         return repr_bytes(np.ascontiguousarray(column, dtype=np.float64).ravel())
     if kind == "b":
         return _BOOL_BYTES, column.ravel().view(np.uint8)
-    encoded = [cell.encode() for cell in _cells(column)]
-    if any(b"\0" in cell for cell in encoded):
-        return None
-    rows = np.array(encoded, dtype=bytes)
-    return rows.view(np.uint8).reshape(len(rows), -1), None
+    cells = _cells(column)
+    if any("\0" in cell for cell in cells):
+        raise ValueError("a CSV cell of a long table cannot hold a NUL character")
+    rows = np.array([cell.encode() for cell in cells], dtype=bytes)
+    return rows.view(np.uint8).reshape(len(rows), rows.itemsize), None
 
 
 #: rows per block of a long CSV table

@@ -1451,6 +1451,14 @@ def same_lines(text: str, expected: str) -> None:
         )
 
 
+def kernel_cells(values: np.ndarray) -> list[str]:
+    """``repr`` of each value of one block as the kernel lays it out, with
+    no search for repeats: each row of ``_floatrepr._rows`` without its
+    zero bytes."""
+    rows = _floatrepr._rows(values).view(np.uint8).reshape(len(values), -1)
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows]
+
+
 # magnitudes outside (1e-280, 1e280), which the kernel leaves to repr
 EXTREME_FLOATS = [1e-300, -2.5e-290, 2.0**-1060, 1e290, -3.1e305]
 
@@ -1460,9 +1468,9 @@ def long_tables(draw):
     """Tables of _KERNEL_MIN to 3000 rows over a grid of two axes, as a long
     tongue or sweep hands them over: broadcast axis and constant columns, a
     bool mask whose cells are nan in a float column, a complex column and a
-    str column, in any order and maybe transposed. A float column is drawn
-    from a small pool, so that it repeats, or of every decimal exponent with
-    EDGE_FLOATS and EXTREME_FLOATS strewn in."""
+    str column without NUL, in any order and maybe transposed. A float
+    column is drawn from a small pool, so that it repeats, or of every
+    decimal exponent with EDGE_FLOATS and EXTREME_FLOATS strewn in."""
     outer = draw(st.integers(1, 40))
     inner = draw(st.integers(-(-_floatrepr._KERNEL_MIN // outer), 3000 // outer))
     shape = (outer, inner)
@@ -1482,7 +1490,9 @@ def long_tables(draw):
     measure[mask] = math.nan
     z = np.empty(shape, dtype=complex)
     z.real, z.imag = floats(*shape), floats(*shape)
-    words = np.array(draw(st.lists(TEXT, min_size=1, max_size=3)), dtype=str)
+    # a long table's str cell may not hold NUL, which a zero byte cannot pad
+    cell = st.text(st.characters(codec="utf-8", exclude_characters="\0"), max_size=6)
+    words = np.array(draw(st.lists(cell, min_size=1, max_size=3)), dtype=str)
     columns = {
         "outer": np.broadcast_to(floats(outer, 1), shape),
         "inner": np.broadcast_to(floats(inner), shape),
@@ -1546,7 +1556,7 @@ class TestColumnWriters:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(FLOATS, min_size=1, max_size=60))
     def test_kernel_matches_repr(self, values):
-        assert _floatrepr._spell(np.array(values, dtype=float)) == list(map(repr, values))
+        assert kernel_cells(np.array(values, dtype=float)) == list(map(repr, values))
 
     def test_power_table_is_double_double(self):
         # each row: 10**(16 - k) as hi + lo, and hi in Veltkamp halves whose
@@ -1608,7 +1618,7 @@ class TestColumnWriters:
         monkeypatch.setattr(_floatrepr, "_shortest", spy)
         # block by block: reprs would spell this repeating column's
         # distinct values in blocks of its own
-        cells = [cell for part in np.split(column, 3) for cell in _floatrepr._spell(part)]
+        cells = [cell for part in np.split(column, 3) for cell in kernel_cells(part)]
         assert cells == list(map(repr, column.tolist()))
         assert len(searched) == 2
         searched = np.concatenate(searched)
@@ -1641,7 +1651,7 @@ class TestColumnWriters:
         monkeypatch.setattr(_floatrepr, "_shortest", searched.append)
         expected = list(map(repr, column.tolist()))
         assert _floatrepr.reprs(column) == expected
-        assert _floatrepr._spell(column) == expected
+        assert kernel_cells(column) == expected
         assert searched == []
 
     def test_repr_spells_only_what_the_kernel_cannot(self, monkeypatch):
@@ -1661,7 +1671,7 @@ class TestColumnWriters:
             return repr_rows(values)
 
         monkeypatch.setattr(_floatrepr, "_repr_rows", spy)
-        cells = [cell for part in np.array_split(column, 5) for cell in _floatrepr._spell(part)]
+        cells = [cell for part in np.array_split(column, 5) for cell in kernel_cells(part)]
         assert cells == list(map(repr, column.tolist()))
         left = np.abs(np.concatenate(left))
         outside = (left <= _floatrepr._TINY) | (left >= _floatrepr._HUGE)
@@ -1709,30 +1719,33 @@ class TestColumnWriters:
     @settings(max_examples=40, deadline=None)
     @given(long_tables())
     def test_long_tables_match_per_cell_writer(self, tmp_path_factory, columns):
-        # written as bytes a block at a time, unless a str cell holds a NUL
+        # written as bytes a block at a time
         expected = old_csv(*old_table(columns))
         header, values = cli._table(columns)
-        words = np.ravel(columns["word"]).tolist()
-        as_bytes = [cli._cell_bytes(column) is not None for column in values]
-        assert all(as_bytes) or any("\0" in word for word in words)
         same_lines(stdout_of(cli._write_csv, header, values), expected)
         path = tmp_path_factory.getbasetemp() / "long.csv"
         cli._write_csv(str(path), header, values)
         same_lines(path.read_bytes().decode(), expected)
 
-    @pytest.mark.parametrize("word", ["é", "a\0b"], ids=["non-ASCII", "NUL"])
-    def test_long_str_columns(self, tmp_path, word):
+    def test_long_non_ascii_str_column(self, tmp_path):
         # a UTF-8 character other than NUL has no zero byte, so a block is
-        # decoded whole; a NUL cell cannot be zero-padded and takes the list
-        # writer
+        # decoded whole
         n = 1500
-        columns = {"word": np.full(n, word), "x": np.linspace(-1.0, 1.0, n)}
+        columns = {"word": np.full(n, "é"), "x": np.linspace(-1.0, 1.0, n)}
         expected = old_csv(*old_table(columns))
-        assert (cli._cell_bytes(columns["word"]) is None) == ("\0" in word)
         header, values = cli._table(columns)
         same_lines(stdout_of(cli._write_csv, header, values), expected)
         cli._write_csv(str(tmp_path / "t.csv"), header, values)
         same_lines((tmp_path / "t.csv").read_bytes().decode(), expected)
+
+    def test_long_nul_cell_is_refused(self, tmp_path):
+        # a zero byte cannot pad a NUL cell, so it is refused before the
+        # output is opened
+        columns = {"word": np.full(1500, "a\0b"), "x": np.zeros(1500)}
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="NUL"):
+            cli._write_csv(str(path), *cli._table(columns))
+        assert not path.exists()
 
     def test_csv_writes_bounded_blocks(self, tmp_path, monkeypatch):
         # a fig2-sized tongue, 161 x 211 cells: each write gets one block

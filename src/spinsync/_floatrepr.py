@@ -1,22 +1,22 @@
-"""``repr`` of every float of a long float64 column at once.
+"""``repr`` of every float of a long float64 column at once, as bytes.
 
-``reprs(values)`` is ``list(map(repr, values.tolist()))`` byte for byte.  A
-short column takes that per-value path.  A long one that repeats its values
-(a masked tongue's nan, a symmetric grid) is spelled once per distinct bit
-pattern.  Otherwise a numpy kernel spells it: each |x| is scaled by
-10**(16 - k), k its decimal exponent, to a double-double y in [1e16, 1e17).
-The shortest digits that read back as x are the largest power of ten with a
-multiple inside x's rounding interval around y; of those multiples the one
-nearest y is kept.  This is the spelling ``repr`` prints.  The kernel lays
-out only the cells with digits that it certifies: magnitudes inside
+``repr_bytes(values)`` spells ``list(map(repr, values.tolist()))`` byte for
+byte, as one zero-padded ASCII row per spelled value, for a writer that lays
+the rows out in its own byte buffer.  A short column takes the per-value
+path.  A long one that repeats its values (a masked tongue's nan, a
+symmetric grid) is spelled once per distinct bit pattern.  Otherwise a numpy
+kernel spells it: each |x| is scaled by 10**(16 - k), k its decimal
+exponent, to a double-double y in [1e16, 1e17).  The shortest digits that
+read back as x are the largest power of ten with a multiple inside x's
+rounding interval around y; of those multiples the one nearest y is kept.
+This is the spelling ``repr`` prints.  The kernel lays out only the cells
+with digits that it certifies: magnitudes inside
 (_TINY, _HUGE) whose rounding bound and tie lie farther than ``_MARGIN``
 from y.  Zeros, infinities and nans take their row from a constant table of
 five.  ``repr`` spells the rest once per bit pattern: the magnitudes
 outside those bounds and the undecided cells.  Each cell is a 48-byte row
-of its characters and zero bytes.  ``repr_bytes(values)`` hands over the
-rows, for a writer that lays them out in its own byte buffer; ``reprs``
-sets a separator in each row's last byte, deletes all the zero bytes at
-once, and decodes and splits the text once.
+of its characters and zero bytes, which the writer deletes from its buffer
+at once.
 
 The kernel reads four tables, each built once per process on first use and
 read with one gather per block: ``_powers``, 10**(16 - k) for every k it
@@ -318,12 +318,11 @@ def repr_bytes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     a uint8 matrix of one row per spelled value, and the row of each value
     in it, or None where value i has row i.  A long array that repeats its
     values is spelled once per distinct value, and a long column by the
-    kernel, whose rows keep its layout's zero bytes between the characters.
-    The last byte of every row is a zero, free for a separator."""
+    kernel, whose rows keep its layout's zero bytes between the characters."""
     values, inverse = _distinct(values)
     if len(values) < _KERNEL_MIN:
         cells = list(map(repr, values.tolist()))
-        rows = np.array(cells, dtype=f"S{max(map(len, cells), default=0) + 1}")
+        rows = np.array(cells, dtype=f"S{max(map(len, cells), default=1)}")
         return rows.view(np.uint8).reshape(len(rows), rows.itemsize), inverse
     rows = np.empty(len(values), dtype=_CELL)
     start = 0
@@ -332,17 +331,3 @@ def repr_bytes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         start += len(block)
     return rows.view(np.uint8).reshape(len(values), len(_ROW)), inverse
 
-
-def reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of each value of a 1-D float64 array, in order: a short
-    array one value at a time, a long one from the rows of ``repr_bytes``."""
-    if len(values) < _KERNEL_MIN:
-        return list(map(repr, values.tolist()))
-    rows, inverse = repr_bytes(values)
-    rows[:, -1] = ord(" ")
-    # the dropped characters are zero bytes: delete them all at once
-    cells = rows.tobytes().translate(None, b"\0").decode("ascii").split(" ")
-    del cells[-1]  # after the last separator
-    if inverse is None:
-        return cells
-    return np.array(cells, dtype=object)[inverse].tolist()

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import catalog, lindblad
-from ._floatrepr import _KERNEL_MIN, repr_bytes, reprs
+from ._floatrepr import _KERNEL_MIN, repr_bytes
 from .catalog import (
     SCENARIOS,
     TongueGrid,
@@ -338,9 +338,8 @@ _BOOL_CELLS = np.array(["false", "true"], dtype=object)
 
 def _cells(column: np.ndarray) -> list[str]:
     """CSV spelling of each value of a column of any shape, in row-major
-    order: floats by repr (nan, inf and -inf bare; a long column by
-    ``reprs``, once per distinct value if it repeats them), bools as
-    true/false, anything else by str.
+    order: floats by repr (nan, inf and -inf bare), bools as true/false,
+    anything else by str.
     A column that repeats its values along zero-stride axes (a grid axis or
     a broadcast constant) is spelled once per element of its core, the
     column cut to length 1 along those axes."""
@@ -350,7 +349,7 @@ def _cells(column: np.ndarray) -> list[str]:
         return np.broadcast_to(cells, column.shape).ravel().tolist()
     kind = column.dtype.kind
     if kind == "f":
-        return reprs(np.ascontiguousarray(column, dtype=np.float64).ravel())
+        return list(map(repr, np.asarray(column, dtype=np.float64).ravel().tolist()))
     column = column.ravel()
     if kind == "b":
         return _BOOL_CELLS[column.view(np.uint8)].tolist()
@@ -405,14 +404,20 @@ def _table(columns: dict) -> tuple[list[str], list[np.ndarray]]:
     return header, values
 
 
-def _write_text(path: str | None, texts) -> None:
-    """Write each string of ``texts`` in turn to the file ``path``, or to
-    stdout when it is None."""
-    if path is None:
-        sys.stdout.writelines(texts)
+def _write_text(path: str | None, pieces) -> None:
+    """Write each bytes of ``pieces`` in turn to the file ``path``, or to
+    stdout when it is None; a stdout without a byte buffer, such as an
+    io.StringIO, takes their UTF-8 text."""
+    if path is not None:
+        with open(path, "wb") as fh:
+            fh.writelines(pieces)
+        return
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        sys.stdout.writelines(piece.decode() for piece in pieces)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(texts)
+        sys.stdout.flush()  # text written before goes first
+        out.writelines(pieces)
 
 
 def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -> None:
@@ -423,8 +428,9 @@ def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -
     # (every table the benchmark writes and synthetic ones, BENCH_33.json).
     head = ",".join(header) + "\n"
     if columns and columns[0].size >= _KERNEL_MIN:
-        spelled = [_cell_bytes(column) for column in columns]
-        _write_text(path, _csv_blocks(head, spelled, columns[0].size))
+        fields = [(_cell_bytes(column), b",") for column in columns]
+        size = columns[0].size
+        _write_text(path, _blocks(head.encode(), fields, 1, size, b"\n", b"\n"))
         return
     cells = [_cells(column) for column in columns]
     rows = len(cells[0]) if cells else 0
@@ -435,23 +441,24 @@ def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -
     body[step::step] = ["\n"] * rows
     for i, spelled in enumerate(cells):
         body[1 + 2 * i :: step] = spelled
-    _write_text(path, ["".join(body)])
+    _write_text(path, ["".join(body).encode()])
 
 
 _BOOL_BYTES = np.array([b"false", b"true"]).view(np.uint8).reshape(2, -1)
 
 
-def _cell_bytes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _cell_bytes(column: np.ndarray, spell=str) -> tuple[np.ndarray, np.ndarray | None]:
     """The CSV spelling of each value of a column of any shape, in row-major
     order, as zero-padded UTF-8: a uint8 matrix of one row per spelled cell
     and the row of each value in it, or None where value i has row i.  It
     spells what ``_cells`` spells, each cell once: a column that repeats
     its values along zero-stride axes once per element of its core, a long
-    float column once per distinct value, a bool column as two rows.  A str
-    cell may not hold a NUL character, which a zero byte cannot pad."""
+    float column once per distinct value, a bool column as two rows and a
+    str column by ``spell``, once per distinct value.  A cell may not hold
+    a NUL character, which a zero byte cannot pad."""
     core = _core(column)
     if core is not None:
-        rows, index = _cell_bytes(core)
+        rows, index = _cell_bytes(core, spell)
         if index is None:
             index = np.arange(core.size)
         return rows, np.broadcast_to(index.reshape(core.shape), column.shape).ravel()
@@ -460,41 +467,91 @@ def _cell_bytes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         return repr_bytes(np.ascontiguousarray(column, dtype=np.float64).ravel())
     if kind == "b":
         return _BOOL_BYTES, column.ravel().view(np.uint8)
-    cells = _cells(column)
-    if any("\0" in cell for cell in cells):
-        raise ValueError("a CSV cell of a long table cannot hold a NUL character")
-    rows = np.array([cell.encode() for cell in cells], dtype=bytes)
-    return rows.view(np.uint8).reshape(len(rows), rows.itemsize), None
+    index = None
+    if kind == "U":
+        column, index = np.unique(column.ravel(), return_inverse=True)
+        cells = list(map(spell, column.tolist()))
+    else:
+        cells = _cells(column)
+    cells = [cell.encode() for cell in cells]
+    if any(b"\0" in cell for cell in cells):
+        raise ValueError("a cell of a long table cannot hold a NUL character")
+    rows = np.array(cells, dtype=bytes)
+    return rows.view(np.uint8).reshape(len(rows), rows.itemsize), index
 
 
-#: rows per block of a long CSV table
-_CSV_BLOCK = 1024
+#: the JSON cells of a masked value, a nan, an inf and a -inf
+_JSON_SPECIAL = np.array([b"null", b'"nan"', b'"inf"', b'"-inf"'])
+_JSON_SPECIAL = _JSON_SPECIAL.view(np.uint8).reshape(len(_JSON_SPECIAL), -1)
 
 
-def _csv_blocks(head: str, spelled: list, size: int):
-    """The text of a CSV table of ``size`` rows, _CSV_BLOCK rows at a time
-    and the header line ``head`` leading the first block, from the spelled
-    cells of its columns (see ``_cell_bytes``).  A block is one reused byte
-    matrix: each column fills a field as wide as its widest cell, the
-    separators after each field are set once, and the zero bytes are
-    deleted from the block's text."""
-    ends = np.cumsum([rows.shape[1] + 1 for rows, _ in spelled])
-    block = np.zeros((_CSV_BLOCK, ends[-1]), dtype=np.uint8)
-    block[:, ends - 1] = ord(",")
-    block[:, -1] = ord("\n")
-    # a cell as one value, so that a gather copies whole cells
-    fields = []
-    for (rows, index), end in zip(spelled, ends):
+def _json_bytes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The JSON spelling of each value of a real column of any shape, as
+    ``_cell_bytes`` gives it: a str by json.dumps, and a masked value or a
+    non-finite float, which is not spelled, from a row of _JSON_SPECIAL."""
+    data, mask = np.ma.getdata(column), np.ma.getmaskarray(column)
+    special = mask | ~np.isfinite(data) if data.dtype.kind == "f" else mask
+    if not special.any():
+        return _cell_bytes(data, json.dumps)
+    special, values = special.ravel(), data.ravel()
+    own = np.flatnonzero(~special)
+    rows, index = _cell_bytes(values[own], json.dumps)
+    odd, key = values[special], 0
+    if data.dtype.kind == "f":
+        key = np.where(mask.ravel()[special], 0, np.where(np.isnan(odd), 1, 2 + np.signbit(odd)))
+    table = np.zeros((len(rows) + len(_JSON_SPECIAL), max(rows.shape[1], 6)), np.uint8)
+    table[: len(rows), : rows.shape[1]] = rows
+    table[len(rows) :, : _JSON_SPECIAL.shape[1]] = _JSON_SPECIAL
+    full = np.empty(len(values), dtype=np.intp)
+    full[own] = np.arange(len(own)) if index is None else index
+    full[special] = len(rows) + key
+    return table, full
+
+
+#: units per block of a long table: rows of a CSV or a JSON row table, and
+#: values of a JSON array
+_BLOCK_UNITS = 1024
+
+
+def _blocks(head: bytes, fields: list, units: int, size: int, tail: bytes, last: bytes):
+    """The bytes of a table of ``size`` rows, ``head`` leading the first
+    block.  A row is ``units`` units and then ``tail``, the final row
+    ``last`` in its place.  A unit is its fields in turn: a spelled cell, as
+    ``_cell_bytes`` gives the cells of a column of ``size * units`` values,
+    followed by the field's fixed bytes, which the last unit of a row drops
+    from its last field.  A block is _BLOCK_UNITS // units rows (at least
+    one) of one reused byte matrix: each field is as wide as its widest
+    cell, the fixed bytes are set once, and the zero bytes are deleted from
+    the block, so no cell becomes a string."""
+    count = max(1, _BLOCK_UNITS // units)
+    width = sum(rows.shape[1] + len(after) for (rows, _), after in fields)
+    block = np.zeros((count, units * width + len(tail)), dtype=np.uint8)
+    block[:, units * width :] = np.frombuffer(tail, dtype=np.uint8)
+    unit = block[:, : units * width].reshape(count, units, width)
+    views, end = [], 0
+    for (rows, index), after in fields:
+        start, end = end, end + rows.shape[1]
+        unit[:, :, end : end + len(after)] = np.frombuffer(after, dtype=np.uint8)
+        # a cell as one value, so that a gather copies whole cells
         cell = np.dtype((np.void, rows.shape[1]))
-        field = block[:, end - 1 - rows.shape[1] : end - 1].view(cell)[:, 0]
-        fields.append((rows.view(cell).ravel(), index, field))
-    for start in range(0, size, _CSV_BLOCK):
-        stop = min(start + _CSV_BLOCK, size)
-        for cells, index, field in fields:
-            part = cells[start:stop] if index is None else np.take(cells, index[start:stop])
-            field[: stop - start] = part
-        yield head + block[: stop - start].tobytes().translate(None, b"\0").decode()
-        head = ""
+        cells = rows.view(cell).ravel()
+        if index is None:
+            cells = cells.reshape(size, units)
+        else:
+            index = index.reshape(size, units)
+        views.append((cells, index, unit[:, :, start:end].view(cell)[..., 0]))
+        end += len(after)
+    unit[:, -1, end - len(after) : end] = 0
+    for first in range(0, size, count):
+        stop = min(first + count, size)
+        for cells, index, field in views:
+            part = cells[first:stop] if index is None else np.take(cells, index[first:stop])
+            field[: stop - first] = part
+        text = block[: stop - first].tobytes().translate(None, b"\0")
+        if stop == size:
+            text = text[: len(text) - len(tail)] + last
+        yield head + text
+        head = b""
 
 
 class _Rows(NamedTuple):
@@ -514,14 +571,6 @@ def _json_list(opening: str, items: list[str], closing: str, level: int) -> str:
     pad = "\n" + "  " * (level + 1)
     # one join, so a long body is copied once
     return "".join((opening, pad, ("," + pad).join(items), "\n", "  " * level, closing))
-
-
-def _json_elements(array: np.ndarray, level: int) -> list[str]:
-    """JSON text of each element along the first axis of an array of one or
-    more dimensions, at depth ``level``; a complex number is a [re, im] pair."""
-    if array.dtype.kind not in "biufcU":  # objects: one value at a time
-        return [_json(value, level) for value in array.tolist()]
-    return _nest(_json_values(array, level + array.ndim - 1), array.shape, level)
 
 
 def _json_values(array: np.ndarray, level: int) -> list[str]:
@@ -556,34 +605,109 @@ def _json_rows(rows: _Rows, level: int) -> str:
     return _json_list("[", [opening + inner + body + tail] if body else [], "]", level)
 
 
-def _json(obj, level: int = 0) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` of a payload with string
-    keys, numpy arrays and scalars and complex numbers (as [re, im]), with
-    arrays spelled a column at a time: non-finite floats are the strings
-    "nan", "inf" and "-inf" and masked cells are null."""
+def _json_blocks(columns: list, keys: list | None, units: int, level: int, brackets: str):
+    """The byte blocks of a long table at depth ``level``: a JSON list of
+    rows, each a list or an object (``brackets`` "[]" or "{}") of ``units``
+    units, or with no ``brackets`` a unit.  A unit is a value of each of
+    ``columns`` in turn, in row-major order, or in an object of each by its
+    key of ``keys``, in their order; a complex value is its [re, im] pair."""
+    depth = level + 1 + bool(brackets)  # of the values
+    pad = ["\n" + "  " * i for i in range(depth + 2)]
+    pairs = zip([None] * len(columns), columns)
+    if keys is not None:
+        pairs = sorted(zip(keys, columns), key=lambda pair: pair[0])
+    # the text before each field of a unit, and after the last
+    fixed, spelled = [""], []
+    for key, column in pairs:
+        fixed[-1] += ("," + pad[depth] if spelled else "") + (
+            "" if key is None else f"{json.dumps(key)}: "
+        )
+        if np.iscomplexobj(column):
+            fixed[-1] += "[" + pad[depth + 1]
+            fixed += ["," + pad[depth + 1], pad[depth] + "]"]
+            spelled += [_json_bytes(column.real), _json_bytes(column.imag)]
+        else:
+            fixed.append("")
+            spelled.append(_json_bytes(column))
+    opening, closing = "", ""
+    if brackets:
+        opening, closing = brackets[0] + pad[depth], pad[depth - 1] + brackets[1]
+    between = fixed[-1] + "," + pad[depth] + fixed[0]  # two units of a row
+    fields = [(s, text.encode()) for s, text in zip(spelled, fixed[1:-1] + [between])]
+    start, end = opening + fixed[0], fixed[-1] + closing
+    head, tail = "[" + pad[level + 1] + start, end + "," + pad[level + 1] + start
+    size, last = columns[0].size // units, end + pad[level] + "]"
+    return _blocks(head.encode(), fields, units, size, tail.encode(), last.encode())
+
+
+def _json(obj, level: int, out: list) -> None:
+    """Append to ``out`` the pieces of ``json.dumps(obj, indent=2,
+    sort_keys=True)`` at depth ``level``, for a payload with string keys,
+    numpy arrays and scalars and complex numbers (as [re, im]): text, and
+    the byte blocks of each long array or table.  Arrays are spelled a
+    column at a time: non-finite floats are the strings "nan", "inf" and
+    "-inf" and masked cells are null."""
     if isinstance(obj, _Rows):
-        return _json_rows(obj, level)
-    if isinstance(obj, dict):
-        pairs = sorted(obj.items())
-        items = [f"{json.dumps(k)}: {_json(v, level + 1)}" for k, v in pairs]
-        return _json_list("{", items, "}", level)
-    if isinstance(obj, (list, tuple)):
-        return _json_list("[", [_json(v, level + 1) for v in obj], "]", level)
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 0:
-            return _json(obj.tolist(), level)
-        return _json_list("[", _json_elements(obj, level + 1), "]", level)
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, complex):
-        return _json([obj.real, obj.imag], level)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return f'"{obj!r}"'
-    return json.dumps(obj)
+        if obj.columns and obj.columns[0].size >= _KERNEL_MIN:
+            brackets = "[]" if obj.keys is None else "{}"
+            out.append(_json_blocks(obj.columns, obj.keys, 1, level, brackets))
+        else:
+            out.append(_json_rows(obj, level))
+    elif isinstance(obj, (dict, list, tuple)):
+        keyed = isinstance(obj, dict)
+        items = sorted(obj.items()) if keyed else obj
+        opening, closing = "{}" if keyed else "[]"
+        if not items:
+            out.append(opening + closing)
+            return
+        pad = "\n" + "  " * (level + 1)
+        sep = opening + pad
+        for item in items:
+            if keyed:
+                sep += f"{json.dumps(item[0])}: "
+                item = item[1]
+            out.append(sep)
+            _json(item, level + 1, out)
+            sep = "," + pad
+        out.append("\n" + "  " * level + closing)
+    elif isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind in "biufcU":
+        if obj.ndim <= 2 and obj.size >= _KERNEL_MIN:
+            units, brackets = (obj.shape[1], "[]") if obj.ndim == 2 else (1, "")
+            out.append(_json_blocks([obj], None, units, level, brackets))
+        else:
+            values = _json_values(obj, level + obj.ndim)
+            out.append(_json_list("[", _nest(values, obj.shape, level + 1), "]", level))
+    elif isinstance(obj, (np.ndarray, np.generic)):  # scalars, and objects one by one
+        _json(obj.tolist(), level, out)
+    elif isinstance(obj, complex):
+        _json([obj.real, obj.imag], level, out)
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        out.append(f'"{obj!r}"')
+    else:
+        out.append(json.dumps(obj))
+
+
+def _json_pieces(pieces: list):
+    """The bytes of JSON pieces as ``_json`` gives them: each run of text as
+    one piece, and each byte block."""
+    text = []
+    for piece in pieces:
+        if isinstance(piece, str):
+            text.append(piece)
+        else:
+            if text:
+                yield "".join(text).encode()
+                text = []
+            yield from piece
+    if text:
+        yield "".join(text).encode()
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    _write_text(path, [_json(payload) + "\n"])
+    pieces = []
+    _json(payload, 0, pieces)
+    pieces.append("\n")
+    _write_text(path, _json_pieces(pieces))
 
 
 def _emit(args, payload: dict, columns: dict) -> None:

@@ -1459,6 +1459,14 @@ def kernel_cells(values: np.ndarray) -> list[str]:
     return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows]
 
 
+def repr_bytes_cells(values: np.ndarray) -> list[str]:
+    """``repr`` of each value as ``_floatrepr.repr_bytes`` spells it: the row
+    of each value without its zero bytes."""
+    rows, index = _floatrepr.repr_bytes(values)
+    cells = [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows]
+    return cells if index is None else [cells[i] for i in index.tolist()]
+
+
 # magnitudes outside (1e-280, 1e280), which the kernel leaves to repr
 EXTREME_FLOATS = [1e-300, -2.5e-290, 2.0**-1060, 1e290, -3.1e305]
 
@@ -1507,7 +1515,7 @@ def long_tables(draw):
     return {name: columns[name].T if transposed else columns[name] for name in names}
 
 
-CSV_BLOCK = cli._CSV_BLOCK
+CSV_BLOCK = cli._BLOCK_UNITS
 
 
 def one_detuning_tongue(rows: int) -> dict:
@@ -1539,6 +1547,71 @@ def equatorial_tongue() -> np.ndarray:
     return values
 
 
+def spy_writes(monkeypatch) -> list:
+    """The list that every write to a file the CLI opens is appended to."""
+    writes = []
+
+    def spying_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+
+        def spy(data):
+            writes.append(data)
+            return write(data)
+
+        fh.write = spy
+        return fh
+
+    monkeypatch.setattr(cli, "open", spying_open, raising=False)
+    return writes
+
+
+def byte_stdout_of(write, *args) -> str:
+    """What ``write`` puts on a stdout with a byte buffer, as stdout_of."""
+    raw = io.BytesIO()
+    out = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+    with contextlib.redirect_stdout(out):
+        write(None, *args)
+    out.flush()
+    return raw.getvalue().decode()
+
+
+def json_values(column: np.ndarray):
+    """The per-cell JSON writer's values of a column of any shape, in
+    row-major order, a complex value as its [re, im] pair."""
+    column = np.asarray(column)
+    if np.iscomplexobj(column):
+        return np.stack([column.real, column.imag], axis=-1).reshape(-1, 2).tolist()
+    return column.ravel().tolist()
+
+
+@st.composite
+def long_json_payloads(draw):
+    """A long table (see long_tables) as the JSON writer is handed it, with
+    what the per-cell writer wrote for it: each column as a 1-D or 2-D
+    array, the measure also masked; or the columns as ``_Rows``, keyed by
+    name or not."""
+    columns = draw(long_tables())
+    form = draw(st.sampled_from(["arrays", "rows", "keyed rows"]))
+    if form == "arrays":
+        flat = draw(st.booleans())
+        payload = {name: np.ravel(c) if flat else c for name, c in columns.items()}
+        payload["masked_S"] = np.ma.masked_array(payload["S"], payload["masked"])
+        # complex values as [re, im] pairs, non-finite parts as strings
+        expected = {
+            name: np.stack([c.real, c.imag], axis=-1) if np.iscomplexobj(c) else c
+            for name, c in payload.items()
+        }
+        return payload, expected
+    values = [json_values(column) for column in columns.values()]
+    if form == "rows":
+        rows = [list(row) for row in zip(*values)]
+        return {"rows": cli._Rows(list(columns.values()))}, {"rows": rows}
+    records = [dict(zip(columns, row)) for row in zip(*values)]
+    keyed = cli._Rows(list(columns.values()), list(columns))
+    return {"rows": keyed}, {"rows": records}
+
+
 class TestColumnWriters:
     """The column writers spell every value as the per-cell writers did."""
 
@@ -1547,11 +1620,11 @@ class TestColumnWriters:
         column = make()
         distinct = np.unique(column.view(np.uint64))
         assert len(distinct) >= _floatrepr._KERNEL_MIN  # spelled by the kernel
-        assert cli._cells(column) == list(map(repr, column.tolist()))
+        assert repr_bytes_cells(column) == list(map(repr, column.tolist()))
         columns = {"x": column, "b": np.arange(len(column)) % 3 == 0}
         expected = old_csv(*old_table(columns))
-        assert stdout_of(cli._write_csv, *cli._table(columns)) == expected
-        assert stdout_of(cli._write_json, {"x": column}) == old_json({"x": column})
+        same_lines(stdout_of(cli._write_csv, *cli._table(columns)), expected)
+        same_lines(stdout_of(cli._write_json, {"x": column}), old_json({"x": column}))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(FLOATS, min_size=1, max_size=60))
@@ -1586,7 +1659,7 @@ class TestColumnWriters:
             "tongue": lambda: equatorial_tongue()[:length],
         }[kind]()
         assert len(column) == length
-        assert _floatrepr.reprs(column) == list(map(repr, column.tolist()))
+        assert repr_bytes_cells(column) == list(map(repr, column.tolist()))
 
     def test_kernel_certifies_a_tongue(self):
         # a kernel that left every value to repr would spell them right, slowly
@@ -1594,7 +1667,7 @@ class TestColumnWriters:
         spelled = values[np.isfinite(values) & (values != 0)]
         assert len(spelled) > 10000
         assert _floatrepr._shortest(np.abs(spelled))[3].mean() >= 0.999
-        assert cli._cells(values) == list(map(repr, values.tolist()))
+        assert repr_bytes_cells(values) == list(map(repr, values.tolist()))
 
     def test_kernel_searches_digits_only_where_there_are_some(self, monkeypatch):
         # nan, inf, zero and out-of-range cells have no digits to search: a
@@ -1616,7 +1689,7 @@ class TestColumnWriters:
             return shortest(x)
 
         monkeypatch.setattr(_floatrepr, "_shortest", spy)
-        # block by block: reprs would spell this repeating column's
+        # block by block: repr_bytes would spell this repeating column's
         # distinct values in blocks of its own
         cells = [cell for part in np.split(column, 3) for cell in kernel_cells(part)]
         assert cells == list(map(repr, column.tolist()))
@@ -1650,7 +1723,7 @@ class TestColumnWriters:
         searched = []
         monkeypatch.setattr(_floatrepr, "_shortest", searched.append)
         expected = list(map(repr, column.tolist()))
-        assert _floatrepr.reprs(column) == expected
+        assert repr_bytes_cells(column) == expected
         assert kernel_cells(column) == expected
         assert searched == []
 
@@ -1684,7 +1757,7 @@ class TestColumnWriters:
         # fig5's short inset among them
         for _, header, columns in cli.figure_datasets(fig_id, {}):
             expected = old_csv(*old_table(dict(zip(header, columns))))
-            assert stdout_of(cli._write_csv, header, columns) == expected
+            same_lines(stdout_of(cli._write_csv, header, columns), expected)
 
     @pytest.mark.parametrize(
         "columns",
@@ -1697,7 +1770,7 @@ class TestColumnWriters:
     )
     def test_csv_table_shapes(self, columns):
         expected = old_csv(*old_table(columns))
-        assert stdout_of(cli._write_csv, *cli._table(columns)) == expected
+        same_lines(stdout_of(cli._write_csv, *cli._table(columns)), expected)
         if not len(next(iter(columns.values()))):
             assert expected == ",".join(columns) + "\n"
 
@@ -1712,9 +1785,9 @@ class TestColumnWriters:
         assert rows < 3 or 0 < columns["masked"].mean() < 1
         expected = old_csv(*old_table(columns))
         header, values = cli._table(columns)
-        assert stdout_of(cli._write_csv, header, values) == expected
+        same_lines(stdout_of(cli._write_csv, header, values), expected)
         cli._write_csv(str(tmp_path / "t.csv"), header, values)
-        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+        same_lines((tmp_path / "t.csv").read_bytes().decode(), expected)
 
     @settings(max_examples=40, deadline=None)
     @given(long_tables())
@@ -1748,28 +1821,16 @@ class TestColumnWriters:
         assert not path.exists()
 
     def test_csv_writes_bounded_blocks(self, tmp_path, monkeypatch):
-        # a fig2-sized tongue, 161 x 211 cells: each write gets one block
+        # a fig2-sized tongue, 161 x 211 cells: each write gets one block of
+        # bytes
         ((_, header, columns),) = cli.figure_datasets("fig2", {})
         assert columns[0].size == 161 * 211
-        writes = []
-
-        def spying_open(*args, **kwargs):
-            fh = open(*args, **kwargs)
-            write = fh.write
-
-            def spy(text):
-                writes.append(text)
-                return write(text)
-
-            fh.write = spy
-            return fh
-
-        monkeypatch.setattr(cli, "open", spying_open, raising=False)
+        writes = spy_writes(monkeypatch)
         path = tmp_path / "fig2.csv"
         cli._write_csv(str(path), header, columns)
         text = stdout_of(cli._write_csv, header, columns)
-        assert path.read_bytes() == text.encode()
-        assert writes == csv_blocks(text)
+        same_lines(path.read_bytes().decode(), text)
+        same_lines(b"|".join(writes).decode(), "|".join(csv_blocks(text)))
         assert len(writes) == -(-columns[0].size // CSV_BLOCK)
 
     def test_csv_tongue_with_masked_rows(self):
@@ -1779,7 +1840,7 @@ class TestColumnWriters:
         assert 0 < grid.masked.mean() < 1
         columns = cli._tongue_columns(grid, detunings, strengths)
         expected = old_csv(*old_table(columns))
-        assert stdout_of(cli._write_csv, *cli._table(columns)) == expected
+        same_lines(stdout_of(cli._write_csv, *cli._table(columns)), expected)
 
     @settings(max_examples=100, deadline=None)
     @given(tables())
@@ -1863,6 +1924,44 @@ class TestColumnWriters:
         ]
         payload = {"rows": cli._Rows(list(named.values()), list(named))}
         assert stdout_of(cli._write_json, payload) == old_json({"rows": records})
+
+    @settings(max_examples=40, deadline=None)
+    @given(long_json_payloads())
+    def test_long_json_matches_per_cell_writer(self, tmp_path_factory, case):
+        # laid out as bytes a block at a time: on a text-only stdout, on a
+        # stdout with a byte buffer and in a file
+        payload, oracle = case
+        expected = old_json(oracle)
+        same_lines(stdout_of(cli._write_json, payload), expected)
+        same_lines(byte_stdout_of(cli._write_json, payload), expected)
+        path = tmp_path_factory.getbasetemp() / "long.json"
+        cli._write_json(str(path), payload)
+        same_lines(path.read_bytes().decode(), expected)
+
+    def test_json_tongue_writes_bounded_blocks(self, tmp_path, monkeypatch, capsys):
+        # a 161 x 201 tongue: its S grid and its mask are written a block
+        # of cells at a time, as on stdout
+        axes = [
+            {"name": "detuning", "min": -15.0, "max": 15.0, "points": 161},
+            {"name": "epsilon", "min": 0.0, "max": 1.5, "points": 201},
+        ]
+        scenario = {"name": "equatorial", "gamma_g": 1.0, "gamma_d": 300.0}
+        cfg = write_config(tmp_path, {**EQUATORIAL, "scenario": scenario, "sweep": axes})
+        writes = spy_writes(monkeypatch)
+        path = tmp_path / "tongue.json"
+        argv = ["tongue", "--config", cfg, "--format", "json"]
+        assert main([*argv, "--out", str(path)]) == 0
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        same_lines(path.read_bytes().decode(), out)
+        assert b"".join(writes) == path.read_bytes()
+        cells = 161 * 201
+        assert len(json.loads(out)["S"]) == 201
+        assert all(isinstance(w, bytes) for w in writes)
+        # no write holds a whole grid: each holds at most a block of values,
+        # a line each, and the lines that open and close its grid rows
+        assert max(w.count(b"\n") for w in writes) < 2 * cli._BLOCK_UNITS < cells
+        assert len(writes) > 2 * cells / cli._BLOCK_UNITS
 
 
 class TestParserReuse:

@@ -421,27 +421,10 @@ def _write_text(path: str | None, pieces) -> None:
 
 
 def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -> None:
-    # Each column is spelled once, before the output is opened. Under
-    # _KERNEL_MIN rows repr spells every float either way, and laying its
-    # strings out as bytes took 11-49% longer than one join; from there on
-    # the kernel's rows go straight into each block of bytes, 2-40% faster
-    # (every table the benchmark writes and synthetic ones, BENCH_33.json).
+    size = columns[0].size if columns else 0
+    fields = [(column, ",") for column in columns]
     head = ",".join(header) + "\n"
-    if columns and columns[0].size >= _KERNEL_MIN:
-        fields = [(_cell_bytes(column), b",") for column in columns]
-        size = columns[0].size
-        _write_text(path, _blocks(head.encode(), fields, 1, size, b"\n", b"\n"))
-        return
-    cells = [_cells(column) for column in columns]
-    rows = len(cells[0]) if cells else 0
-    step = 2 * len(cells)
-    # every cell followed by its separator, in one list and one join
-    body = [","] * (1 + step * rows)
-    body[0] = head
-    body[step::step] = ["\n"] * rows
-    for i, spelled in enumerate(cells):
-        body[1 + 2 * i :: step] = spelled
-    _write_text(path, ["".join(body).encode()])
+    _write_text(path, _laid_out((_cells, _cell_bytes), head, fields, 1, size, "\n", "\n"))
 
 
 _BOOL_BYTES = np.array([b"false", b"true"]).view(np.uint8).reshape(2, -1)
@@ -554,6 +537,47 @@ def _blocks(head: bytes, fields: list, units: int, size: int, tail: bytes, last:
         head = b""
 
 
+def _joined(head: str, fields: list, units: int, size: int, tail: str, last: str) -> str:
+    """The text of the table that ``_blocks`` lays out, from str cells: each
+    field a list of spelled cells, as ``_cells`` gives them, and the text
+    after each.  Every cell is followed by its text in one list, and the
+    list is joined once."""
+    step = 2 * len(fields)
+    # the list starts out as the first field's text, so that CSV, whose
+    # fields all end in ",", sets only its cells and its row ends
+    fill = fields[0][1] if fields else ""
+    body = [fill] * (1 + step * units * size)
+    body[0] = head
+    for i, (cells, after) in enumerate(fields):
+        body[1 + 2 * i :: step] = cells
+        if after != fill:
+            body[2 + 2 * i :: step] = [after] * len(cells)
+    if size:
+        row = step * units
+        body[row::row] = [tail] * size
+        body[-1] = last
+    return "".join(body)
+
+
+def _laid_out(spell: tuple, head: str, fields: list, units: int, size: int, tail: str, last: str):
+    """The bytes of a table as ``_blocks`` and ``_joined`` describe it, each
+    field a column of ``size * units`` values and the text after each cell.
+    ``spell`` is a format's cell spellers, for str cells and for bytes
+    (``_cells`` and ``_cell_bytes``, or ``_json_cells`` and ``_json_bytes``).
+    Every column is spelled here, before the output is opened."""
+    # Under _KERNEL_MIN values repr spells every float either way, and
+    # laying its strings out as bytes took longer than one join on every
+    # CSV and JSON table measured (BENCH_33.json writer_split, BENCH_35.json
+    # json_split); from there on the kernel's rows go straight into each
+    # block of bytes, 2-40% faster.
+    text, raw = spell
+    if fields and fields[0][0].size >= _KERNEL_MIN:
+        fields = [(raw(column), after.encode()) for column, after in fields]
+        return _blocks(head.encode(), fields, units, size, tail.encode(), last.encode())
+    fields = [(text(column), after) for column, after in fields]
+    return [_joined(head, fields, units, size, tail, last).encode()]
+
+
 class _Rows(NamedTuple):
     """Table rows for the JSON writer, one per element of the columns (of
     one size, any shape) in row-major order: each a list of cells, or with
@@ -563,96 +587,54 @@ class _Rows(NamedTuple):
     keys: list[str] | None = None
 
 
-def _json_list(opening: str, items: list[str], closing: str, level: int) -> str:
-    """A JSON array or object of already spelled items, laid out as
-    ``json.dumps(..., indent=2)`` lays it out at nesting depth ``level``."""
-    if not items:
-        return opening + closing
-    pad = "\n" + "  " * (level + 1)
-    # one join, so a long body is copied once
-    return "".join((opening, pad, ("," + pad).join(items), "\n", "  " * level, closing))
-
-
-def _json_values(array: np.ndarray, level: int) -> list[str]:
-    """JSON text of each value of an array of any shape, in row-major order;
-    a complex number is a [re, im] pair at depth ``level``."""
-    if not np.iscomplexobj(array):
-        return _json_cells(array)
-    parts = [""] * (2 * array.size)
-    parts[::2], parts[1::2] = _json_cells(array.real), _json_cells(array.imag)
-    return _nest(parts, (array.size, 2), level)
-
-
-def _nest(cells: list[str], shape: tuple[int, ...], level: int) -> list[str]:
-    if len(shape) == 1:
-        return cells
-    step = math.prod(shape[1:])
-    parts = (cells[i * step : (i + 1) * step] for i in range(shape[0]))
-    return [_json_list("[", _nest(p, shape[1:], level + 1), "]", level) for p in parts]
-
-
-def _json_rows(rows: _Rows, level: int) -> str:
-    cells = [_json_values(column, level + 2) for column in rows.columns]
-    opening, closing = "[]"
-    if rows.keys is not None:
-        opening, closing = "{}"
-        keyed = sorted(zip(rows.keys, cells))
-        cells = [list(map(f"{json.dumps(k)}: ".__add__, c)) for k, c in keyed]
-    inner, tail = "\n" + "  " * (level + 2), "\n" + "  " * (level + 1) + closing
-    # the rows as one item: each row's cells, then all rows, in one join each
-    between = tail + ",\n" + "  " * (level + 1) + opening + inner
-    body = between.join(map(("," + inner).join, zip(*cells)))
-    return _json_list("[", [opening + inner + body + tail] if body else [], "]", level)
-
-
-def _json_blocks(columns: list, keys: list | None, units: int, level: int, brackets: str):
-    """The byte blocks of a long table at depth ``level``: a JSON list of
-    rows, each a list or an object (``brackets`` "[]" or "{}") of ``units``
-    units, or with no ``brackets`` a unit.  A unit is a value of each of
-    ``columns`` in turn, in row-major order, or in an object of each by its
-    key of ``keys``, in their order; a complex value is its [re, im] pair."""
+def _json_table(columns: list, keys: list | None, units: int, level: int, brackets: str):
+    """The bytes of a table at depth ``level``: a JSON list of rows, each a
+    list or an object (``brackets`` "[]" or "{}") of ``units`` units, or
+    with no ``brackets`` a unit.  A unit is a value of each of ``columns``
+    in turn, in row-major order, or in an object of each by its key of
+    ``keys``, in their order; a complex value is its [re, im] pair."""
     depth = level + 1 + bool(brackets)  # of the values
     pad = ["\n" + "  " * i for i in range(depth + 2)]
     pairs = zip([None] * len(columns), columns)
     if keys is not None:
         pairs = sorted(zip(keys, columns), key=lambda pair: pair[0])
     # the text before each field of a unit, and after the last
-    fixed, spelled = [""], []
+    fixed, parts = [""], []
     for key, column in pairs:
-        fixed[-1] += ("," + pad[depth] if spelled else "") + (
+        fixed[-1] += ("," + pad[depth] if parts else "") + (
             "" if key is None else f"{json.dumps(key)}: "
         )
         if np.iscomplexobj(column):
             fixed[-1] += "[" + pad[depth + 1]
             fixed += ["," + pad[depth + 1], pad[depth] + "]"]
-            spelled += [_json_bytes(column.real), _json_bytes(column.imag)]
+            parts += [column.real, column.imag]
         else:
             fixed.append("")
-            spelled.append(_json_bytes(column))
+            parts.append(column)
     opening, closing = "", ""
     if brackets:
         opening, closing = brackets[0] + pad[depth], pad[depth - 1] + brackets[1]
     between = fixed[-1] + "," + pad[depth] + fixed[0]  # two units of a row
-    fields = [(s, text.encode()) for s, text in zip(spelled, fixed[1:-1] + [between])]
+    fields = list(zip(parts, fixed[1:-1] + [between]))
     start, end = opening + fixed[0], fixed[-1] + closing
     head, tail = "[" + pad[level + 1] + start, end + "," + pad[level + 1] + start
     size, last = columns[0].size // units, end + pad[level] + "]"
-    return _blocks(head.encode(), fields, units, size, tail.encode(), last.encode())
+    return _laid_out((_json_cells, _json_bytes), head, fields, units, size, tail, last)
 
 
 def _json(obj, level: int, out: list) -> None:
     """Append to ``out`` the pieces of ``json.dumps(obj, indent=2,
     sort_keys=True)`` at depth ``level``, for a payload with string keys,
     numpy arrays and scalars and complex numbers (as [re, im]): text, and
-    the byte blocks of each long array or table.  Arrays are spelled a
-    column at a time: non-finite floats are the strings "nan", "inf" and
+    the bytes of each table and each 1-D or 2-D array.  Arrays are spelled
+    a column at a time: non-finite floats are the strings "nan", "inf" and
     "-inf" and masked cells are null."""
     if isinstance(obj, _Rows):
-        if obj.columns and obj.columns[0].size >= _KERNEL_MIN:
+        if obj.columns and obj.columns[0].size:
             brackets = "[]" if obj.keys is None else "{}"
-            out.append(_json_blocks(obj.columns, obj.keys, 1, level, brackets))
+            out.append(_json_table(obj.columns, obj.keys, 1, level, brackets))
         else:
-            out.append(_json_rows(obj, level))
+            out.append("[]")
     elif isinstance(obj, (dict, list, tuple)):
         keyed = isinstance(obj, dict)
         items = sorted(obj.items()) if keyed else obj
@@ -671,12 +653,11 @@ def _json(obj, level: int, out: list) -> None:
             sep = "," + pad
         out.append("\n" + "  " * level + closing)
     elif isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind in "biufcU":
-        if obj.ndim <= 2 and obj.size >= _KERNEL_MIN:
-            units, brackets = (obj.shape[1], "[]") if obj.ndim == 2 else (1, "")
-            out.append(_json_blocks([obj], None, units, level, brackets))
+        if obj.ndim > 2 or not obj.size:
+            _json(list(obj), level, out)  # row by row
         else:
-            values = _json_values(obj, level + obj.ndim)
-            out.append(_json_list("[", _nest(values, obj.shape, level + 1), "]", level))
+            units, brackets = (obj.shape[1], "[]") if obj.ndim == 2 else (1, "")
+            out.append(_json_table([obj], None, units, level, brackets))
     elif isinstance(obj, (np.ndarray, np.generic)):  # scalars, and objects one by one
         _json(obj.tolist(), level, out)
     elif isinstance(obj, complex):
@@ -689,7 +670,7 @@ def _json(obj, level: int, out: list) -> None:
 
 def _json_pieces(pieces: list):
     """The bytes of JSON pieces as ``_json`` gives them: each run of text as
-    one piece, and each byte block."""
+    one piece, and the bytes of each table as ``_laid_out`` gives them."""
     text = []
     for piece in pieces:
         if isinstance(piece, str):

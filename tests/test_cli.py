@@ -10,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1312,12 +1313,16 @@ FINITE = st.sampled_from(EDGE_FLOATS[:2] + EDGE_FLOATS[5:]) | st.floats(
     allow_nan=False, allow_infinity=False
 )
 TEXT = st.text(max_size=6)
+# a str cell of a table laid out as bytes may not hold NUL, which a zero
+# byte cannot pad
+BYTE_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\0"), max_size=6)
 
 
-def column_of(length: int, parts=FLOATS):
+def column_of(length: int, parts=FLOATS, text=TEXT):
     """A column of ``length`` values of one kind, drawn from a small pool so
     that values repeat (as on an axis) or from the whole range; a complex
-    column has real and imaginary parts drawn from ``parts``."""
+    column has real and imaginary parts drawn from ``parts``, a str column
+    cells drawn from ``text``."""
 
     def of(values):
         pooled = st.lists(values, min_size=1, max_size=3).flatmap(
@@ -1330,7 +1335,7 @@ def column_of(length: int, parts=FLOATS):
     return st.one_of(
         of(FLOATS).map(lambda v: np.array(v, dtype=float)),
         of(st.booleans()).map(lambda v: np.array(v, dtype=bool)),
-        of(TEXT).map(lambda v: np.array(v, dtype=str)),
+        of(text).map(lambda v: np.array(v, dtype=str)),
         of(st.integers(-(2**62), 2**62)).map(lambda v: np.array(v, dtype=np.int64)),
         st.tuples(of(parts), of(parts)).map(
             lambda p: np.array([complex(*z) for z in zip(*p)], dtype=complex)
@@ -1339,10 +1344,10 @@ def column_of(length: int, parts=FLOATS):
 
 
 @st.composite
-def tables(draw, parts=FLOATS):
+def tables(draw, parts=FLOATS, text=TEXT):
     length = draw(st.integers(0, 40))
     names = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True)
-    columns = {name: draw(column_of(length, parts)) for name in draw(names)}
+    columns = {name: draw(column_of(length, parts, text)) for name in draw(names)}
     if length == 1:
         # a scalar is a column of one
         columns["scalar"] = draw(FLOATS | st.booleans())
@@ -1350,10 +1355,11 @@ def tables(draw, parts=FLOATS):
 
 
 @st.composite
-def grid_tables(draw):
+def grid_tables(draw, text=TEXT):
     """Columns over one grid of 1-3 axes as the producers hand them over:
     each a broadcast view with zero strides on a drawn subset of the axes,
-    some transposed, and a scalar in a table of one cell."""
+    some transposed, and a scalar in a table of one cell; str cells are
+    drawn from ``text``."""
     shape = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
     names = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True)
     columns = {}
@@ -1363,7 +1369,7 @@ def grid_tables(draw):
         flags = st.lists(st.booleans(), min_size=len(shape), max_size=len(shape))
         repeated = draw(flags)
         core = tuple(1 if r else n for r, n in zip(repeated, view_shape))
-        values = draw(column_of(math.prod(core))).reshape(core)
+        values = draw(column_of(math.prod(core), text=text)).reshape(core)
         view = np.broadcast_to(values, view_shape)
         columns[name] = view.T if transposed else view
     if math.prod(shape) == 1:
@@ -1377,8 +1383,9 @@ ARRAYS = st.one_of(
             lambda c: c.astype(object) if n == 3 else c
         )
     ),
-    st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
-        lambda shape: column_of(shape[0] * shape[1], FINITE).map(
+    # 2-D and 3-D, a zero-length axis among them
+    st.lists(st.integers(0, 3), min_size=2, max_size=3).flatmap(
+        lambda shape: column_of(math.prod(shape), FINITE).map(
             lambda c: c.reshape(shape)
         )
     ),
@@ -1498,9 +1505,7 @@ def long_tables(draw):
     measure[mask] = math.nan
     z = np.empty(shape, dtype=complex)
     z.real, z.imag = floats(*shape), floats(*shape)
-    # a long table's str cell may not hold NUL, which a zero byte cannot pad
-    cell = st.text(st.characters(codec="utf-8", exclude_characters="\0"), max_size=6)
-    words = np.array(draw(st.lists(cell, min_size=1, max_size=3)), dtype=str)
+    words = np.array(draw(st.lists(BYTE_TEXT, min_size=1, max_size=3)), dtype=str)
     columns = {
         "outer": np.broadcast_to(floats(outer, 1), shape),
         "inner": np.broadcast_to(floats(inner), shape),
@@ -1610,6 +1615,60 @@ def long_json_payloads(draw):
     records = [dict(zip(columns, row)) for row in zip(*values)]
     keyed = cli._Rows(list(columns.values()), list(columns))
     return {"rows": keyed}, {"rows": records}
+
+
+def csv_matches(columns: dict) -> None:
+    """The CSV writer writes a table as the per-cell writer did."""
+    expected = old_csv(*old_table(columns))
+    assert stdout_of(cli._write_csv, *cli._table(columns)) == expected
+
+
+def broadcast_views_match(columns: dict) -> None:
+    """Both writers write a table of broadcast views as the per-cell
+    writers wrote it."""
+    expected = old_csv(*old_table(columns))
+    header, values = cli._table(columns)
+    assert stdout_of(cli._write_csv, header, values) == expected
+    rows = [list(row) for row in zip(*(np.ravel(v).tolist() for v in values))]
+    text = stdout_of(cli._write_json, {"rows": cli._Rows(values)})
+    assert text == old_json({"rows": rows})
+    # keyed by name, complex columns as [re, im] pairs: a view writes
+    # what its contiguous copy writes
+    views = {name: np.asarray(column) for name, column in columns.items()}
+    copies = [np.array(column).ravel() for column in views.values()]
+    keyed = cli._Rows(list(views.values()), list(views))
+    text = stdout_of(cli._write_json, {"rows": keyed})
+    copied = cli._Rows(copies, list(views))
+    assert text == stdout_of(cli._write_json, {"rows": copied})
+
+
+def json_rows_match(columns: dict) -> None:
+    """The JSON writer writes a table's rows, as lists and keyed by name,
+    as the per-row records that json.dumps writes."""
+    header, values = cli._table(columns)
+    rows = [list(row) for row in zip(*(v.tolist() for v in values))]
+    payload = {"rows": cli._Rows(values)}
+    assert stdout_of(cli._write_json, payload) == old_json({"rows": rows})
+    # keyed by name: complex columns are [re, im] pairs
+    named = {name: np.ravel(column) for name, column in columns.items()}
+    length = min(len(c) for c in named.values())
+    records = [
+        {name: column.tolist()[i] for name, column in named.items()}
+        for i in range(length)
+    ]
+    payload = {"rows": cli._Rows(list(named.values()), list(named))}
+    assert stdout_of(cli._write_json, payload) == old_json({"rows": records})
+
+
+@contextlib.contextmanager
+def blocks_only():
+    """Lay out every table of one value or more as byte blocks, as a table
+    of _KERNEL_MIN values or more is laid out; yields a spy on
+    ``cli._blocks``."""
+    with mock.patch.object(cli, "_KERNEL_MIN", 1), mock.patch.object(
+        cli, "_blocks", wraps=cli._blocks
+    ) as blocks:
+        yield blocks
 
 
 class TestColumnWriters:
@@ -1845,26 +1904,26 @@ class TestColumnWriters:
     @settings(max_examples=100, deadline=None)
     @given(tables())
     def test_csv_matches_per_cell_writer(self, columns):
-        expected = old_csv(*old_table(columns))
-        assert stdout_of(cli._write_csv, *cli._table(columns)) == expected
+        csv_matches(columns)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables(text=BYTE_TEXT))
+    def test_short_csv_blocks_match_per_cell_writer(self, columns):
+        with blocks_only() as blocks:
+            csv_matches(columns)
+        assert blocks.called == bool(old_table(columns)[1])
 
     @settings(max_examples=150, deadline=None)
     @given(grid_tables())
     def test_broadcast_views_match_per_cell_writers(self, columns):
-        expected = old_csv(*old_table(columns))
-        header, values = cli._table(columns)
-        assert stdout_of(cli._write_csv, header, values) == expected
-        rows = [list(row) for row in zip(*(np.ravel(v).tolist() for v in values))]
-        text = stdout_of(cli._write_json, {"rows": cli._Rows(values)})
-        assert text == old_json({"rows": rows})
-        # keyed by name, complex columns as [re, im] pairs: a view writes
-        # what its contiguous copy writes
-        views = {name: np.asarray(column) for name, column in columns.items()}
-        copies = [np.array(column).ravel() for column in views.values()]
-        keyed = cli._Rows(list(views.values()), list(views))
-        text = stdout_of(cli._write_json, {"rows": keyed})
-        copied = cli._Rows(copies, list(views))
-        assert text == stdout_of(cli._write_json, {"rows": copied})
+        broadcast_views_match(columns)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_tables(BYTE_TEXT))
+    def test_short_broadcast_view_blocks_match_per_cell_writers(self, columns):
+        with blocks_only() as blocks:
+            broadcast_views_match(columns)
+        assert blocks.called == bool(old_table(columns)[1])
 
     def test_grid_axes_spelled_once_per_value(self, tmp_path, capsys, monkeypatch):
         # a tongue's axis and boundary columns repeat 161 or 201 values over
@@ -1904,6 +1963,14 @@ class TestColumnWriters:
     def test_json_matches_json_dumps(self, payload):
         assert stdout_of(cli._write_json, payload) == old_json(payload)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(TEXT, PAYLOADS, max_size=4))
+    def test_short_json_blocks_match_json_dumps(self, payload):
+        # json.dumps spells a str cell with NUL as an escape, which the
+        # blocks can hold
+        with blocks_only():
+            assert stdout_of(cli._write_json, payload) == old_json(payload)
+
     def test_json_spells_non_finite_complex_parts(self):
         text = stdout_of(cli._write_json, {"z": complex(math.nan, -math.inf)})
         assert json.loads(text) == {"z": ["nan", "-inf"]}
@@ -1911,19 +1978,14 @@ class TestColumnWriters:
     @settings(max_examples=60, deadline=None)
     @given(tables(FINITE))
     def test_json_rows_match_per_row_records(self, columns):
-        header, values = cli._table(columns)
-        rows = [list(row) for row in zip(*(v.tolist() for v in values))]
-        payload = {"rows": cli._Rows(values)}
-        assert stdout_of(cli._write_json, payload) == old_json({"rows": rows})
-        # keyed by name: complex columns are [re, im] pairs
-        named = {name: np.ravel(column) for name, column in columns.items()}
-        length = min(len(c) for c in named.values())
-        records = [
-            {name: column.tolist()[i] for name, column in named.items()}
-            for i in range(length)
-        ]
-        payload = {"rows": cli._Rows(list(named.values()), list(named))}
-        assert stdout_of(cli._write_json, payload) == old_json({"rows": records})
+        json_rows_match(columns)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tables(FINITE, BYTE_TEXT))
+    def test_short_json_row_blocks_match_per_row_records(self, columns):
+        with blocks_only() as blocks:
+            json_rows_match(columns)
+        assert blocks.called == bool(old_table(columns)[1])
 
     @settings(max_examples=40, deadline=None)
     @given(long_json_payloads())
